@@ -29,10 +29,10 @@ from .processes import Bundle
 from .rng import RngStream
 from .supstats import (
     WeightedSupResult,
-    _alpha_increment_minus_bridge,
     _alpha_minus_bridge,
     _solve,
     _SupProblem,
+    empirical_window_problem,
 )
 
 
@@ -314,22 +314,14 @@ def censored_sup_problems(
         theta,
         1.0 - lam / n,
         True,
+        [],
         bundle.U[1:],
         _alpha_minus_bridge(bundle),
         0.5 - xi_exp,
         "one-minus-s",
         scale,
     )
-    prob1 = _SupProblem(
-        lam / n,
-        theta,
-        False,
-        np.concatenate([theta - bundle.U[1:], bundle.increment_jump_grid(theta)]),
-        _alpha_increment_minus_bridge(bundle, theta),
-        0.5 - xi_exp,
-        "s",
-        scale,
-    )
+    prob1 = empirical_window_problem(bundle, theta, lam / n, theta, 0.5 - xi_exp, "s", scale)
     return {"cens-h0": prob0, "cens-h1": prob1}
 
 
@@ -339,11 +331,10 @@ def censored_weighted_stats(
     bundle: Bundle,
     xi_exp: float,
     lam: float = 1.0,
-    grid_per_cell: int = 8,
 ) -> dict[str, WeightedSupResult]:
     """Solve both censored sup statistics (see ``censored_sup_problems``)."""
     problems = censored_sup_problems(sample, model, bundle, xi_exp, lam)
-    return {name: _solve(bundle, prob, grid_per_cell) for name, prob in problems.items()}
+    return {name: _solve(bundle, prob) for name, prob in problems.items()}
 
 
 def default_check_grid(sample: CensoredSample, model: CensoringModel) -> np.ndarray:

@@ -56,7 +56,6 @@ def _parse_ladder(text: str) -> tuple[int, ...]:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid-per-cell", type=int, default=8)
     p.add_argument("--refine-depth", type=int, default=DEFAULT_REFINE_DEPTH)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", type=str, default=None)
@@ -133,9 +132,7 @@ def cmd_stats(args) -> int:
         name=args.stat, statistic=args.stat, weights=cfg, d=args.d, side=args.side
     )
     req.validate()
-    row = evaluate_requests(
-        [req], args.seed, args.n, args.rep, args.refine_depth, args.grid_per_cell
-    )[0]
+    row = evaluate_requests([req], args.seed, args.n, args.rep, args.refine_depth)[0]
     doc = dataclasses.asdict(row)
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     return 0
@@ -148,10 +145,7 @@ def cmd_mc(args) -> int:
         n_ladder=args.n_ladder,
         reps=args.reps,
         seed=args.seed,
-        out_csv=args.out,
-        out_json=args.json_out,
         threads=args.threads,
-        grid_per_cell=args.grid_per_cell,
         refine_depth=args.refine_depth,
         d=args.d,
         side=args.side,
@@ -187,7 +181,6 @@ def cmd_censored(args) -> int:
         args.reps,
         args.seed,
         threads=args.threads,
-        grid_per_cell=args.grid_per_cell,
         refine_depth=args.refine_depth,
     )
     if args.out is not None:

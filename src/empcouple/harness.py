@@ -33,9 +33,8 @@ from .processes import DEFAULT_REFINE_DEPTH, AnchoredBundle, Bundle, ProcessBund
 from .rng import RngStream, derive_stream
 from .supstats import (
     WeightConfig,
-    _alpha_increment_minus_bridge,
     _solve,
-    _SupProblem,
+    empirical_window_problem,
     stat_empirical_full,
     stat_empirical_increment,
     stat_quantile_full,
@@ -75,6 +74,12 @@ class StatRequest:
         self.weights.validate()
 
 
+def _reject_repeated_sizes(n_ladder) -> None:
+    """A repeated ladder size would evaluate the same replicates twice."""
+    if len(set(n_ladder)) != len(n_ladder):
+        raise ValueError(f"repeated ladder sizes in {list(n_ladder)}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one ladder experiment."""
@@ -84,10 +89,7 @@ class ExperimentConfig:
     n_ladder: tuple[int, ...]
     reps: int
     seed: int
-    out_csv: str | None = None
-    out_json: str | None = None
     threads: int = 1
-    grid_per_cell: int = 8
     refine_depth: int = DEFAULT_REFINE_DEPTH
     d: float = 64.0
     side: str = "left"
@@ -100,6 +102,7 @@ class ExperimentConfig:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         if not self.n_ladder:
             raise ValueError("n_ladder must be nonempty")
+        _reject_repeated_sizes(self.n_ladder)
         if list(self.n_ladder) != sorted(self.n_ladder):
             raise ValueError("n_ladder must be sorted ascending")
         if min(self.n_ladder) < 2:
@@ -192,7 +195,6 @@ def evaluate_requests(
     n: int,
     rep: int,
     depth: int = DEFAULT_REFINE_DEPTH,
-    grid_per_cell: int = 8,
 ) -> list[ResultRow]:
     """All requested statistics on one replicate (one row each).
 
@@ -217,13 +219,13 @@ def evaluate_requests(
                     model, bundle, derive_stream(seed, n, rep, "shuffle")
                 )
                 cens_cache[key] = censored_weighted_stats(
-                    sample, model, bundle, req.xi_exp, req.weights.lam, grid_per_cell
+                    sample, model, bundle, req.xi_exp, req.weights.lam
                 )
             res = cens_cache[key][req.statistic]
         elif req.statistic == "ineq1-tail":
-            res = tail_sup_discrepancy(bundle, req.d, req.side, grid_per_cell)
+            res = tail_sup_discrepancy(bundle, req.d, req.side)
         else:
-            res = _STAT_FUNCS[req.statistic](bundle, req.weights, grid_per_cell)
+            res = _STAT_FUNCS[req.statistic](bundle, req.weights)
         rows.append(
             ResultRow(
                 statistic=req.name,
@@ -238,7 +240,18 @@ def evaluate_requests(
 
 
 def _replicate_task(args) -> list[ResultRow]:
+    # Looked up by name on every call, so a replaced ``evaluate_requests``
+    # takes effect.
     return evaluate_requests(*args)
+
+
+def _map_tasks(fn, tasks: list, threads: int) -> list:
+    """[fn(task) for task in tasks], on a pool of ``threads`` worker processes if > 1."""
+    if threads > 1 and len(tasks) > 1:
+        chunk = max(1, len(tasks) // (threads * 8))
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, tasks, chunksize=chunk))
+    return [fn(task) for task in tasks]
 
 
 def run_requests(
@@ -247,7 +260,6 @@ def run_requests(
     reps: int,
     seed: int,
     threads: int = 1,
-    grid_per_cell: int = 8,
     refine_depth: int = DEFAULT_REFINE_DEPTH,
 ) -> list[ResultRow]:
     """Evaluate several statistics on shared bundles across the ladder.
@@ -256,21 +268,14 @@ def run_requests(
     lattice-anchored bundle, and the count-anchored one at t or theta) and
     shared by every request coupled there.  Bundle streams depend only on
     (seed, n, rep, role), so adding statistics to a run never changes the
-    draws of the others.
+    draws of the others.  A repeated ladder size is rejected.
     """
     for req in requests:
         req.validate()
-    tasks = [
-        (requests, seed, n, rep, refine_depth, grid_per_cell)
-        for n in n_ladder
-        for rep in range(reps)
-    ]
-    if threads > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (threads * 8))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(_replicate_task, tasks, chunksize=chunk))
-    else:
-        chunks = [_replicate_task(t) for t in tasks]
+    n_ladder = list(n_ladder)
+    _reject_repeated_sizes(n_ladder)
+    tasks = [(requests, seed, n, rep, refine_depth) for n in n_ladder for rep in range(reps)]
+    chunks = _map_tasks(_replicate_task, tasks, threads)
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r.statistic, r.n, r.rep))
     return rows
@@ -431,7 +436,6 @@ def run_ladder(cfg: ExperimentConfig) -> LadderReport:
         cfg.reps,
         cfg.seed,
         threads=cfg.threads,
-        grid_per_cell=cfg.grid_per_cell,
         refine_depth=cfg.refine_depth,
     )
     return summarize(rows)
@@ -519,7 +523,6 @@ def estimate_ineq1(
     a: float = 1.0,
     side: str = "left",
     threads: int = 1,
-    grid_per_cell: int = 8,
 ) -> Ineq1Estimate:
     """Exceedance of the tail sup beyond n^{-1/2}(a log d + x), with decay fit.
 
@@ -544,9 +547,7 @@ def estimate_ineq1(
         StatRequest(name=f"ineq1-tail-d{d:g}", statistic="ineq1-tail", d=d, side=side)
         for d in d_grid
     ]
-    rows = run_requests(
-        requests, [n], reps, seed, threads=threads, grid_per_cell=grid_per_cell
-    )
+    rows = run_requests(requests, [n], reps, seed, threads=threads)
     sups = {
         f"ineq1-tail-d{d:g}": np.asarray(
             [r.value for r in rows if r.statistic == f"ineq1-tail-d{d:g}"]
@@ -750,12 +751,7 @@ class GlobalSupReport:
 def _global_sup_task(args) -> float:
     seed, n, rep, t, depth = args
     bundle = build_anchored_bundle(seed, n, rep, t, depth)
-    breaks = np.concatenate([t - bundle.U[1:], bundle.increment_jump_grid(t)])
-    prob = _SupProblem(
-        0.0, t, False, breaks, _alpha_increment_minus_bridge(bundle, t),
-        0.0, None, 1.0,
-    )
-    return _solve(bundle, prob, 8).value
+    return _solve(bundle, empirical_window_problem(bundle, t, 0.0, t, 0.0, None, 1.0)).value
 
 
 def sanity_global_sup(
@@ -774,12 +770,9 @@ def sanity_global_sup(
     n_ladder = sorted(n_ladder)
     if not n_ladder:
         raise ValueError("ladder must be nonempty")
+    _reject_repeated_sizes(n_ladder)
     tasks = [(seed, n, rep, t, refine_depth) for n in n_ladder for rep in range(reps)]
-    if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(_global_sup_task, tasks, chunksize=max(1, len(tasks) // (threads * 8))))
-    else:
-        vals = [_global_sup_task(task) for task in tasks]
+    vals = _map_tasks(_global_sup_task, tasks, threads)
     medians, normalized = [], []
     for i, n in enumerate(n_ladder):
         med = float(np.median(vals[i * reps : (i + 1) * reps]))

@@ -72,7 +72,8 @@ def floor_combination(n: int, s: float, t: float) -> int:
     vals = snap_to_integer(np.asarray([n * t, n * (t - s), n * s]))
     a, b, c = np.floor(vals).astype(int)
     out = int(a - b - c)
-    assert -2 <= out <= 1, (n, s, t, out)
+    if not -2 <= out <= 1:
+        raise ArithmeticError(f"floor combination {out} outside [-2, 1] (n={n}, s={s}, t={t})")
     return out
 
 

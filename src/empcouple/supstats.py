@@ -4,15 +4,24 @@ Between breakpoints every discrepancy here is |a + b s| for constants a, b
 (the step processes and the dyadic-resolution bridge are constant, the
 drift terms linear), and against the weights s^c, (1-s)^c and [s(1-s)]^c
 with 0 <= c <= 1 such a ratio has no interior local maximum.  The supremum
-over the domain is therefore attained at a breakpoint one-sided limit, so
-evaluating both one-sided limits at every breakpoint gives the *exact*
-supremum of the discretized processes; any denser grid can only tie it.
+over the domain is therefore attained at a breakpoint, as a one-sided limit
+or as the point value there.
 
 Breakpoints are: the bundle's jump grid (``jump_grid``: where the bridge
-lookup or the lattice index k/n can change), the jump locations of whichever
-step process appears in the numerator, and the domain endpoints.  One-sided
-limits are evaluated by resolving all piecewise lookups at the midpoint of
-the adjacent interval and then plugging in the endpoint abscissa.
+lookup or the lattice index k/n can change), the jump points of the bridge
+lookups of a window increment (``increment_jump_grid``), the jump points of
+whichever step process appears in the numerator, and the domain endpoints.
+One-sided limits are evaluated by resolving all piecewise lookups at the
+midpoint of the adjacent interval and then plugging in the endpoint abscissa.
+
+Point values are evaluated at the closed endpoints and at every jump of the
+numerator's step process (k/n, t - k/n, U_k or t - U_k).  Elsewhere the step
+term is continuous, the drift linear and the bridge lookup takes the value of
+one adjacent piece, so a point value equals a one-sided limit already
+evaluated.  At a step jump it need not: on ``ProcessBundle`` the bridge is
+left-continuous in s while U_[sn] is right-continuous, and both jump at
+every k/n.  Evaluating both one-sided limits at every breakpoint and these
+point values gives the *exact* supremum of the discretized processes.
 """
 
 from __future__ import annotations
@@ -51,19 +60,27 @@ class WeightConfig:
 class WeightedSupResult:
     value: float
     arg_s: float
-    side: str  # 'right' | 'left' | 'direct'
-    grid_points: int
-    discretization_note: str  # 'exact-at-jumps' | 'grid-approx'
+    side: str  # 'right' | 'left' | 'point'
+    grid_points: int  # number of evaluations
 
 
 class _SupProblem:
-    """Domain, numerator and weight of one sup statistic."""
+    """Domain, numerator and weight of one sup statistic.
 
-    def __init__(self, lo, hi, closed_hi, extra_breaks, numerator, weight_exp, weight_kind, scale):
+    ``bridge_breaks`` are jump points of the numerator's bridge lookups off
+    the bundle's ``jump_grid`` (a window increment's ``increment_jump_grid``);
+    ``step_jumps`` are the jump points of its step process, where the point
+    value is evaluated too.
+    """
+
+    def __init__(
+        self, lo, hi, closed_hi, bridge_breaks, step_jumps, numerator, weight_exp, weight_kind, scale
+    ):
         self.lo = float(lo)
         self.hi = float(hi)
         self.closed_hi = bool(closed_hi)
-        self.extra_breaks = np.asarray(extra_breaks, dtype=float)
+        self.bridge_breaks = np.asarray(bridge_breaks, dtype=float)
+        self.step_jumps = np.asarray(step_jumps, dtype=float)
         self.numerator = numerator  # (s, s_piece) -> ndarray
         self.weight_exp = weight_exp
         self.weight_kind = weight_kind  # 'sym' | 's' | 'one-minus-s' | None
@@ -82,66 +99,38 @@ class _SupProblem:
             return num / (1.0 - s) ** self.weight_exp
         raise ValueError(self.weight_kind)
 
+    def point_abscissae(self) -> np.ndarray:
+        """Where the point value is evaluated: closed endpoints and step jumps."""
+        s = self.step_jumps
+        ends = [self.lo, self.hi] if self.closed_hi else [self.lo]
+        return np.unique(np.concatenate([ends, s[(s >= self.lo) & (s < self.hi)]]))
+
 
 def _breakpoints(bundle: Bundle, prob: _SupProblem) -> np.ndarray:
     # Holding the grid until return keeps the allocator from handing its
     # pages back and faulting them in again (approx1 at n = 8192: ~30% fewer
     # page faults per solve than freeing it inside the concatenate).
     grid = bundle.jump_grid()
-    pts = np.concatenate([[prob.lo, prob.hi], grid, prob.extra_breaks])
+    pts = np.concatenate([[prob.lo, prob.hi], grid, prob.bridge_breaks, prob.step_jumps])
     pts = pts[(pts >= prob.lo) & (pts <= prob.hi)]
     return np.unique(pts)
 
 
-def _grid_points(bundle: Bundle, prob: _SupProblem, per_cell: int) -> np.ndarray:
-    if per_cell <= 0:
-        return np.empty(0)
-    n = bundle.n
-    k0 = int(math.floor(prob.lo * n))
-    k1 = int(math.floor(prob.hi * n)) + 1
-    cells = np.arange(k0, k1 + 1)
-    offs = np.arange(per_cell) / per_cell
-    s = ((cells[:, None] + offs[None, :]) / n).ravel()
-    if prob.closed_hi:
-        return s[(s >= prob.lo) & (s <= prob.hi)]
-    return s[(s >= prob.lo) & (s < prob.hi)]
-
-
-def _solve(bundle: Bundle, prob: _SupProblem, grid_per_cell: int) -> WeightedSupResult:
+def _solve(bundle: Bundle, prob: _SupProblem) -> WeightedSupResult:
+    """Largest one-sided limit at the breakpoints or point value (``point_abscissae``)."""
     if not prob.lo < prob.hi:
         raise ValueError(f"empty sup domain [{prob.lo}, {prob.hi})")
     pts = _breakpoints(bundle, prob)
     p, q = pts[:-1], pts[1:]
     mid = 0.5 * (p + q)
-    cand_s = [p, q]
-    cand_val = [prob.weighted(p, mid), prob.weighted(q, mid)]
-    cand_side = ["right", "left"]
-    direct_s = _grid_points(bundle, prob, grid_per_cell)
-    if prob.closed_hi:
-        direct_s = np.concatenate([direct_s, [prob.hi]])
-    if direct_s.size:
-        cand_s.append(direct_s)
-        cand_val.append(prob.weighted(direct_s, direct_s))
-        cand_side.append("direct")
-    best_val = -math.inf
-    best_s = prob.lo
-    best_side = "right"
-    for s_arr, v_arr, side in zip(cand_s, cand_val, cand_side):
-        if s_arr.size == 0:
-            continue
-        j = int(np.argmax(v_arr))
-        if v_arr[j] > best_val:
-            best_val = float(v_arr[j])
-            best_s = float(s_arr[j])
-            best_side = side
-    n_evals = 2 * (pts.size - 1) + int(direct_s.size)
-    return WeightedSupResult(
-        value=best_val,
-        arg_s=best_s,
-        side=best_side,
-        grid_points=n_evals,
-        discretization_note="exact-at-jumps",
-    )
+    at = prob.point_abscissae()
+    best = WeightedSupResult(-math.inf, prob.lo, "right", 2 * p.size + at.size)
+    for s, s_piece, side in ((p, mid, "right"), (q, mid, "left"), (at, at, "point")):
+        vals = prob.weighted(s, s_piece)
+        j = int(np.argmax(vals))
+        if vals[j] > best.value:
+            best.value, best.arg_s, best.side = float(vals[j]), float(s[j]), side
+    return best
 
 
 def reevaluate(bundle: Bundle, prob: _SupProblem, s: float, side: str) -> float:
@@ -150,7 +139,7 @@ def reevaluate(bundle: Bundle, prob: _SupProblem, s: float, side: str) -> float:
     # Offset past the near-integer snap tolerance of the piecewise lookups,
     # but far inside the narrowest possible piece.
     off = 32.0 * np.spacing(max(1.0, abs(s)))
-    if side == "direct":
+    if side == "point":
         piece = arr
     elif side == "right":
         piece = np.asarray([s + off])
@@ -240,24 +229,24 @@ def _full_domain(bundle: Bundle, cfg: WeightConfig) -> tuple[float, float]:
     return lo, hi
 
 
+def _lattice(n: int) -> np.ndarray:
+    """k / n for k = 0..n: the jumps of s -> U_[sn]."""
+    return np.arange(n + 1) / n
+
+
 def problem_quantile_full(bundle: Bundle, cfg: WeightConfig) -> _SupProblem:
     lo, hi = _full_domain(bundle, cfg)
     return _SupProblem(
-        lo, hi, True, [], _beta_minus_bridge(bundle), 0.5 - cfg.eta, "sym", bundle.n**cfg.eta
+        lo, hi, True, [], _lattice(bundle.n), _beta_minus_bridge(bundle),
+        0.5 - cfg.eta, "sym", bundle.n**cfg.eta,
     )
 
 
 def problem_empirical_full(bundle: Bundle, cfg: WeightConfig) -> _SupProblem:
     lo, hi = _full_domain(bundle, cfg)
     return _SupProblem(
-        lo,
-        hi,
-        True,
-        bundle.U[1:],
-        _alpha_minus_bridge(bundle),
-        0.5 - cfg.nu,
-        "sym",
-        bundle.n**cfg.nu,
+        lo, hi, True, [], bundle.U[1:], _alpha_minus_bridge(bundle),
+        0.5 - cfg.nu, "sym", bundle.n**cfg.nu,
     )
 
 
@@ -265,14 +254,12 @@ def problem_quantile_increment(bundle: Bundle, cfg: WeightConfig) -> _SupProblem
     lo = cfg.lam / bundle.n
     if not lo < cfg.t:
         raise ValueError(f"empty domain: lam/n = {lo} >= t = {cfg.t}")
-    breaks = np.concatenate(
-        [cfg.t - np.arange(bundle.n + 1) / bundle.n, bundle.increment_jump_grid(cfg.t)]
-    )
     return _SupProblem(
         lo,
         cfg.t,
         False,
-        breaks,
+        bundle.increment_jump_grid(cfg.t),
+        cfg.t - _lattice(bundle.n),
         _beta_increment_minus_bridge(bundle, cfg.t),
         0.5 - cfg.eta,
         "s",
@@ -280,38 +267,37 @@ def problem_quantile_increment(bundle: Bundle, cfg: WeightConfig) -> _SupProblem
     )
 
 
+def empirical_window_problem(
+    bundle: Bundle, anchor: float, lo: float, hi: float, weight_exp: float, weight_kind, scale
+) -> _SupProblem:
+    """Sup over [lo, hi) of the empirical window increment at ``anchor`` against
+    the bridge increment B(anchor) - B(anchor - s), with the given weight.
+    """
+    return _SupProblem(
+        lo,
+        hi,
+        False,
+        bundle.increment_jump_grid(anchor),
+        anchor - bundle.U[1:],
+        _alpha_increment_minus_bridge(bundle, anchor),
+        weight_exp,
+        weight_kind,
+        scale,
+    )
+
+
 def problem_empirical_increment(bundle: Bundle, cfg: WeightConfig) -> _SupProblem:
     lo = cfg.lam / bundle.n
     if not lo < cfg.t:
         raise ValueError(f"empty domain: lam/n = {lo} >= t = {cfg.t}")
-    breaks = np.concatenate([cfg.t - bundle.U[1:], bundle.increment_jump_grid(cfg.t)])
-    return _SupProblem(
-        lo,
-        cfg.t,
-        False,
-        breaks,
-        _alpha_increment_minus_bridge(bundle, cfg.t),
-        0.5 - cfg.nu,
-        "s",
-        bundle.n**cfg.nu,
-    )
+    return empirical_window_problem(bundle, cfg.t, lo, cfg.t, 0.5 - cfg.nu, "s", bundle.n**cfg.nu)
 
 
 def problem_restricted(bundle: Bundle, cfg: WeightConfig) -> _SupProblem:
     if bundle.t_n < 2:
         raise ValueError(f"restricted statistic requires [nt] >= 2, got {bundle.t_n}")
-    lo = float(bundle.U[1])
-    hi = float(bundle.U[bundle.t_n])
-    breaks = np.concatenate([cfg.t - bundle.U[1:], bundle.increment_jump_grid(cfg.t)])
-    return _SupProblem(
-        lo,
-        hi,
-        False,
-        breaks,
-        _alpha_increment_minus_bridge(bundle, cfg.t),
-        0.5 - cfg.nu,
-        "s",
-        bundle.n**cfg.nu,
+    return empirical_window_problem(
+        bundle, cfg.t, bundle.U[1], bundle.U[bundle.t_n], 0.5 - cfg.nu, "s", bundle.n**cfg.nu
     )
 
 
@@ -324,32 +310,34 @@ def problem_tail(bundle: Bundle, d: float, side: str) -> _SupProblem:
         lo, hi = 1.0 - d / bundle.n, 1.0
     else:
         raise ValueError("side must be 'left' or 'right'")
-    return _SupProblem(lo, hi, True, [], _beta_minus_bridge(bundle), 0.0, None, 1.0)
+    return _SupProblem(
+        lo, hi, True, [], _lattice(bundle.n), _beta_minus_bridge(bundle), 0.0, None, 1.0
+    )
 
 
-def stat_quantile_full(bundle, cfg: WeightConfig, grid_per_cell: int = 8) -> WeightedSupResult:
+def stat_quantile_full(bundle, cfg: WeightConfig) -> WeightedSupResult:
     """Sup of n^eta |quantile process - bridge| / [s(1-s)]^{1/2-eta}."""
     cfg.validate(bundle.n)
-    return _solve(bundle, problem_quantile_full(bundle, cfg), grid_per_cell)
+    return _solve(bundle, problem_quantile_full(bundle, cfg))
 
 
-def stat_empirical_full(bundle, cfg: WeightConfig, grid_per_cell: int = 8) -> WeightedSupResult:
+def stat_empirical_full(bundle, cfg: WeightConfig) -> WeightedSupResult:
     """Sup of n^nu |empirical process - bridge| / [s(1-s)]^{1/2-nu}."""
     cfg.validate(bundle.n)
-    return _solve(bundle, problem_empirical_full(bundle, cfg), grid_per_cell)
+    return _solve(bundle, problem_empirical_full(bundle, cfg))
 
 
-def stat_quantile_increment(bundle, cfg: WeightConfig, grid_per_cell: int = 8) -> WeightedSupResult:
+def stat_quantile_increment(bundle, cfg: WeightConfig) -> WeightedSupResult:
     """Sup over [lam/n, t) of n^eta |window increment - bridge increment| / s^{1/2-eta}.
 
     The comparison process is B(t) - B(t-s), the coupled bridge's own window
     increment, which in s is itself a Brownian bridge on [0, t].
     """
     cfg.validate(bundle.n)
-    return _solve(bundle, problem_quantile_increment(bundle, cfg), grid_per_cell)
+    return _solve(bundle, problem_quantile_increment(bundle, cfg))
 
 
-def stat_empirical_increment(bundle, cfg: WeightConfig, grid_per_cell: int = 8) -> WeightedSupResult:
+def stat_empirical_increment(bundle, cfg: WeightConfig) -> WeightedSupResult:
     """Empirical-process counterpart of ``stat_quantile_increment``.
 
     The window count in (t-s, t] is coupled to the bridge increment only on
@@ -361,17 +349,15 @@ def stat_empirical_increment(bundle, cfg: WeightConfig, grid_per_cell: int = 8) 
     ``stat_restricted``) on the count-anchored bundle.
     """
     cfg.validate(bundle.n)
-    return _solve(bundle, problem_empirical_increment(bundle, cfg), grid_per_cell)
+    return _solve(bundle, problem_empirical_increment(bundle, cfg))
 
 
-def stat_restricted(bundle, cfg: WeightConfig, grid_per_cell: int = 8) -> WeightedSupResult:
+def stat_restricted(bundle, cfg: WeightConfig) -> WeightedSupResult:
     """Increment statistic (vs the bridge increment) restricted to [U_{1}, U_{[nt]})."""
     cfg.validate(bundle.n)
-    return _solve(bundle, problem_restricted(bundle, cfg), grid_per_cell)
+    return _solve(bundle, problem_restricted(bundle, cfg))
 
 
-def tail_sup_discrepancy(
-    bundle, d: float, side: str = "left", grid_per_cell: int = 8
-) -> WeightedSupResult:
+def tail_sup_discrepancy(bundle, d: float, side: str = "left") -> WeightedSupResult:
     """Unweighted sup of |quantile process - bridge| over a d/n tail interval."""
-    return _solve(bundle, problem_tail(bundle, d, side), grid_per_cell)
+    return _solve(bundle, problem_tail(bundle, d, side))

@@ -92,86 +92,77 @@ def count_leq(values, x, strict: bool = False) -> int:
 # -- weighted sup oracles ---------------------------------------------------
 
 
-def naive_sup(bundle, prob, per_cell: int = 8, finer: int = 10) -> float:
-    """Exhaustive scan of a sup problem, including a ``finer``-times grid.
-
-    Replays the documented evaluation set with scalar loops: both one-sided
-    limits at every breakpoint (the bundle's bridge jump grid, numerator jump
-    points, endpoints), the per-cell grid in the exact float form
-    ``(k + j/G) / n``, plus the same grid at ``finer * G`` points per cell.
-    The extra fine-grid points can only tie the breakpoint suprema, so the
-    result must equal the engine's bit-for-bit.
-    """
-    n = bundle.n
+def _breakpoints(bundle, prob) -> list[float]:
+    """Sorted breakpoints in the domain: endpoints, bridge grids, step jumps."""
     pts = {prob.lo, prob.hi}
-    for s in bundle.jump_grid():
-        if prob.lo <= s <= prob.hi:
-            pts.add(float(s))
-    for s in np.asarray(prob.extra_breaks, dtype=float):
-        if prob.lo <= s <= prob.hi:
-            pts.add(float(s))
-    pts = sorted(pts)
+    for source in (bundle.jump_grid(), prob.bridge_breaks, prob.step_jumps):
+        for s in np.asarray(source, dtype=float):
+            if prob.lo <= s <= prob.hi:
+                pts.add(float(s))
+    return sorted(pts)
+
+
+def _in_domain(prob, s: float) -> bool:
+    return prob.lo <= s < prob.hi or (s == prob.hi and prob.closed_hi)
+
+
+def _scan_points(bundle, prob, per_cell: int) -> list[float]:
+    """Point abscissae (k + j / per_cell) / n over the cells covering the domain."""
+    n = bundle.n
+    k0 = int(math.floor(prob.lo * n))
+    k1 = int(math.floor(prob.hi * n)) + 1
+    out = []
+    for k in range(k0, k1 + 2):
+        for j in range(per_cell):
+            s = (k + j / per_cell) / n
+            if _in_domain(prob, s):
+                out.append(s)
+    return out
+
+
+def _candidates(bundle, prob, per_cell: int):
+    """(s, s_piece) pairs: at every breakpoint the point value (if s lies in
+    the domain), the left limit (but at lo) and the right limit (but at hi);
+    plus point values at ``per_cell`` points per lattice cell."""
+    pts = _breakpoints(bundle, prob)
+    pairs = []
+    for i, s in enumerate(pts):
+        if _in_domain(prob, s):
+            pairs.append((s, s))
+        if i > 0:
+            pairs.append((s, 0.5 * (pts[i - 1] + s)))
+        if i + 1 < len(pts):
+            pairs.append((s, 0.5 * (s + pts[i + 1])))
+    pairs += [(s, s) for s in _scan_points(bundle, prob, per_cell)]
+    return pairs
+
+
+def naive_sup(bundle, prob, per_cell: int = 80) -> float:
+    """Exhaustive scan of a sup problem, one scalar evaluation at a time.
+
+    Takes the point value and both one-sided limits at every breakpoint (the
+    bundle's bridge jump grid, the problem's bridge breaks and step jumps,
+    the endpoints), plus point values at ``per_cell`` points per lattice
+    cell.  This searches a superset of the engine's evaluation set; the
+    extra points can only tie it, so the result must equal the engine's
+    bit-for-bit.
+    """
     best = -math.inf
-    for i in range(len(pts) - 1):
-        p, q = pts[i], pts[i + 1]
-        mid = 0.5 * (p + q)
-        for s in (p, q):
-            val = float(prob.weighted(np.asarray([s]), np.asarray([mid]))[0])
-            best = max(best, val)
-    for g in (per_cell, per_cell * finer):
-        k0 = int(math.floor(prob.lo * n))
-        k1 = int(math.floor(prob.hi * n)) + 1
-        for k in range(k0, k1 + 2):
-            for j in range(g):
-                s = (k + j / g) / n
-                if s < prob.lo or s > prob.hi or (s == prob.hi and not prob.closed_hi):
-                    continue
-                val = float(prob.weighted(np.asarray([s]), np.asarray([s]))[0])
-                best = max(best, val)
-    if prob.closed_hi:
-        s = prob.hi
-        val = float(prob.weighted(np.asarray([s]), np.asarray([s]))[0])
+    for s, piece in _candidates(bundle, prob, per_cell):
+        val = float(prob.weighted(np.asarray([s]), np.asarray([piece]))[0])
         best = max(best, val)
     return best
 
 
-def naive_sup_fast(bundle, prob, per_cell: int = 8, finer: int = 10) -> float:
+def naive_sup_fast(bundle, prob, per_cell: int = 80) -> float:
     """Same evaluation set as ``naive_sup`` with vectorized evaluation.
 
     Candidate abscissae are still enumerated by plain Python loops; only the
     final weighted evaluations are batched so the scan stays usable at
     n = 64 across many replicates.
     """
-    n = bundle.n
-    pts = {prob.lo, prob.hi}
-    for s in bundle.jump_grid():
-        if prob.lo <= s <= prob.hi:
-            pts.add(float(s))
-    for s in np.asarray(prob.extra_breaks, dtype=float):
-        if prob.lo <= s <= prob.hi:
-            pts.add(float(s))
-    pts = np.asarray(sorted(pts))
-    p, q = pts[:-1], pts[1:]
-    mid = 0.5 * (p + q)
-    best = -math.inf
-    best = max(best, float(np.max(prob.weighted(p, mid))))
-    best = max(best, float(np.max(prob.weighted(q, mid))))
-    direct = []
-    for g in (per_cell, per_cell * finer):
-        k0 = int(math.floor(prob.lo * n))
-        k1 = int(math.floor(prob.hi * n)) + 1
-        for k in range(k0, k1 + 2):
-            for j in range(g):
-                s = (k + j / g) / n
-                if s < prob.lo or s > prob.hi or (s == prob.hi and not prob.closed_hi):
-                    continue
-                direct.append(s)
-    if prob.closed_hi:
-        direct.append(prob.hi)
-    if direct:
-        arr = np.asarray(direct)
-        best = max(best, float(np.max(prob.weighted(arr, arr))))
-    return best
+    s, piece = (np.asarray(col) for col in zip(*_candidates(bundle, prob, per_cell)))
+    return float(np.max(prob.weighted(s, piece)))
 
 
 # -- censored hand enumeration ----------------------------------------------

@@ -215,7 +215,7 @@ def test_weighted_stats_oracle_equality(seed):
         problems = censored_sup_problems(sample, model, b, xi_exp=0.1)
         results = censored_weighted_stats(sample, model, b, xi_exp=0.1)
         for name, prob in problems.items():
-            assert results[name].value == naive_sup(b, prob, per_cell=8, finer=10)
+            assert results[name].value == naive_sup(b, prob)
             assert prob.lo <= results[name].arg_s <= prob.hi
 
 

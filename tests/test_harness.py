@@ -52,7 +52,17 @@ def test_config_validation():
         _cfg(statistic="nope").validate()
     with pytest.raises(ValueError):
         _cfg(n_ladder=()).validate()
+    with pytest.raises(ValueError, match="repeated"):
+        _cfg(n_ladder=(64, 64)).validate()
     _cfg().validate()
+
+
+def test_repeated_ladder_size_rejected():
+    # a repeated size would return every (n, rep) row twice
+    with pytest.raises(ValueError, match="repeated"):
+        run_requests([_cfg().request()], (64, 64), 3, seed=1)
+    with pytest.raises(ValueError, match="repeated"):
+        sanity_global_sup([16, 32, 16], reps=1, seed=3)
 
 
 def test_single_row_reproducible():

@@ -1,6 +1,9 @@
 """Interleaving, splice, bridge, and empirical/quantile process evaluators."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -74,6 +77,24 @@ def test_floor_combination_rejects_bad_window():
         floor_combination(10, 0.5, 0.5)
     with pytest.raises(ValueError):
         floor_combination(10, 0.5, 0.4)
+
+
+def test_floor_combination_range_check_survives_optimize():
+    # under python -O an assert would vanish and the bad value be returned
+    code = (
+        "import numpy as np\n"
+        "from empcouple import processes\n"
+        "processes.snap_to_integer = lambda z: np.asarray([10.0, 0.0, 0.0])\n"
+        "try:\n"
+        "    processes.floor_combination(10, 0.3, 0.75)\n"
+        "except ArithmeticError:\n"
+        "    print('raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "raised", out.stderr
 
 
 def test_order_statistics_valid():

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from empcouple.censored import CensoringModel, censored_sup_problems, sample_from_bundle
+from empcouple.harness import STATISTIC_IDS, StatRequest, evaluate_requests, replicate_bundle
 from empcouple.processes import AnchoredBundle, ProcessBundle
 from empcouple.rng import derive_stream
 from empcouple.supstats import (
@@ -26,7 +28,7 @@ from empcouple.supstats import (
     stat_restricted,
     tail_sup_discrepancy,
 )
-from oracles import naive_sup
+from oracles import naive_sup, naive_sup_fast
 
 
 def _bundle(n, seed=0, rep=0, t=0.5, depth=6):
@@ -58,7 +60,8 @@ def test_weight_config_validation():
 
 
 def test_single_point_sup():
-    # numerator nonzero only at s = 1/2; symmetric weight (s(1-s))^{1/2}
+    # numerator nonzero only at its step jump s = 1/2; symmetric weight
+    # (s(1-s))^{1/2}
     b = ProcessBundle.synthetic(4, [0.2, 0.4, 0.6, 0.8])
     delta0 = 0.37
 
@@ -66,8 +69,8 @@ def test_single_point_sup():
         s = np.asarray(s, dtype=float)
         return np.where(s == 0.5, delta0, 0.0)
 
-    prob = _SupProblem(0.25, 0.75, True, [], num, 0.5, "sym", 1.0)
-    res = _solve(b, prob, 8)
+    prob = _SupProblem(0.25, 0.75, True, [], [0.5], num, 0.5, "sym", 1.0)
+    res = _solve(b, prob)
     assert res.value == pytest.approx(2.0 * delta0)
     assert res.arg_s == 0.5
 
@@ -113,13 +116,15 @@ def test_increment_numerator_hand_case():
     assert val == pytest.approx(math.sqrt(2.0) * 0.25)
 
 
-_PROBLEM_BUILDERS = [
-    problem_quantile_full,
-    problem_empirical_full,
-    problem_quantile_increment,
-    problem_empirical_increment,
-    problem_restricted,
-]
+_STAT_PROBLEMS = {
+    "approx1": problem_quantile_full,
+    "approx2": problem_empirical_full,
+    "approx3": problem_quantile_increment,
+    "approx4": problem_empirical_increment,
+    "restricted": problem_restricted,
+}
+
+_PROBLEM_BUILDERS = list(_STAT_PROBLEMS.values())
 
 
 @pytest.mark.parametrize("builder", _PROBLEM_BUILDERS)
@@ -128,8 +133,8 @@ def test_oracle_equality(builder, seed):
     b = _bundle(32, seed=seed, depth=4)
     cfg = WeightConfig(eta=0.25, nu=0.1)
     prob = builder(b, cfg)
-    res = _solve(b, prob, 8)
-    assert res.value == naive_sup(b, prob, per_cell=8, finer=10)
+    res = _solve(b, prob)
+    assert res.value == naive_sup(b, prob)
 
 
 def _anchored_bundles_with_small_blocks():
@@ -153,15 +158,67 @@ def test_anchored_oracle_equality(builder):
     ]
     for b in bundles + _anchored_bundles_with_small_blocks():
         prob = builder(b, cfg)
-        assert _solve(b, prob, 8).value == naive_sup(b, prob, per_cell=8, finer=10)
+        assert _solve(b, prob).value == naive_sup(b, prob)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_tail_oracle_equality(side):
     b = _bundle(32, seed=3, depth=4)
     prob = problem_tail(b, 8.0, side)
-    res = _solve(b, prob, 8)
-    assert res.value == naive_sup(b, prob, per_cell=8, finer=10)
+    res = _solve(b, prob)
+    assert res.value == naive_sup(b, prob)
+
+
+# Off the (lam, t) = (1, 1/2) defaults the closed lower endpoint lam/n and
+# the step jumps t - k/n fall off any k/(8n) sampling grid.  The first pair
+# is the weight setting of the ladder benchmark's endpoint probe.
+_OFF_GRID = [
+    WeightConfig(lam=1.2, t=0.3),
+    WeightConfig(lam=1.7, eta=0.25, nu=0.1, t=0.37),
+]
+
+def _harness_problem(req, seed, n, rep):
+    """The bundle and sup problem the harness evaluates ``req`` on."""
+    bundle = replicate_bundle(req, seed, n, rep)
+    if req.statistic in ("cens-h0", "cens-h1"):
+        model = CensoringModel(req.rate_c)
+        sample = sample_from_bundle(model, bundle, derive_stream(seed, n, rep, "shuffle"))
+        problems = censored_sup_problems(sample, model, bundle, req.xi_exp, req.weights.lam)
+        return bundle, problems[req.statistic]
+    if req.statistic == "ineq1-tail":
+        return bundle, problem_tail(bundle, req.d, req.side)
+    return bundle, _STAT_PROBLEMS[req.statistic](bundle, req.weights)
+
+
+@pytest.mark.parametrize("cfg", _OFF_GRID)
+@pytest.mark.parametrize("seed,n,rep", [(5, 64, 9), (5, 64, 0), (3, 16, 1), (7, 33, 2)])
+def test_off_grid_oracle_equality(cfg, seed, n, rep):
+    # all eight statistics, through the harness, on the bundles it builds;
+    # theta = 0.4 puts the censored pair off the grid too
+    requests = [
+        StatRequest(stat, stat, cfg, d=8.0, side=side, rate_c=1.5, xi_exp=0.1)
+        for stat in STATISTIC_IDS
+        for side in (("left", "right") if stat == "ineq1-tail" else ("left",))
+    ]
+    rows = evaluate_requests(requests, seed, n, rep)
+    for req, row in zip(requests, rows):
+        bundle, prob = _harness_problem(req, seed, n, rep)
+        assert row.value == naive_sup_fast(bundle, prob), (req, row)
+
+
+def test_closed_lower_endpoint_point_value():
+    # The endpoint probe's worst case: approx3 at lam = 1.2, t = 0.3, n = 64
+    # attains its sup at s = lam/n, a step jump of U_[n(t-s)], where the
+    # point value exceeds both one-sided limits (by 20% here).
+    cfg = _OFF_GRID[0]
+    req = StatRequest("approx3", "approx3", cfg)
+    bundle, prob = _harness_problem(req, 5, 64, 9)
+    res = stat_quantile_increment(bundle, cfg)
+    lo = np.asarray([prob.lo])
+    at_lo = prob.weighted(lo, lo)[0]
+    limit = prob.weighted(lo, lo + 1e-9)[0]
+    assert at_lo > 1.1 * limit
+    assert (res.value, res.arg_s, res.side) == (at_lo, prob.lo, "point")
 
 
 @pytest.mark.parametrize("builder,stat", [
@@ -196,13 +253,13 @@ def test_scale_equivariance():
     b = _bundle(20, seed=11)
     cfg = WeightConfig(eta=0.2)
     prob = problem_quantile_full(b, cfg)
-    base = _solve(b, prob, 8)
+    base = _solve(b, prob)
     scaled = _SupProblem(
-        prob.lo, prob.hi, prob.closed_hi, prob.extra_breaks,
+        prob.lo, prob.hi, prob.closed_hi, prob.bridge_breaks, prob.step_jumps,
         lambda s, p: 3.0 * prob.numerator(s, p),
         prob.weight_exp, prob.weight_kind, prob.scale,
     )
-    res = _solve(b, scaled, 8)
+    res = _solve(b, scaled)
     assert res.value == pytest.approx(3.0 * base.value, rel=1e-13)
     assert res.arg_s == base.arg_s
 
@@ -249,6 +306,5 @@ def test_result_metadata():
     b = _bundle(16, seed=6)
     res = stat_quantile_full(b, WeightConfig())
     assert res.value >= 0.0
-    assert res.side in ("left", "right", "direct")
+    assert res.side in ("left", "right", "point")
     assert res.grid_points > 0
-    assert res.discretization_note == "exact-at-jumps"

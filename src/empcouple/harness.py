@@ -34,26 +34,30 @@ from .rng import RngStream, derive_stream
 from .supstats import (
     WeightConfig,
     _solve,
+    _solve_weights,
     empirical_window_problem,
-    stat_empirical_full,
-    stat_empirical_increment,
-    stat_quantile_full,
-    stat_quantile_increment,
-    stat_restricted,
-    tail_sup_discrepancy,
+    power_weight,
+    problem_empirical_full,
+    problem_empirical_increment,
+    problem_quantile_full,
+    problem_quantile_increment,
+    problem_restricted,
+    problem_tail,
 )
 
 CSV_HEADER = "statistic,n,rep,value,arg_s,seed"
 
-_STAT_FUNCS = {
-    "approx1": stat_quantile_full,
-    "approx2": stat_empirical_full,
-    "approx3": stat_quantile_increment,
-    "approx4": stat_empirical_increment,
-    "restricted": stat_restricted,
+# Weighted sup statistics: problem builder, and the WeightConfig field x of
+# the weight n^x / w(s)^{1/2 - x} (see ``power_weight``).
+_PROBLEMS = {
+    "approx1": (problem_quantile_full, "eta"),
+    "approx2": (problem_empirical_full, "nu"),
+    "approx3": (problem_quantile_increment, "eta"),
+    "approx4": (problem_empirical_increment, "nu"),
+    "restricted": (problem_restricted, "nu"),
 }
 
-STATISTIC_IDS = tuple(_STAT_FUNCS) + ("ineq1-tail", "cens-h0", "cens-h1")
+STATISTIC_IDS = tuple(_PROBLEMS) + ("ineq1-tail", "cens-h0", "cens-h1")
 
 
 @dataclass(frozen=True)
@@ -189,6 +193,34 @@ def replicate_bundle(
     return build_anchored_bundle(seed, n, rep, anchor, depth)
 
 
+def _problem_key(req: StatRequest) -> tuple:
+    """Requests with equal keys share one sup problem on a replicate.
+
+    A weighted statistic's domain and numerator depend on (lam, t) alone,
+    and only its weight on eta or nu; a tail sup's problem depends on
+    (d, side).
+    """
+    if req.statistic == "ineq1-tail":
+        return req.statistic, req.d, req.side
+    return req.statistic, req.weights.lam, req.weights.t
+
+
+def _solve_group(bundle: Bundle, group: list[StatRequest]) -> list:
+    """One sup problem solved for every request of a ``_problem_key`` group, in one pass."""
+    first = group[0]
+    if first.statistic == "ineq1-tail":
+        prob = problem_tail(bundle, first.d, first.side)
+        return _solve_weights(bundle, prob, [prob.weight] * len(group))
+    builder, field = _PROBLEMS[first.statistic]
+    for req in group:
+        req.weights.validate(bundle.n)
+    prob = builder(bundle, first.weights)
+    weights = [
+        power_weight(bundle.n, getattr(req.weights, field), prob.weight_kind) for req in group
+    ]
+    return _solve_weights(bundle, prob, weights)
+
+
 def evaluate_requests(
     requests: list[StatRequest],
     seed: int,
@@ -196,47 +228,49 @@ def evaluate_requests(
     rep: int,
     depth: int = DEFAULT_REFINE_DEPTH,
 ) -> list[ResultRow]:
-    """All requested statistics on one replicate (one row each).
+    """All requested statistics on one replicate (one row each, in request order).
 
     Statistics that share a coupling anchor share one bundle, built at most
     once (see ``replicate_bundle``); all requests must use the same t.
+    Requests that differ only in their weight exponent (``_problem_key``)
+    share one sup problem and one evaluation pass; each row equals the
+    request's own ``stat_*`` / ``tail_sup_discrepancy`` /
+    ``censored_weighted_stats`` result bit for bit.
     """
     if len({req.weights.t for req in requests}) > 1:
         raise ValueError("all requests of a replicate must use the same anchor t")
-    rows = []
     bundles: dict = {}
+    results: dict = {}
+    groups: dict = {}
     cens_cache: dict = {}
-    for req in requests:
+    for i, req in enumerate(requests):
         anchor = coupling_anchor(req)
         if anchor not in bundles:
             bundles[anchor] = replicate_bundle(req, seed, n, rep, depth)
-        bundle = bundles[anchor]
-        if req.statistic in ("cens-h0", "cens-h1"):
-            key = (req.rate_c, req.xi_exp, req.weights.lam)
-            if key not in cens_cache:
-                model = CensoringModel(req.rate_c)
-                sample = sample_from_bundle(
-                    model, bundle, derive_stream(seed, n, rep, "shuffle")
-                )
-                cens_cache[key] = censored_weighted_stats(
-                    sample, model, bundle, req.xi_exp, req.weights.lam
-                )
-            res = cens_cache[key][req.statistic]
-        elif req.statistic == "ineq1-tail":
-            res = tail_sup_discrepancy(bundle, req.d, req.side)
-        else:
-            res = _STAT_FUNCS[req.statistic](bundle, req.weights)
-        rows.append(
-            ResultRow(
-                statistic=req.name,
-                n=n,
-                rep=rep,
-                value=res.value,
-                arg_s=res.arg_s,
-                seed=seed,
+        if req.statistic not in ("cens-h0", "cens-h1"):
+            groups.setdefault(_problem_key(req), []).append(i)
+            continue
+        key = (req.rate_c, req.xi_exp, req.weights.lam)
+        if key not in cens_cache:
+            model = CensoringModel(req.rate_c)
+            sample = sample_from_bundle(
+                model, bundles[anchor], derive_stream(seed, n, rep, "shuffle")
             )
+            cens_cache[key] = censored_weighted_stats(
+                sample, model, bundles[anchor], req.xi_exp, req.weights.lam
+            )
+        results[i] = cens_cache[key][req.statistic]
+    for members in groups.values():
+        group = [requests[i] for i in members]
+        bundle = bundles[coupling_anchor(group[0])]
+        results.update(zip(members, _solve_group(bundle, group)))
+    return [
+        ResultRow(
+            statistic=req.name, n=n, rep=rep, value=results[i].value,
+            arg_s=results[i].arg_s, seed=seed,
         )
-    return rows
+        for i, req in enumerate(requests)
+    ]
 
 
 def _replicate_task(args) -> list[ResultRow]:

@@ -81,8 +81,11 @@ class _SampleProcesses:
     """Empirical/quantile evaluators shared by both bundle kinds.
 
     Subclasses provide ``n``, ``t``, ``U`` (with U_0 = 0) and ``depth``, plus
-    the bridge methods ``bridge_at``, ``bridge_increment``, ``jump_grid`` and
-    ``increment_jump_grid`` that the sup statistics evaluate.
+    the bridge methods ``bridge_piece``, ``bridge_increment``, ``jump_grid``
+    and ``increment_jump_grid`` that the sup statistics evaluate.  The bridge
+    methods are piece factories: called on the abscissae ``s_piece`` of a set
+    of pieces, they do the grid lookups once and return ``s -> values``,
+    which is linear in s on each piece.
     """
 
     n: int
@@ -95,7 +98,7 @@ class _SampleProcesses:
 
     def bridge(self, s) -> np.ndarray:
         """Coupled Brownian bridge at s (point values on the dyadic grid)."""
-        return self.bridge_at(s, s)
+        return self.bridge_piece(s)(s)
 
     def lattice_index(self, s) -> np.ndarray:
         """[s n] with near-integer snap, clipped to 0..n."""
@@ -169,47 +172,53 @@ class ProcessBundle(_SampleProcesses):
             out[hi] = w1_h + w2_g - self.path2.values_at((self.n + 1) - z[hi], self.depth)
         return out
 
-    def bridge_at(self, s, s_piece) -> np.ndarray:
-        """Bridge n^{-1/2} (s W_n(n) - W_n(s n)) with the W_n lookup at s_piece.
+    def bridge_piece(self, s_piece):
+        """s -> bridge n^{-1/2} (s W_n(n) - W_n(s n)), with the W_n lookup done once at s_piece.
 
         Between jump points the bridge is linear in s; resolving the grid
         lookup at a point of the adjacent piece gives the one-sided limit.
         """
-        s = np.asarray(s, dtype=float)
         w_val = self.w_n(np.asarray(s_piece, dtype=float) * self.n)
-        return (s * self.w_nn - w_val) / np.sqrt(self.n)
+        sqn = np.sqrt(self.n)
+        return lambda s: (np.asarray(s, dtype=float) * self.w_nn - w_val) / sqn
 
     def bridge_increment(self, anchor: float):
-        """(s, s_piece) -> window increment B(anchor) - B(anchor - s), lookups at s_piece.
+        """Piece factory of the window increment B(anchor) - B(anchor - s).
 
-        Past the anchor (anchor - s_piece <= 0) the increment is extended by
-        its value B(anchor) - B(0); only the restricted domain reaches there.
+        ``bridge_increment(anchor)(s_piece)`` does the lookups at s_piece and
+        returns s -> increment.  Past the anchor (anchor - s_piece <= 0) the
+        increment is extended by its value B(anchor) - B(0); only the
+        restricted domain reaches there.
         """
         sqn = np.sqrt(self.n)
         w_anchor = float(self.w_n(np.asarray([anchor * self.n]))[0])
         past = (anchor * self.w_nn - w_anchor) / sqn
 
-        def inc(s, s_piece) -> np.ndarray:
+        def piece(s_piece):
             sp = np.asarray(s_piece, dtype=float)
             if sp.size == 0 or sp.max() < anchor:
                 w_shift = self.w_n((anchor - sp) * self.n)
-                return (s * self.w_nn - w_anchor + w_shift) / sqn
+                return lambda s: (s * self.w_nn - w_anchor + w_shift) / sqn
             shift = anchor - sp
             pos = shift > 0.0
             w_shift = np.zeros_like(shift)
             w_shift[pos] = self.w_n(shift[pos] * self.n)
-            return np.where(pos, (s * self.w_nn - w_anchor + w_shift) / sqn, past)
+            return lambda s: np.where(pos, (s * self.w_nn - w_anchor + w_shift) / sqn, past)
 
-        return inc
+        return piece
 
-    def jump_grid(self) -> np.ndarray:
+    def jump_grid(self, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         """Dyadic grid j / (n 2^depth), which contains the lattice k / n.
 
         Between consecutive grid points the bridge lookup and the lattice
-        index are constant.
+        index are constant.  With ``lo``/``hi`` only the points j / (n 2^depth)
+        with floor(lo n 2^depth) - 1 <= j <= ceil(hi n 2^depth) + 1 are built:
+        the same floats as the full grid's, a superset of those in [lo, hi].
         """
         den = self.n * (1 << self.depth)
-        return np.arange(den + 1) / den
+        j0 = max(0, math.floor(lo * den) - 1)
+        j1 = min(den, math.ceil(hi * den) + 1)
+        return np.arange(j0, j1 + 1) / den
 
     def increment_jump_grid(self, anchor: float) -> np.ndarray:
         """Jump abscissae of s -> W_n((anchor - s) n) on the dyadic grid."""
@@ -310,45 +319,64 @@ class AnchoredBundle(_SampleProcesses):
     U: np.ndarray
     depth: int
 
-    def bridge_at(self, s, s_piece) -> np.ndarray:
-        """Spliced bridge at s, block lookups resolved at s_piece."""
-        s = np.asarray(s, dtype=float)
-        sp = np.broadcast_to(np.asarray(s_piece, dtype=float), s.shape)
+    def bridge_piece(self, s_piece):
+        """s -> spliced bridge at s, with the block lookups done once at s_piece.
+
+        s must have the shape of s_piece.
+        """
+        sp = np.asarray(s_piece, dtype=float)
         t = self.t
-        out = np.empty(s.shape)
         low = sp <= t
-        out[low] = (s[low] / t) * self.b_anchor - math.sqrt(t) * self.below.bridge_at(
-            1.0 - s[low] / t, 1.0 - sp[low] / t
-        )
         high = ~low
-        v = (s[high] - t) / (1.0 - t)
-        out[high] = (1.0 - v) * self.b_anchor + math.sqrt(1.0 - t) * self.above.bridge_at(
-            v, (sp[high] - t) / (1.0 - t)
-        )
-        return out
+        below = self.below.bridge_piece(1.0 - sp[low] / t)
+        above = self.above.bridge_piece((sp[high] - t) / (1.0 - t))
+
+        def at(s) -> np.ndarray:
+            s = np.asarray(s, dtype=float)
+            out = np.empty(s.shape)
+            out[low] = (s[low] / t) * self.b_anchor - math.sqrt(t) * below(1.0 - s[low] / t)
+            v = (s[high] - t) / (1.0 - t)
+            out[high] = (1.0 - v) * self.b_anchor + math.sqrt(1.0 - t) * above(v)
+            return out
+
+        return at
 
     def bridge_increment(self, anchor: float):
-        """(s, s_piece) -> B(t) - B(t - s) = (s/t) B(t) + sqrt(t) B_L(s/t); B(t) past the anchor."""
+        """Piece factory of B(t) - B(t - s) = (s/t) B(t) + sqrt(t) B_L(s/t).
+
+        Past the anchor the increment is B(t).
+        """
         self._check_anchor(anchor)
         t = self.t
         root_t = math.sqrt(t)
 
-        def inc(s, s_piece) -> np.ndarray:
+        def piece(s_piece):
             sp = np.asarray(s_piece, dtype=float)
-            u = np.asarray(s, dtype=float) / t
-            val = u * self.b_anchor + root_t * self.below.bridge_at(u, np.minimum(sp / t, 1.0))
-            return np.where(sp < t, val, self.b_anchor)
+            below = self.below.bridge_piece(np.minimum(sp / t, 1.0))
+            inside = sp < t
 
-        return inc
+            def at(s) -> np.ndarray:
+                u = np.asarray(s, dtype=float) / t
+                return np.where(inside, u * self.b_anchor + root_t * below(u), self.b_anchor)
 
-    def jump_grid(self) -> np.ndarray:
+            return at
+
+        return piece
+
+    def jump_grid(self, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         """Block bridge grids mapped onto [0, t] and [t, 1], plus the lattice k / n.
 
         Unsorted, with repeats; callers sort the breakpoints they merge it into.
+        A block whose image misses [lo, hi] is left out: the lower one when
+        lo >= t, the upper one when hi <= t.  Both images hold t itself, so
+        what is left out there is kept by the other block.
         """
-        lower = self.t - self.t * self.below.jump_grid()
-        upper = self.t + (1.0 - self.t) * self.above.jump_grid()
-        return np.concatenate([lower, upper, np.arange(self.n + 1) / self.n])
+        parts = []
+        if lo < self.t:
+            parts.append(self.t - self.t * self.below.jump_grid())
+        if hi > self.t:
+            parts.append(self.t + (1.0 - self.t) * self.above.jump_grid())
+        return np.concatenate(parts + [np.arange(self.n + 1) / self.n])
 
     def increment_jump_grid(self, anchor: float) -> np.ndarray:
         """Jump abscissae t j / (N_L 2^depth) of s -> B_L(s / t)."""

@@ -22,6 +22,13 @@ evaluated.  At a step jump it need not: on ``ProcessBundle`` the bridge is
 left-continuous in s while U_[sn] is right-continuous, and both jump at
 every k/n.  Evaluating both one-sided limits at every breakpoint and these
 point values gives the *exact* supremum of the discretized processes.
+
+Every lookup (the bridge value W_n, the lattice index [sn], the ECDF count)
+is done once per piece: a numerator is a piece factory that resolves its
+lookups at the midpoints and returns s -> values, evaluated at both ends of
+each piece; the point values take one more pass.  The weight enters only
+after |numerator|, so several weights of one numerator and domain (the
+eta or nu variants of a statistic) share one pass (``_solve_weights``).
 """
 
 from __future__ import annotations
@@ -81,23 +88,18 @@ class _SupProblem:
         self.closed_hi = bool(closed_hi)
         self.bridge_breaks = np.asarray(bridge_breaks, dtype=float)
         self.step_jumps = np.asarray(step_jumps, dtype=float)
-        self.numerator = numerator  # (s, s_piece) -> ndarray
+        self.numerator = numerator  # s_piece -> (s -> ndarray), lookups done at s_piece
         self.weight_exp = weight_exp
         self.weight_kind = weight_kind  # 'sym' | 's' | 'one-minus-s' | None
         self.scale = float(scale)
 
+    @property
+    def weight(self) -> tuple:
+        return self.weight_exp, self.weight_kind, self.scale
+
     def weighted(self, s, s_piece) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        num = self.scale * np.abs(self.numerator(s, s_piece))
-        if self.weight_kind is None:
-            return num
-        if self.weight_kind == "sym":
-            return num / (s * (1.0 - s)) ** self.weight_exp
-        if self.weight_kind == "s":
-            return num / s**self.weight_exp
-        if self.weight_kind == "one-minus-s":
-            return num / (1.0 - s) ** self.weight_exp
-        raise ValueError(self.weight_kind)
+        return _weigh(s, np.abs(self.numerator(s_piece)(s)), *self.weight)
 
     def point_abscissae(self) -> np.ndarray:
         """Where the point value is evaluated: closed endpoints and step jumps."""
@@ -106,31 +108,62 @@ class _SupProblem:
         return np.unique(np.concatenate([ends, s[(s >= self.lo) & (s < self.hi)]]))
 
 
+def power_weight(n: int, x: float, kind) -> tuple:
+    """(exponent, kind, scale) of the weight n^x / w(s)^{1/2 - x}."""
+    return 0.5 - x, kind, n**x
+
+
+def _weigh(s, abs_num, weight_exp, weight_kind, scale) -> np.ndarray:
+    """scale |numerator| / w(s)^weight_exp for w(s) = s(1-s), s, 1-s or 1 (None)."""
+    num = scale * abs_num
+    if weight_kind is None:
+        return num
+    if weight_kind == "sym":
+        return num / (s * (1.0 - s)) ** weight_exp
+    if weight_kind == "s":
+        return num / s**weight_exp
+    if weight_kind == "one-minus-s":
+        return num / (1.0 - s) ** weight_exp
+    raise ValueError(weight_kind)
+
+
 def _breakpoints(bundle: Bundle, prob: _SupProblem) -> np.ndarray:
     # Holding the grid until return keeps the allocator from handing its
     # pages back and faulting them in again (approx1 at n = 8192: ~30% fewer
     # page faults per solve than freeing it inside the concatenate).
-    grid = bundle.jump_grid()
+    grid = bundle.jump_grid(prob.lo, prob.hi)
     pts = np.concatenate([[prob.lo, prob.hi], grid, prob.bridge_breaks, prob.step_jumps])
     pts = pts[(pts >= prob.lo) & (pts <= prob.hi)]
     return np.unique(pts)
 
 
-def _solve(bundle: Bundle, prob: _SupProblem) -> WeightedSupResult:
-    """Largest one-sided limit at the breakpoints or point value (``point_abscissae``)."""
+def _solve_weights(bundle: Bundle, prob: _SupProblem, weights) -> list[WeightedSupResult]:
+    """``_solve`` for each (weight_exp, weight_kind, scale) in ``weights``, in one pass.
+
+    |numerator| is evaluated once on each candidate set (right limits, left
+    limits, point values) and every weight is applied to it.
+    """
     if not prob.lo < prob.hi:
         raise ValueError(f"empty sup domain [{prob.lo}, {prob.hi})")
     pts = _breakpoints(bundle, prob)
     p, q = pts[:-1], pts[1:]
-    mid = 0.5 * (p + q)
     at = prob.point_abscissae()
-    best = WeightedSupResult(-math.inf, prob.lo, "right", 2 * p.size + at.size)
-    for s, s_piece, side in ((p, mid, "right"), (q, mid, "left"), (at, at, "point")):
-        vals = prob.weighted(s, s_piece)
-        j = int(np.argmax(vals))
-        if vals[j] > best.value:
-            best.value, best.arg_s, best.side = float(vals[j]), float(s[j]), side
+    best = [WeightedSupResult(-math.inf, prob.lo, "right", 2 * p.size + at.size) for _ in weights]
+    limits = prob.numerator(0.5 * (p + q))
+    points = prob.numerator(at)
+    for s, piece, side in ((p, limits, "right"), (q, limits, "left"), (at, points, "point")):
+        abs_num = np.abs(piece(s))
+        for res, weight in zip(best, weights):
+            vals = _weigh(s, abs_num, *weight)
+            j = int(np.argmax(vals))
+            if vals[j] > res.value:
+                res.value, res.arg_s, res.side = float(vals[j]), float(s[j]), side
     return best
+
+
+def _solve(bundle: Bundle, prob: _SupProblem) -> WeightedSupResult:
+    """Largest one-sided limit at the breakpoints or point value (``point_abscissae``)."""
+    return _solve_weights(bundle, prob, [prob.weight])[0]
 
 
 def reevaluate(bundle: Bundle, prob: _SupProblem, s: float, side: str) -> float:
@@ -152,32 +185,30 @@ def reevaluate(bundle: Bundle, prob: _SupProblem, s: float, side: str) -> float:
 
 # -- numerators ------------------------------------------------------------
 #
-# The order in which each numerator evaluates its terms sets which large
-# temporaries are alive during the w_n lookup.  It changes no bit of the
-# result, but the order below costs up to 30% fewer page faults per solve at
-# n = 8192 than evaluating the bridge term inside the final expression.
+# Each numerator is a piece factory: num(s_piece) does its lookups once at
+# s_piece and returns s -> values, which is linear in s on each piece.
 
 
 def _beta_minus_bridge(bundle: Bundle):
     sqn = np.sqrt(bundle.n)
 
-    def num(s, s_piece):
-        bridge = bundle.bridge_at(s, s_piece)
-        idx = bundle.lattice_index(s_piece)
-        return sqn * (s - bundle.U[idx]) - bridge
+    def piece(s_piece):
+        bridge = bundle.bridge_piece(s_piece)
+        u = bundle.U[bundle.lattice_index(s_piece)]
+        return lambda s: sqn * (s - u) - bridge(s)
 
-    return num
+    return piece
 
 
 def _alpha_minus_bridge(bundle: Bundle):
     sqn = np.sqrt(bundle.n)
 
-    def num(s, s_piece):
-        cnt = bundle.ecdf_count(s_piece)
-        bridge = bundle.bridge_at(s, s_piece)
-        return sqn * (cnt / bundle.n - s) - bridge
+    def piece(s_piece):
+        frac = bundle.ecdf_count(s_piece) / bundle.n
+        bridge = bundle.bridge_piece(s_piece)
+        return lambda s: sqn * (frac - s) - bridge(s)
 
-    return num
+    return piece
 
 
 def _beta_increment_minus_bridge(bundle: Bundle, anchor: float):
@@ -191,14 +222,13 @@ def _beta_increment_minus_bridge(bundle: Bundle, anchor: float):
     beta_anchor = float(bundle.quantile_process(np.asarray([anchor]))[0])
     bridge_inc = bundle.bridge_increment(anchor)
 
-    def num(s, s_piece):
+    def piece(s_piece):
         sp = np.asarray(s_piece, dtype=float)
-        idx = bundle.lattice_index(anchor - sp)
-        beta_shift = sqn * ((anchor - s) - bundle.U[idx])
-        inc = bridge_inc(s, s_piece)
-        return (beta_anchor - beta_shift) - inc
+        u = bundle.U[bundle.lattice_index(anchor - sp)]
+        inc = bridge_inc(sp)
+        return lambda s: (beta_anchor - sqn * ((anchor - s) - u)) - inc(s)
 
-    return num
+    return piece
 
 
 def _alpha_increment_minus_bridge(bundle: Bundle, anchor: float):
@@ -210,12 +240,13 @@ def _alpha_increment_minus_bridge(bundle: Bundle, anchor: float):
     alpha_anchor = float(bundle.empirical_process(np.asarray([anchor]))[0])
     bridge_inc = bundle.bridge_increment(anchor)
 
-    def num(s, s_piece):
-        cnt = bundle.ecdf_count(anchor - np.asarray(s_piece, dtype=float))
-        alpha_shift = sqn * (cnt / bundle.n - (anchor - s))
-        return (alpha_anchor - alpha_shift) - bridge_inc(s, s_piece)
+    def piece(s_piece):
+        sp = np.asarray(s_piece, dtype=float)
+        frac = bundle.ecdf_count(anchor - sp) / bundle.n
+        inc = bridge_inc(sp)
+        return lambda s: (alpha_anchor - sqn * (frac - (anchor - s))) - inc(s)
 
-    return num
+    return piece
 
 
 # -- public statistics -----------------------------------------------------
@@ -238,7 +269,7 @@ def problem_quantile_full(bundle: Bundle, cfg: WeightConfig) -> _SupProblem:
     lo, hi = _full_domain(bundle, cfg)
     return _SupProblem(
         lo, hi, True, [], _lattice(bundle.n), _beta_minus_bridge(bundle),
-        0.5 - cfg.eta, "sym", bundle.n**cfg.eta,
+        *power_weight(bundle.n, cfg.eta, "sym"),
     )
 
 
@@ -246,7 +277,7 @@ def problem_empirical_full(bundle: Bundle, cfg: WeightConfig) -> _SupProblem:
     lo, hi = _full_domain(bundle, cfg)
     return _SupProblem(
         lo, hi, True, [], bundle.U[1:], _alpha_minus_bridge(bundle),
-        0.5 - cfg.nu, "sym", bundle.n**cfg.nu,
+        *power_weight(bundle.n, cfg.nu, "sym"),
     )
 
 
@@ -261,9 +292,7 @@ def problem_quantile_increment(bundle: Bundle, cfg: WeightConfig) -> _SupProblem
         bundle.increment_jump_grid(cfg.t),
         cfg.t - _lattice(bundle.n),
         _beta_increment_minus_bridge(bundle, cfg.t),
-        0.5 - cfg.eta,
-        "s",
-        bundle.n**cfg.eta,
+        *power_weight(bundle.n, cfg.eta, "s"),
     )
 
 
@@ -290,14 +319,14 @@ def problem_empirical_increment(bundle: Bundle, cfg: WeightConfig) -> _SupProble
     lo = cfg.lam / bundle.n
     if not lo < cfg.t:
         raise ValueError(f"empty domain: lam/n = {lo} >= t = {cfg.t}")
-    return empirical_window_problem(bundle, cfg.t, lo, cfg.t, 0.5 - cfg.nu, "s", bundle.n**cfg.nu)
+    return empirical_window_problem(bundle, cfg.t, lo, cfg.t, *power_weight(bundle.n, cfg.nu, "s"))
 
 
 def problem_restricted(bundle: Bundle, cfg: WeightConfig) -> _SupProblem:
     if bundle.t_n < 2:
         raise ValueError(f"restricted statistic requires [nt] >= 2, got {bundle.t_n}")
     return empirical_window_problem(
-        bundle, cfg.t, bundle.U[1], bundle.U[bundle.t_n], 0.5 - cfg.nu, "s", bundle.n**cfg.nu
+        bundle, cfg.t, bundle.U[1], bundle.U[bundle.t_n], *power_weight(bundle.n, cfg.nu, "s")
     )
 
 

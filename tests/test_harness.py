@@ -1,10 +1,12 @@
 """Experiment harness: determinism, aggregation, estimators, exact laws."""
 
+import hashlib
 import math
 import random
 
 import numpy as np
 import pytest
+import scipy
 
 from empcouple.harness import (
     ExperimentConfig,
@@ -14,6 +16,7 @@ from empcouple.harness import (
     check_min_ratio_law,
     default_requests,
     estimate_ineq1,
+    evaluate_requests,
     replicate_bundle,
     report_to_json,
     rows_to_csv,
@@ -24,9 +27,18 @@ from empcouple.harness import (
     verify_exact_laws,
     wilson_interval,
 )
+from empcouple.censored import CensoringModel, censored_weighted_stats, sample_from_bundle
 from empcouple.processes import AnchoredBundle, ProcessBundle
-from empcouple.rng import RngStream
-from empcouple.supstats import WeightConfig
+from empcouple.rng import RngStream, derive_stream
+from empcouple.supstats import (
+    WeightConfig,
+    stat_empirical_full,
+    stat_empirical_increment,
+    stat_quantile_full,
+    stat_quantile_increment,
+    stat_restricted,
+    tail_sup_discrepancy,
+)
 
 
 def _cfg(**kw):
@@ -259,3 +271,74 @@ def test_approx4_window_increments_stay_coupled():
     for k, c_small, c_large in zip(ks, small, large):
         assert c_large >= c_small - 0.15, (k, small, large)
         assert c_large >= 0.5, (k, small, large)
+
+
+def _sweep_requests(lam, t):
+    """The 14 criterion-5 requests, plus restricted and both tail sides."""
+    cfg = WeightConfig(lam=lam, t=t)
+    reqs = default_requests(lam, t) + [
+        StatRequest(s, s, cfg, rate_c=1.0, xi_exp=0.1) for s in ("cens-h0", "cens-h1")
+    ]
+    reqs.append(StatRequest("restricted", "restricted", WeightConfig(lam=lam, nu=0.1, t=t)))
+    reqs += [
+        StatRequest(f"ineq1-tail-{side}", "ineq1-tail", cfg, d=16.0, side=side)
+        for side in ("left", "right")
+    ]
+    return reqs
+
+
+def _public_result(req, seed, n, rep):
+    """(value, arg_s) of one request through its own public call."""
+    bundle = replicate_bundle(req, seed, n, rep)
+    if req.statistic in ("cens-h0", "cens-h1"):
+        model = CensoringModel(req.rate_c)
+        sample = sample_from_bundle(model, bundle, derive_stream(seed, n, rep, "shuffle"))
+        res = censored_weighted_stats(sample, model, bundle, req.xi_exp, req.weights.lam)
+        res = res[req.statistic]
+    elif req.statistic == "ineq1-tail":
+        res = tail_sup_discrepancy(bundle, req.d, req.side)
+    else:
+        stat = {
+            "approx1": stat_quantile_full,
+            "approx2": stat_empirical_full,
+            "approx3": stat_quantile_increment,
+            "approx4": stat_empirical_increment,
+            "restricted": stat_restricted,
+        }[req.statistic]
+        res = stat(bundle, req.weights)
+    return res.value, res.arg_s
+
+
+@pytest.mark.parametrize("lam,t", [(1.0, 0.5), (1.2, 0.3), (1.7, 0.37)])
+def test_grouped_evaluation_matches_public_calls(lam, t):
+    # requests sharing a sup problem are solved in one pass; every row still
+    # equals its request's own public call bit for bit, in any order and
+    # with repeats
+    reqs = _sweep_requests(lam, t)
+    shuffled = reqs + reqs[::3]
+    random.Random(7).shuffle(shuffled)
+    for seed, n, rep in ((5, 64, 9), (11, 96, 2)):
+        expected = {req: _public_result(req, seed, n, rep) for req in reqs}
+        for order in (reqs, shuffled):
+            rows = evaluate_requests(order, seed, n, rep)
+            assert [r.statistic for r in rows] == [req.name for req in order]
+            for req, row in zip(order, rows):
+                assert (row.value, row.arg_s) == expected[req], req
+
+
+# sha256 of rows_to_csv of ``_sweep_requests`` over ladder (64, 128, 256) x 3
+# reps, seed 20260824.  Recorded with numpy 2.4.6 and scipy 1.17.1; a change
+# of either may move the last bits of a sup.
+_SWEEP_DIGESTS = {
+    (1.0, 0.5): "3d61048ba27e4aef2c3a26b7518a145342fe76f039f6e30f3c34f60b0a7b5772",
+    (1.2, 0.3): "a941fdcca56b5c5d23dbc8f7249e494f863897d9579f9ad403e18b6f7e891bd5",
+}
+
+
+@pytest.mark.parametrize("lam,t", sorted(_SWEEP_DIGESTS))
+def test_sweep_csv_bytes_unchanged(lam, t):
+    # every value and arg_s of the sweep stays bit-identical across changes
+    # to the sup engine
+    rows = run_requests(_sweep_requests(lam, t), (64, 128, 256), 3, 20260824)
+    digest = hashlib.sha256(rows_to_csv(rows).encode()).hexdigest()
+    assert digest == _SWEEP_DIGESTS[(lam, t)], (np.__version__, scipy.__version__)

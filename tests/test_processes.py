@@ -280,12 +280,12 @@ def test_anchored_bridge_pinned_and_spliced():
         # the increment is the bridge's own window increment at t
         s = np.asarray([0.01, 0.1234, 0.29])
         np.testing.assert_allclose(
-            b.bridge_increment(0.3)(s, s),
+            b.bridge_increment(0.3)(s)(s),
             b.bridge(np.asarray([0.3])) - b.bridge(0.3 - s),
             rtol=1e-12, atol=1e-12,
         )
         # past the anchor the increment is extended by B(t) - B(0)
-        assert b.bridge_increment(0.3)(np.asarray([0.5]), np.asarray([0.5]))[0] == b.b_anchor
+        assert b.bridge_increment(0.3)(np.asarray([0.5]))(np.asarray([0.5]))[0] == b.b_anchor
 
 
 def test_anchored_increments_only_at_anchor():
@@ -322,3 +322,34 @@ def test_anchored_laws():
     assert abs(counts.mean() - n * t) < 3.0 * math.sqrt(n * t * (1 - t) / reps)
     for j, k in enumerate((1, n // 2, n)):
         assert stats.kstest(u[:, j], "beta", args=(float(k), float(n + 1 - k))).pvalue > 0.01
+
+
+def _restricted_grid_ends(bundle, lam, theta):
+    """lo/hi candidates: 0, 1, lam/n, t, theta, dyadic grid points and points just off them."""
+    den = bundle.n * (1 << bundle.depth)
+    on_grid = [j / den for j in (1, 7, den // 3, den - 2)]
+    off_grid = [x + 0.25 / den for x in on_grid] + [0.3, 0.1234567]
+    return sorted({0.0, 1.0, lam / bundle.n, bundle.t, theta, *on_grid, *off_grid})
+
+
+@pytest.mark.parametrize("kind", ["lattice", "anchored"])
+@pytest.mark.parametrize("t", [0.5, 0.3, 0.4])
+def test_restricted_jump_grid_covers_domain(kind, t):
+    # jump_grid(lo, hi) holds every full-grid point in [lo, hi], as the same
+    # floats; the anchored one holds t whichever block it leaves out
+    bundles = (
+        [_bundle(24, seed=s, t=t, depth=3) for s in range(2)]
+        if kind == "lattice"
+        else [_anchored(24, seed=s, t=t, depth=3) for s in range(3)] + [_anchored(3, seed=1, t=t)]
+    )
+    for b in bundles:
+        full = b.jump_grid()
+        ends = _restricted_grid_ends(b, 1.2, 0.4)
+        for lo in ends:
+            for hi in ends:
+                if not lo < hi:
+                    continue
+                part = b.jump_grid(lo, hi)
+                inside = full[(full >= lo) & (full <= hi)]
+                assert np.isin(inside, part).all(), (lo, hi)
+                assert np.isin(part, full).all(), (lo, hi)

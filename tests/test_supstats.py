@@ -7,11 +7,12 @@ import pytest
 
 from empcouple.censored import CensoringModel, censored_sup_problems, sample_from_bundle
 from empcouple.harness import STATISTIC_IDS, StatRequest, evaluate_requests, replicate_bundle
-from empcouple.processes import AnchoredBundle, ProcessBundle
+from empcouple.processes import AnchoredBundle, ProcessBundle, _SampleProcesses
 from empcouple.rng import derive_stream
 from empcouple.supstats import (
     WeightConfig,
     _beta_increment_minus_bridge,
+    _breakpoints,
     _solve,
     _SupProblem,
     problem_empirical_full,
@@ -65,9 +66,8 @@ def test_single_point_sup():
     b = ProcessBundle.synthetic(4, [0.2, 0.4, 0.6, 0.8])
     delta0 = 0.37
 
-    def num(s, s_piece):
-        s = np.asarray(s, dtype=float)
-        return np.where(s == 0.5, delta0, 0.0)
+    def num(s_piece):
+        return lambda s: np.where(np.asarray(s, dtype=float) == 0.5, delta0, 0.0)
 
     prob = _SupProblem(0.25, 0.75, True, [], [0.5], num, 0.5, "sym", 1.0)
     res = _solve(b, prob)
@@ -112,7 +112,7 @@ def test_increment_numerator_hand_case():
     b = ProcessBundle.synthetic(2, [0.25, 0.75], t=0.9)
     _force_zero_bridge(b)
     num = _beta_increment_minus_bridge(b, 0.9)
-    val = num(np.asarray([0.5]), np.asarray([0.5]))[0]
+    val = num(np.asarray([0.5]))(np.asarray([0.5]))[0]
     assert val == pytest.approx(math.sqrt(2.0) * 0.25)
 
 
@@ -256,7 +256,7 @@ def test_scale_equivariance():
     base = _solve(b, prob)
     scaled = _SupProblem(
         prob.lo, prob.hi, prob.closed_hi, prob.bridge_breaks, prob.step_jumps,
-        lambda s, p: 3.0 * prob.numerator(s, p),
+        lambda p: lambda s: 3.0 * prob.numerator(p)(s),
         prob.weight_exp, prob.weight_kind, prob.scale,
     )
     res = _solve(b, scaled)
@@ -308,3 +308,57 @@ def test_result_metadata():
     assert res.value >= 0.0
     assert res.side in ("left", "right", "point")
     assert res.grid_points > 0
+
+
+class _LookupCounter:
+    """Counts the elements passed to ``w_n`` and ``ecdf_count`` of every bundle."""
+
+    def __init__(self, monkeypatch):
+        self.counts = {"w_n": 0, "ecdf_count": 0}
+        for owner, name in ((ProcessBundle, "w_n"), (_SampleProcesses, "ecdf_count")):
+            monkeypatch.setattr(owner, name, self._counted(name, getattr(owner, name)))
+
+    def _counted(self, name, fn):
+        def wrapped(bundle, s, *args, **kwargs):
+            self.counts[name] += np.size(s)
+            return fn(bundle, s, *args, **kwargs)
+
+        return wrapped
+
+    def during(self, fn, *args):
+        before = dict(self.counts)
+        out = fn(*args)
+        return out, {k: self.counts[k] - before[k] for k in self.counts}
+
+
+@pytest.mark.parametrize("builder", _PROBLEM_BUILDERS)
+@pytest.mark.parametrize("anchored", [False, True])
+def test_each_lookup_once_per_piece(monkeypatch, builder, anchored):
+    # one lookup per piece (shared by its two one-sided limits) plus one per
+    # point value, for each lookup kind
+    n, cfg = 48, WeightConfig(lam=1.2, eta=0.25, nu=0.1, t=0.3)
+    if anchored:
+        b = AnchoredBundle.build(n, derive_stream(2, n, 0, "anchored"), t=cfg.t, depth=4)
+    else:
+        b = _bundle(n, seed=2, t=cfg.t, depth=4)
+    prob = builder(b, cfg)
+    limit = _breakpoints(b, prob).size - 1 + prob.point_abscissae().size
+    counter = _LookupCounter(monkeypatch)
+    res, counts = counter.during(_solve, b, prob)
+    assert res.value == naive_sup_fast(b, prob)
+    assert counts["w_n"] > 0
+    for kind, count in counts.items():
+        assert count <= limit, (kind, count, limit)
+
+
+@pytest.mark.parametrize("stat,field", [("approx1", "eta"), ("approx4", "nu")])
+def test_weight_variants_share_lookups(monkeypatch, stat, field):
+    # the three weight variants of a statistic cost the lookups of one
+    counter = _LookupCounter(monkeypatch)
+    variants = [
+        StatRequest(f"{stat}-{x}", stat, WeightConfig(**{field: x})) for x in (0.0, 0.1, 0.2)
+    ]
+    one, counts_one = counter.during(evaluate_requests, variants[:1], 3, 64, 1)
+    three, counts_three = counter.during(evaluate_requests, variants, 3, 64, 1)
+    assert counts_three == counts_one
+    assert three[0] == one[0]

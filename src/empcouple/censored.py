@@ -314,7 +314,7 @@ def censored_sup_problems(
         theta,
         1.0 - lam / n,
         True,
-        [],
+        None,
         bundle.U[1:],
         _alpha_minus_bridge(bundle),
         0.5 - xi_exp,

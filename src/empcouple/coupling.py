@@ -88,7 +88,11 @@ def _sums_from_brownian(m: int, w: np.ndarray, counter: ClampCounter) -> np.ndar
 
 @dataclass
 class CoupledPath:
-    """One realization of the coupled (S, W) pair on [0, m]."""
+    """One realization of the coupled (S, W) pair on [0, m].
+
+    ``extent`` (default m) bounds the range [0, extent] that ``freeze``
+    refines and ``values_at`` answers; S and W stay on the whole of 0..m.
+    """
 
     m: int
     S: np.ndarray
@@ -97,19 +101,28 @@ class CoupledPath:
     clamp_count: int
     refinement_depth: int = 0
     _fine: np.ndarray | None = field(default=None, repr=False)
+    extent: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.extent is None:
+            self.extent = self.m
+        if not 1 <= self.extent <= self.m:
+            raise ValueError(f"extent must lie in [1, {self.m}], got {self.extent}")
 
     def freeze(self, depth: int) -> None:
-        """Materialize W on the dyadic grid of step 2**-depth over [0, m].
+        """Materialize W on the dyadic grid of step 2**-depth over [0, extent].
 
         Refinement draws come from sub-streams keyed by (path stream,
         refinement level) and are consumed in dyadic index order, so any
         later query sees the same values regardless of call order.  Deeper
-        freezes extend shallower ones without changing them.
+        freezes extend shallower ones without changing them.  For the same
+        reason a path refined over [0, extent] holds a prefix of the values
+        of one refined over [0, m], bit for bit: each level's normals are
+        the first draws of the full level's.
         """
-        if depth > MAX_REFINE_DEPTH:
-            raise ValueError(f"refinement depth {depth} exceeds maximum {MAX_REFINE_DEPTH}")
+        check_refine_depth(depth)
         if self._fine is None:
-            self._fine = self.W.copy()
+            self._fine = self.W[: self.extent + 1].copy()
             self.refinement_depth = 0
         while self.refinement_depth < depth:
             level = self.refinement_depth + 1
@@ -128,7 +141,7 @@ class CoupledPath:
         return float(self.values_at(np.asarray([t], dtype=float), depth)[0])
 
     def values_at(self, t: np.ndarray, depth: int | None = None) -> np.ndarray:
-        """Vectorized dyadic-grid lookup of W over [0, m].
+        """Vectorized dyadic-grid lookup of W over [0, extent].
 
         t is floored to the grid of step 2**-depth; arguments within a few
         ulp of an integer snap to that integer first, so lattice queries are
@@ -136,17 +149,21 @@ class CoupledPath:
         """
         if depth is None:
             depth = self.refinement_depth
-        if depth > MAX_REFINE_DEPTH:
-            raise ValueError(f"refinement depth {depth} exceeds maximum {MAX_REFINE_DEPTH}")
+        check_refine_depth(depth)
         if self._fine is None or depth > self.refinement_depth:
             self.freeze(max(depth, self.refinement_depth))
         t = snap_to_integer(np.asarray(t, dtype=float))
-        if np.any((t < 0.0) | (t > self.m)):
-            raise ValueError("time outside [0, m]")
+        if np.any((t < 0.0) | (t > self.extent)):
+            raise ValueError(f"time outside the refined range [0, {self.extent}]")
         idx = np.floor(t * (1 << depth)).astype(np.int64)
         idx <<= self.refinement_depth - depth
-        np.clip(idx, 0, self._fine.size - 1, out=idx)
         return self._fine[idx]
+
+
+def check_refine_depth(depth: int) -> None:
+    """Reject a refinement depth outside [0, MAX_REFINE_DEPTH]."""
+    if not 0 <= depth <= MAX_REFINE_DEPTH:
+        raise ValueError(f"refinement depth must lie in [0, {MAX_REFINE_DEPTH}], got {depth}")
 
 
 def snap_to_integer(z: np.ndarray, ulps: int = 8) -> np.ndarray:
@@ -162,8 +179,14 @@ def snap_to_integer(z: np.ndarray, ulps: int = 8) -> np.ndarray:
     return np.where(np.abs(z - nearest) <= tol, nearest, z)
 
 
-def couple_exponential_sums(m: int, stream: RngStream) -> CoupledPath:
-    """Build one coupled path of m exponential summands; m must be 2**L."""
+def couple_exponential_sums(
+    m: int, stream: RngStream, extent: int | None = None
+) -> CoupledPath:
+    """Build one coupled path of m exponential summands; m must be 2**L.
+
+    ``extent`` (default m) is the range [0, extent] its Brownian motion is
+    refined over (see ``CoupledPath``).
+    """
     if not _is_power_of_two(m):
         raise ValueError(f"m must be a power of two, got {m}")
     counter = ClampCounter()
@@ -172,7 +195,9 @@ def couple_exponential_sums(m: int, stream: RngStream) -> CoupledPath:
     s = _sums_from_brownian(m, w, counter)
     if np.any(np.diff(s[0]) <= 0.0):
         raise RuntimeError(f"non-increasing partial sums for m={m}, stream={stream}")
-    return CoupledPath(m=m, S=s[0], W=w[0], stream=stream, clamp_count=counter.count)
+    return CoupledPath(
+        m=m, S=s[0], W=w[0], stream=stream, clamp_count=counter.count, extent=extent
+    )
 
 
 def couple_batch(m: int, count: int, stream: RngStream) -> tuple[np.ndarray, np.ndarray]:

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import stats as sps
 
 from .censored import CensoringModel, censored_weighted_stats, sample_from_bundle
-from .coupling import KmtTailFit, snap_to_integer
+from .coupling import KmtTailFit, check_refine_depth, snap_to_integer
 from .processes import DEFAULT_REFINE_DEPTH, AnchoredBundle, Bundle, ProcessBundle
 from .rng import RngStream, derive_stream
 from .supstats import (
@@ -113,6 +113,7 @@ class ExperimentConfig:
             raise ValueError("all ladder sizes must be >= 2")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        check_refine_depth(self.refine_depth)
 
     def request(self) -> StatRequest:
         return StatRequest(
@@ -302,12 +303,14 @@ def run_requests(
     lattice-anchored bundle, and the count-anchored one at t or theta) and
     shared by every request coupled there.  Bundle streams depend only on
     (seed, n, rep, role), so adding statistics to a run never changes the
-    draws of the others.  A repeated ladder size is rejected.
+    draws of the others.  A repeated ladder size and a refinement depth
+    outside [0, MAX_REFINE_DEPTH] are rejected before any replicate runs.
     """
     for req in requests:
         req.validate()
     n_ladder = list(n_ladder)
     _reject_repeated_sizes(n_ladder)
+    check_refine_depth(refine_depth)
     tasks = [(requests, seed, n, rep, refine_depth) for n in n_ladder for rep in range(reps)]
     chunks = _map_tasks(_replicate_task, tasks, threads)
     rows = [row for chunk in chunks for row in chunk]
@@ -805,6 +808,7 @@ def sanity_global_sup(
     if not n_ladder:
         raise ValueError("ladder must be nonempty")
     _reject_repeated_sizes(n_ladder)
+    check_refine_depth(refine_depth)
     tasks = [(seed, n, rep, t, refine_depth) for n in n_ladder for rep in range(reps)]
     vals = _map_tasks(_global_sup_task, tasks, threads)
     medians, normalized = [], []

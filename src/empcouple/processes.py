@@ -34,7 +34,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as sps
 
-from .coupling import CoupledPath, couple_exponential_sums, snap_to_integer
+from .coupling import (
+    CoupledPath,
+    check_refine_depth,
+    couple_exponential_sums,
+    snap_to_integer,
+)
 from .numerics import clamp_probability, std_normal_cdf
 from .rng import RngStream
 
@@ -132,7 +137,9 @@ class ProcessBundle(_SampleProcesses):
     """Order statistics, process evaluators and coupled bridge for one n.
 
     Immutable after construction: both paths are frozen to ``depth`` extra
-    dyadic levels, so concurrent reads are safe.
+    dyadic levels, so concurrent reads are safe.  W_n reads the first path
+    only on [0, h] and the second only on [0, g], so each is refined over
+    that range alone.
     """
 
     n: int
@@ -220,9 +227,17 @@ class ProcessBundle(_SampleProcesses):
         j1 = min(den, math.ceil(hi * den) + 1)
         return np.arange(j0, j1 + 1) / den
 
-    def increment_jump_grid(self, anchor: float) -> np.ndarray:
-        """Jump abscissae of s -> W_n((anchor - s) n) on the dyadic grid."""
-        return anchor - self.jump_grid()
+    def increment_jump_grid(
+        self, anchor: float, lo: float | None = None, hi: float | None = None
+    ) -> np.ndarray:
+        """Jump abscissae of s -> W_n((anchor - s) n) on the dyadic grid.
+
+        With ``lo``/``hi``, a padded superset of those in [lo, hi], as the
+        same floats as the full grid's (see ``jump_grid``).
+        """
+        if lo is None:
+            return anchor - self.jump_grid()
+        return anchor - self.jump_grid(anchor - hi, anchor - lo)
 
     # -- constructors ------------------------------------------------------
 
@@ -239,10 +254,11 @@ class ProcessBundle(_SampleProcesses):
             raise ValueError("ProcessBundle requires n >= 2")
         if not 0.0 < t < 1.0:
             raise ValueError("anchor t must lie in (0, 1)")
+        check_refine_depth(depth)
         h = n // 2
         g = n + 1 - h
-        path1 = couple_exponential_sums(next_power_of_two(h), stream1)
-        path2 = couple_exponential_sums(next_power_of_two(g), stream2)
+        path1 = couple_exponential_sums(next_power_of_two(h), stream1, extent=h)
+        path2 = couple_exponential_sums(next_power_of_two(g), stream2, extent=g)
         path1.freeze(depth)
         path2.freeze(depth)
         y = interleave(n, np.diff(path1.S), np.diff(path2.S))
@@ -367,21 +383,32 @@ class AnchoredBundle(_SampleProcesses):
         """Block bridge grids mapped onto [0, t] and [t, 1], plus the lattice k / n.
 
         Unsorted, with repeats; callers sort the breakpoints they merge it into.
-        A block whose image misses [lo, hi] is left out: the lower one when
-        lo >= t, the upper one when hi <= t.  Both images hold t itself, so
-        what is left out there is kept by the other block.
+        With ``lo``/``hi`` each block's grid is restricted to the preimage of
+        [lo, hi] and the lattice to k with floor(lo n) - 1 <= k <= ceil(hi n) + 1:
+        a padded superset of the full grid's points in [lo, hi], as the same
+        floats.
         """
-        parts = []
-        if lo < self.t:
-            parts.append(self.t - self.t * self.below.jump_grid())
-        if hi > self.t:
-            parts.append(self.t + (1.0 - self.t) * self.above.jump_grid())
-        return np.concatenate(parts + [np.arange(self.n + 1) / self.n])
+        t = self.t
+        below = self.below.jump_grid(1.0 - hi / t, 1.0 - lo / t)
+        above = self.above.jump_grid((lo - t) / (1.0 - t), (hi - t) / (1.0 - t))
+        k0 = max(0, math.floor(lo * self.n) - 1)
+        k1 = min(self.n, math.ceil(hi * self.n) + 1)
+        return np.concatenate(
+            [t - t * below, t + (1.0 - t) * above, np.arange(k0, k1 + 1) / self.n]
+        )
 
-    def increment_jump_grid(self, anchor: float) -> np.ndarray:
-        """Jump abscissae t j / (N_L 2^depth) of s -> B_L(s / t)."""
+    def increment_jump_grid(
+        self, anchor: float, lo: float | None = None, hi: float | None = None
+    ) -> np.ndarray:
+        """Jump abscissae t j / (N_L 2^depth) of s -> B_L(s / t).
+
+        With ``lo``/``hi``, a padded superset of those in [lo, hi], as the
+        same floats as the full grid's.
+        """
         self._check_anchor(anchor)
-        return self.t * self.below.jump_grid()
+        if lo is None:
+            return self.t * self.below.jump_grid()
+        return self.t * self.below.jump_grid(lo / self.t, hi / self.t)
 
     def _check_anchor(self, anchor: float) -> None:
         if anchor != self.t:
@@ -398,6 +425,7 @@ class AnchoredBundle(_SampleProcesses):
             raise ValueError("AnchoredBundle requires n >= 2")
         if not 0.0 < t < 1.0:
             raise ValueError("anchor t must lie in (0, 1)")
+        check_refine_depth(depth)
         z = float(stream.child("anchor").generator().standard_normal())
         count = int(sps.binom.ppf(clamp_probability(std_normal_cdf(z)), n, t))
         below, r_below = _block(count, stream.child("below"), depth)

@@ -29,6 +29,16 @@ lookups at the midpoints and returns s -> values, evaluated at both ends of
 each piece; the point values take one more pass.  The weight enters only
 after |numerator|, so several weights of one numerator and domain (the
 eta or nu variants of a statistic) share one pass (``_solve_weights``).
+
+The domain is solved block by block.  Block edges are lo, every k-th step
+jump inside (lo, hi) and hi, with k chosen so that a block holds about
+``_BLOCK_POINTS`` points of the bundle's dyadic grid.  Edges are
+breakpoints, so the blocks' pieces are exactly the pieces of the whole
+domain; each block asks the bundle only for the grid points over itself.
+The best right and left limits are carried across blocks with a strict
+``>``, so ties resolve to the first occurrence as in a single pass.  Working
+memory beyond the bundle is O(block + n): the block's breakpoints, and the
+step jumps and point values.
 """
 
 from __future__ import annotations
@@ -39,6 +49,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .processes import Bundle
+
+# Dyadic grid points per block of the sup domain (see ``_block_edges``).
+_BLOCK_POINTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -74,19 +87,19 @@ class WeightedSupResult:
 class _SupProblem:
     """Domain, numerator and weight of one sup statistic.
 
-    ``bridge_breaks`` are jump points of the numerator's bridge lookups off
-    the bundle's ``jump_grid`` (a window increment's ``increment_jump_grid``);
+    ``anchor`` is set for a window increment at that anchor, whose bridge
+    lookups jump off the bundle's ``jump_grid``, on its ``increment_jump_grid``;
     ``step_jumps`` are the jump points of its step process, where the point
     value is evaluated too.
     """
 
     def __init__(
-        self, lo, hi, closed_hi, bridge_breaks, step_jumps, numerator, weight_exp, weight_kind, scale
+        self, lo, hi, closed_hi, anchor, step_jumps, numerator, weight_exp, weight_kind, scale
     ):
         self.lo = float(lo)
         self.hi = float(hi)
         self.closed_hi = bool(closed_hi)
-        self.bridge_breaks = np.asarray(bridge_breaks, dtype=float)
+        self.anchor = anchor
         self.step_jumps = np.asarray(step_jumps, dtype=float)
         self.numerator = numerator  # s_piece -> (s -> ndarray), lookups done at s_piece
         self.weight_exp = weight_exp
@@ -99,7 +112,8 @@ class _SupProblem:
 
     def weighted(self, s, s_piece) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        return _weigh(s, np.abs(self.numerator(s_piece)(s)), *self.weight)
+        wpow = _weight_power(s, self.weight_exp, self.weight_kind)
+        return _weigh(np.abs(self.numerator(s_piece)(s)), wpow, self.scale)
 
     def point_abscissae(self) -> np.ndarray:
         """Where the point value is evaluated: closed endpoints and step jumps."""
@@ -113,52 +127,93 @@ def power_weight(n: int, x: float, kind) -> tuple:
     return 0.5 - x, kind, n**x
 
 
-def _weigh(s, abs_num, weight_exp, weight_kind, scale) -> np.ndarray:
-    """scale |numerator| / w(s)^weight_exp for w(s) = s(1-s), s, 1-s or 1 (None)."""
-    num = scale * abs_num
+def _weight_power(s, weight_exp, weight_kind):
+    """w(s)^weight_exp for w(s) = s(1-s), s or 1-s; None for no weight (kind None)."""
     if weight_kind is None:
-        return num
+        return None
     if weight_kind == "sym":
-        return num / (s * (1.0 - s)) ** weight_exp
+        return (s * (1.0 - s)) ** weight_exp
     if weight_kind == "s":
-        return num / s**weight_exp
+        return s**weight_exp
     if weight_kind == "one-minus-s":
-        return num / (1.0 - s) ** weight_exp
+        return (1.0 - s) ** weight_exp
     raise ValueError(weight_kind)
 
 
-def _breakpoints(bundle: Bundle, prob: _SupProblem) -> np.ndarray:
-    # Holding the grid until return keeps the allocator from handing its
-    # pages back and faulting them in again (approx1 at n = 8192: ~30% fewer
-    # page faults per solve than freeing it inside the concatenate).
-    grid = bundle.jump_grid(prob.lo, prob.hi)
-    pts = np.concatenate([[prob.lo, prob.hi], grid, prob.bridge_breaks, prob.step_jumps])
-    pts = pts[(pts >= prob.lo) & (pts <= prob.hi)]
-    return np.unique(pts)
+def _weigh(abs_num, wpow, scale) -> np.ndarray:
+    """scale |numerator| / w(s)^weight_exp, with wpow from ``_weight_power``."""
+    num = scale * abs_num
+    return num if wpow is None else num / wpow
+
+
+def _block_edges(bundle: Bundle, prob: _SupProblem, jumps: np.ndarray) -> np.ndarray:
+    """lo, every k-th of the sorted step jumps inside (lo, hi), and hi.
+
+    k is chosen so that a block holds about ``_BLOCK_POINTS`` points of the
+    dyadic grid, whose density is n 2^depth.
+    """
+    inside = jumps[np.searchsorted(jumps, prob.lo, "right") : np.searchsorted(jumps, prob.hi)]
+    grid = (bundle.n << bundle.depth) * (prob.hi - prob.lo)
+    k = max(1, int(_BLOCK_POINTS * inside.size / grid))
+    return np.concatenate([[prob.lo], inside[k - 1 :: k], [prob.hi]])
+
+
+def _breakpoints(bundle: Bundle, prob: _SupProblem, a: float, b: float, jumps) -> np.ndarray:
+    """Sorted breakpoints in the block [a, b]: its ends, the bundle's jump grid,
+    the window increment's grid and the (sorted) step jumps there."""
+    parts = [[a, b], bundle.jump_grid(a, b)]
+    if prob.anchor is not None:
+        parts.append(bundle.increment_jump_grid(prob.anchor, a, b))
+    parts.append(jumps[np.searchsorted(jumps, a) : np.searchsorted(jumps, b, "right")])
+    pts = np.concatenate(parts)
+    return np.unique(pts[(pts >= a) & (pts <= b)])
 
 
 def _solve_weights(bundle: Bundle, prob: _SupProblem, weights) -> list[WeightedSupResult]:
     """``_solve`` for each (weight_exp, weight_kind, scale) in ``weights``, in one pass.
 
     |numerator| is evaluated once on each candidate set (right limits, left
-    limits, point values) and every weight is applied to it.
+    limits, point values) and every weight is applied to it.  The limits are
+    taken block by block (``_block_edges``), carrying each weight's best
+    right and best left limit across blocks; the first occurrence wins ties.
     """
     if not prob.lo < prob.hi:
         raise ValueError(f"empty sup domain [{prob.lo}, {prob.hi})")
-    pts = _breakpoints(bundle, prob)
-    p, q = pts[:-1], pts[1:]
+    jumps = np.unique(prob.step_jumps)
+    best = {side: [(-math.inf, prob.lo)] * len(weights) for side in ("right", "left")}
+    pieces = 0
+    edges = _block_edges(bundle, prob, jumps)
+    for a, b in zip(edges[:-1], edges[1:]):
+        pts = _breakpoints(bundle, prob, a, b, jumps)
+        p, q = pts[:-1], pts[1:]
+        pieces += p.size
+        limits = prob.numerator(0.5 * (p + q))
+        abs_right, abs_left = np.abs(limits(p)), np.abs(limits(q))
+        for i, (weight_exp, weight_kind, scale) in enumerate(weights):
+            wpow = _weight_power(pts, weight_exp, weight_kind)
+            for side, s, abs_num, cut in (
+                ("right", p, abs_right, slice(None, -1)),
+                ("left", q, abs_left, slice(1, None)),
+            ):
+                vals = _weigh(abs_num, None if wpow is None else wpow[cut], scale)
+                j = int(np.argmax(vals))
+                if vals[j] > best[side][i][0]:
+                    best[side][i] = (float(vals[j]), float(s[j]))
     at = prob.point_abscissae()
-    best = [WeightedSupResult(-math.inf, prob.lo, "right", 2 * p.size + at.size) for _ in weights]
-    limits = prob.numerator(0.5 * (p + q))
-    points = prob.numerator(at)
-    for s, piece, side in ((p, limits, "right"), (q, limits, "left"), (at, points, "point")):
-        abs_num = np.abs(piece(s))
-        for res, weight in zip(best, weights):
-            vals = _weigh(s, abs_num, *weight)
-            j = int(np.argmax(vals))
-            if vals[j] > res.value:
-                res.value, res.arg_s, res.side = float(vals[j]), float(s[j]), side
-    return best
+    abs_points = np.abs(prob.numerator(at)(at))
+    results = []
+    for i, (weight_exp, weight_kind, scale) in enumerate(weights):
+        res = WeightedSupResult(-math.inf, prob.lo, "right", 2 * pieces + at.size)
+        for side in ("right", "left"):
+            value, arg_s = best[side][i]
+            if value > res.value:
+                res.value, res.arg_s, res.side = value, arg_s, side
+        vals = _weigh(abs_points, _weight_power(at, weight_exp, weight_kind), scale)
+        j = int(np.argmax(vals))
+        if vals[j] > res.value:
+            res.value, res.arg_s, res.side = float(vals[j]), float(at[j]), "point"
+        results.append(res)
+    return results
 
 
 def _solve(bundle: Bundle, prob: _SupProblem) -> WeightedSupResult:
@@ -268,7 +323,7 @@ def _lattice(n: int) -> np.ndarray:
 def problem_quantile_full(bundle: Bundle, cfg: WeightConfig) -> _SupProblem:
     lo, hi = _full_domain(bundle, cfg)
     return _SupProblem(
-        lo, hi, True, [], _lattice(bundle.n), _beta_minus_bridge(bundle),
+        lo, hi, True, None, _lattice(bundle.n), _beta_minus_bridge(bundle),
         *power_weight(bundle.n, cfg.eta, "sym"),
     )
 
@@ -276,7 +331,7 @@ def problem_quantile_full(bundle: Bundle, cfg: WeightConfig) -> _SupProblem:
 def problem_empirical_full(bundle: Bundle, cfg: WeightConfig) -> _SupProblem:
     lo, hi = _full_domain(bundle, cfg)
     return _SupProblem(
-        lo, hi, True, [], bundle.U[1:], _alpha_minus_bridge(bundle),
+        lo, hi, True, None, bundle.U[1:], _alpha_minus_bridge(bundle),
         *power_weight(bundle.n, cfg.nu, "sym"),
     )
 
@@ -289,7 +344,7 @@ def problem_quantile_increment(bundle: Bundle, cfg: WeightConfig) -> _SupProblem
         lo,
         cfg.t,
         False,
-        bundle.increment_jump_grid(cfg.t),
+        cfg.t,
         cfg.t - _lattice(bundle.n),
         _beta_increment_minus_bridge(bundle, cfg.t),
         *power_weight(bundle.n, cfg.eta, "s"),
@@ -306,7 +361,7 @@ def empirical_window_problem(
         lo,
         hi,
         False,
-        bundle.increment_jump_grid(anchor),
+        anchor,
         anchor - bundle.U[1:],
         _alpha_increment_minus_bridge(bundle, anchor),
         weight_exp,
@@ -340,7 +395,7 @@ def problem_tail(bundle: Bundle, d: float, side: str) -> _SupProblem:
     else:
         raise ValueError("side must be 'left' or 'right'")
     return _SupProblem(
-        lo, hi, True, [], _lattice(bundle.n), _beta_minus_bridge(bundle), 0.0, None, 1.0
+        lo, hi, True, None, _lattice(bundle.n), _beta_minus_bridge(bundle), 0.0, None, 1.0
     )
 
 

@@ -95,7 +95,8 @@ def count_leq(values, x, strict: bool = False) -> int:
 def _breakpoints(bundle, prob) -> list[float]:
     """Sorted breakpoints in the domain: endpoints, bridge grids, step jumps."""
     pts = {prob.lo, prob.hi}
-    for source in (bundle.jump_grid(), prob.bridge_breaks, prob.step_jumps):
+    increment = [] if prob.anchor is None else bundle.increment_jump_grid(prob.anchor)
+    for source in (bundle.jump_grid(), increment, prob.step_jumps):
         for s in np.asarray(source, dtype=float):
             if prob.lo <= s <= prob.hi:
                 pts.add(float(s))

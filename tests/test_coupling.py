@@ -98,6 +98,30 @@ def test_values_at_rejects_out_of_range():
     path.freeze(1)
     with pytest.raises(ValueError):
         path.values_at(np.asarray([4.5]), 1)
+    # past a refined extent below m there are no values to return
+    path = couple_exponential_sums(4, RngStream(1), extent=3)
+    path.freeze(1)
+    path.values_at(np.asarray([3.0]), 1)
+    with pytest.raises(ValueError):
+        path.values_at(np.asarray([3.5]), 1)
+
+
+@pytest.mark.parametrize("m", [16, 64])
+def test_truncated_freeze_is_prefix(m):
+    # a path refined over [0, extent] holds the full refinement's values
+    # there, bit for bit, at every depth
+    for extent in (1, m // 2 + 1, m):
+        full = couple_exponential_sums(m, RngStream(8, m))
+        part = couple_exponential_sums(m, RngStream(8, m), extent=extent)
+        assert part.extent == extent and full.extent == m
+        for depth in range(7):
+            full.freeze(depth)
+            part.freeze(depth)
+            t = np.arange((extent << depth) + 1) / (1 << depth)
+            np.testing.assert_array_equal(part.values_at(t, depth), full.values_at(t, depth))
+            assert part._fine.size == (extent << depth) + 1
+    with pytest.raises(ValueError):
+        couple_exponential_sums(m, RngStream(8, m), extent=m + 1)
 
 
 def test_snap_to_integer():

@@ -27,7 +27,10 @@ from empcouple.harness import (
     verify_exact_laws,
     wilson_interval,
 )
+from empcouple import harness
 from empcouple.censored import CensoringModel, censored_weighted_stats, sample_from_bundle
+from empcouple.cli import main
+from empcouple.coupling import MAX_REFINE_DEPTH
 from empcouple.processes import AnchoredBundle, ProcessBundle
 from empcouple.rng import RngStream, derive_stream
 from empcouple.supstats import (
@@ -75,6 +78,30 @@ def test_repeated_ladder_size_rejected():
         run_requests([_cfg().request()], (64, 64), 3, seed=1)
     with pytest.raises(ValueError, match="repeated"):
         sanity_global_sup([16, 32, 16], reps=1, seed=3)
+
+
+@pytest.mark.parametrize("depth", [-1, MAX_REFINE_DEPTH + 1])
+def test_bad_refine_depth_rejected(monkeypatch, capsys, depth):
+    # rejected up front with the admissible range, not when (or inside the
+    # worker where) the first replicate builds its bundle
+    names_range = pytest.raises(ValueError, match=rf"\[0, {MAX_REFINE_DEPTH}\]")
+    with names_range:
+        _cfg(refine_depth=depth).validate()
+    with names_range:
+        ProcessBundle.build(8, RngStream(1), RngStream(2), depth=depth)
+    with names_range:
+        AnchoredBundle.build(8, RngStream(3), depth=depth)
+
+    def no_scheduling(*args):
+        raise AssertionError("replicates scheduled before the depth was checked")
+
+    monkeypatch.setattr(harness, "_map_tasks", no_scheduling)
+    with names_range:
+        run_requests([_cfg().request()], (64,), 2, seed=1, threads=2, refine_depth=depth)
+    with names_range:
+        sanity_global_sup([16], reps=2, seed=1, threads=2, refine_depth=depth)
+    assert main(["stats", "--n", "16", "--refine-depth", str(depth)]) == 1
+    assert f"[0, {MAX_REFINE_DEPTH}]" in capsys.readouterr().err
 
 
 def test_single_row_reproducible():
@@ -326,12 +353,22 @@ def test_grouped_evaluation_matches_public_calls(lam, t):
                 assert (row.value, row.arg_s) == expected[req], req
 
 
-# sha256 of rows_to_csv of ``_sweep_requests`` over ladder (64, 128, 256) x 3
-# reps, seed 20260824.  Recorded with numpy 2.4.6 and scipy 1.17.1; a change
-# of either may move the last bits of a sup.
+# sha256 of rows_to_csv of ``_sweep_requests`` at (lam, t), by (ladder, reps),
+# seed 20260824.  Recorded with numpy 2.4.6 and scipy 1.17.1; a change of
+# either may move the last bits of a sup.  n = 100 has paths whose lengths are
+# not powers of two, so both are refined over part of their length only;
+# n = 2048 is solved in several blocks.
 _SWEEP_DIGESTS = {
-    (1.0, 0.5): "3d61048ba27e4aef2c3a26b7518a145342fe76f039f6e30f3c34f60b0a7b5772",
-    (1.2, 0.3): "a941fdcca56b5c5d23dbc8f7249e494f863897d9579f9ad403e18b6f7e891bd5",
+    (1.0, 0.5): {
+        ((64, 128, 256), 3): "3d61048ba27e4aef2c3a26b7518a145342fe76f039f6e30f3c34f60b0a7b5772",
+        ((100,), 3): "33302648051897e75f000e91e46b27938ac3da240906d300e0d75056c30ab096",
+        ((2048,), 1): "6c6fad1abcec2e1c9f66e471ccace4d8186ef6964ce09ef3e87d2200268619df",
+    },
+    (1.2, 0.3): {
+        ((64, 128, 256), 3): "a941fdcca56b5c5d23dbc8f7249e494f863897d9579f9ad403e18b6f7e891bd5",
+        ((100,), 3): "3d187fe190bf0f8f4e7bedac4a9a1e24e0b47d10b20a081a7b510e84b0b802e2",
+        ((2048,), 1): "40518a45323f29531fe7503043c01dbf08719b2453f69c09ee17cd23eb62a90d",
+    },
 }
 
 
@@ -339,6 +376,7 @@ _SWEEP_DIGESTS = {
 def test_sweep_csv_bytes_unchanged(lam, t):
     # every value and arg_s of the sweep stays bit-identical across changes
     # to the sup engine
-    rows = run_requests(_sweep_requests(lam, t), (64, 128, 256), 3, 20260824)
-    digest = hashlib.sha256(rows_to_csv(rows).encode()).hexdigest()
-    assert digest == _SWEEP_DIGESTS[(lam, t)], (np.__version__, scipy.__version__)
+    for (ladder, reps), expected in _SWEEP_DIGESTS[(lam, t)].items():
+        rows = run_requests(_sweep_requests(lam, t), ladder, reps, 20260824)
+        digest = hashlib.sha256(rows_to_csv(rows).encode()).hexdigest()
+        assert digest == expected, (ladder, np.__version__, scipy.__version__)

@@ -234,6 +234,16 @@ def test_synthetic_has_no_brownian_paths():
         b.w_n(np.asarray([1.0]))
 
 
+@pytest.mark.parametrize("n", [2, 3, 64, 100])
+def test_paths_refined_only_where_read(n):
+    # W_n reads the first path on [0, h] and the second on [0, g]
+    b = _bundle(n, seed=4, depth=3)
+    assert (b.path1.extent, b.path2.extent) == (b.h, b.g)
+    assert b.path2._fine.size == (b.g << 3) + 1
+    z = np.linspace(0.0, n + 1, 4 * n + 1)
+    b.w_n(z)
+
+
 def test_build_determinism():
     a = _bundle(14, seed=6)
     b = _bundle(14, seed=6)
@@ -350,6 +360,29 @@ def test_restricted_jump_grid_covers_domain(kind, t):
                 if not lo < hi:
                     continue
                 part = b.jump_grid(lo, hi)
+                inside = full[(full >= lo) & (full <= hi)]
+                assert np.isin(inside, part).all(), (lo, hi)
+                assert np.isin(part, full).all(), (lo, hi)
+
+
+@pytest.mark.parametrize("kind", ["lattice", "anchored"])
+@pytest.mark.parametrize("t", [0.5, 0.3, 0.4])
+def test_restricted_increment_jump_grid_covers_domain(kind, t):
+    # increment_jump_grid(t, lo, hi) holds every point of the full increment
+    # grid in [lo, hi], as the same floats
+    bundles = (
+        [_bundle(24, seed=s, t=t, depth=3) for s in range(2)]
+        if kind == "lattice"
+        else [_anchored(24, seed=s, t=t, depth=3) for s in range(3)] + [_anchored(3, seed=1, t=t)]
+    )
+    for b in bundles:
+        full = b.increment_jump_grid(t)
+        ends = _restricted_grid_ends(b, 1.2, 0.4)
+        for lo in ends:
+            for hi in ends:
+                if not lo < hi:
+                    continue
+                part = b.increment_jump_grid(t, lo, hi)
                 inside = full[(full >= lo) & (full <= hi)]
                 assert np.isin(inside, part).all(), (lo, hi)
                 assert np.isin(part, full).all(), (lo, hi)

@@ -1,6 +1,7 @@
 """Weighted sup engine: exactness, trivial cases, and oracle equality."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,11 @@ import pytest
 from empcouple.censored import CensoringModel, censored_sup_problems, sample_from_bundle
 from empcouple.harness import STATISTIC_IDS, StatRequest, evaluate_requests, replicate_bundle
 from empcouple.processes import AnchoredBundle, ProcessBundle, _SampleProcesses
+from empcouple import supstats
 from empcouple.rng import derive_stream
 from empcouple.supstats import (
     WeightConfig,
     _beta_increment_minus_bridge,
-    _breakpoints,
     _solve,
     _SupProblem,
     problem_empirical_full,
@@ -29,7 +30,7 @@ from empcouple.supstats import (
     stat_restricted,
     tail_sup_discrepancy,
 )
-from oracles import naive_sup, naive_sup_fast
+from oracles import _breakpoints, naive_sup, naive_sup_fast
 
 
 def _bundle(n, seed=0, rep=0, t=0.5, depth=6):
@@ -69,7 +70,7 @@ def test_single_point_sup():
     def num(s_piece):
         return lambda s: np.where(np.asarray(s, dtype=float) == 0.5, delta0, 0.0)
 
-    prob = _SupProblem(0.25, 0.75, True, [], [0.5], num, 0.5, "sym", 1.0)
+    prob = _SupProblem(0.25, 0.75, True, None, [0.5], num, 0.5, "sym", 1.0)
     res = _solve(b, prob)
     assert res.value == pytest.approx(2.0 * delta0)
     assert res.arg_s == 0.5
@@ -255,7 +256,7 @@ def test_scale_equivariance():
     prob = problem_quantile_full(b, cfg)
     base = _solve(b, prob)
     scaled = _SupProblem(
-        prob.lo, prob.hi, prob.closed_hi, prob.bridge_breaks, prob.step_jumps,
+        prob.lo, prob.hi, prob.closed_hi, prob.anchor, prob.step_jumps,
         lambda p: lambda s: 3.0 * prob.numerator(p)(s),
         prob.weight_exp, prob.weight_kind, prob.scale,
     )
@@ -342,7 +343,7 @@ def test_each_lookup_once_per_piece(monkeypatch, builder, anchored):
     else:
         b = _bundle(n, seed=2, t=cfg.t, depth=4)
     prob = builder(b, cfg)
-    limit = _breakpoints(b, prob).size - 1 + prob.point_abscissae().size
+    limit = len(_breakpoints(b, prob)) - 1 + prob.point_abscissae().size
     counter = _LookupCounter(monkeypatch)
     res, counts = counter.during(_solve, b, prob)
     assert res.value == naive_sup_fast(b, prob)
@@ -362,3 +363,54 @@ def test_weight_variants_share_lookups(monkeypatch, stat, field):
     three, counts_three = counter.during(evaluate_requests, variants, 3, 64, 1)
     assert counts_three == counts_one
     assert three[0] == one[0]
+
+
+def _every_problem(lam, t, n, seed=4):
+    """(bundle, problem) for every builder on both bundle kinds, both tail
+    sides, and the censored pair."""
+    cfg = WeightConfig(lam=lam, eta=0.25, nu=0.1, t=t)
+    lattice = _bundle(n, seed=seed, t=t)
+    out = []
+    for b in (lattice, AnchoredBundle.build(n, derive_stream(seed, n, 0, "anchored"), t=t)):
+        out += [(b, builder(b, cfg)) for builder in _PROBLEM_BUILDERS]
+        out += [(b, problem_tail(b, 16.0, side)) for side in ("left", "right")]
+    model = CensoringModel(1.5)
+    at_theta = AnchoredBundle.build(n, derive_stream(seed, n, 0, "anchored"), t=model.theta)
+    for b in (lattice, at_theta):
+        sample = sample_from_bundle(model, b, derive_stream(seed, n, 0, "shuffle"))
+        out += [(b, prob) for prob in censored_sup_problems(sample, model, b, 0.1, lam).values()]
+    return out
+
+
+@pytest.mark.parametrize("lam,t", [(1.0, 0.5), (1.2, 0.3), (1.7, 0.37)])
+@pytest.mark.parametrize("n", [64, 100])
+def test_block_size_changes_no_bit(monkeypatch, lam, t, n):
+    # one block at the default size; at 64 grid points per block every
+    # solve runs over many blocks, and value, arg_s, side and grid_points
+    # stay the same to the bit
+    problems = _every_problem(lam, t, n)
+    default = [_solve(b, prob) for b, prob in problems]
+    monkeypatch.setattr(supstats, "_BLOCK_POINTS", 64)
+    for (b, prob), expected in zip(problems, default):
+        assert supstats._block_edges(b, prob, np.unique(prob.step_jumps)).size > 8
+        assert _solve(b, prob) == expected, prob.__dict__
+
+
+@pytest.mark.parametrize(
+    "stat,anchored", [("approx1", False), ("approx2", False), ("approx3", False), ("approx4", True)]
+)
+def test_solve_memory_bounded(stat, anchored):
+    # working memory beyond the bundle is O(block + n), not O(n 2^depth):
+    # the grid at n = 2^15, depth 6 alone is 16 MB, its sort several times that
+    n = 1 << 15
+    if anchored:
+        b = AnchoredBundle.build(n, derive_stream(1, n, 0, "anchored"), depth=6)
+    else:
+        b = _bundle(n, seed=1, depth=6)
+    tracemalloc.start()
+    try:
+        _solve(b, _STAT_PROBLEMS[stat](b, WeightConfig()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20, peak

@@ -28,11 +28,12 @@ import numpy as np
 from .processes import Bundle
 from .rng import RngStream
 from .supstats import (
+    SupProblem,
     WeightedSupResult,
-    _alpha_minus_bridge,
-    _solve,
-    _SupProblem,
+    empirical_range_problem,
     empirical_window_problem,
+    power_weight,
+    solve,
 )
 
 
@@ -270,13 +271,33 @@ def survival_representation_check(
     return reports
 
 
+def problem_censored_part(
+    bundle: Bundle, model: CensoringModel, xi_exp: float, lam: float = 1.0
+) -> SupProblem:
+    """'cens-h0' on ``bundle`` (see ``censored_sup_problems``)."""
+    if not lam / bundle.n < 1.0 - model.theta:
+        raise ValueError("empty censored-part domain")
+    weight = power_weight(bundle.n, xi_exp, "one-minus-s")
+    return empirical_range_problem(bundle, model.theta, 1.0 - lam / bundle.n, *weight)
+
+
+def problem_uncensored_part(
+    bundle: Bundle, model: CensoringModel, xi_exp: float, lam: float = 1.0
+) -> SupProblem:
+    """'cens-h1' on ``bundle`` (see ``censored_sup_problems``)."""
+    if not lam / bundle.n < model.theta:
+        raise ValueError("empty uncensored-part domain")
+    weight = power_weight(bundle.n, xi_exp, "s")
+    return empirical_window_problem(bundle, model.theta, lam / bundle.n, model.theta, *weight)
+
+
 def censored_sup_problems(
     sample: CensoredSample,
     model: CensoringModel,
     bundle: Bundle,
     xi_exp: float,
     lam: float = 1.0,
-) -> dict[str, _SupProblem]:
+) -> dict[str, SupProblem]:
     """The two censored sup problems in the uniformized variable.
 
     Requires a sample produced by ``sample_from_bundle`` for this bundle, so
@@ -303,26 +324,10 @@ def censored_sup_problems(
         raise ValueError("lam must be positive")
     if not np.array_equal(np.sort(sample.xi), bundle.U[1 : bundle.n + 1]):
         raise ValueError("sample is not coupled to this bundle (xi != order statistics)")
-    n = bundle.n
-    theta = model.theta
-    scale = n**xi_exp
-    if not lam / n < 1.0 - theta:
-        raise ValueError("empty censored-part domain")
-    if not lam / n < theta:
-        raise ValueError("empty uncensored-part domain")
-    prob0 = _SupProblem(
-        theta,
-        1.0 - lam / n,
-        True,
-        None,
-        bundle.U[1:],
-        _alpha_minus_bridge(bundle),
-        0.5 - xi_exp,
-        "one-minus-s",
-        scale,
-    )
-    prob1 = empirical_window_problem(bundle, theta, lam / n, theta, 0.5 - xi_exp, "s", scale)
-    return {"cens-h0": prob0, "cens-h1": prob1}
+    return {
+        "cens-h0": problem_censored_part(bundle, model, xi_exp, lam),
+        "cens-h1": problem_uncensored_part(bundle, model, xi_exp, lam),
+    }
 
 
 def censored_weighted_stats(
@@ -334,7 +339,7 @@ def censored_weighted_stats(
 ) -> dict[str, WeightedSupResult]:
     """Solve both censored sup statistics (see ``censored_sup_problems``)."""
     problems = censored_sup_problems(sample, model, bundle, xi_exp, lam)
-    return {name: _solve(bundle, prob) for name, prob in problems.items()}
+    return {name: solve(bundle, prob) for name, prob in problems.items()}
 
 
 def default_check_grid(sample: CensoredSample, model: CensoringModel) -> np.ndarray:

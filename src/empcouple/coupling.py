@@ -136,10 +136,6 @@ class CoupledPath:
             self._fine = fine
             self.refinement_depth = level
 
-    def refine_brownian(self, t: float, depth: int | None = None) -> float:
-        """W at t rounded down to the dyadic grid of the requested depth."""
-        return float(self.values_at(np.asarray([t], dtype=float), depth)[0])
-
     def values_at(self, t: np.ndarray, depth: int | None = None) -> np.ndarray:
         """Vectorized dyadic-grid lookup of W over [0, extent].
 
@@ -187,12 +183,8 @@ def couple_exponential_sums(
     ``extent`` (default m) is the range [0, extent] its Brownian motion is
     refined over (see ``CoupledPath``).
     """
-    if not _is_power_of_two(m):
-        raise ValueError(f"m must be a power of two, got {m}")
     counter = ClampCounter()
-    rng = stream.generator()
-    w = _brownian_integer_grid(m, rng, 1)
-    s = _sums_from_brownian(m, w, counter)
+    s, w = couple_batch(m, 1, stream, counter)
     if np.any(np.diff(s[0]) <= 0.0):
         raise RuntimeError(f"non-increasing partial sums for m={m}, stream={stream}")
     return CoupledPath(
@@ -200,19 +192,19 @@ def couple_exponential_sums(
     )
 
 
-def couple_batch(m: int, count: int, stream: RngStream) -> tuple[np.ndarray, np.ndarray]:
+def couple_batch(
+    m: int, count: int, stream: RngStream, counter: ClampCounter | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """(S, W) arrays of shape (count, m+1) from a single stream.
 
-    Draw order differs from per-path construction; use this for aggregate
-    Monte Carlo checks, not for reproducing individual paths.
+    Draw order differs from per-path construction for count > 1; use this
+    for aggregate Monte Carlo checks, not for reproducing individual paths.
+    ``counter`` collects the tail clamps of the inversions.
     """
     if not _is_power_of_two(m):
         raise ValueError(f"m must be a power of two, got {m}")
-    counter = ClampCounter()
-    rng = stream.generator()
-    w = _brownian_integer_grid(m, rng, count)
-    s = _sums_from_brownian(m, w, counter)
-    return s, w
+    w = _brownian_integer_grid(m, stream.generator(), count)
+    return _sums_from_brownian(m, w, ClampCounter() if counter is None else counter), w
 
 
 def max_discrepancy(path: CoupledPath) -> tuple[float, int]:

@@ -23,18 +23,19 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import stats as sps
 
-from .censored import CensoringModel, censored_weighted_stats, sample_from_bundle
-from .coupling import KmtTailFit, check_refine_depth, snap_to_integer
+from .censored import CensoringModel, problem_censored_part, problem_uncensored_part
+from .coupling import check_refine_depth, snap_to_integer
 from .processes import DEFAULT_REFINE_DEPTH, AnchoredBundle, Bundle, ProcessBundle
 from .rng import RngStream, derive_stream
 from .supstats import (
+    SupProblem,
     WeightConfig,
-    _solve,
-    _solve_weights,
     empirical_window_problem,
     power_weight,
     problem_empirical_full,
@@ -43,21 +44,63 @@ from .supstats import (
     problem_quantile_increment,
     problem_restricted,
     problem_tail,
+    solve,
+    solve_weights,
 )
 
 CSV_HEADER = "statistic,n,rep,value,arg_s,seed"
 
-# Weighted sup statistics: problem builder, and the WeightConfig field x of
-# the weight n^x / w(s)^{1/2 - x} (see ``power_weight``).
+
+def _kmt_rate(n: np.ndarray, x: float) -> np.ndarray:
+    return n ** (x - 0.5) * np.log(n)
+
+
+def _kiefer_rate(n: np.ndarray, x: float) -> np.ndarray:
+    log_n = np.log(n)
+    return n ** (x - 0.25) * np.sqrt(log_n) * np.log(log_n) ** 0.25
+
+
+class _Statistic(NamedTuple):
+    """A statistic's registry row; ``anchor``, ``problem`` and ``exponent`` read the request."""
+
+    anchor: Callable | None  # count-anchored bundle's anchor; None: the lattice bundle
+    problem: Callable  # (bundle, request) -> SupProblem
+    exponent: Callable  # x of the weight n^x / w(s)^{1/2 - x} (see ``power_weight``)
+    rate: Callable  # (n, x) -> documented approach rate r(n) (see ``rate_normalizer``)
+
+
+def _from_weights(builder) -> Callable:
+    return lambda bundle, req: builder(bundle, req.weights)
+
+
+def _censored(builder) -> Callable:
+    return lambda b, req: builder(b, CensoringModel(req.rate_c), req.xi_exp, req.weights.lam)
+
+
+def _tail(bundle: Bundle, req) -> SupProblem:
+    return problem_tail(bundle, req.d, req.side)
+
+
+def _at_theta(req) -> float:
+    return CensoringModel(req.rate_c).theta
+
+
+# The tail sup's weight kind is None: x = 0 leaves it unweighted (scale n^0 = 1).
+_AT_T, _UNWEIGHTED = attrgetter("weights.t"), lambda req: 0.0
+_ETA, _NU, _XI = attrgetter("weights.eta"), attrgetter("weights.nu"), attrgetter("xi_exp")
+
 _PROBLEMS = {
-    "approx1": (problem_quantile_full, "eta"),
-    "approx2": (problem_empirical_full, "nu"),
-    "approx3": (problem_quantile_increment, "eta"),
-    "approx4": (problem_empirical_increment, "nu"),
-    "restricted": (problem_restricted, "nu"),
+    "approx1": _Statistic(None, _from_weights(problem_quantile_full), _ETA, _kmt_rate),
+    "approx2": _Statistic(None, _from_weights(problem_empirical_full), _NU, _kiefer_rate),
+    "approx3": _Statistic(None, _from_weights(problem_quantile_increment), _ETA, _kmt_rate),
+    "approx4": _Statistic(_AT_T, _from_weights(problem_empirical_increment), _NU, _kiefer_rate),
+    "restricted": _Statistic(_AT_T, _from_weights(problem_restricted), _NU, _kiefer_rate),
+    "ineq1-tail": _Statistic(None, _tail, _UNWEIGHTED, _kmt_rate),
+    "cens-h0": _Statistic(_at_theta, _censored(problem_censored_part), _XI, _kiefer_rate),
+    "cens-h1": _Statistic(_at_theta, _censored(problem_uncensored_part), _XI, _kiefer_rate),
 }
 
-STATISTIC_IDS = tuple(_PROBLEMS) + ("ineq1-tail", "cens-h0", "cens-h1")
+STATISTIC_IDS = tuple(_PROBLEMS)
 
 
 @dataclass(frozen=True)
@@ -73,9 +116,17 @@ class StatRequest:
     xi_exp: float = 0.1
 
     def validate(self) -> None:
+        """Reject every field that is out of range whatever n is."""
         if self.statistic not in STATISTIC_IDS:
             raise ValueError(f"unknown statistic id {self.statistic!r}")
         self.weights.validate()
+        if self.side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
+        if not self.d >= 1.0:
+            raise ValueError(f"d must be >= 1, got {self.d}")
+        CensoringModel(self.rate_c)  # rejects rate_c <= 0
+        if not 0.0 <= self.xi_exp < 0.25:
+            raise ValueError("xi exponent must lie in [0, 1/4)")
 
 
 def _reject_repeated_sizes(n_ladder) -> None:
@@ -142,7 +193,6 @@ class LadderReport:
     rows: list[ResultRow]
     quantiles: dict[str, dict[int, dict[str, float]]]
     slopes: dict[str, tuple[float, float]]  # statistic -> (q95 slope, bootstrap stderr)
-    kmt_fit: KmtTailFit | None = None
 
 
 def build_bundle(seed: int, n: int, rep: int, t: float, depth: int) -> ProcessBundle:
@@ -177,11 +227,8 @@ def coupling_anchor(req: StatRequest) -> float | None:
     increment; None selects the lattice-anchored bundle, which couples the
     quantile statistics, approx2 and the tail sup.
     """
-    if req.statistic in ("cens-h0", "cens-h1"):
-        return CensoringModel(req.rate_c).theta
-    if req.statistic in ("approx4", "restricted"):
-        return req.weights.t
-    return None
+    anchor = _PROBLEMS[req.statistic].anchor
+    return None if anchor is None else anchor(req)
 
 
 def replicate_bundle(
@@ -197,29 +244,19 @@ def replicate_bundle(
 def _problem_key(req: StatRequest) -> tuple:
     """Requests with equal keys share one sup problem on a replicate.
 
-    A weighted statistic's domain and numerator depend on (lam, t) alone,
-    and only its weight on eta or nu; a tail sup's problem depends on
-    (d, side).
+    They differ in nothing but their name and weight exponent (eta, nu or
+    xi), which only the weight reads.
     """
-    if req.statistic == "ineq1-tail":
-        return req.statistic, req.d, req.side
-    return req.statistic, req.weights.lam, req.weights.t
+    return req.statistic, req.weights.lam, req.weights.t, req.d, req.side, req.rate_c
 
 
 def _solve_group(bundle: Bundle, group: list[StatRequest]) -> list:
     """One sup problem solved for every request of a ``_problem_key`` group, in one pass."""
-    first = group[0]
-    if first.statistic == "ineq1-tail":
-        prob = problem_tail(bundle, first.d, first.side)
-        return _solve_weights(bundle, prob, [prob.weight] * len(group))
-    builder, field = _PROBLEMS[first.statistic]
-    for req in group:
-        req.weights.validate(bundle.n)
-    prob = builder(bundle, first.weights)
-    weights = [
-        power_weight(bundle.n, getattr(req.weights, field), prob.weight_kind) for req in group
-    ]
-    return _solve_weights(bundle, prob, weights)
+    stat = _PROBLEMS[group[0].statistic]
+    group[0].weights.validate(bundle.n)  # the rest of the group differs only in eta or nu
+    prob = stat.problem(bundle, group[0])
+    weights = [power_weight(bundle.n, stat.exponent(req), prob.weight_kind) for req in group]
+    return solve_weights(bundle, prob, weights)
 
 
 def evaluate_requests(
@@ -238,29 +275,18 @@ def evaluate_requests(
     request's own ``stat_*`` / ``tail_sup_discrepancy`` /
     ``censored_weighted_stats`` result bit for bit.
     """
+    for req in requests:
+        req.validate()
     if len({req.weights.t for req in requests}) > 1:
         raise ValueError("all requests of a replicate must use the same anchor t")
     bundles: dict = {}
-    results: dict = {}
     groups: dict = {}
-    cens_cache: dict = {}
     for i, req in enumerate(requests):
         anchor = coupling_anchor(req)
         if anchor not in bundles:
             bundles[anchor] = replicate_bundle(req, seed, n, rep, depth)
-        if req.statistic not in ("cens-h0", "cens-h1"):
-            groups.setdefault(_problem_key(req), []).append(i)
-            continue
-        key = (req.rate_c, req.xi_exp, req.weights.lam)
-        if key not in cens_cache:
-            model = CensoringModel(req.rate_c)
-            sample = sample_from_bundle(
-                model, bundles[anchor], derive_stream(seed, n, rep, "shuffle")
-            )
-            cens_cache[key] = censored_weighted_stats(
-                sample, model, bundles[anchor], req.xi_exp, req.weights.lam
-            )
-        results[i] = cens_cache[key][req.statistic]
+        groups.setdefault(_problem_key(req), []).append(i)
+    results: dict = {}
     for members in groups.values():
         group = [requests[i] for i in members]
         bundle = bundles[coupling_anchor(group[0])]
@@ -401,9 +427,10 @@ def summarize(rows: list[ResultRow]) -> LadderReport:
 def rate_normalizer(req: StatRequest, n_ladder) -> np.ndarray:
     """rho(n): running maximum of r(n) / r(n_0) over the sorted ladder, floored at 1.
 
-    r(n) is the documented approach rate of the statistic's weighted sup:
-    the KMT rate n^{eta-1/2} log n for the quantile statistics (approx1,
-    approx3, ineq1-tail), and Kiefer's Bahadur-Kiefer rate
+    r(n) is the documented approach rate of the statistic's weighted sup
+    (its registry row): the KMT rate n^{eta-1/2} log n for the quantile
+    statistics (approx1, approx3, and ineq1-tail at eta = 0, as it is
+    unweighted), and Kiefer's Bahadur-Kiefer rate
     n^{nu-1/4} (log n)^{1/2} (log log n)^{1/4} for the empirical ones
     (approx2, approx4, restricted, and the censored pair with xi for nu).
     The weighted sups are stochastically bounded for eta < 1/2 and
@@ -412,13 +439,8 @@ def rate_normalizer(req: StatRequest, n_ladder) -> np.ndarray:
     with it.  rho is identically 1 unless r rises from the first ladder
     size.  Needs n >= 3.
     """
-    n = np.asarray(sorted(n_ladder), dtype=float)
-    log_n = np.log(n)
-    if req.statistic in ("approx1", "approx3", "ineq1-tail"):
-        rate = n ** (req.weights.eta - 0.5) * log_n
-    else:
-        nu = req.xi_exp if req.statistic in ("cens-h0", "cens-h1") else req.weights.nu
-        rate = n ** (nu - 0.25) * np.sqrt(log_n) * np.log(log_n) ** 0.25
+    stat = _PROBLEMS[req.statistic]
+    rate = stat.rate(np.asarray(sorted(n_ladder), dtype=float), stat.exponent(req))
     return np.maximum.accumulate(np.maximum(rate / rate[0], 1.0))
 
 
@@ -507,12 +529,7 @@ def report_to_json(report: LadderReport, cfg: ExperimentConfig | None = None) ->
         "rows": len(report.rows),
     }
     if cfg is not None:
-        echo = asdict(cfg)
-        echo["weights"] = asdict(cfg.weights)
-        echo["n_ladder"] = list(cfg.n_ladder)
-        doc["config"] = echo
-    if report.kmt_fit is not None:
-        doc["kmt_fit"] = asdict(report.kmt_fit)
+        doc["config"] = asdict(cfg)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -584,20 +601,14 @@ def estimate_ineq1(
         StatRequest(name=f"ineq1-tail-d{d:g}", statistic="ineq1-tail", d=d, side=side)
         for d in d_grid
     ]
-    rows = run_requests(requests, [n], reps, seed, threads=threads)
-    sups = {
-        f"ineq1-tail-d{d:g}": np.asarray(
-            [r.value for r in rows if r.statistic == f"ineq1-tail-d{d:g}"]
-        )
-        for d in d_grid
-    }
+    sups = _values_by_stat(run_requests(requests, [n], reps, seed, threads=threads))
     probs = np.empty((len(d_grid), len(x_grid)))
     lo = np.empty_like(probs)
     hi = np.empty_like(probs)
-    for i, d in enumerate(d_grid):
-        vals = sups[f"ineq1-tail-d{d:g}"]
+    for i, req in enumerate(requests):
+        vals = sups[req.name][n]
         for j, x in enumerate(x_grid):
-            thresh = (a * math.log(d) + x) / math.sqrt(n)
+            thresh = (a * math.log(req.d) + x) / math.sqrt(n)
             k = int(np.count_nonzero(vals >= thresh))
             probs[i, j] = k / reps
             lo[i, j], hi[i, j] = wilson_interval(k, reps)
@@ -788,7 +799,7 @@ class GlobalSupReport:
 def _global_sup_task(args) -> float:
     seed, n, rep, t, depth = args
     bundle = build_anchored_bundle(seed, n, rep, t, depth)
-    return _solve(bundle, empirical_window_problem(bundle, t, 0.0, t, 0.0, None, 1.0)).value
+    return solve(bundle, empirical_window_problem(bundle, t, 0.0, t, 0.0, None, 1.0)).value
 
 
 def sanity_global_sup(

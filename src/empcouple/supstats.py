@@ -28,7 +28,7 @@ is done once per piece: a numerator is a piece factory that resolves its
 lookups at the midpoints and returns s -> values, evaluated at both ends of
 each piece; the point values take one more pass.  The weight enters only
 after |numerator|, so several weights of one numerator and domain (the
-eta or nu variants of a statistic) share one pass (``_solve_weights``).
+eta or nu variants of a statistic) share one pass (``solve_weights``).
 
 The domain is solved block by block.  Block edges are lo, every k-th step
 jump inside (lo, hi) and hi, with k chosen so that a block holds about
@@ -84,7 +84,7 @@ class WeightedSupResult:
     grid_points: int  # number of evaluations
 
 
-class _SupProblem:
+class SupProblem:
     """Domain, numerator and weight of one sup statistic.
 
     ``anchor`` is set for a window increment at that anchor, whose bridge
@@ -146,7 +146,7 @@ def _weigh(abs_num, wpow, scale) -> np.ndarray:
     return num if wpow is None else num / wpow
 
 
-def _block_edges(bundle: Bundle, prob: _SupProblem, jumps: np.ndarray) -> np.ndarray:
+def _block_edges(bundle: Bundle, prob: SupProblem, jumps: np.ndarray) -> np.ndarray:
     """lo, every k-th of the sorted step jumps inside (lo, hi), and hi.
 
     k is chosen so that a block holds about ``_BLOCK_POINTS`` points of the
@@ -158,7 +158,7 @@ def _block_edges(bundle: Bundle, prob: _SupProblem, jumps: np.ndarray) -> np.nda
     return np.concatenate([[prob.lo], inside[k - 1 :: k], [prob.hi]])
 
 
-def _breakpoints(bundle: Bundle, prob: _SupProblem, a: float, b: float, jumps) -> np.ndarray:
+def _breakpoints(bundle: Bundle, prob: SupProblem, a: float, b: float, jumps) -> np.ndarray:
     """Sorted breakpoints in the block [a, b]: its ends, the bundle's jump grid,
     the window increment's grid and the (sorted) step jumps there."""
     parts = [[a, b], bundle.jump_grid(a, b)]
@@ -169,8 +169,8 @@ def _breakpoints(bundle: Bundle, prob: _SupProblem, a: float, b: float, jumps) -
     return np.unique(pts[(pts >= a) & (pts <= b)])
 
 
-def _solve_weights(bundle: Bundle, prob: _SupProblem, weights) -> list[WeightedSupResult]:
-    """``_solve`` for each (weight_exp, weight_kind, scale) in ``weights``, in one pass.
+def solve_weights(bundle: Bundle, prob: SupProblem, weights) -> list[WeightedSupResult]:
+    """``solve`` for each (weight_exp, weight_kind, scale) in ``weights``, in one pass.
 
     |numerator| is evaluated once on each candidate set (right limits, left
     limits, point values) and every weight is applied to it.  The limits are
@@ -216,26 +216,9 @@ def _solve_weights(bundle: Bundle, prob: _SupProblem, weights) -> list[WeightedS
     return results
 
 
-def _solve(bundle: Bundle, prob: _SupProblem) -> WeightedSupResult:
+def solve(bundle: Bundle, prob: SupProblem) -> WeightedSupResult:
     """Largest one-sided limit at the breakpoints or point value (``point_abscissae``)."""
-    return _solve_weights(bundle, prob, [prob.weight])[0]
-
-
-def reevaluate(bundle: Bundle, prob: _SupProblem, s: float, side: str) -> float:
-    """Value of a sup integrand at a recorded (arg_s, side) pair."""
-    arr = np.asarray([s], dtype=float)
-    # Offset past the near-integer snap tolerance of the piecewise lookups,
-    # but far inside the narrowest possible piece.
-    off = 32.0 * np.spacing(max(1.0, abs(s)))
-    if side == "point":
-        piece = arr
-    elif side == "right":
-        piece = np.asarray([s + off])
-    elif side == "left":
-        piece = np.asarray([s - off])
-    else:
-        raise ValueError(side)
-    return float(prob.weighted(arr, piece)[0])
+    return solve_weights(bundle, prob, [prob.weight])[0]
 
 
 # -- numerators ------------------------------------------------------------
@@ -320,27 +303,35 @@ def _lattice(n: int) -> np.ndarray:
     return np.arange(n + 1) / n
 
 
-def problem_quantile_full(bundle: Bundle, cfg: WeightConfig) -> _SupProblem:
+def problem_quantile_full(bundle: Bundle, cfg: WeightConfig) -> SupProblem:
     lo, hi = _full_domain(bundle, cfg)
-    return _SupProblem(
+    return SupProblem(
         lo, hi, True, None, _lattice(bundle.n), _beta_minus_bridge(bundle),
         *power_weight(bundle.n, cfg.eta, "sym"),
     )
 
 
-def problem_empirical_full(bundle: Bundle, cfg: WeightConfig) -> _SupProblem:
-    lo, hi = _full_domain(bundle, cfg)
-    return _SupProblem(
+def empirical_range_problem(
+    bundle: Bundle, lo: float, hi: float, weight_exp: float, weight_kind, scale
+) -> SupProblem:
+    """Sup over [lo, hi] of the empirical process against the bridge, with the given weight."""
+    return SupProblem(
         lo, hi, True, None, bundle.U[1:], _alpha_minus_bridge(bundle),
-        *power_weight(bundle.n, cfg.nu, "sym"),
+        weight_exp, weight_kind, scale,
     )
 
 
-def problem_quantile_increment(bundle: Bundle, cfg: WeightConfig) -> _SupProblem:
+def problem_empirical_full(bundle: Bundle, cfg: WeightConfig) -> SupProblem:
+    return empirical_range_problem(
+        bundle, *_full_domain(bundle, cfg), *power_weight(bundle.n, cfg.nu, "sym")
+    )
+
+
+def problem_quantile_increment(bundle: Bundle, cfg: WeightConfig) -> SupProblem:
     lo = cfg.lam / bundle.n
     if not lo < cfg.t:
         raise ValueError(f"empty domain: lam/n = {lo} >= t = {cfg.t}")
-    return _SupProblem(
+    return SupProblem(
         lo,
         cfg.t,
         False,
@@ -353,11 +344,11 @@ def problem_quantile_increment(bundle: Bundle, cfg: WeightConfig) -> _SupProblem
 
 def empirical_window_problem(
     bundle: Bundle, anchor: float, lo: float, hi: float, weight_exp: float, weight_kind, scale
-) -> _SupProblem:
+) -> SupProblem:
     """Sup over [lo, hi) of the empirical window increment at ``anchor`` against
     the bridge increment B(anchor) - B(anchor - s), with the given weight.
     """
-    return _SupProblem(
+    return SupProblem(
         lo,
         hi,
         False,
@@ -370,14 +361,14 @@ def empirical_window_problem(
     )
 
 
-def problem_empirical_increment(bundle: Bundle, cfg: WeightConfig) -> _SupProblem:
+def problem_empirical_increment(bundle: Bundle, cfg: WeightConfig) -> SupProblem:
     lo = cfg.lam / bundle.n
     if not lo < cfg.t:
         raise ValueError(f"empty domain: lam/n = {lo} >= t = {cfg.t}")
     return empirical_window_problem(bundle, cfg.t, lo, cfg.t, *power_weight(bundle.n, cfg.nu, "s"))
 
 
-def problem_restricted(bundle: Bundle, cfg: WeightConfig) -> _SupProblem:
+def problem_restricted(bundle: Bundle, cfg: WeightConfig) -> SupProblem:
     if bundle.t_n < 2:
         raise ValueError(f"restricted statistic requires [nt] >= 2, got {bundle.t_n}")
     return empirical_window_problem(
@@ -385,7 +376,7 @@ def problem_restricted(bundle: Bundle, cfg: WeightConfig) -> _SupProblem:
     )
 
 
-def problem_tail(bundle: Bundle, d: float, side: str) -> _SupProblem:
+def problem_tail(bundle: Bundle, d: float, side: str) -> SupProblem:
     if not 1.0 <= d <= bundle.n:
         raise ValueError(f"d must lie in [1, n], got {d}")
     if side == "left":
@@ -394,7 +385,7 @@ def problem_tail(bundle: Bundle, d: float, side: str) -> _SupProblem:
         lo, hi = 1.0 - d / bundle.n, 1.0
     else:
         raise ValueError("side must be 'left' or 'right'")
-    return _SupProblem(
+    return SupProblem(
         lo, hi, True, None, _lattice(bundle.n), _beta_minus_bridge(bundle), 0.0, None, 1.0
     )
 
@@ -402,13 +393,13 @@ def problem_tail(bundle: Bundle, d: float, side: str) -> _SupProblem:
 def stat_quantile_full(bundle, cfg: WeightConfig) -> WeightedSupResult:
     """Sup of n^eta |quantile process - bridge| / [s(1-s)]^{1/2-eta}."""
     cfg.validate(bundle.n)
-    return _solve(bundle, problem_quantile_full(bundle, cfg))
+    return solve(bundle, problem_quantile_full(bundle, cfg))
 
 
 def stat_empirical_full(bundle, cfg: WeightConfig) -> WeightedSupResult:
     """Sup of n^nu |empirical process - bridge| / [s(1-s)]^{1/2-nu}."""
     cfg.validate(bundle.n)
-    return _solve(bundle, problem_empirical_full(bundle, cfg))
+    return solve(bundle, problem_empirical_full(bundle, cfg))
 
 
 def stat_quantile_increment(bundle, cfg: WeightConfig) -> WeightedSupResult:
@@ -418,7 +409,7 @@ def stat_quantile_increment(bundle, cfg: WeightConfig) -> WeightedSupResult:
     increment, which in s is itself a Brownian bridge on [0, t].
     """
     cfg.validate(bundle.n)
-    return _solve(bundle, problem_quantile_increment(bundle, cfg))
+    return solve(bundle, problem_quantile_increment(bundle, cfg))
 
 
 def stat_empirical_increment(bundle, cfg: WeightConfig) -> WeightedSupResult:
@@ -433,15 +424,15 @@ def stat_empirical_increment(bundle, cfg: WeightConfig) -> WeightedSupResult:
     ``stat_restricted``) on the count-anchored bundle.
     """
     cfg.validate(bundle.n)
-    return _solve(bundle, problem_empirical_increment(bundle, cfg))
+    return solve(bundle, problem_empirical_increment(bundle, cfg))
 
 
 def stat_restricted(bundle, cfg: WeightConfig) -> WeightedSupResult:
     """Increment statistic (vs the bridge increment) restricted to [U_{1}, U_{[nt]})."""
     cfg.validate(bundle.n)
-    return _solve(bundle, problem_restricted(bundle, cfg))
+    return solve(bundle, problem_restricted(bundle, cfg))
 
 
 def tail_sup_discrepancy(bundle, d: float, side: str = "left") -> WeightedSupResult:
     """Unweighted sup of |quantile process - bridge| over a d/n tail interval."""
-    return _solve(bundle, problem_tail(bundle, d, side))
+    return solve(bundle, problem_tail(bundle, d, side))

@@ -166,6 +166,23 @@ def naive_sup_fast(bundle, prob, per_cell: int = 80) -> float:
     return float(np.max(prob.weighted(s, piece)))
 
 
+def reevaluate(bundle, prob, s: float, side: str) -> float:
+    """Value of a sup integrand at a recorded (arg_s, side) pair."""
+    arr = np.asarray([s], dtype=float)
+    # Offset past the near-integer snap tolerance of the piecewise lookups,
+    # but far inside the narrowest possible piece.
+    off = 32.0 * np.spacing(max(1.0, abs(s)))
+    if side == "point":
+        piece = arr
+    elif side == "right":
+        piece = np.asarray([s + off])
+    elif side == "left":
+        piece = np.asarray([s - off])
+    else:
+        raise ValueError(side)
+    return float(prob.weighted(arr, piece)[0])
+
+
 # -- censored hand enumeration ----------------------------------------------
 
 

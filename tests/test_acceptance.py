@@ -22,7 +22,7 @@ from empcouple.harness import (
 )
 from empcouple.rng import RngStream
 from empcouple.supstats import (
-    _solve,
+    solve,
     problem_empirical_full,
     problem_empirical_increment,
     problem_quantile_full,
@@ -243,7 +243,7 @@ def test_criterion_7_oracle_equivalence(capsys):
         for name, prob in censored_sup_problems(sample, model, a, xi_exp=0.1).items():
             problems[name] = (a, prob)
         for name, (bundle, prob) in problems.items():
-            engine = _solve(bundle, prob).value
+            engine = solve(bundle, prob).value
             oracle = naive_sup_fast(bundle, prob)
             checks += 1
             if engine != oracle:

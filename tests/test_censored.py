@@ -21,7 +21,7 @@ from empcouple.censored import (
 )
 from empcouple.processes import AnchoredBundle, ProcessBundle
 from empcouple.rng import RngStream, derive_stream
-from empcouple.supstats import _solve
+from empcouple.supstats import solve
 from oracles import count_leq, hand_sample, hand_xi, naive_sup
 
 

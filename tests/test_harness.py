@@ -104,6 +104,37 @@ def test_bad_refine_depth_rejected(monkeypatch, capsys, depth):
     assert f"[0, {MAX_REFINE_DEPTH}]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stat,field,value", [
+    ("ineq1-tail", "side", "middle"),
+    ("ineq1-tail", "d", 0.5),
+    ("ineq1-tail", "d", float("nan")),
+    ("cens-h0", "rate_c", 0.0),
+    ("cens-h1", "xi_exp", 0.25),
+    ("cens-h1", "xi_exp", -0.1),
+])
+def test_bad_request_rejected(monkeypatch, stat, field, value):
+    # a field out of range at every n is rejected by validate, before any
+    # replicate is scheduled, not inside one
+    def no_scheduling(*args):
+        raise AssertionError("replicates scheduled before the request was checked")
+
+    monkeypatch.setattr(harness, "_map_tasks", no_scheduling)
+    req = StatRequest("bad", stat, **{field: value})
+    for reject in (
+        req.validate,
+        _cfg(statistic=stat, **{field: value}).validate,
+        lambda: run_requests([req], (64,), 2, seed=1, threads=2),
+        lambda: evaluate_requests([req], 1, 16, 0),
+    ):
+        with pytest.raises(ValueError):
+            reject()
+
+
+def test_unknown_statistic_rejected():
+    with pytest.raises(ValueError, match="unknown statistic"):
+        evaluate_requests([StatRequest("z", "nope")], 1, 16, 0)
+
+
 def test_single_row_reproducible():
     a = run_ladder(_cfg())
     b = run_ladder(_cfg())

@@ -12,17 +12,16 @@ from empcouple.processes import AnchoredBundle, ProcessBundle, _SampleProcesses
 from empcouple import supstats
 from empcouple.rng import derive_stream
 from empcouple.supstats import (
+    SupProblem,
     WeightConfig,
     _beta_increment_minus_bridge,
-    _solve,
-    _SupProblem,
     problem_empirical_full,
     problem_empirical_increment,
     problem_quantile_full,
     problem_quantile_increment,
     problem_restricted,
     problem_tail,
-    reevaluate,
+    solve,
     stat_empirical_full,
     stat_empirical_increment,
     stat_quantile_full,
@@ -30,7 +29,7 @@ from empcouple.supstats import (
     stat_restricted,
     tail_sup_discrepancy,
 )
-from oracles import _breakpoints, naive_sup, naive_sup_fast
+from oracles import _breakpoints, naive_sup, naive_sup_fast, reevaluate
 
 
 def _bundle(n, seed=0, rep=0, t=0.5, depth=6):
@@ -70,8 +69,8 @@ def test_single_point_sup():
     def num(s_piece):
         return lambda s: np.where(np.asarray(s, dtype=float) == 0.5, delta0, 0.0)
 
-    prob = _SupProblem(0.25, 0.75, True, None, [0.5], num, 0.5, "sym", 1.0)
-    res = _solve(b, prob)
+    prob = SupProblem(0.25, 0.75, True, None, [0.5], num, 0.5, "sym", 1.0)
+    res = solve(b, prob)
     assert res.value == pytest.approx(2.0 * delta0)
     assert res.arg_s == 0.5
 
@@ -134,7 +133,7 @@ def test_oracle_equality(builder, seed):
     b = _bundle(32, seed=seed, depth=4)
     cfg = WeightConfig(eta=0.25, nu=0.1)
     prob = builder(b, cfg)
-    res = _solve(b, prob)
+    res = solve(b, prob)
     assert res.value == naive_sup(b, prob)
 
 
@@ -159,14 +158,14 @@ def test_anchored_oracle_equality(builder):
     ]
     for b in bundles + _anchored_bundles_with_small_blocks():
         prob = builder(b, cfg)
-        assert _solve(b, prob).value == naive_sup(b, prob)
+        assert solve(b, prob).value == naive_sup(b, prob)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_tail_oracle_equality(side):
     b = _bundle(32, seed=3, depth=4)
     prob = problem_tail(b, 8.0, side)
-    res = _solve(b, prob)
+    res = solve(b, prob)
     assert res.value == naive_sup(b, prob)
 
 
@@ -254,13 +253,13 @@ def test_scale_equivariance():
     b = _bundle(20, seed=11)
     cfg = WeightConfig(eta=0.2)
     prob = problem_quantile_full(b, cfg)
-    base = _solve(b, prob)
-    scaled = _SupProblem(
+    base = solve(b, prob)
+    scaled = SupProblem(
         prob.lo, prob.hi, prob.closed_hi, prob.anchor, prob.step_jumps,
         lambda p: lambda s: 3.0 * prob.numerator(p)(s),
         prob.weight_exp, prob.weight_kind, prob.scale,
     )
-    res = _solve(b, scaled)
+    res = solve(b, scaled)
     assert res.value == pytest.approx(3.0 * base.value, rel=1e-13)
     assert res.arg_s == base.arg_s
 
@@ -345,19 +344,23 @@ def test_each_lookup_once_per_piece(monkeypatch, builder, anchored):
     prob = builder(b, cfg)
     limit = len(_breakpoints(b, prob)) - 1 + prob.point_abscissae().size
     counter = _LookupCounter(monkeypatch)
-    res, counts = counter.during(_solve, b, prob)
+    res, counts = counter.during(solve, b, prob)
     assert res.value == naive_sup_fast(b, prob)
     assert counts["w_n"] > 0
     for kind, count in counts.items():
         assert count <= limit, (kind, count, limit)
 
 
-@pytest.mark.parametrize("stat,field", [("approx1", "eta"), ("approx4", "nu")])
+@pytest.mark.parametrize(
+    "stat,field", [("approx1", "eta"), ("approx4", "nu"), ("cens-h1", "xi_exp")]
+)
 def test_weight_variants_share_lookups(monkeypatch, stat, field):
     # the three weight variants of a statistic cost the lookups of one
     counter = _LookupCounter(monkeypatch)
     variants = [
-        StatRequest(f"{stat}-{x}", stat, WeightConfig(**{field: x})) for x in (0.0, 0.1, 0.2)
+        StatRequest(f"{stat}-{x}", stat, xi_exp=x) if field == "xi_exp"
+        else StatRequest(f"{stat}-{x}", stat, WeightConfig(**{field: x}))
+        for x in (0.0, 0.1, 0.2)
     ]
     one, counts_one = counter.during(evaluate_requests, variants[:1], 3, 64, 1)
     three, counts_three = counter.during(evaluate_requests, variants, 3, 64, 1)
@@ -389,11 +392,11 @@ def test_block_size_changes_no_bit(monkeypatch, lam, t, n):
     # solve runs over many blocks, and value, arg_s, side and grid_points
     # stay the same to the bit
     problems = _every_problem(lam, t, n)
-    default = [_solve(b, prob) for b, prob in problems]
+    default = [solve(b, prob) for b, prob in problems]
     monkeypatch.setattr(supstats, "_BLOCK_POINTS", 64)
     for (b, prob), expected in zip(problems, default):
         assert supstats._block_edges(b, prob, np.unique(prob.step_jumps)).size > 8
-        assert _solve(b, prob) == expected, prob.__dict__
+        assert solve(b, prob) == expected, prob.__dict__
 
 
 @pytest.mark.parametrize(
@@ -409,7 +412,7 @@ def test_solve_memory_bounded(stat, anchored):
         b = _bundle(n, seed=1, depth=6)
     tracemalloc.start()
     try:
-        _solve(b, _STAT_PROBLEMS[stat](b, WeightConfig()))
+        solve(b, _STAT_PROBLEMS[stat](b, WeightConfig()))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -29,7 +29,6 @@ from .coupling import (
     snap_to_integer,
 )
 from .harness import (
-    ExperimentConfig,
     Ineq1Estimate,
     LadderReport,
     ResultRow,
@@ -41,7 +40,6 @@ from .harness import (
     estimate_ineq1,
     evaluate_requests,
     rows_to_csv,
-    run_ladder,
     run_requests,
     sanity_global_sup,
     summarize,
@@ -78,7 +76,6 @@ __all__ = [
     "CensoringModel",
     "CoupledPath",
     "DEFAULT_REFINE_DEPTH",
-    "ExperimentConfig",
     "Ineq1Estimate",
     "KmtTailFit",
     "LadderReport",
@@ -108,7 +105,6 @@ __all__ = [
     "next_power_of_two",
     "representation_check",
     "rows_to_csv",
-    "run_ladder",
     "run_requests",
     "sample_from_bundle",
     "sanity_global_sup",

@@ -28,11 +28,9 @@ from .censored import (
 from .coupling import couple_exponential_sums, max_discrepancy
 from .harness import (
     STATISTIC_IDS,
-    ExperimentConfig,
     StatRequest,
     evaluate_requests,
     report_to_json,
-    run_ladder,
     run_requests,
     summarize,
     verify_exact_laws,
@@ -138,24 +136,37 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def cmd_mc(args) -> int:
-    cfg = ExperimentConfig(
-        statistic=args.stat,
-        weights=WeightConfig(lam=args.lam, eta=args.eta, nu=args.nu, t=args.t),
-        n_ladder=args.n_ladder,
-        reps=args.reps,
-        seed=args.seed,
+def _run_and_report(args, requests: list[StatRequest], extra=dict) -> int:
+    """Run ``requests`` over the ladder; write the CSV rows and the JSON summary.
+
+    ``extra()`` gives further top-level JSON keys, once the ladder has run.
+    """
+    rows = run_requests(
+        requests,
+        args.n_ladder,
+        args.reps,
+        args.seed,
         threads=args.threads,
         refine_depth=args.refine_depth,
-        d=args.d,
-        side=args.side,
     )
-    report = run_ladder(cfg)
     if args.out is not None:
-        write_csv(report.rows, args.out)
-    summary = report_to_json(report, cfg)
-    _emit(summary, args.json_out)
+        write_csv(rows, args.out)
+    config = {
+        "requests": [dataclasses.asdict(req) for req in requests],
+        "n_ladder": list(args.n_ladder),
+        "reps": args.reps,
+        "seed": args.seed,
+        "threads": args.threads,
+        "refine_depth": args.refine_depth,
+    }
+    _emit(report_to_json(summarize(rows), config=config, **extra()), args.json_out)
     return 0
+
+
+def cmd_mc(args) -> int:
+    weights = WeightConfig(lam=args.lam, eta=args.eta, nu=args.nu, t=args.t)
+    req = StatRequest(args.stat, args.stat, weights, d=args.d, side=args.side)
+    return _run_and_report(args, [req])
 
 
 def cmd_verify(args) -> int:
@@ -163,6 +174,21 @@ def cmd_verify(args) -> int:
     doc = {r.name: {"passed": r.passed, **r.details} for r in reports}
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     return 0 if all(r.passed for r in reports) else 2
+
+
+def _identity_checks(args, model: CensoringModel) -> dict:
+    """Identity checks on one freshly generated replicate per ladder size."""
+    identity = {}
+    for n in args.n_ladder:
+        sample = generate(model, n, derive_stream(args.seed, n, 0, "identity"))
+        grid = default_check_grid(sample, model)
+        checks = representation_check(sample, model, grid) + survival_representation_check(
+            sample, model, grid
+        )
+        identity[str(n)] = {
+            c.name: {"passed": c.passed, "n_failures": c.n_failures} for c in checks
+        }
+    return identity
 
 
 def cmd_censored(args) -> int:
@@ -174,34 +200,11 @@ def cmd_censored(args) -> int:
         )
         for stat in ("cens-h0", "cens-h1")
     ]
-    rows = run_requests(
-        requests,
-        args.n_ladder,
-        args.reps,
-        args.seed,
-        threads=args.threads,
-        refine_depth=args.refine_depth,
-    )
-    if args.out is not None:
-        write_csv(rows, args.out)
-    report = summarize(rows)
-    # identity checks on one freshly generated replicate per ladder size
     model = CensoringModel(args.rate_c)
-    identity = {}
-    for n in args.n_ladder:
-        sample = generate(model, n, derive_stream(args.seed, n, 0, "identity"))
-        grid = default_check_grid(sample, model)
-        checks = representation_check(sample, model, grid) + survival_representation_check(
-            sample, model, grid
-        )
-        identity[str(n)] = {
-            c.name: {"passed": c.passed, "n_failures": c.n_failures} for c in checks
-        }
-    doc = json.loads(report_to_json(report))
-    doc["identity_checks"] = identity
-    doc["model"] = {"rate_c": args.rate_c, "theta": model.theta, "xi_exp": args.xi_exp}
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.json_out)
-    return 0
+    return _run_and_report(args, requests, lambda: {
+        "identity_checks": _identity_checks(args, model),
+        "model": {"rate_c": args.rate_c, "theta": model.theta, "xi_exp": args.xi_exp},
+    })
 
 
 def main(argv=None) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -31,6 +31,7 @@ from scipy import stats as sps
 
 from .censored import CensoringModel, problem_censored_part, problem_uncensored_part
 from .coupling import check_refine_depth, snap_to_integer
+from .numerics import gamma2_tail
 from .processes import DEFAULT_REFINE_DEPTH, AnchoredBundle, Bundle, ProcessBundle
 from .rng import RngStream, derive_stream
 from .supstats import (
@@ -127,55 +128,6 @@ class StatRequest:
         CensoringModel(self.rate_c)  # rejects rate_c <= 0
         if not 0.0 <= self.xi_exp < 0.25:
             raise ValueError("xi exponent must lie in [0, 1/4)")
-
-
-def _reject_repeated_sizes(n_ladder) -> None:
-    """A repeated ladder size would evaluate the same replicates twice."""
-    if len(set(n_ladder)) != len(n_ladder):
-        raise ValueError(f"repeated ladder sizes in {list(n_ladder)}")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Full description of one ladder experiment."""
-
-    statistic: str
-    weights: WeightConfig
-    n_ladder: tuple[int, ...]
-    reps: int
-    seed: int
-    threads: int = 1
-    refine_depth: int = DEFAULT_REFINE_DEPTH
-    d: float = 64.0
-    side: str = "left"
-    rate_c: float = 1.0
-    xi_exp: float = 0.1
-
-    def validate(self) -> None:
-        self.request().validate()
-        if self.reps < 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps}")
-        if not self.n_ladder:
-            raise ValueError("n_ladder must be nonempty")
-        _reject_repeated_sizes(self.n_ladder)
-        if list(self.n_ladder) != sorted(self.n_ladder):
-            raise ValueError("n_ladder must be sorted ascending")
-        if min(self.n_ladder) < 2:
-            raise ValueError("all ladder sizes must be >= 2")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        check_refine_depth(self.refine_depth)
-
-    def request(self) -> StatRequest:
-        return StatRequest(
-            name=self.statistic,
-            statistic=self.statistic,
-            weights=self.weights,
-            d=self.d,
-            side=self.side,
-            rate_c=self.rate_c,
-            xi_exp=self.xi_exp,
-        )
 
 
 @dataclass(frozen=True)
@@ -315,6 +267,33 @@ def _map_tasks(fn, tasks: list, threads: int) -> list:
     return [fn(task) for task in tasks]
 
 
+def _check_run(requests, n_ladder: list, reps: int, threads: int, refine_depth: int) -> None:
+    """Reject a ladder run before any replicate is scheduled.
+
+    Every request must validate and carry its own name: rows are keyed by
+    name, so a repeated one would mix two requests' values.  A repeated
+    ladder size would evaluate the same replicates twice.
+    """
+    for req in requests:
+        req.validate()
+    names = [req.name for req in requests]
+    if len(set(names)) != len(names):
+        raise ValueError(f"repeated request names in {names}")
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    if not n_ladder:
+        raise ValueError("n_ladder must be nonempty")
+    if len(set(n_ladder)) != len(n_ladder):
+        raise ValueError(f"repeated ladder sizes in {n_ladder}")
+    if n_ladder != sorted(n_ladder):
+        raise ValueError("n_ladder must be sorted ascending")
+    if min(n_ladder) < 2:
+        raise ValueError("all ladder sizes must be >= 2")
+    check_refine_depth(refine_depth)
+
+
 def run_requests(
     requests: list[StatRequest],
     n_ladder,
@@ -329,14 +308,11 @@ def run_requests(
     lattice-anchored bundle, and the count-anchored one at t or theta) and
     shared by every request coupled there.  Bundle streams depend only on
     (seed, n, rep, role), so adding statistics to a run never changes the
-    draws of the others.  A repeated ladder size and a refinement depth
-    outside [0, MAX_REFINE_DEPTH] are rejected before any replicate runs.
+    draws of the others.  The whole run is checked before any replicate
+    runs (see ``_check_run``).
     """
-    for req in requests:
-        req.validate()
     n_ladder = list(n_ladder)
-    _reject_repeated_sizes(n_ladder)
-    check_refine_depth(refine_depth)
+    _check_run(requests, n_ladder, reps, threads, refine_depth)
     tasks = [(requests, seed, n, rep, refine_depth) for n in n_ladder for rep in range(reps)]
     chunks = _map_tasks(_replicate_task, tasks, threads)
     rows = [row for chunk in chunks for row in chunk]
@@ -486,20 +462,6 @@ def tightness_verdicts(
     return verdicts
 
 
-def run_ladder(cfg: ExperimentConfig) -> LadderReport:
-    """Run one statistic across the ladder and summarize."""
-    cfg.validate()
-    rows = run_requests(
-        [cfg.request()],
-        cfg.n_ladder,
-        cfg.reps,
-        cfg.seed,
-        threads=cfg.threads,
-        refine_depth=cfg.refine_depth,
-    )
-    return summarize(rows)
-
-
 # -- serialization ----------------------------------------------------------
 
 
@@ -516,8 +478,9 @@ def write_csv(rows: list[ResultRow], path: str) -> None:
         fh.write(rows_to_csv(rows))
 
 
-def report_to_json(report: LadderReport, cfg: ExperimentConfig | None = None) -> str:
-    doc: dict = {
+def report_to_json(report: LadderReport, **extra) -> str:
+    """The JSON summary of ``report``; ``extra`` adds top-level keys (a config echo, say)."""
+    doc = {
         "quantiles": {
             stat: {str(n): q for n, q in per_n.items()}
             for stat, per_n in report.quantiles.items()
@@ -527,9 +490,8 @@ def report_to_json(report: LadderReport, cfg: ExperimentConfig | None = None) ->
             for stat, (s, se) in report.slopes.items()
         },
         "rows": len(report.rows),
+        **extra,
     }
-    if cfg is not None:
-        doc["config"] = asdict(cfg)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -598,7 +560,7 @@ def estimate_ineq1(
             if not 0.0 <= x <= math.sqrt(d):
                 raise ValueError(f"x={x} outside [0, sqrt(d)] for d={d}")
     requests = [
-        StatRequest(name=f"ineq1-tail-d{d:g}", statistic="ineq1-tail", d=d, side=side)
+        StatRequest(name=repr(d), statistic="ineq1-tail", d=d, side=side)
         for d in d_grid
     ]
     sups = _values_by_stat(run_requests(requests, [n], reps, seed, threads=threads))
@@ -695,7 +657,7 @@ def check_gamma2_tail(us, reps: int, stream: RngStream, sigmas: float = 3.0) -> 
     rng = stream.generator()
     s2 = rng.exponential(1.0, size=(reps, 2)).sum(axis=1)
     p_hat = np.asarray([np.mean(s2 > u) for u in us])
-    target = (us + 1.0) * np.exp(-us)
+    target = gamma2_tail(us)
     tol = sigmas * np.sqrt(target * (1 - target) / reps)
     return LawReport(
         name="gamma2-tail",
@@ -813,13 +775,11 @@ def sanity_global_sup(
     """Normalized unweighted sup discrepancy stays bounded across the ladder.
 
     The median of n^{1/4} sup / ((log n)^{1/2} (log log n)^{1/4}) should be
-    flat in n; the pass condition is max/min median ratio <= 3.
+    flat in n; the pass condition is max/min median ratio <= 3.  The ladder,
+    reps, threads and depth are checked up front, as in ``run_requests``.
     """
-    n_ladder = sorted(n_ladder)
-    if not n_ladder:
-        raise ValueError("ladder must be nonempty")
-    _reject_repeated_sizes(n_ladder)
-    check_refine_depth(refine_depth)
+    n_ladder = list(n_ladder)
+    _check_run([], n_ladder, reps, threads, refine_depth)
     tasks = [(seed, n, rep, t, refine_depth) for n in n_ladder for rep in range(reps)]
     vals = _map_tasks(_global_sup_task, tasks, threads)
     medians, normalized = [], []
@@ -830,7 +790,7 @@ def sanity_global_sup(
         normalized.append(med * norm)
     ratio = max(normalized) / min(normalized) if min(normalized) > 0 else float("inf")
     return GlobalSupReport(
-        n_ladder=list(n_ladder),
+        n_ladder=n_ladder,
         medians=medians,
         normalized=normalized,
         ratio=float(ratio),

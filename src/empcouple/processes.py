@@ -124,13 +124,6 @@ class _SampleProcesses:
         s = np.asarray(s, dtype=float)
         return np.sqrt(self.n) * (s - self.U[self.lattice_index(s)])
 
-    @staticmethod
-    def increment(f, s: float, t: float):
-        """Window increment f(t) - f(t - s); requires 0 <= s < t."""
-        if not 0.0 <= s < t:
-            raise ValueError("increment requires 0 <= s < t")
-        return f(t) - f(t - s)
-
 
 @dataclass
 class ProcessBundle(_SampleProcesses):

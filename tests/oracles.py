@@ -64,6 +64,16 @@ def gamma2_median() -> float:
     return _bisect(lambda x: 0.5 - (1.0 + x) * math.exp(-x), 0.0, 10.0)
 
 
+# -- processes --------------------------------------------------------------
+
+
+def increment(f, s: float, t: float):
+    """Window increment f(t) - f(t - s); requires 0 <= s < t."""
+    if not 0.0 <= s < t:
+        raise ValueError("increment requires 0 <= s < t")
+    return f(t) - f(t - s)
+
+
 # -- coupling ---------------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from empcouple import cli
 from empcouple.cli import main
 
 
@@ -54,7 +55,7 @@ def test_mc_writes_csv_and_json(tmp_path):
     assert len(lines) == 5
     doc = json.loads(json_path.read_text())
     assert doc["rows"] == 4
-    assert doc["config"]["statistic"] == "approx1"
+    assert doc["config"]["requests"][0]["statistic"] == "approx1"
 
 
 def test_mc_thread_determinism(tmp_path):
@@ -94,5 +95,26 @@ def test_censored_run(tmp_path):
     assert stats == {"cens-h0", "cens-h1"}
     doc = json.loads(json_path.read_text())
     assert doc["model"]["theta"] == pytest.approx(0.5)
+    assert [r["statistic"] for r in doc["config"]["requests"]] == ["cens-h0", "cens-h1"]
+    assert doc["config"]["n_ladder"] == [8, 16]
     for per_n in doc["identity_checks"].values():
         assert all(entry["passed"] for entry in per_n.values())
+
+
+@pytest.mark.parametrize("command", [
+    ["mc", "--stat", "approx2"],
+    ["censored", "--c", "2.0"],
+])
+def test_ladder_commands_call_run_requests_and_summarize(monkeypatch, tmp_path, command):
+    # the ladder commands reach the harness through these two module names,
+    # each once per command; the benchmark's traced runs time them there
+    calls = []
+    for name in ("run_requests", "summarize"):
+        def record(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, record)
+    json_out = str(tmp_path / "summary.json")
+    assert main(command + ["--n-ladder", "8,16", "--reps", "2", "--json-out", json_out]) == 0
+    assert calls == ["run_requests", "summarize"]

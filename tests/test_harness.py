@@ -9,7 +9,6 @@ import pytest
 import scipy
 
 from empcouple.harness import (
-    ExperimentConfig,
     StatRequest,
     check_floor_bound,
     check_gamma2_tail,
@@ -20,7 +19,6 @@ from empcouple.harness import (
     replicate_bundle,
     report_to_json,
     rows_to_csv,
-    run_ladder,
     run_requests,
     sanity_global_sup,
     summarize,
@@ -44,38 +42,59 @@ from empcouple.supstats import (
 )
 
 
-def _cfg(**kw):
-    base = dict(
-        statistic="approx1",
-        weights=WeightConfig(),
-        n_ladder=(4,),
-        reps=1,
-        seed=0,
-    )
-    base.update(kw)
-    return ExperimentConfig(**base)
+_REQ = StatRequest("approx1", "approx1")
 
 
-def test_config_validation():
+def _no_scheduling(*args):
+    raise AssertionError("replicates scheduled before the run was checked")
+
+
+def test_config_validation(monkeypatch):
+    # every bad run is rejected before any replicate is scheduled
+    monkeypatch.setattr(harness, "_map_tasks", _no_scheduling)
+    bad_runs = [
+        dict(reps=0),
+        dict(threads=0),
+        dict(n_ladder=()),
+        dict(n_ladder=(1, 4)),
+        dict(n_ladder=(8, 4)),
+        dict(n_ladder=(64, 64)),
+    ]
+    for kw in bad_runs:
+        run = dict(n_ladder=(4,), reps=1, threads=1) | kw
+        with pytest.raises(ValueError):
+            run_requests([_REQ], run["n_ladder"], run["reps"], 0, threads=run["threads"])
+        with pytest.raises(ValueError):
+            sanity_global_sup(run["n_ladder"], run["reps"], 0, threads=run["threads"])
+    with pytest.raises(ValueError, match="unknown statistic"):
+        run_requests([StatRequest("z", "nope")], (4,), 1, 0)
     with pytest.raises(ValueError):
-        _cfg(reps=0).validate()
-    with pytest.raises(ValueError):
-        _cfg(n_ladder=(8, 4)).validate()
-    with pytest.raises(ValueError):
-        _cfg(n_ladder=(1, 4)).validate()
-    with pytest.raises(ValueError):
-        _cfg(statistic="nope").validate()
-    with pytest.raises(ValueError):
-        _cfg(n_ladder=()).validate()
-    with pytest.raises(ValueError, match="repeated"):
-        _cfg(n_ladder=(64, 64)).validate()
-    _cfg().validate()
+        estimate_ineq1(64, [16.0], [1.0], reps=0, seed=0)
+
+
+def test_repeated_request_names_rejected(monkeypatch):
+    # rows are keyed by name: a repeated request would count each value
+    # twice, and two requests sharing a name would mix their values
+    monkeypatch.setattr(harness, "_map_tasks", _no_scheduling)
+    other = StatRequest("approx1", "approx2")
+    for reqs in ([_REQ, _REQ], [_REQ, other]):
+        with pytest.raises(ValueError, match="repeated request names"):
+            run_requests(reqs, (64,), 2, seed=1)
+    with pytest.raises(ValueError, match="repeated request names"):
+        estimate_ineq1(64, [4.0, 4.0], [1.0], reps=5, seed=0)
+
+
+def test_estimate_ineq1_close_tail_widths():
+    # d = 16 and 16.000001 are two tail widths with a row each, not one name
+    est = estimate_ineq1(64, [16.0, 16.000001], [0.0, 1.0], reps=10, seed=1)
+    assert est.probs.shape == (2, 2)
+    assert np.all((est.probs >= 0) & (est.probs <= 1))
 
 
 def test_repeated_ladder_size_rejected():
     # a repeated size would return every (n, rep) row twice
     with pytest.raises(ValueError, match="repeated"):
-        run_requests([_cfg().request()], (64, 64), 3, seed=1)
+        run_requests([_REQ], (64, 64), 3, seed=1)
     with pytest.raises(ValueError, match="repeated"):
         sanity_global_sup([16, 32, 16], reps=1, seed=3)
 
@@ -86,18 +105,13 @@ def test_bad_refine_depth_rejected(monkeypatch, capsys, depth):
     # worker where) the first replicate builds its bundle
     names_range = pytest.raises(ValueError, match=rf"\[0, {MAX_REFINE_DEPTH}\]")
     with names_range:
-        _cfg(refine_depth=depth).validate()
-    with names_range:
         ProcessBundle.build(8, RngStream(1), RngStream(2), depth=depth)
     with names_range:
         AnchoredBundle.build(8, RngStream(3), depth=depth)
 
-    def no_scheduling(*args):
-        raise AssertionError("replicates scheduled before the depth was checked")
-
-    monkeypatch.setattr(harness, "_map_tasks", no_scheduling)
+    monkeypatch.setattr(harness, "_map_tasks", _no_scheduling)
     with names_range:
-        run_requests([_cfg().request()], (64,), 2, seed=1, threads=2, refine_depth=depth)
+        run_requests([_REQ], (64,), 2, seed=1, threads=2, refine_depth=depth)
     with names_range:
         sanity_global_sup([16], reps=2, seed=1, threads=2, refine_depth=depth)
     assert main(["stats", "--n", "16", "--refine-depth", str(depth)]) == 1
@@ -115,14 +129,10 @@ def test_bad_refine_depth_rejected(monkeypatch, capsys, depth):
 def test_bad_request_rejected(monkeypatch, stat, field, value):
     # a field out of range at every n is rejected by validate, before any
     # replicate is scheduled, not inside one
-    def no_scheduling(*args):
-        raise AssertionError("replicates scheduled before the request was checked")
-
-    monkeypatch.setattr(harness, "_map_tasks", no_scheduling)
+    monkeypatch.setattr(harness, "_map_tasks", _no_scheduling)
     req = StatRequest("bad", stat, **{field: value})
     for reject in (
         req.validate,
-        _cfg(statistic=stat, **{field: value}).validate,
         lambda: run_requests([req], (64,), 2, seed=1, threads=2),
         lambda: evaluate_requests([req], 1, 16, 0),
     ):
@@ -136,14 +146,14 @@ def test_unknown_statistic_rejected():
 
 
 def test_single_row_reproducible():
-    a = run_ladder(_cfg())
-    b = run_ladder(_cfg())
+    a = summarize(run_requests([_REQ], (4,), 1, seed=0))
+    b = summarize(run_requests([_REQ], (4,), 1, seed=0))
     assert len(a.rows) == 1
     assert rows_to_csv(a.rows) == rows_to_csv(b.rows)
 
 
 def test_row_count_and_order():
-    rows = run_requests([_cfg().request()], [4, 8], 3, seed=5)
+    rows = run_requests([_REQ], [4, 8], 3, seed=5)
     assert len(rows) == 6
     assert [(r.n, r.rep) for r in rows] == [(4, 0), (4, 1), (4, 2), (8, 0), (8, 1), (8, 2)]
 
@@ -174,7 +184,7 @@ def test_mixed_anchors_rejected():
 
 
 def test_summarize_order_independent():
-    rows = run_requests([_cfg().request()], [8, 16, 32], 5, seed=7)
+    rows = run_requests([_REQ], [8, 16, 32], 5, seed=7)
     shuffled = rows[:]
     random.Random(0).shuffle(shuffled)
     a = summarize(rows)
@@ -185,13 +195,13 @@ def test_summarize_order_independent():
 
 
 def test_quantiles_nondecreasing_in_level():
-    report = summarize(run_requests([_cfg().request()], [16], 30, seed=1))
+    report = summarize(run_requests([_REQ], [16], 30, seed=1))
     q = report.quantiles["approx1"][16]
     assert q["q50"] <= q["q90"] <= q["q95"] <= q["q99"]
 
 
 def test_csv_format():
-    rows = run_requests([_cfg().request()], [4], 1, seed=2)
+    rows = run_requests([_REQ], [4], 1, seed=2)
     text = rows_to_csv(rows)
     lines = text.splitlines()
     assert lines[0] == "statistic,n,rep,value,arg_s,seed"
@@ -202,11 +212,10 @@ def test_csv_format():
 
 
 def test_report_to_json_structure():
-    cfg = _cfg(n_ladder=(8, 16), reps=3)
-    report = run_ladder(cfg)
+    report = summarize(run_requests([_REQ], (8, 16), 3, seed=0))
     import json
 
-    doc = json.loads(report_to_json(report, cfg))
+    doc = json.loads(report_to_json(report, config={"seed": 0}))
     assert "quantiles" in doc and "regression" in doc and "config" in doc
     assert doc["config"]["seed"] == 0
     assert set(doc["quantiles"]["approx1"]) == {"8", "16"}

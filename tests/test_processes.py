@@ -17,6 +17,7 @@ from empcouple.processes import (
     next_power_of_two,
 )
 from empcouple.rng import derive_stream
+from oracles import increment
 
 SQ2 = math.sqrt(2.0)
 
@@ -184,7 +185,7 @@ def test_increment_hand_value():
     # floor convention: [2*0.9] = 1 and [2*0.4] = 0, so the increment is
     # sqrt(2)(0.9 - U_1) - sqrt(2)(0.4 - 0) = sqrt(2) * 0.25
     b = ProcessBundle.synthetic(2, [0.25, 0.75])
-    val = ProcessBundle.increment(lambda s: b.quantile_process(np.asarray([s]))[0], 0.5, 0.9)
+    val = increment(lambda s: b.quantile_process(np.asarray([s]))[0], 0.5, 0.9)
     assert val == pytest.approx(SQ2 * 0.25)
 
 
@@ -194,14 +195,14 @@ def test_increment_telescoping():
     def f(s):
         return b.empirical_process(np.asarray([s]))[0]
 
-    total = ProcessBundle.increment(f, 0.5, 0.9)
-    split = ProcessBundle.increment(f, 0.2, 0.9) + ProcessBundle.increment(f, 0.3, 0.7)
+    total = increment(f, 0.5, 0.9)
+    split = increment(f, 0.2, 0.9) + increment(f, 0.3, 0.7)
     assert total == pytest.approx(split, abs=1e-12)
 
 
 def test_increment_rejects_bad_window():
     with pytest.raises(ValueError):
-        ProcessBundle.increment(lambda s: s, 0.5, 0.5)
+        increment(lambda s: s, 0.5, 0.5)
 
 
 def test_ecdf_count_sides():

@@ -29,10 +29,11 @@ from .processes import Bundle
 from .rng import RngStream
 from .supstats import (
     SupProblem,
+    WeightConfig,
     WeightedSupResult,
     empirical_range_problem,
-    empirical_window_problem,
     power_weight,
+    problem_empirical_increment,
     solve,
 )
 
@@ -281,16 +282,6 @@ def problem_censored_part(
     return empirical_range_problem(bundle, model.theta, 1.0 - lam / bundle.n, *weight)
 
 
-def problem_uncensored_part(
-    bundle: Bundle, model: CensoringModel, xi_exp: float, lam: float = 1.0
-) -> SupProblem:
-    """'cens-h1' on ``bundle`` (see ``censored_sup_problems``)."""
-    if not lam / bundle.n < model.theta:
-        raise ValueError("empty uncensored-part domain")
-    weight = power_weight(bundle.n, xi_exp, "s")
-    return empirical_window_problem(bundle, model.theta, lam / bundle.n, model.theta, *weight)
-
-
 def censored_sup_problems(
     sample: CensoredSample,
     model: CensoringModel,
@@ -302,12 +293,13 @@ def censored_sup_problems(
 
     Requires a sample produced by ``sample_from_bundle`` for this bundle, so
     that alpha_star coincides with the bundle's empirical process and the
-    bundle's bridge is the coupled one.  'cens-h1' is an empirical window
-    increment at theta, so the bundle should be the count-anchored
-    ``AnchoredBundle`` at theta (as the harness builds it); on a
-    lattice-anchored ``ProcessBundle`` that increment decouples from the
-    bridge over windows of fewer than O(sqrt(n)) points and the statistic
-    is not tight.  With u = Hbar_i(v):
+    bundle's bridge is the coupled one.  'cens-h1' is approx4's problem
+    (``problem_empirical_increment``) at t = theta with xi for nu, an
+    empirical window increment at theta, so the bundle should be the
+    count-anchored ``AnchoredBundle`` at theta (as the harness builds it);
+    on a lattice-anchored ``ProcessBundle`` that increment decouples from
+    the bridge over windows of fewer than O(sqrt(n)) points and the
+    statistic is not tight.  With u = Hbar_i(v):
 
       'cens-h0': sup over u in [lam/n, 1-theta] of
                  n^xi |alpha(1-u) - B(1-u)| / u^{1/2-xi}
@@ -324,9 +316,10 @@ def censored_sup_problems(
         raise ValueError("lam must be positive")
     if not np.array_equal(np.sort(sample.xi), bundle.U[1 : bundle.n + 1]):
         raise ValueError("sample is not coupled to this bundle (xi != order statistics)")
+    at_theta = WeightConfig(lam=lam, nu=xi_exp, t=model.theta)
     return {
         "cens-h0": problem_censored_part(bundle, model, xi_exp, lam),
-        "cens-h1": problem_uncensored_part(bundle, model, xi_exp, lam),
+        "cens-h1": problem_empirical_increment(bundle, at_theta),
     }
 
 

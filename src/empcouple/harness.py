@@ -21,21 +21,21 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import stats as sps
 
-from .censored import CensoringModel, problem_censored_part, problem_uncensored_part
+from .censored import CensoringModel, problem_censored_part
 from .coupling import check_refine_depth, snap_to_integer
 from .numerics import gamma2_tail
 from .processes import DEFAULT_REFINE_DEPTH, AnchoredBundle, Bundle, ProcessBundle
 from .rng import RngStream, derive_stream
 from .supstats import (
-    SupProblem,
     WeightConfig,
     empirical_window_problem,
     power_weight,
@@ -65,21 +65,27 @@ class _Statistic(NamedTuple):
     """A statistic's registry row; ``anchor``, ``problem`` and ``exponent`` read the request."""
 
     anchor: Callable | None  # count-anchored bundle's anchor; None: the lattice bundle
-    problem: Callable  # (bundle, request) -> SupProblem
+    problem: Callable  # req -> (builder, *args): the sup problem builder(bundle, *args)
     exponent: Callable  # x of the weight n^x / w(s)^{1/2 - x} (see ``power_weight``)
     rate: Callable  # (n, x) -> documented approach rate r(n) (see ``rate_normalizer``)
 
 
-def _from_weights(builder) -> Callable:
-    return lambda bundle, req: builder(bundle, req.weights)
+def _built_by(builder) -> Callable:
+    # Only the weight reads eta and nu; zeroed, they leave one key per sup problem.
+    return lambda req: (builder, replace(req.weights, eta=0.0, nu=0.0))
 
 
-def _censored(builder) -> Callable:
-    return lambda b, req: builder(b, CensoringModel(req.rate_c), req.xi_exp, req.weights.lam)
+def _censored_part(req) -> tuple:
+    return problem_censored_part, CensoringModel(req.rate_c), 0.0, req.weights.lam
 
 
-def _tail(bundle: Bundle, req) -> SupProblem:
-    return problem_tail(bundle, req.d, req.side)
+def _uncensored_part(req) -> tuple:
+    # 'cens-h1' is approx4's window increment at t = theta.
+    return problem_empirical_increment, WeightConfig(lam=req.weights.lam, t=_at_theta(req))
+
+
+def _tail(req) -> tuple:
+    return problem_tail, req.d, req.side
 
 
 def _at_theta(req) -> float:
@@ -91,14 +97,14 @@ _AT_T, _UNWEIGHTED = attrgetter("weights.t"), lambda req: 0.0
 _ETA, _NU, _XI = attrgetter("weights.eta"), attrgetter("weights.nu"), attrgetter("xi_exp")
 
 _PROBLEMS = {
-    "approx1": _Statistic(None, _from_weights(problem_quantile_full), _ETA, _kmt_rate),
-    "approx2": _Statistic(None, _from_weights(problem_empirical_full), _NU, _kiefer_rate),
-    "approx3": _Statistic(None, _from_weights(problem_quantile_increment), _ETA, _kmt_rate),
-    "approx4": _Statistic(_AT_T, _from_weights(problem_empirical_increment), _NU, _kiefer_rate),
-    "restricted": _Statistic(_AT_T, _from_weights(problem_restricted), _NU, _kiefer_rate),
+    "approx1": _Statistic(None, _built_by(problem_quantile_full), _ETA, _kmt_rate),
+    "approx2": _Statistic(None, _built_by(problem_empirical_full), _NU, _kiefer_rate),
+    "approx3": _Statistic(None, _built_by(problem_quantile_increment), _ETA, _kmt_rate),
+    "approx4": _Statistic(_AT_T, _built_by(problem_empirical_increment), _NU, _kiefer_rate),
+    "restricted": _Statistic(_AT_T, _built_by(problem_restricted), _NU, _kiefer_rate),
     "ineq1-tail": _Statistic(None, _tail, _UNWEIGHTED, _kmt_rate),
-    "cens-h0": _Statistic(_at_theta, _censored(problem_censored_part), _XI, _kiefer_rate),
-    "cens-h1": _Statistic(_at_theta, _censored(problem_uncensored_part), _XI, _kiefer_rate),
+    "cens-h0": _Statistic(_at_theta, _censored_part, _XI, _kiefer_rate),
+    "cens-h1": _Statistic(_at_theta, _uncensored_part, _XI, _kiefer_rate),
 }
 
 STATISTIC_IDS = tuple(_PROBLEMS)
@@ -120,6 +126,8 @@ class StatRequest:
         """Reject every field that is out of range whatever n is."""
         if self.statistic not in STATISTIC_IDS:
             raise ValueError(f"unknown statistic id {self.statistic!r}")
+        if any(c in self.name for c in ",\r\n"):
+            raise ValueError(f"request name {self.name!r} would break its CSV row")
         self.weights.validate()
         if self.side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
@@ -193,24 +201,6 @@ def replicate_bundle(
     return build_anchored_bundle(seed, n, rep, anchor, depth)
 
 
-def _problem_key(req: StatRequest) -> tuple:
-    """Requests with equal keys share one sup problem on a replicate.
-
-    They differ in nothing but their name and weight exponent (eta, nu or
-    xi), which only the weight reads.
-    """
-    return req.statistic, req.weights.lam, req.weights.t, req.d, req.side, req.rate_c
-
-
-def _solve_group(bundle: Bundle, group: list[StatRequest]) -> list:
-    """One sup problem solved for every request of a ``_problem_key`` group, in one pass."""
-    stat = _PROBLEMS[group[0].statistic]
-    group[0].weights.validate(bundle.n)  # the rest of the group differs only in eta or nu
-    prob = stat.problem(bundle, group[0])
-    weights = [power_weight(bundle.n, stat.exponent(req), prob.weight_kind) for req in group]
-    return solve_weights(bundle, prob, weights)
-
-
 def evaluate_requests(
     requests: list[StatRequest],
     seed: int,
@@ -222,13 +212,15 @@ def evaluate_requests(
 
     Statistics that share a coupling anchor share one bundle, built at most
     once (see ``replicate_bundle``); all requests must use the same t.
-    Requests that differ only in their weight exponent (``_problem_key``)
-    share one sup problem and one evaluation pass; each row equals the
-    request's own ``stat_*`` / ``tail_sup_discrepancy`` /
-    ``censored_weighted_stats`` result bit for bit.
+    Requests that build the same sup problem on it (their registry rows'
+    ``problem``, which leaves out the weight exponent) share one evaluation
+    pass, whatever their statistic: 'cens-h1' is approx4's problem at
+    t = theta.  Each row equals the request's own ``stat_*`` /
+    ``tail_sup_discrepancy`` / ``censored_weighted_stats`` result bit for bit.
     """
     for req in requests:
         req.validate()
+        req.weights.validate(n)
     if len({req.weights.t for req in requests}) > 1:
         raise ValueError("all requests of a replicate must use the same anchor t")
     bundles: dict = {}
@@ -237,12 +229,13 @@ def evaluate_requests(
         anchor = coupling_anchor(req)
         if anchor not in bundles:
             bundles[anchor] = replicate_bundle(req, seed, n, rep, depth)
-        groups.setdefault(_problem_key(req), []).append(i)
+        groups.setdefault((anchor, *_PROBLEMS[req.statistic].problem(req)), []).append(i)
     results: dict = {}
-    for members in groups.values():
-        group = [requests[i] for i in members]
-        bundle = bundles[coupling_anchor(group[0])]
-        results.update(zip(members, _solve_group(bundle, group)))
+    for (anchor, builder, *args), members in groups.items():
+        prob = builder(bundles[anchor], *args)
+        xs = (_PROBLEMS[requests[i].statistic].exponent(requests[i]) for i in members)
+        weights = [power_weight(n, x, prob.weight_kind) for x in xs]
+        results.update(zip(members, solve_weights(bundles[anchor], prob, weights)))
     return [
         ResultRow(
             statistic=req.name, n=n, rep=rep, value=results[i].value,
@@ -267,13 +260,22 @@ def _map_tasks(fn, tasks: list, threads: int) -> list:
     return [fn(task) for task in tasks]
 
 
-def _check_run(requests, n_ladder: list, reps: int, threads: int, refine_depth: int) -> None:
-    """Reject a ladder run before any replicate is scheduled.
+def _check_run(requests, n_ladder, reps, threads: int, refine_depth: int) -> tuple:
+    """Reject a ladder run before any replicate is scheduled; (ladder, reps) as ints.
 
     Every request must validate and carry its own name: rows are keyed by
     name, so a repeated one would mix two requests' values.  A repeated
-    ladder size would evaluate the same replicates twice.
+    ladder size would evaluate the same replicates twice.  Sizes and reps
+    come back as ints; a size, reps or threads that is no integer is rejected.
     """
+    try:
+        n_ladder = [operator.index(n) for n in n_ladder]
+        reps = operator.index(reps)
+        operator.index(threads)
+    except TypeError:
+        raise ValueError(
+            f"ladder sizes {n_ladder}, reps {reps!r} and threads {threads!r} must be integers"
+        ) from None
     for req in requests:
         req.validate()
     names = [req.name for req in requests]
@@ -292,6 +294,7 @@ def _check_run(requests, n_ladder: list, reps: int, threads: int, refine_depth: 
     if min(n_ladder) < 2:
         raise ValueError("all ladder sizes must be >= 2")
     check_refine_depth(refine_depth)
+    return n_ladder, reps
 
 
 def run_requests(
@@ -311,8 +314,7 @@ def run_requests(
     draws of the others.  The whole run is checked before any replicate
     runs (see ``_check_run``).
     """
-    n_ladder = list(n_ladder)
-    _check_run(requests, n_ladder, reps, threads, refine_depth)
+    n_ladder, reps = _check_run(requests, n_ladder, reps, threads, refine_depth)
     tasks = [(requests, seed, n, rep, refine_depth) for n in n_ladder for rep in range(reps)]
     chunks = _map_tasks(_replicate_task, tasks, threads)
     rows = [row for chunk in chunks for row in chunk]
@@ -413,10 +415,13 @@ def rate_normalizer(req: StatRequest, n_ladder) -> np.ndarray:
     nu < 1/4 (Csorgo, Csorgo, Horvath & Mason 1986), but near those limits
     r(n) still rises over desk-scale n and the sups' upper quantiles rise
     with it.  rho is identically 1 unless r rises from the first ladder
-    size.  Needs n >= 3.
+    size.  Needs n >= 3, where log log n > 0.
     """
+    ns = np.asarray(sorted(n_ladder), dtype=float)
+    if ns[0] < 3:
+        raise ValueError(f"rate normalization needs ladder sizes >= 3, got {ns.tolist()}")
     stat = _PROBLEMS[req.statistic]
-    rate = stat.rate(np.asarray(sorted(n_ladder), dtype=float), stat.exponent(req))
+    rate = stat.rate(ns, stat.exponent(req))
     return np.maximum.accumulate(np.maximum(rate / rate[0], 1.0))
 
 
@@ -778,8 +783,7 @@ def sanity_global_sup(
     flat in n; the pass condition is max/min median ratio <= 3.  The ladder,
     reps, threads and depth are checked up front, as in ``run_requests``.
     """
-    n_ladder = list(n_ladder)
-    _check_run([], n_ladder, reps, threads, refine_depth)
+    n_ladder, reps = _check_run([], n_ladder, reps, threads, refine_depth)
     tasks = [(seed, n, rep, t, refine_depth) for n in n_ladder for rep in range(reps)]
     vals = _map_tasks(_global_sup_task, tasks, threads)
     medians, normalized = [], []

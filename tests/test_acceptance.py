@@ -205,6 +205,21 @@ def test_criterion_5_rate_normalizer():
         assert np.all(np.diff(rho) >= 0.0)
 
 
+def test_rate_normalizer_rejects_sizes_below_3():
+    """Below n = 3 log log n < 0 and r(n) is NaN: the verdict raises instead of failing."""
+    req = ec.StatRequest("approx2", "approx2", ec.WeightConfig(lam=0.5))
+    assert np.all(np.isfinite(rate_normalizer(req, [3, 4, 8])))
+    with pytest.raises(ValueError, match=">= 3"):
+        rate_normalizer(req, [2, 4, 8])
+    rows = [
+        ec.ResultRow(req.name, n, rep, 1.0 + rep / 20, 0.0, SEED)
+        for n in (2, 4, 8)
+        for rep in range(20)
+    ]
+    with pytest.raises(ValueError, match=">= 3"):
+        ec.tightness_verdicts(rows, [req])
+
+
 def test_criterion_6_ineq1_shape(capsys):
     """Exponential decay of the tail-interval exceedance in x at n=2^12, d=64."""
     est = ec.estimate_ineq1(

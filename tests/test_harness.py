@@ -33,6 +33,7 @@ from empcouple.processes import AnchoredBundle, ProcessBundle
 from empcouple.rng import RngStream, derive_stream
 from empcouple.supstats import (
     WeightConfig,
+    solve_weights,
     stat_empirical_full,
     stat_empirical_increment,
     stat_quantile_full,
@@ -59,6 +60,10 @@ def test_config_validation(monkeypatch):
         dict(n_ladder=(1, 4)),
         dict(n_ladder=(8, 4)),
         dict(n_ladder=(64, 64)),
+        dict(n_ladder=(64.0,)),
+        dict(n_ladder=("64",)),
+        dict(reps=2.0),
+        dict(threads=2.0),
     ]
     for kw in bad_runs:
         run = dict(n_ladder=(4,), reps=1, threads=1) | kw
@@ -82,6 +87,26 @@ def test_repeated_request_names_rejected(monkeypatch):
             run_requests(reqs, (64,), 2, seed=1)
     with pytest.raises(ValueError, match="repeated request names"):
         estimate_ineq1(64, [4.0, 4.0], [1.0], reps=5, seed=0)
+
+
+def test_request_names_that_break_the_csv_rejected(monkeypatch):
+    # a comma or line break in a name would split its CSV row
+    monkeypatch.setattr(harness, "_map_tasks", _no_scheduling)
+    for name in ("approx1,eta=0.25", "approx1\n", "approx1\r"):
+        with pytest.raises(ValueError, match="CSV"):
+            run_requests([StatRequest(name, "approx1")], (64,), 2, seed=1)
+
+
+def test_numpy_integer_ladder_accepted():
+    # numpy integers are taken as Python ints, so the CSV bytes stay those of
+    # a list ladder (float sizes and reps: ``test_config_validation``)
+    ladder = np.array([16, 32])
+    assert rows_to_csv(run_requests([_REQ], ladder, np.int64(2), 1)) == rows_to_csv(
+        run_requests([_REQ], [16, 32], 2, 1)
+    )
+    report = sanity_global_sup(ladder, np.int64(2), 3)
+    assert report == sanity_global_sup([16, 32], 2, 3)
+    assert all(type(n) is int for n in report.n_ladder)
 
 
 def test_estimate_ineq1_close_tail_widths():
@@ -391,6 +416,24 @@ def test_grouped_evaluation_matches_public_calls(lam, t):
             assert [r.statistic for r in rows] == [req.name for req in order]
             for req, row in zip(order, rows):
                 assert (row.value, row.arg_s) == expected[req], req
+
+
+@pytest.mark.parametrize("lam,t,solves", [(1.0, 0.5, 5), (1.2, 0.3, 6)])
+def test_one_solve_per_sup_problem(monkeypatch, lam, t, solves):
+    # the 14 criterion-5 requests build six sup problems, one per statistic,
+    # but cens-h1 is approx4's problem at t = theta = 1/(1 + c): at c = 1
+    # and t = 1/2 the two are solved once
+    calls = []
+
+    def counted(bundle, prob, weights):
+        calls.append(len(weights))
+        return solve_weights(bundle, prob, weights)
+
+    monkeypatch.setattr(harness, "solve_weights", counted)
+    requests = _sweep_requests(lam, t)[:14]
+    evaluate_requests(requests, 3, 64, 1)
+    assert len(calls) == solves
+    assert sum(calls) == len(requests)
 
 
 # sha256 of rows_to_csv of ``_sweep_requests`` at (lam, t), by (ladder, reps),

@@ -368,6 +368,19 @@ def test_weight_variants_share_lookups(monkeypatch, stat, field):
     assert three[0] == one[0]
 
 
+def test_cens_h1_shares_approx4_lookups(monkeypatch):
+    # cens-h1 at c = 1 is approx4's sup problem at t = theta = 1/2: together
+    # they cost the lookups of approx4 alone, and each row is its solo row
+    counter = _LookupCounter(monkeypatch)
+    approx4 = StatRequest("approx4-nu0.1", "approx4", WeightConfig(nu=0.1))
+    cens = StatRequest("cens-h1", "cens-h1", rate_c=1.0, xi_exp=0.1)
+    solo_approx4, counts_approx4 = counter.during(evaluate_requests, [approx4], 3, 64, 1)
+    solo_cens, _ = counter.during(evaluate_requests, [cens], 3, 64, 1)
+    both, counts_both = counter.during(evaluate_requests, [approx4, cens], 3, 64, 1)
+    assert counts_both == counts_approx4
+    assert both == solo_approx4 + solo_cens
+
+
 def _every_problem(lam, t, n, seed=4):
     """(bundle, problem) for every builder on both bundle kinds, both tail
     sides, and the censored pair."""

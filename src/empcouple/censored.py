@@ -272,14 +272,19 @@ def survival_representation_check(
     return reports
 
 
+def censored_domain(n: int, model: CensoringModel, lam: float) -> tuple[float, float]:
+    """[theta, 1 - lam/n], the domain of 'cens-h0'; ValueError where it is empty."""
+    if not lam / n < 1.0 - model.theta:
+        raise ValueError(f"empty censored-part domain: lam/n = {lam / n} >= 1 - theta")
+    return model.theta, 1.0 - lam / n
+
+
 def problem_censored_part(
     bundle: Bundle, model: CensoringModel, xi_exp: float, lam: float = 1.0
 ) -> SupProblem:
     """'cens-h0' on ``bundle`` (see ``censored_sup_problems``)."""
-    if not lam / bundle.n < 1.0 - model.theta:
-        raise ValueError("empty censored-part domain")
     weight = power_weight(bundle.n, xi_exp, "one-minus-s")
-    return empirical_range_problem(bundle, model.theta, 1.0 - lam / bundle.n, *weight)
+    return empirical_range_problem(bundle, *censored_domain(bundle.n, model, lam), *weight)
 
 
 def censored_sup_problems(

@@ -136,6 +136,17 @@ class CoupledPath:
             self._fine = fine
             self.refinement_depth = level
 
+    def grid(self, depth: int) -> np.ndarray:
+        """View of W on the dyadic grid of step 2**-depth over [0, extent].
+
+        Entry i is W(i 2**-depth), the value ``values_at`` reads on [i, i + 1)
+        2**-depth.  Requires a prior ``freeze`` at least as deep.
+        """
+        check_refine_depth(depth)
+        if self._fine is None or depth > self.refinement_depth:
+            raise ValueError(f"path not frozen to depth {depth}")
+        return self._fine[:: 1 << (self.refinement_depth - depth)]
+
     def values_at(self, t: np.ndarray, depth: int | None = None) -> np.ndarray:
         """Vectorized dyadic-grid lookup of W over [0, extent].
 

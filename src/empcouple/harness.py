@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import stats as sps
 
-from .censored import CensoringModel, problem_censored_part
+from .censored import CensoringModel, censored_domain, problem_censored_part
 from .coupling import check_refine_depth, snap_to_integer
 from .numerics import gamma2_tail
 from .processes import DEFAULT_REFINE_DEPTH, AnchoredBundle, Bundle, ProcessBundle
@@ -38,6 +38,8 @@ from .rng import RngStream, derive_stream
 from .supstats import (
     WeightConfig,
     empirical_window_problem,
+    full_domain,
+    increment_domain,
     power_weight,
     problem_empirical_full,
     problem_empirical_increment,
@@ -45,8 +47,10 @@ from .supstats import (
     problem_quantile_increment,
     problem_restricted,
     problem_tail,
+    restricted_count,
     solve,
     solve_weights,
+    tail_domain,
 )
 
 CSV_HEADER = "statistic,n,rep,value,arg_s,seed"
@@ -108,6 +112,18 @@ _PROBLEMS = {
 }
 
 STATISTIC_IDS = tuple(_PROBLEMS)
+
+# Each problem builder's domain rule, on n and the builder's arguments (see
+# ``_check_run``).
+_DOMAINS = {
+    problem_quantile_full: lambda n, cfg: full_domain(n, cfg.lam),
+    problem_empirical_full: lambda n, cfg: full_domain(n, cfg.lam),
+    problem_quantile_increment: lambda n, cfg: increment_domain(n, cfg.lam, cfg.t),
+    problem_empirical_increment: lambda n, cfg: increment_domain(n, cfg.lam, cfg.t),
+    problem_restricted: lambda n, cfg: restricted_count(n, cfg.t),
+    problem_tail: tail_domain,
+    problem_censored_part: lambda n, model, xi_exp, lam: censored_domain(n, model, lam),
+}
 
 
 @dataclass(frozen=True)
@@ -267,6 +283,7 @@ def _check_run(requests, n_ladder, reps, threads: int, refine_depth: int) -> tup
     name, so a repeated one would mix two requests' values.  A repeated
     ladder size would evaluate the same replicates twice.  Sizes and reps
     come back as ints; a size, reps or threads that is no integer is rejected.
+    Every request's sup domain must be nonempty at every ladder size.
     """
     try:
         n_ladder = [operator.index(n) for n in n_ladder]
@@ -294,6 +311,14 @@ def _check_run(requests, n_ladder, reps, threads: int, refine_depth: int) -> tup
     if min(n_ladder) < 2:
         raise ValueError("all ladder sizes must be >= 2")
     check_refine_depth(refine_depth)
+    for req in requests:
+        builder, *args = _PROBLEMS[req.statistic].problem(req)
+        for n in n_ladder:
+            try:
+                req.weights.validate(n)
+                _DOMAINS[builder](n, *args)
+            except ValueError as err:
+                raise ValueError(f"request {req.name!r} at n={n}: {err}") from None
     return n_ladder, reps
 
 
@@ -557,9 +582,6 @@ def estimate_ineq1(
     x_grid = [float(x) for x in x_grid]
     if not d_grid or not x_grid:
         raise ValueError("d_grid and x_grid must be nonempty")
-    for d in d_grid:
-        if not 1.0 <= d <= n:
-            raise ValueError(f"d={d} outside [1, n]")
     for d in d_grid:
         for x in x_grid:
             if not 0.0 <= x <= math.sqrt(d):

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import stats as sps
@@ -82,15 +83,32 @@ def floor_combination(n: int, s: float, t: float) -> int:
     return out
 
 
+class Run(NamedTuple):
+    """An ascending run of breakpoints that carry integer grid indices.
+
+    ``x[i]`` is the grid point of index ``first + step * i``.  ``cells`` is
+    the ``ProcessBundle`` whose W_n cells (``w_cells``) the bridge reads
+    between these points, or None where it reads none.
+    """
+
+    x: np.ndarray
+    first: int
+    step: int
+    cells: "ProcessBundle | None"
+
+
 class _SampleProcesses:
     """Empirical/quantile evaluators shared by both bundle kinds.
 
     Subclasses provide ``n``, ``t``, ``U`` (with U_0 = 0) and ``depth``, plus
-    the bridge methods ``bridge_piece``, ``bridge_increment``, ``jump_grid``
-    and ``increment_jump_grid`` that the sup statistics evaluate.  The bridge
-    methods are piece factories: called on the abscissae ``s_piece`` of a set
-    of pieces, they do the grid lookups once and return ``s -> values``,
-    which is linear in s on each piece.
+    the bridge methods ``bridge_piece``, ``bridge_increment``, ``jump_grid``,
+    ``increment_jump_grid`` and ``grid_runs`` that the sup statistics
+    evaluate.  The bridge methods are piece factories: called on the
+    abscissae ``s_piece`` of a set of pieces, they do the grid lookups once
+    and return ``s -> values``, which is linear in s on each piece.  Given
+    ``cells``, the W_n values of the pieces already read by index (one array
+    per run of ``grid_runs`` that carries ``cells``), they skip the lookups
+    and use ``s_piece`` only to place the pieces about the anchor.
     """
 
     n: int
@@ -172,13 +190,40 @@ class ProcessBundle(_SampleProcesses):
             out[hi] = w1_h + w2_g - self.path2.values_at((self.n + 1) - z[hi], self.depth)
         return out
 
-    def bridge_piece(self, s_piece):
+    def w_cells(self, j: np.ndarray) -> np.ndarray:
+        """W_n inside the grid cells (j, j + 1) 2^-depth, read by index from the paths.
+
+        That is the value ``w_n`` takes at every point of the open cell.  Cells
+        outside [0, (n+1) 2^depth) are clipped to the nearest one.  Only the
+        paths' grid over the cells asked for is read.
+        """
+        d = self.depth
+        hd, top = self.h << d, ((self.n + 1) << d) - 1
+        if j.size == 0:
+            return np.empty(0)
+        c0, c1 = sorted((int(j[0]), int(j[-1])))  # j is monotone along the pieces
+        if c0 < 0 or c1 > top:
+            j = np.clip(j, 0, top)
+            c0, c1 = min(max(c0, 0), top), max(min(c1, top), 0)
+        v1, v2 = self.path1.grid(d), self.path2.grid(d)
+        w1_h = v1[hd]
+        parts = []
+        if c0 < hd:
+            parts.append(w1_h - v1[hd - 1 - min(c1, hd - 1) : hd - c0][::-1])
+        if c1 >= hd:
+            parts.append(w1_h + v2[self.g << d] - v2[top - c1 : top + 1 - max(c0, hd)][::-1])
+        return (parts[0] if len(parts) == 1 else np.concatenate(parts))[j - c0]
+
+    def bridge_piece(self, s_piece, cells=None):
         """s -> bridge n^{-1/2} (s W_n(n) - W_n(s n)), with the W_n lookup done once at s_piece.
 
         Between jump points the bridge is linear in s; resolving the grid
         lookup at a point of the adjacent piece gives the one-sided limit.
         """
-        w_val = self.w_n(np.asarray(s_piece, dtype=float) * self.n)
+        if cells is None:
+            w_val = self.w_n(np.asarray(s_piece, dtype=float) * self.n)
+        else:
+            w_val = cells[0]
         sqn = np.sqrt(self.n)
         return lambda s: (np.asarray(s, dtype=float) * self.w_nn - w_val) / sqn
 
@@ -194,15 +239,18 @@ class ProcessBundle(_SampleProcesses):
         w_anchor = float(self.w_n(np.asarray([anchor * self.n]))[0])
         past = (anchor * self.w_nn - w_anchor) / sqn
 
-        def piece(s_piece):
-            sp = np.asarray(s_piece, dtype=float)
-            if sp.size == 0 or sp.max() < anchor:
-                w_shift = self.w_n((anchor - sp) * self.n)
-                return lambda s: (s * self.w_nn - w_anchor + w_shift) / sqn
-            shift = anchor - sp
+        def piece(s_piece, cells=None):
+            shift = anchor - np.asarray(s_piece, dtype=float)
             pos = shift > 0.0
-            w_shift = np.zeros_like(shift)
-            w_shift[pos] = self.w_n(shift[pos] * self.n)
+            if cells is not None:
+                w_shift = cells[0]
+            elif pos.all():
+                w_shift = self.w_n(shift * self.n)
+            else:
+                w_shift = np.zeros_like(shift)
+                w_shift[pos] = self.w_n(shift[pos] * self.n)
+            if pos.all():
+                return lambda s: (s * self.w_nn - w_anchor + w_shift) / sqn
             return lambda s: np.where(pos, (s * self.w_nn - w_anchor + w_shift) / sqn, past)
 
         return piece
@@ -215,10 +263,28 @@ class ProcessBundle(_SampleProcesses):
         with floor(lo n 2^depth) - 1 <= j <= ceil(hi n 2^depth) + 1 are built:
         the same floats as the full grid's, a superset of those in [lo, hi].
         """
-        den = self.n * (1 << self.depth)
-        j0 = max(0, math.floor(lo * den) - 1)
-        j1 = min(den, math.ceil(hi * den) + 1)
+        den, j0, j1 = self._grid_span(lo, hi)
         return np.arange(j0, j1 + 1) / den
+
+    def _grid_span(self, lo: float, hi: float) -> tuple[int, int, int]:
+        """(den, j0, j1): ``jump_grid(lo, hi)`` is j / den for j0 <= j <= j1."""
+        den = self.n << self.depth
+        return den, max(0, math.floor(lo * den) - 1), min(den, math.ceil(hi * den) + 1)
+
+    def grid_runs(self, anchor: float | None, lo: float, hi: float) -> list[Run]:
+        """``jump_grid(lo, hi)`` and, for a window increment at ``anchor``,
+        ``increment_jump_grid(anchor, lo, hi)`` as ascending runs.
+
+        The bridge reads W_n cell j between grid points j and j + 1, and the
+        window increment cell j between the increment grid's anchor - (j + 1)
+        / den and anchor - j / den; the run it reads carries this bundle.
+        """
+        den, j0, j1 = self._grid_span(lo, hi)
+        grid = Run(np.arange(j0, j1 + 1) / den, j0, 1, self if anchor is None else None)
+        if anchor is None:
+            return [grid]
+        den, j0, j1 = self._grid_span(anchor - hi, anchor - lo)
+        return [grid, Run((anchor - np.arange(j0, j1 + 1) / den)[::-1], j1, -1, self)]
 
     def increment_jump_grid(
         self, anchor: float, lo: float | None = None, hi: float | None = None
@@ -328,7 +394,7 @@ class AnchoredBundle(_SampleProcesses):
     U: np.ndarray
     depth: int
 
-    def bridge_piece(self, s_piece):
+    def bridge_piece(self, s_piece, cells=None):
         """s -> spliced bridge at s, with the block lookups done once at s_piece.
 
         s must have the shape of s_piece.
@@ -337,8 +403,12 @@ class AnchoredBundle(_SampleProcesses):
         t = self.t
         low = sp <= t
         high = ~low
-        below = self.below.bridge_piece(1.0 - sp[low] / t)
-        above = self.above.bridge_piece((sp[high] - t) / (1.0 - t))
+        if cells is None:
+            below = self.below.bridge_piece(1.0 - sp[low] / t)
+            above = self.above.bridge_piece((sp[high] - t) / (1.0 - t))
+        else:
+            below = self.below.bridge_piece(None, [cells[0][low]])
+            above = self.above.bridge_piece(None, [cells[1][high]])
 
         def at(s) -> np.ndarray:
             s = np.asarray(s, dtype=float)
@@ -359,13 +429,15 @@ class AnchoredBundle(_SampleProcesses):
         t = self.t
         root_t = math.sqrt(t)
 
-        def piece(s_piece):
+        def piece(s_piece, cells=None):
             sp = np.asarray(s_piece, dtype=float)
-            below = self.below.bridge_piece(np.minimum(sp / t, 1.0))
+            below = self.below.bridge_piece(np.minimum(sp / t, 1.0), cells)
             inside = sp < t
 
             def at(s) -> np.ndarray:
                 u = np.asarray(s, dtype=float) / t
+                if inside.all():
+                    return u * self.b_anchor + root_t * below(u)
                 return np.where(inside, u * self.b_anchor + root_t * below(u), self.b_anchor)
 
             return at
@@ -381,14 +453,34 @@ class AnchoredBundle(_SampleProcesses):
         a padded superset of the full grid's points in [lo, hi], as the same
         floats.
         """
+        return np.concatenate([run.x for run in self.grid_runs(None, lo, hi)])
+
+    def grid_runs(self, anchor: float | None, lo: float, hi: float) -> list[Run]:
+        """``jump_grid(lo, hi)`` and, for a window increment at the anchor,
+        ``increment_jump_grid(anchor, lo, hi)`` as ascending runs.
+
+        The bridge reads W_n cells of ``below`` between the points t - t x of
+        its grid and of ``above`` between the points t + (1 - t) x of its
+        grid; the window increment reads cells of ``below`` between the points
+        t x of its grid.  Those runs carry the block whose cells they read.
+        """
         t = self.t
-        below = self.below.jump_grid(1.0 - hi / t, 1.0 - lo / t)
-        above = self.above.jump_grid((lo - t) / (1.0 - t), (hi - t) / (1.0 - t))
+        bridge = anchor is None
+        den, b0, b1 = self.below._grid_span(1.0 - hi / t, 1.0 - lo / t)
+        below = np.arange(b0, b1 + 1) / den
+        den, a0, a1 = self.above._grid_span((lo - t) / (1.0 - t), (hi - t) / (1.0 - t))
         k0 = max(0, math.floor(lo * self.n) - 1)
         k1 = min(self.n, math.ceil(hi * self.n) + 1)
-        return np.concatenate(
-            [t - t * below, t + (1.0 - t) * above, np.arange(k0, k1 + 1) / self.n]
-        )
+        runs = [
+            Run((t - t * below)[::-1], b1, -1, self.below if bridge else None),
+            Run(t + (1.0 - t) * (np.arange(a0, a1 + 1) / den), a0, 1, self.above if bridge else None),
+            Run(np.arange(k0, k1 + 1) / self.n, k0, 1, None),
+        ]
+        if not bridge:
+            self._check_anchor(anchor)
+            den, i0, i1 = self.below._grid_span(lo / t, hi / t)
+            runs.append(Run(t * (np.arange(i0, i1 + 1) / den), i0, 1, self.below))
+        return runs
 
     def increment_jump_grid(
         self, anchor: float, lo: float | None = None, hi: float | None = None

@@ -11,8 +11,8 @@ Breakpoints are: the bundle's jump grid (``jump_grid``: where the bridge
 lookup or the lattice index k/n can change), the jump points of the bridge
 lookups of a window increment (``increment_jump_grid``), the jump points of
 whichever step process appears in the numerator, and the domain endpoints.
-One-sided limits are evaluated by resolving all piecewise lookups at the
-midpoint of the adjacent interval and then plugging in the endpoint abscissa.
+One-sided limits are evaluated by resolving all piecewise lookups on the
+adjacent interval and then plugging in the endpoint abscissa.
 
 Point values are evaluated at the closed endpoints and at every jump of the
 numerator's step process (k/n, t - k/n, U_k or t - U_k).  Elsewhere the step
@@ -25,10 +25,27 @@ point values gives the *exact* supremum of the discretized processes.
 
 Every lookup (the bridge value W_n, the lattice index [sn], the ECDF count)
 is done once per piece: a numerator is a piece factory that resolves its
-lookups at the midpoints and returns s -> values, evaluated at both ends of
-each piece; the point values take one more pass.  The weight enters only
-after |numerator|, so several weights of one numerator and domain (the
-eta or nu variants of a statistic) share one pass (``solve_weights``).
+lookups on a piece and returns s -> values, evaluated at both ends of each
+piece; the point values take one more pass, at their float abscissae.  The
+weight enters only after |numerator|, so several weights of one numerator
+and domain (the eta or nu variants of a statistic) share one pass
+(``solve_weights``), and each weight's base s(1-s), s or 1-s is computed
+once per block.
+
+Every breakpoint but the step jumps and the domain ends is a grid point of
+known integer index, and the lookups are read from those indices, not from
+float midpoints.  A block's breakpoints are a stable, de-duplicated merge of
+sorted runs (``_blocks``): its ends, the bundle's grid runs (``grid_runs``:
+the jump grid j / (n 2^depth), or on ``AnchoredBundle`` its blocks' grids
+mapped onto [0, t] and [t, 1], and the window increment's grid) and the step
+jumps.  How many points of each run lie at or before a piece gives its
+lookups: the W_n cell, by index into the paths' refined grids
+(``w_cells``), and the lattice index or ECDF count, from the step jumps
+before it.  A piece narrower than ``_NARROW`` keeps the lookups at its
+float midpoint, as ``numerator(mid)`` does: its ends are floats a few ulp
+apart, such as t - t x and t x' on ``AnchoredBundle``, or an increment
+grid point one ulp off the grid, and rounding may put its midpoint in
+either neighbouring cell.
 
 The domain is solved block by block.  Block edges are lo, every k-th step
 jump inside (lo, hi) and hi, with k chosen so that a block holds about
@@ -45,13 +62,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .processes import Bundle
+from .processes import Bundle, Run
 
 # Dyadic grid points per block of the sup domain (see ``_block_edges``).
 _BLOCK_POINTS = 1 << 16
+
+# Pieces narrower than this keep the lookups at their float midpoint; wider
+# ones read them by index (see ``_blocks``).  The midpoint lookups round and
+# snap within a few dozen ulp of 1 in s, far inside this margin, so on a
+# wider piece they find the cell the run counts give.
+_NARROW = 2.0**-36
 
 
 @dataclass(frozen=True)
@@ -127,17 +151,23 @@ def power_weight(n: int, x: float, kind) -> tuple:
     return 0.5 - x, kind, n**x
 
 
-def _weight_power(s, weight_exp, weight_kind):
-    """w(s)^weight_exp for w(s) = s(1-s), s or 1-s; None for no weight (kind None)."""
+def _weight_base(s, weight_kind):
+    """w(s) = s(1-s), s or 1-s; None for no weight (kind None)."""
     if weight_kind is None:
         return None
     if weight_kind == "sym":
-        return (s * (1.0 - s)) ** weight_exp
+        return s * (1.0 - s)
     if weight_kind == "s":
-        return s**weight_exp
+        return s
     if weight_kind == "one-minus-s":
-        return (1.0 - s) ** weight_exp
+        return 1.0 - s
     raise ValueError(weight_kind)
+
+
+def _weight_power(s, weight_exp, weight_kind):
+    """w(s)^weight_exp (see ``_weight_base``); None for no weight."""
+    base = _weight_base(s, weight_kind)
+    return None if base is None else base**weight_exp
 
 
 def _weigh(abs_num, wpow, scale) -> np.ndarray:
@@ -158,15 +188,92 @@ def _block_edges(bundle: Bundle, prob: SupProblem, jumps: np.ndarray) -> np.ndar
     return np.concatenate([[prob.lo], inside[k - 1 :: k], [prob.hi]])
 
 
-def _breakpoints(bundle: Bundle, prob: SupProblem, a: float, b: float, jumps) -> np.ndarray:
-    """Sorted breakpoints in the block [a, b]: its ends, the bundle's jump grid,
-    the window increment's grid and the (sorted) step jumps there."""
-    parts = [[a, b], bundle.jump_grid(a, b)]
-    if prob.anchor is not None:
-        parts.append(bundle.increment_jump_grid(prob.anchor, a, b))
-    parts.append(jumps[np.searchsorted(jumps, a) : np.searchsorted(jumps, b, "right")])
-    pts = np.concatenate(parts)
-    return np.unique(pts[(pts >= a) & (pts <= b)])
+class Index(NamedTuple):
+    """Lookups of a block's pieces, read from the run counts (see ``_blocks``)."""
+
+    steps: np.ndarray  # step jumps at or before each piece's left end
+    cells: list | None  # W_n of each piece, one array per run that carries ``cells``
+    jumps: np.ndarray  # the problem's step jumps, sorted, repeats kept
+
+
+def _merge(runs: list, counted: list) -> tuple[np.ndarray, list]:
+    """Distinct values of the ascending ``runs``, merged in order, and for each
+    run in ``counted`` how many of its points lie at or before each value but
+    the last."""
+    x = np.concatenate(runs)
+    order = np.argsort(x, kind="stable")
+    x = x[order]
+    last = np.flatnonzero(np.append(x[1:] != x[:-1], True))
+    if not counted:
+        return x[last], []
+    run_of = np.repeat(np.arange(len(runs), dtype=np.int8), [r.size for r in runs])[order]
+    return x[last], [np.cumsum(run_of == i, dtype=np.int32)[last[:-1]] for i in counted]
+
+
+def _trim(run: Run, a: float, b: float) -> Run:
+    """The points of ``run`` in [a, b]."""
+    i = int(np.searchsorted(run.x, a))
+    return run._replace(x=run.x[i : np.searchsorted(run.x, b, "right")], first=run.first + run.step * i)
+
+
+def _blocks(bundle: Bundle, prob: SupProblem):
+    """Sorted breakpoints of each block, with the index lookups of its pieces.
+
+    A block's breakpoints are its ends, the bundle's grid runs (``grid_runs``:
+    the jump grid, and the window increment's grid) and the step jumps in it,
+    merged from these sorted runs.  For a numerator that reads an index
+    (``indexed``) the piece after the c-th point of a run that carries
+    ``cells`` lies in W_n cell first + c - 1 (ascending index) or first - c
+    (descending), and ``steps`` counts the step jumps at or before it; else
+    the index is None.
+    """
+    steps = np.sort(prob.step_jumps)  # repeats kept: they count
+    jumps = steps[np.append(True, steps[1:] != steps[:-1])]
+    indexed = getattr(prob.numerator, "indexed", False)
+    edges = _block_edges(bundle, prob, jumps)
+    for a, b in zip(edges[:-1], edges[1:]):
+        s0 = int(np.searchsorted(steps, a))
+        runs = [_trim(run, a, b) for run in bundle.grid_runs(prob.anchor, a, b)]
+        cell_runs = [i for i, run in enumerate(runs) if run.cells is not None]
+        pts, counts = _merge(
+            [np.array([a, b]), steps[s0 : np.searchsorted(steps, b, "right")], *(r.x for r in runs)],
+            [1, *(i + 2 for i in cell_runs)] if indexed else [],
+        )
+        if not indexed:
+            yield pts, None
+            continue
+        cells = []
+        for i, c in zip(cell_runs, counts[1:]):
+            run = runs[i]
+            cells.append(run.cells.w_cells(run.first + c - 1 if run.step > 0 else run.first - c))
+        yield pts, Index(s0 + counts[0], cells, steps)
+
+
+def _abs_limits(prob: SupProblem, pts: np.ndarray, index: Index | None) -> tuple:
+    """|numerator| right limits at pts[:-1] and left limits at pts[1:].
+
+    With an index, a piece narrower than ``_NARROW`` takes its W_n lookup at
+    its float midpoint, and its step lookup too where a step jump lies
+    within ``_NARROW`` of it: these are the lookups a float rounding may
+    move to a neighbouring cell.
+    """
+    p, q = pts[:-1], pts[1:]
+    mid = 0.5 * (p + q)
+    if index is None:
+        limits = prob.numerator(mid)
+        return np.abs(limits(p)), np.abs(limits(q))
+    limits = prob.numerator(mid, index)
+    right, left = np.abs(limits(p)), np.abs(limits(q))
+    narrow = np.flatnonzero(q - p < _NARROW)
+    if narrow.size:
+        steps, jumps = index.steps[narrow], index.jumps
+        below = np.where(steps > 0, jumps[np.maximum(steps - 1, 0)], -math.inf)
+        above = np.where(steps < jumps.size, jumps[np.minimum(steps, jumps.size - 1)], math.inf)
+        far = (p[narrow] - below >= _NARROW) & (above - q[narrow] >= _NARROW)
+        for k, idx in ((narrow[far], Index(steps[far], None, jumps)), (narrow[~far], None)):
+            limits = prob.numerator(mid[k]) if idx is None else prob.numerator(mid[k], idx)
+            right[k], left[k] = np.abs(limits(p[k])), np.abs(limits(q[k]))
+    return right, left
 
 
 def solve_weights(bundle: Bundle, prob: SupProblem, weights) -> list[WeightedSupResult]:
@@ -179,18 +286,16 @@ def solve_weights(bundle: Bundle, prob: SupProblem, weights) -> list[WeightedSup
     """
     if not prob.lo < prob.hi:
         raise ValueError(f"empty sup domain [{prob.lo}, {prob.hi})")
-    jumps = np.unique(prob.step_jumps)
     best = {side: [(-math.inf, prob.lo)] * len(weights) for side in ("right", "left")}
     pieces = 0
-    edges = _block_edges(bundle, prob, jumps)
-    for a, b in zip(edges[:-1], edges[1:]):
-        pts = _breakpoints(bundle, prob, a, b, jumps)
+    for pts, index in _blocks(bundle, prob):
         p, q = pts[:-1], pts[1:]
         pieces += p.size
-        limits = prob.numerator(0.5 * (p + q))
-        abs_right, abs_left = np.abs(limits(p)), np.abs(limits(q))
+        abs_right, abs_left = _abs_limits(prob, pts, index)
+        bases = {kind: _weight_base(pts, kind) for kind in {w[1] for w in weights}}
         for i, (weight_exp, weight_kind, scale) in enumerate(weights):
-            wpow = _weight_power(pts, weight_exp, weight_kind)
+            base = bases[weight_kind]
+            wpow = None if base is None else base**weight_exp
             for side, s, abs_num, cut in (
                 ("right", p, abs_right, slice(None, -1)),
                 ("left", q, abs_left, slice(1, None)),
@@ -225,28 +330,44 @@ def solve(bundle: Bundle, prob: SupProblem) -> WeightedSupResult:
 #
 # Each numerator is a piece factory: num(s_piece) does its lookups once at
 # s_piece and returns s -> values, which is linear in s on each piece.
+# num(s_piece, index) takes them from an ``Index`` instead, for pieces with
+# midpoints s_piece; such numerators are marked ``indexed``.  Their step
+# jumps, sorted, are the jumps of the step process they read.
+
+
+def _indexed(piece):
+    piece.indexed = True
+    return piece
 
 
 def _beta_minus_bridge(bundle: Bundle):
     sqn = np.sqrt(bundle.n)
 
-    def piece(s_piece):
-        bridge = bundle.bridge_piece(s_piece)
-        u = bundle.U[bundle.lattice_index(s_piece)]
+    def piece(s_piece, index=None):
+        if index is None:
+            bridge = bundle.bridge_piece(s_piece)
+            u = bundle.U[bundle.lattice_index(s_piece)]
+        else:  # steps: the k / n, k = 0..n, at or before the piece
+            bridge = bundle.bridge_piece(s_piece, index.cells)
+            u = bundle.U[index.steps - 1]
         return lambda s: sqn * (s - u) - bridge(s)
 
-    return piece
+    return _indexed(piece)
 
 
 def _alpha_minus_bridge(bundle: Bundle):
     sqn = np.sqrt(bundle.n)
 
-    def piece(s_piece):
-        frac = bundle.ecdf_count(s_piece) / bundle.n
-        bridge = bundle.bridge_piece(s_piece)
+    def piece(s_piece, index=None):
+        if index is None:
+            frac = bundle.ecdf_count(s_piece) / bundle.n
+            bridge = bundle.bridge_piece(s_piece)
+        else:  # steps: the U_k at or before the piece
+            frac = index.steps / bundle.n
+            bridge = bundle.bridge_piece(s_piece, index.cells)
         return lambda s: sqn * (frac - s) - bridge(s)
 
-    return piece
+    return _indexed(piece)
 
 
 def _beta_increment_minus_bridge(bundle: Bundle, anchor: float):
@@ -260,13 +381,17 @@ def _beta_increment_minus_bridge(bundle: Bundle, anchor: float):
     beta_anchor = float(bundle.quantile_process(np.asarray([anchor]))[0])
     bridge_inc = bundle.bridge_increment(anchor)
 
-    def piece(s_piece):
+    def piece(s_piece, index=None):
         sp = np.asarray(s_piece, dtype=float)
-        u = bundle.U[bundle.lattice_index(anchor - sp)]
-        inc = bridge_inc(sp)
+        if index is None:
+            u = bundle.U[bundle.lattice_index(anchor - sp)]
+            inc = bridge_inc(sp)
+        else:  # steps: the anchor - k / n at or before the piece, k = n..0
+            u = bundle.U[np.clip(bundle.n - index.steps, 0, bundle.n)]
+            inc = bridge_inc(sp, index.cells)
         return lambda s: (beta_anchor - sqn * ((anchor - s) - u)) - inc(s)
 
-    return piece
+    return _indexed(piece)
 
 
 def _alpha_increment_minus_bridge(bundle: Bundle, anchor: float):
@@ -278,24 +403,62 @@ def _alpha_increment_minus_bridge(bundle: Bundle, anchor: float):
     alpha_anchor = float(bundle.empirical_process(np.asarray([anchor]))[0])
     bridge_inc = bundle.bridge_increment(anchor)
 
-    def piece(s_piece):
+    def piece(s_piece, index=None):
         sp = np.asarray(s_piece, dtype=float)
-        frac = bundle.ecdf_count(anchor - sp) / bundle.n
-        inc = bridge_inc(sp)
+        if index is None:
+            frac = bundle.ecdf_count(anchor - sp) / bundle.n
+            inc = bridge_inc(sp)
+        else:  # steps: the anchor - U_k at or before the piece, k = n..1
+            frac = (bundle.n - index.steps) / bundle.n
+            inc = bridge_inc(sp, index.cells)
         return lambda s: (alpha_anchor - sqn * (frac - (anchor - s))) - inc(s)
 
-    return piece
+    return _indexed(piece)
 
 
-# -- public statistics -----------------------------------------------------
+# -- domain rules ----------------------------------------------------------
+#
+# Each raises ValueError where a statistic's sup domain is empty at size n.
+# The problem builders apply them to the bundle; the harness applies them at
+# every ladder size before any replicate is scheduled.
 
 
-def _full_domain(bundle: Bundle, cfg: WeightConfig) -> tuple[float, float]:
-    lo = cfg.lam / bundle.n
-    hi = 1.0 - cfg.lam / bundle.n
+def full_domain(n: int, lam: float) -> tuple[float, float]:
+    """[lam/n, 1 - lam/n]."""
+    lo, hi = lam / n, 1.0 - lam / n
     if not lo < hi:
         raise ValueError(f"empty domain: lam/n = {lo} >= 1 - lam/n")
     return lo, hi
+
+
+def increment_domain(n: int, lam: float, t: float) -> tuple[float, float]:
+    """[lam/n, t)."""
+    lo = lam / n
+    if not lo < t:
+        raise ValueError(f"empty domain: lam/n = {lo} >= t = {t}")
+    return lo, t
+
+
+def restricted_count(n: int, t: float) -> int:
+    """[nt], which the restricted domain [U_1, U_[nt]) needs to be at least 2."""
+    t_n = int(math.floor(n * t))
+    if t_n < 2:
+        raise ValueError(f"restricted statistic requires [nt] >= 2, got {t_n}")
+    return t_n
+
+
+def tail_domain(n: int, d: float, side: str) -> tuple[float, float]:
+    """[0, d/n] (left) or [1 - d/n, 1] (right), for 1 <= d <= n."""
+    if not 1.0 <= d <= n:
+        raise ValueError(f"d must lie in [1, n], got {d}")
+    if side == "left":
+        return 0.0, d / n
+    if side == "right":
+        return 1.0 - d / n, 1.0
+    raise ValueError("side must be 'left' or 'right'")
+
+
+# -- public statistics -----------------------------------------------------
 
 
 def _lattice(n: int) -> np.ndarray:
@@ -304,7 +467,7 @@ def _lattice(n: int) -> np.ndarray:
 
 
 def problem_quantile_full(bundle: Bundle, cfg: WeightConfig) -> SupProblem:
-    lo, hi = _full_domain(bundle, cfg)
+    lo, hi = full_domain(bundle.n, cfg.lam)
     return SupProblem(
         lo, hi, True, None, _lattice(bundle.n), _beta_minus_bridge(bundle),
         *power_weight(bundle.n, cfg.eta, "sym"),
@@ -323,17 +486,13 @@ def empirical_range_problem(
 
 def problem_empirical_full(bundle: Bundle, cfg: WeightConfig) -> SupProblem:
     return empirical_range_problem(
-        bundle, *_full_domain(bundle, cfg), *power_weight(bundle.n, cfg.nu, "sym")
+        bundle, *full_domain(bundle.n, cfg.lam), *power_weight(bundle.n, cfg.nu, "sym")
     )
 
 
 def problem_quantile_increment(bundle: Bundle, cfg: WeightConfig) -> SupProblem:
-    lo = cfg.lam / bundle.n
-    if not lo < cfg.t:
-        raise ValueError(f"empty domain: lam/n = {lo} >= t = {cfg.t}")
     return SupProblem(
-        lo,
-        cfg.t,
+        *increment_domain(bundle.n, cfg.lam, cfg.t),
         False,
         cfg.t,
         cfg.t - _lattice(bundle.n),
@@ -362,29 +521,19 @@ def empirical_window_problem(
 
 
 def problem_empirical_increment(bundle: Bundle, cfg: WeightConfig) -> SupProblem:
-    lo = cfg.lam / bundle.n
-    if not lo < cfg.t:
-        raise ValueError(f"empty domain: lam/n = {lo} >= t = {cfg.t}")
-    return empirical_window_problem(bundle, cfg.t, lo, cfg.t, *power_weight(bundle.n, cfg.nu, "s"))
+    lo, hi = increment_domain(bundle.n, cfg.lam, cfg.t)
+    return empirical_window_problem(bundle, cfg.t, lo, hi, *power_weight(bundle.n, cfg.nu, "s"))
 
 
 def problem_restricted(bundle: Bundle, cfg: WeightConfig) -> SupProblem:
-    if bundle.t_n < 2:
-        raise ValueError(f"restricted statistic requires [nt] >= 2, got {bundle.t_n}")
+    t_n = restricted_count(bundle.n, bundle.t)
     return empirical_window_problem(
-        bundle, cfg.t, bundle.U[1], bundle.U[bundle.t_n], *power_weight(bundle.n, cfg.nu, "s")
+        bundle, cfg.t, bundle.U[1], bundle.U[t_n], *power_weight(bundle.n, cfg.nu, "s")
     )
 
 
 def problem_tail(bundle: Bundle, d: float, side: str) -> SupProblem:
-    if not 1.0 <= d <= bundle.n:
-        raise ValueError(f"d must lie in [1, n], got {d}")
-    if side == "left":
-        lo, hi = 0.0, d / bundle.n
-    elif side == "right":
-        lo, hi = 1.0 - d / bundle.n, 1.0
-    else:
-        raise ValueError("side must be 'left' or 'right'")
+    lo, hi = tail_domain(bundle.n, d, side)
     return SupProblem(
         lo, hi, True, None, _lattice(bundle.n), _beta_minus_bridge(bundle), 0.0, None, 1.0
     )

@@ -8,7 +8,9 @@ disagreement points at the implementation, not at a shared bug.
 
 from __future__ import annotations
 
+import bisect
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -191,6 +193,157 @@ def reevaluate(bundle, prob, s: float, side: str) -> float:
     else:
         raise ValueError(side)
     return float(prob.weighted(arr, piece)[0])
+
+
+# -- exact-rational sup scan ------------------------------------------------
+#
+# Shares nothing with the sup engine but the bundle's raw data (U, the
+# paths' refined grids, the anchored blocks and b_anchor): the integrands
+# are written from their definitions, the breakpoints are exact rationals,
+# and every lookup (W_n cell, lattice index, ECDF count) is exact integer
+# arithmetic on those rationals.  Only the final values are floats.
+
+# A sup may fall below a value of its integrand by rounding alone, since
+# both evaluate the same terms in a different order: the tolerance
+# ``ladderbench/bench_checks.REL_TOL`` documents.
+REL_TOL = 256 * np.finfo(float).eps
+
+
+def lattice_rational(x: float, n: int) -> Fraction:
+    """The rational a float argument x denotes: k / n where x n lies within
+    8 ulp of the integer k (the package's documented snap), else x itself."""
+    z = x * n
+    k = round(z)
+    if abs(z - k) <= 8 * math.ulp(max(1.0, abs(z))):
+        return Fraction(k, n)
+    return Fraction(x)
+
+
+class ExactBridge:
+    """Coupled bridge of a lattice-anchored bundle, with exact lookups."""
+
+    def __init__(self, bundle):
+        if bundle.path1.refinement_depth != bundle.depth:
+            raise ValueError("paths refined past the bundle's depth")
+        self.n, self.h, self.g = bundle.n, bundle.n // 2, bundle.n + 1 - bundle.n // 2
+        self.den = 1 << bundle.depth
+        self.fine1, self.fine2 = bundle.path1._fine, bundle.path2._fine
+        self.w1_h = self.fine1[self.h * self.den]
+        self.w2_g = self.fine2[self.g * self.den]
+        self.w_nn = self.w(Fraction(self.n))
+
+    def w(self, z: Fraction) -> float:
+        """W_n(z): W1(h) - W1(h - z) for z <= h, else W1(h) + W2(g) - W2(n + 1 - z),
+        with each path read at the grid point at or below its argument."""
+        if z <= self.h:
+            return self.w1_h - self.fine1[math.floor((self.h - z) * self.den)]
+        return self.w1_h + self.w2_g - self.fine2[math.floor((self.n + 1 - z) * self.den)]
+
+    def bridge(self, x: float, m: Fraction) -> float:
+        """n^{-1/2} (x W_n(n) - W_n(m n)): the bridge's piece through m, at x."""
+        return (x * self.w_nn - self.w(m * self.n)) / math.sqrt(self.n)
+
+    def jumps(self) -> list:
+        return [Fraction(j, self.n * self.den) for j in range(self.n * self.den + 1)]
+
+
+class ExactAnchoredBridge:
+    """Bridge of a count-anchored bundle, spliced at t from its blocks' bridges."""
+
+    def __init__(self, bundle):
+        self.t, self.tf, self.b_t = Fraction(bundle.t), bundle.t, bundle.b_anchor
+        self.below, self.above = ExactBridge(bundle.below), ExactBridge(bundle.above)
+
+    def bridge(self, x: float, m: Fraction) -> float:
+        t, tf = self.t, self.tf
+        if m <= t:
+            return (x / tf) * self.b_t - math.sqrt(tf) * self.below.bridge(1 - x / tf, 1 - m / t)
+        v = (x - tf) / (1 - tf)
+        return (1 - v) * self.b_t + math.sqrt(1 - tf) * self.above.bridge(v, (m - t) / (1 - t))
+
+    def jumps(self) -> list:
+        t = self.t
+        return [t - t * j for j in self.below.jumps()] + [t + (1 - t) * j for j in self.above.jumps()]
+
+
+class ExactIntegrand:
+    """Weighted |process - bridge| of one statistic; lookups at a rational m.
+
+    ``kind`` is 'quantile' or 'empirical'; with ``anchor`` (a Fraction) the
+    window increments f(anchor) - f(anchor - s) of both are compared.  The weight
+    is n^x / w(s)^{1/2 - x} with w(s) = s(1-s), s, 1-s, or no weight (None).
+    """
+
+    def __init__(self, bundle, kind, anchor, x, weight_kind):
+        self.n = bundle.n
+        self.U = [Fraction(u) for u in bundle.U]
+        self.Uf = bundle.U
+        self.br = ExactAnchoredBridge(bundle) if hasattr(bundle, "below") else ExactBridge(bundle)
+        self.kind, self.x, self.weight_kind = kind, x, weight_kind
+        self.anchor = anchor
+
+    def _process(self, x: float, m: Fraction) -> float:
+        n = self.n
+        if self.kind == "quantile":
+            k = min(max(math.floor(m * n), 0), n)
+            return math.sqrt(n) * (x - self.Uf[k])
+        count = max(bisect.bisect_right(self.U, m) - 1, 0)  # U_0 = 0 is no sample
+        return math.sqrt(n) * (count / n - x)
+
+    def _bridge(self, x: float, m: Fraction) -> float:
+        return self.br.bridge(x, m) if m > 0 else 0.0
+
+    def __call__(self, s: float, m: Fraction) -> float:
+        if self.anchor is None:
+            gap = self._process(s, m) - self._bridge(s, m)
+        else:
+            a, af = self.anchor, float(self.anchor)
+            gap = (self._process(af, a) - self._process(af - s, a - m)) - (
+                self._bridge(af, a) - self._bridge(af - s, a - m)
+            )
+        w = {"sym": s * (1 - s), "s": s, "one-minus-s": 1 - s, None: 1.0}[self.weight_kind]
+        return self.n**self.x * abs(gap) / w ** ((0.5 - self.x) if self.weight_kind else 0.0)
+
+    def breakpoints(self, lo: Fraction, hi: Fraction) -> list:
+        """Sorted distinct breakpoints in [lo, hi]: the ends, the bridge's jumps,
+        the lattice k / n and the U_k, or for a window increment their images
+        anchor - x."""
+        pts = self.br.jumps() + [Fraction(k, self.n) for k in range(self.n + 1)] + self.U[1:]
+        if self.anchor is not None:
+            pts += [self.anchor - x for x in pts]
+        return sorted({lo, hi, *(x for x in pts if lo <= x <= hi)})
+
+
+def exact_candidates(integrand, lo: Fraction, hi: Fraction, closed_hi: bool) -> tuple:
+    """(bound, reach): values the sup must dominate, and values it must be one of.
+
+    Breakpoints that round to one float are one abscissa: the pieces
+    between them hold no float, and which of their lookups a float argument
+    there denotes is a matter of rounding.  So an abscissa's limits come
+    from the pieces to the neighbouring floats, with lookups at the exact
+    midpoint between the nearest breakpoints, and its point value is
+    ambiguous among its breakpoints': ``bound`` takes their least, ``reach``
+    all of them, and every limit.
+    """
+    pts = integrand.breakpoints(lo, hi)
+    groups: list = []
+    for x in pts:
+        if groups and float(x) == float(groups[-1][-1]):
+            groups[-1].append(x)
+        else:
+            groups.append([x])
+    bound, reach = [], []
+    for i, group in enumerate(groups):
+        xf = float(group[0])
+        points = [integrand(xf, x) for x in group if x < hi or closed_hi]
+        limits = []
+        if i > 0:
+            limits.append(integrand(xf, (groups[i - 1][-1] + group[0]) / 2))
+        if i + 1 < len(groups):
+            limits.append(integrand(xf, (group[-1] + groups[i + 1][0]) / 2))
+        bound += limits + ([min(points)] if points else [])
+        reach += limits + points
+    return bound, reach
 
 
 # -- censored hand enumeration ----------------------------------------------

@@ -77,6 +77,29 @@ def test_config_validation(monkeypatch):
         estimate_ineq1(64, [16.0], [1.0], reps=0, seed=0)
 
 
+@pytest.mark.parametrize("req,ladder", [
+    (StatRequest("tail", "ineq1-tail", d=math.inf), (64,)),
+    (StatRequest("tail", "ineq1-tail", d=100.0), (64, 128)),
+    (StatRequest("approx1", "approx1", WeightConfig(lam=40.0)), (64, 128)),
+    (StatRequest("approx3", "approx3", WeightConfig(lam=40.0, t=0.3)), (64, 1024)),
+    (StatRequest("approx4", "approx4", WeightConfig(lam=40.0, t=0.3)), (64, 1024)),
+    (StatRequest("restricted", "restricted", WeightConfig(t=0.02)), (64, 1024)),
+    (StatRequest("cens-h0", "cens-h0", WeightConfig(lam=16.0), rate_c=0.25), (64, 1024)),
+    (StatRequest("cens-h1", "cens-h1", WeightConfig(lam=16.0), rate_c=4.0), (64, 1024)),
+])
+def test_empty_domains_rejected_before_scheduling(monkeypatch, req, ladder):
+    # a sup domain that is empty at some ladder size (here the first) fails
+    # the run check, naming the request and the size
+    monkeypatch.setattr(harness, "_map_tasks", _no_scheduling)
+    with pytest.raises(ValueError, match=f"request {req.name!r} at n={ladder[0]}"):
+        run_requests([req], ladder, 1, seed=1)
+    # the same rule the problem builder applies to the bundle
+    with pytest.raises(ValueError):
+        evaluate_requests([req], 1, ladder[0], 0)
+    if len(ladder) > 1:
+        assert evaluate_requests([req], 1, ladder[-1], 0)
+
+
 def test_repeated_request_names_rejected(monkeypatch):
     # rows are keyed by name: a repeated request would count each value
     # twice, and two requests sharing a name would mix their values

@@ -2,9 +2,12 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from empcouple.censored import CensoringModel, censored_sup_problems, sample_from_bundle
 from empcouple.harness import STATISTIC_IDS, StatRequest, evaluate_requests, replicate_bundle
@@ -75,8 +78,16 @@ def test_single_point_sup():
     assert res.arg_s == 0.5
 
 
-def test_zero_when_bridge_equals_quantile_process():
+def _float_lookups_only(monkeypatch):
+    """Send every piece to the float-midpoint lookups, the only ones a faked
+    ``w_n`` reaches; the index lookups equal them bit for bit
+    (``test_index_lookups_match_float_lookups``)."""
+    monkeypatch.setattr(supstats, "_NARROW", math.inf)
+
+
+def test_zero_when_bridge_equals_quantile_process(monkeypatch):
     # force W_n so the bridge reproduces the quantile process exactly
+    _float_lookups_only(monkeypatch)
     b = _bundle(16, seed=4)
     n = b.n
     b.w_nn = float(n)
@@ -91,7 +102,8 @@ def test_zero_when_bridge_equals_quantile_process():
     assert res.value == 0.0
 
 
-def test_zero_when_bridge_equals_empirical_process():
+def test_zero_when_bridge_equals_empirical_process(monkeypatch):
+    _float_lookups_only(monkeypatch)
     b = _bundle(16, seed=5)
     n = b.n
     b.w_nn = -float(n)
@@ -412,17 +424,19 @@ def test_block_size_changes_no_bit(monkeypatch, lam, t, n):
         assert solve(b, prob) == expected, prob.__dict__
 
 
+@pytest.mark.parametrize("depth", [6, 8])
 @pytest.mark.parametrize(
     "stat,anchored", [("approx1", False), ("approx2", False), ("approx3", False), ("approx4", True)]
 )
-def test_solve_memory_bounded(stat, anchored):
+def test_solve_memory_bounded(stat, anchored, depth):
     # working memory beyond the bundle is O(block + n), not O(n 2^depth):
-    # the grid at n = 2^15, depth 6 alone is 16 MB, its sort several times that
+    # the grid at n = 2^15 alone is 16 MB at depth 6 and 64 MB at depth 8,
+    # its sort several times that; a spliced copy of W_n on it is as large
     n = 1 << 15
     if anchored:
-        b = AnchoredBundle.build(n, derive_stream(1, n, 0, "anchored"), depth=6)
+        b = AnchoredBundle.build(n, derive_stream(1, n, 0, "anchored"), depth=depth)
     else:
-        b = _bundle(n, seed=1, depth=6)
+        b = _bundle(n, seed=1, depth=depth)
     tracemalloc.start()
     try:
         solve(b, _STAT_PROBLEMS[stat](b, WeightConfig()))
@@ -430,3 +444,70 @@ def test_solve_memory_bounded(stat, anchored):
     finally:
         tracemalloc.stop()
     assert peak < 32 << 20, peak
+
+
+def _nudged(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.inf if ulps > 0 else -math.inf)
+    return x
+
+
+# Anchors and lam/n on dyadic points, one ulp off them, and off any grid.
+_ANCHORS = st.builds(
+    _nudged, st.sampled_from([0.5, 0.25, 0.75, 0.375, 0.3, 0.37, 0.61]), st.integers(-1, 1)
+)
+
+
+def _lookup_problems(b, lam, t):
+    """Every numerator kind on bundle b: both full and increment sups, the
+    restricted and tail sups and the censored part's range."""
+    cfg = WeightConfig(lam=lam, eta=0.25, nu=0.1, t=t)
+    out = [problem_tail(b, min(b.n, 3.0), "left"), problem_tail(b, min(b.n, 3.0), "right")]
+    for builder in _PROBLEM_BUILDERS:
+        try:
+            out.append(builder(b, cfg))
+        except ValueError:  # empty domain at this (lam, t, n)
+            pass
+    out.append(supstats.empirical_range_problem(b, t, 1.0 - lam / b.n, 0.2, "one-minus-s", 1.0))
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 300),
+    depth=st.integers(0, 8),
+    lam_n=_ANCHORS.map(lambda x: x / 4),
+    t=_ANCHORS,
+    anchored=st.booleans(),
+    seed=st.integers(0, 1000),
+    block_points=st.sampled_from([supstats._BLOCK_POINTS, 64]),
+)
+def test_index_lookups_match_float_lookups(n, depth, lam_n, t, anchored, seed, block_points):
+    # On every piece of every block, the limits the kernel takes from run
+    # counts (the W_n cell, lattice index and ECDF count) equal those of the
+    # numerator's float lookups at the piece's midpoint, bit for bit; and the
+    # merged runs are the sorted distinct breakpoints of the block.
+    if anchored:
+        b = AnchoredBundle.build(n, derive_stream(seed, n, 0, "anchored"), t=t, depth=depth)
+    else:
+        b = _bundle(n, seed=seed, t=t, depth=depth)
+    with mock.patch.object(supstats, "_BLOCK_POINTS", block_points):
+        for prob in _lookup_problems(b, lam_n * n, t):
+            if not prob.lo < prob.hi:
+                continue
+            pieces = 0
+            for pts, index in supstats._blocks(b, prob):
+                a, z = pts[0], pts[-1]
+                parts = [[a, z], b.jump_grid(a, z), prob.step_jumps]
+                if prob.anchor is not None:
+                    parts.append(b.increment_jump_grid(prob.anchor, a, z))
+                every = np.concatenate(parts)
+                assert np.array_equal(pts, np.unique(every[(every >= a) & (every <= z)]))
+                p, q = pts[:-1], pts[1:]
+                limits = prob.numerator(0.5 * (p + q))
+                right, left = supstats._abs_limits(prob, pts, index)
+                assert index is not None
+                assert np.array_equal(right, np.abs(limits(p))), prob.__dict__
+                assert np.array_equal(left, np.abs(limits(q))), prob.__dict__
+                pieces += p.size
+            assert pieces > 0

@@ -1,12 +1,12 @@
 """Every statistic's sup against an exact-rational scan of its integrand.
 
 The scan (``oracles.ExactIntegrand``) shares no code with the sup engine:
-its breakpoints are exact rationals (j / (n 2^depth), k / n, lam / n and the
-blocks' mapped grids, plus the float U_k), its lookups exact integer
-arithmetic on them, and W_n is read by index from the paths' refined grids.
-The reported sup must dominate the integrand at every breakpoint, as the
-point value and both one-sided limits, and be attained there, within
-``oracles.REL_TOL``.
+its breakpoints are exact rationals (j / (n 2^depth), k / n, the blocks'
+mapped grids, the domain ends and anchors as the rationals their floats
+denote, plus the float U_k), its lookups exact integer arithmetic on them,
+and W_n is read by index from the paths' refined grids.  The reported sup
+must dominate the integrand at every breakpoint, as the point value and
+both one-sided limits, and be attained there, within ``oracles.REL_TOL``.
 """
 
 import math

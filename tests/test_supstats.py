@@ -424,10 +424,14 @@ def test_block_size_changes_no_bit(monkeypatch, lam, t, n):
         assert solve(b, prob) == expected, prob.__dict__
 
 
-@pytest.mark.parametrize("depth", [6, 8])
-@pytest.mark.parametrize(
-    "stat,anchored", [("approx1", False), ("approx2", False), ("approx3", False), ("approx4", True)]
-)
+_MEMORY_CASES = [("approx1", False), ("approx2", False), ("approx3", False), ("approx4", True)]
+
+
+@pytest.mark.parametrize("stat,anchored,depth", [
+    *(pytest.param(stat, anchored, 6, id=f"{stat}-{anchored}") for stat, anchored in _MEMORY_CASES),
+    *(pytest.param(stat, anchored, 8, id=f"{stat}-{anchored}-depth8")
+      for stat, anchored in _MEMORY_CASES),
+])
 def test_solve_memory_bounded(stat, anchored, depth):
     # working memory beyond the bundle is O(block + n), not O(n 2^depth):
     # the grid at n = 2^15 alone is 16 MB at depth 6 and 64 MB at depth 8,

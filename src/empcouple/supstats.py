@@ -114,7 +114,8 @@ class SupProblem:
     ``anchor`` is set for a window increment at that anchor, whose bridge
     lookups jump off the bundle's ``jump_grid``, on its ``increment_jump_grid``;
     ``step_jumps`` are the jump points of its step process, where the point
-    value is evaluated too.
+    value is evaluated too; a numerator marked ``indexed`` counts them for
+    its step lookups, so they must be exactly its step process's jumps.
     """
 
     def __init__(

@@ -86,15 +86,15 @@ def floor_combination(n: int, s: float, t: float) -> int:
 class Run(NamedTuple):
     """An ascending run of breakpoints that carry integer grid indices.
 
-    ``x[i]`` is the grid point of index ``first + step * i``.  ``cells`` is
-    the ``ProcessBundle`` whose W_n cells (``w_cells``) the bridge reads
-    between these points, or None where it reads none.
+    ``x[i]`` is the grid point of index ``first + step * i``.
+    ``reads_cells`` tells whether the bridge reads W_n cells (``w_cells``)
+    between these points.
     """
 
     x: np.ndarray
     first: int
     step: int
-    cells: "ProcessBundle | None"
+    reads_cells: bool
 
 
 class _SampleProcesses:
@@ -106,9 +106,10 @@ class _SampleProcesses:
     evaluate.  The bridge methods are piece factories: called on the
     abscissae ``s_piece`` of a set of pieces, they do the grid lookups once
     and return ``s -> values``, which is linear in s on each piece.  Given
-    ``cells``, the W_n values of the pieces already read by index (one array
-    per run of ``grid_runs`` that carries ``cells``), they skip the lookups
-    and use ``s_piece`` only to place the pieces about the anchor.
+    ``cells``, the pieces' W_n cell indices (one array per run of
+    ``grid_runs`` that ``reads_cells``), they read W_n by index
+    (``w_cells``) and use ``s_piece`` only to place the pieces about the
+    anchor.
     """
 
     n: int
@@ -223,7 +224,7 @@ class ProcessBundle(_SampleProcesses):
         if cells is None:
             w_val = self.w_n(np.asarray(s_piece, dtype=float) * self.n)
         else:
-            w_val = cells[0]
+            w_val = self.w_cells(cells[0])
         sqn = np.sqrt(self.n)
         return lambda s: (np.asarray(s, dtype=float) * self.w_nn - w_val) / sqn
 
@@ -242,15 +243,14 @@ class ProcessBundle(_SampleProcesses):
         def piece(s_piece, cells=None):
             shift = anchor - np.asarray(s_piece, dtype=float)
             pos = shift > 0.0
-            if cells is not None:
-                w_shift = cells[0]
-            elif pos.all():
-                w_shift = self.w_n(shift * self.n)
-            else:
-                w_shift = np.zeros_like(shift)
-                w_shift[pos] = self.w_n(shift[pos] * self.n)
             if pos.all():
+                w_shift = self.w_n(shift * self.n) if cells is None else self.w_cells(cells[0])
                 return lambda s: (s * self.w_nn - w_anchor + w_shift) / sqn
+            w_shift = np.zeros_like(shift)
+            if cells is None:
+                w_shift[pos] = self.w_n(shift[pos] * self.n)
+            else:
+                w_shift[pos] = self.w_cells(cells[0][pos])
             return lambda s: np.where(pos, (s * self.w_nn - w_anchor + w_shift) / sqn, past)
 
         return piece
@@ -277,14 +277,14 @@ class ProcessBundle(_SampleProcesses):
 
         The bridge reads W_n cell j between grid points j and j + 1, and the
         window increment cell j between the increment grid's anchor - (j + 1)
-        / den and anchor - j / den; the run it reads carries this bundle.
+        / den and anchor - j / den.
         """
         den, j0, j1 = self._grid_span(lo, hi)
-        grid = Run(np.arange(j0, j1 + 1) / den, j0, 1, self if anchor is None else None)
+        grid = Run(np.arange(j0, j1 + 1) / den, j0, 1, anchor is None)
         if anchor is None:
             return [grid]
         den, j0, j1 = self._grid_span(anchor - hi, anchor - lo)
-        return [grid, Run((anchor - np.arange(j0, j1 + 1) / den)[::-1], j1, -1, self)]
+        return [grid, Run((anchor - np.arange(j0, j1 + 1) / den)[::-1], j1, -1, True)]
 
     def increment_jump_grid(
         self, anchor: float, lo: float | None = None, hi: float | None = None
@@ -462,7 +462,7 @@ class AnchoredBundle(_SampleProcesses):
         The bridge reads W_n cells of ``below`` between the points t - t x of
         its grid and of ``above`` between the points t + (1 - t) x of its
         grid; the window increment reads cells of ``below`` between the points
-        t x of its grid.  Those runs carry the block whose cells they read.
+        t x of its grid.
         """
         t = self.t
         bridge = anchor is None
@@ -472,14 +472,14 @@ class AnchoredBundle(_SampleProcesses):
         k0 = max(0, math.floor(lo * self.n) - 1)
         k1 = min(self.n, math.ceil(hi * self.n) + 1)
         runs = [
-            Run((t - t * below)[::-1], b1, -1, self.below if bridge else None),
-            Run(t + (1.0 - t) * (np.arange(a0, a1 + 1) / den), a0, 1, self.above if bridge else None),
-            Run(np.arange(k0, k1 + 1) / self.n, k0, 1, None),
+            Run((t - t * below)[::-1], b1, -1, bridge),
+            Run(t + (1.0 - t) * (np.arange(a0, a1 + 1) / den), a0, 1, bridge),
+            Run(np.arange(k0, k1 + 1) / self.n, k0, 1, False),
         ]
         if not bridge:
             self._check_anchor(anchor)
             den, i0, i1 = self.below._grid_span(lo / t, hi / t)
-            runs.append(Run(t * (np.arange(i0, i1 + 1) / den), i0, 1, self.below))
+            runs.append(Run(t * (np.arange(i0, i1 + 1) / den), i0, 1, True))
         return runs
 
     def increment_jump_grid(

@@ -41,7 +41,7 @@ mapped onto [0, t] and [t, 1], and the window increment's grid) and the step
 jumps.  How many points of each run lie at or before a piece gives its
 lookups: the W_n cell, by index into the paths' refined grids
 (``w_cells``), and the lattice index or ECDF count, from the step jumps
-before it.  A piece narrower than ``_NARROW`` keeps the lookups at its
+before it.  A piece narrower than ``_NARROW`` keeps all its lookups at its
 float midpoint, as ``numerator(mid)`` does: its ends are floats a few ulp
 apart, such as t - t x and t x' on ``AnchoredBundle``, or an increment
 grid point one ulp off the grid, and rounding may put its midpoint in
@@ -72,7 +72,7 @@ from .processes import Bundle, Run
 _BLOCK_POINTS = 1 << 16
 
 # Pieces narrower than this keep the lookups at their float midpoint; wider
-# ones read them by index (see ``_blocks``).  The midpoint lookups round and
+# ones read them by index (see ``_abs_limits``).  The midpoint lookups round and
 # snap within a few dozen ulp of 1 in s, far inside this margin, so on a
 # wider piece they find the cell the run counts give.
 _NARROW = 2.0**-36
@@ -114,8 +114,8 @@ class SupProblem:
     ``anchor`` is set for a window increment at that anchor, whose bridge
     lookups jump off the bundle's ``jump_grid``, on its ``increment_jump_grid``;
     ``step_jumps`` are the jump points of its step process, where the point
-    value is evaluated too; a numerator marked ``indexed`` counts them for
-    its step lookups, so they must be exactly its step process's jumps.
+    value is evaluated too; the numerator counts them for its step lookups
+    from an ``Index``, so they must be exactly its step process's jumps.
     """
 
     def __init__(
@@ -126,7 +126,7 @@ class SupProblem:
         self.closed_hi = bool(closed_hi)
         self.anchor = anchor
         self.step_jumps = np.asarray(step_jumps, dtype=float)
-        self.numerator = numerator  # s_piece -> (s -> ndarray), lookups done at s_piece
+        self.numerator = numerator  # (s_piece, index=None) -> (s -> ndarray), see below
         self.weight_exp = weight_exp
         self.weight_kind = weight_kind  # 'sym' | 's' | 'one-minus-s' | None
         self.scale = float(scale)
@@ -193,8 +193,11 @@ class Index(NamedTuple):
     """Lookups of a block's pieces, read from the run counts (see ``_blocks``)."""
 
     steps: np.ndarray  # step jumps at or before each piece's left end
-    cells: list | None  # W_n of each piece, one array per run that carries ``cells``
-    jumps: np.ndarray  # the problem's step jumps, sorted, repeats kept
+    cells: list  # W_n cell of each piece, one array per run that ``reads_cells``
+
+    def take(self, k) -> "Index":
+        """The lookups of pieces k."""
+        return Index(self.steps[k], [c[k] for c in self.cells])
 
 
 def _merge(runs: list, counted: list) -> tuple[np.ndarray, list]:
@@ -214,7 +217,8 @@ def _merge(runs: list, counted: list) -> tuple[np.ndarray, list]:
 def _trim(run: Run, a: float, b: float) -> Run:
     """The points of ``run`` in [a, b]."""
     i = int(np.searchsorted(run.x, a))
-    return run._replace(x=run.x[i : np.searchsorted(run.x, b, "right")], first=run.first + run.step * i)
+    x = run.x[i : np.searchsorted(run.x, b, "right")]
+    return run._replace(x=x, first=run.first + run.step * i)
 
 
 def _blocks(bundle: Bundle, prob: SupProblem):
@@ -222,58 +226,46 @@ def _blocks(bundle: Bundle, prob: SupProblem):
 
     A block's breakpoints are its ends, the bundle's grid runs (``grid_runs``:
     the jump grid, and the window increment's grid) and the step jumps in it,
-    merged from these sorted runs.  For a numerator that reads an index
-    (``indexed``) the piece after the c-th point of a run that carries
-    ``cells`` lies in W_n cell first + c - 1 (ascending index) or first - c
-    (descending), and ``steps`` counts the step jumps at or before it; else
-    the index is None.
+    merged from these sorted runs.  The piece after the c-th point of a run
+    that ``reads_cells`` lies in W_n cell first + c - 1 (ascending index) or
+    first - c (descending), and ``steps`` counts the step jumps at or before
+    it.
     """
     steps = np.sort(prob.step_jumps)  # repeats kept: they count
-    jumps = steps[np.append(True, steps[1:] != steps[:-1])]
-    indexed = getattr(prob.numerator, "indexed", False)
-    edges = _block_edges(bundle, prob, jumps)
+    edges = _block_edges(bundle, prob, steps[np.append(True, steps[1:] != steps[:-1])])
     for a, b in zip(edges[:-1], edges[1:]):
-        s0 = int(np.searchsorted(steps, a))
+        s0, s1 = int(np.searchsorted(steps, a)), int(np.searchsorted(steps, b, "right"))
         runs = [_trim(run, a, b) for run in bundle.grid_runs(prob.anchor, a, b)]
-        cell_runs = [i for i, run in enumerate(runs) if run.cells is not None]
+        cell_runs = [run for run in runs if run.reads_cells]
         pts, counts = _merge(
-            [np.array([a, b]), steps[s0 : np.searchsorted(steps, b, "right")], *(r.x for r in runs)],
-            [1, *(i + 2 for i in cell_runs)] if indexed else [],
+            [np.array([a, b]), steps[s0:s1], *(r.x for r in runs)],
+            [1, *(i + 2 for i, run in enumerate(runs) if run.reads_cells)],
         )
-        if not indexed:
-            yield pts, None
-            continue
-        cells = []
-        for i, c in zip(cell_runs, counts[1:]):
-            run = runs[i]
-            cells.append(run.cells.w_cells(run.first + c - 1 if run.step > 0 else run.first - c))
-        yield pts, Index(s0 + counts[0], cells, steps)
+        cells = [
+            run.first + c - 1 if run.step > 0 else run.first - c
+            for run, c in zip(cell_runs, counts[1:])
+        ]
+        yield pts, Index(s0 + counts[0], cells)
 
 
-def _abs_limits(prob: SupProblem, pts: np.ndarray, index: Index | None) -> tuple:
+def _abs_limits(prob: SupProblem, pts: np.ndarray, index: Index) -> tuple:
     """|numerator| right limits at pts[:-1] and left limits at pts[1:].
 
-    With an index, a piece narrower than ``_NARROW`` takes its W_n lookup at
-    its float midpoint, and its step lookup too where a step jump lies
-    within ``_NARROW`` of it: these are the lookups a float rounding may
-    move to a neighbouring cell.
+    The lookups come from ``index``, but a piece narrower than ``_NARROW``
+    takes them at its float midpoint: a float rounding may move those to a
+    neighbouring cell.  Each piece does each lookup once.
     """
     p, q = pts[:-1], pts[1:]
     mid = 0.5 * (p + q)
-    if index is None:
-        limits = prob.numerator(mid)
+    narrow = q - p < _NARROW
+    if not narrow.any():
+        limits = prob.numerator(mid, index)
         return np.abs(limits(p)), np.abs(limits(q))
-    limits = prob.numerator(mid, index)
-    right, left = np.abs(limits(p)), np.abs(limits(q))
-    narrow = np.flatnonzero(q - p < _NARROW)
-    if narrow.size:
-        steps, jumps = index.steps[narrow], index.jumps
-        below = np.where(steps > 0, jumps[np.maximum(steps - 1, 0)], -math.inf)
-        above = np.where(steps < jumps.size, jumps[np.minimum(steps, jumps.size - 1)], math.inf)
-        far = (p[narrow] - below >= _NARROW) & (above - q[narrow] >= _NARROW)
-        for k, idx in ((narrow[far], Index(steps[far], None, jumps)), (narrow[~far], None)):
-            limits = prob.numerator(mid[k]) if idx is None else prob.numerator(mid[k], idx)
-            right[k], left[k] = np.abs(limits(p[k])), np.abs(limits(q[k]))
+    wide = np.flatnonzero(~narrow)  # integer indices: boolean masks gather slowly
+    right, left = np.empty_like(p), np.empty_like(p)
+    for part, idx in ((wide, index.take(wide)), (np.flatnonzero(narrow), None)):
+        limits = prob.numerator(mid[part], idx)
+        right[part], left[part] = np.abs(limits(p[part])), np.abs(limits(q[part]))
     return right, left
 
 
@@ -332,13 +324,8 @@ def solve(bundle: Bundle, prob: SupProblem) -> WeightedSupResult:
 # Each numerator is a piece factory: num(s_piece) does its lookups once at
 # s_piece and returns s -> values, which is linear in s on each piece.
 # num(s_piece, index) takes them from an ``Index`` instead, for pieces with
-# midpoints s_piece; such numerators are marked ``indexed``.  Their step
-# jumps, sorted, are the jumps of the step process they read.
-
-
-def _indexed(piece):
-    piece.indexed = True
-    return piece
+# midpoints s_piece; the problem's step jumps, sorted, are then the jumps of
+# the step process it reads.
 
 
 def _beta_minus_bridge(bundle: Bundle):
@@ -353,7 +340,7 @@ def _beta_minus_bridge(bundle: Bundle):
             u = bundle.U[index.steps - 1]
         return lambda s: sqn * (s - u) - bridge(s)
 
-    return _indexed(piece)
+    return piece
 
 
 def _alpha_minus_bridge(bundle: Bundle):
@@ -368,7 +355,7 @@ def _alpha_minus_bridge(bundle: Bundle):
             bridge = bundle.bridge_piece(s_piece, index.cells)
         return lambda s: sqn * (frac - s) - bridge(s)
 
-    return _indexed(piece)
+    return piece
 
 
 def _beta_increment_minus_bridge(bundle: Bundle, anchor: float):
@@ -392,7 +379,7 @@ def _beta_increment_minus_bridge(bundle: Bundle, anchor: float):
             inc = bridge_inc(sp, index.cells)
         return lambda s: (beta_anchor - sqn * ((anchor - s) - u)) - inc(s)
 
-    return _indexed(piece)
+    return piece
 
 
 def _alpha_increment_minus_bridge(bundle: Bundle, anchor: float):
@@ -414,7 +401,7 @@ def _alpha_increment_minus_bridge(bundle: Bundle, anchor: float):
             inc = bridge_inc(sp, index.cells)
         return lambda s: (alpha_anchor - sqn * (frac - (anchor - s))) - inc(s)
 
-    return _indexed(piece)
+    return piece
 
 
 # -- domain rules ----------------------------------------------------------

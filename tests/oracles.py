@@ -369,3 +369,25 @@ def hand_xi(Z, delta, c: float = 1.0):
     return np.asarray(
         [hand_h1(z, c) if d else theta + hand_h0(z, c) for z, d in zip(Z, delta)]
     )
+
+
+# -- faked bridges -------------------------------------------------------------
+
+
+def fake_w_lookups(bundle, w_n) -> None:
+    """Replace a ``ProcessBundle``'s W_n by ``w_n`` (a function of z in [0, n+1]).
+
+    Both lookups are replaced: by float (``w_n``) and by cell index
+    (``w_cells``: cell j, (j, j + 1) 2^-depth, is read at its midpoint).
+    ``w_n`` must be constant on those cells, as the true W_n is.
+    """
+    bundle.w_n = w_n
+    bundle.w_cells = lambda j: w_n((np.asarray(j) + 0.5) / (1 << bundle.depth))
+
+
+def on_grid(bundle, x) -> np.ndarray:
+    """x rounded to the nearest grid points j / (n 2^depth) of the bundle."""
+    den = bundle.n << bundle.depth
+    out = np.round(np.asarray(x, dtype=float) * den) / den
+    assert np.unique(out).size == out.size, "values collide on the grid"
+    return out

@@ -1,5 +1,6 @@
 """Censored model algebra, uniformization, exact identities, weighted stats."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,9 +22,15 @@ from empcouple.censored import (
 )
 from empcouple.processes import AnchoredBundle, ProcessBundle
 from empcouple.rng import RngStream, derive_stream
-from empcouple import supstats
 from empcouple.supstats import solve
-from oracles import count_leq, hand_sample, hand_xi, naive_sup
+from oracles import (
+    count_leq,
+    fake_w_lookups,
+    hand_sample,
+    hand_xi,
+    naive_sup,
+    on_grid,
+)
 
 
 def _bundle(n, seed=0, rep=0):
@@ -220,14 +227,16 @@ def test_weighted_stats_oracle_equality(seed):
             assert prob.lo <= results[name].arg_s <= prob.hi
 
 
-def test_weighted_stat_zero_for_identical_processes(monkeypatch):
+def test_weighted_stat_zero_for_identical_processes():
     # force the bridge to reproduce the empirical process; cens-h0 compares
-    # exactly those two objects, so the statistic collapses to zero.  A faked
-    # w_n reaches the float-midpoint lookups only: send every piece there.
-    monkeypatch.setattr(supstats, "_NARROW", math.inf)
+    # exactly those two objects, so the statistic collapses to zero.  The
+    # bridge jumps where the ECDF does, so the order statistics are moved
+    # onto the dyadic grid, as every jump of a W_n bridge lies there.
     model = CensoringModel(1.0)
     b = _bundle(16, seed=31)
     sample = sample_from_bundle(model, b, derive_stream(31, 16, 0, "shuffle"))
+    b.U = on_grid(b, b.U)
+    sample = dataclasses.replace(sample, xi=on_grid(b, sample.xi))
     n = b.n
     b.w_nn = -float(n)
 
@@ -236,7 +245,7 @@ def test_weighted_stat_zero_for_identical_processes(monkeypatch):
         cnt = b.ecdf_count(s)
         return -s * n - n * (cnt / n - s)
 
-    b.w_n = fake_w_n
+    fake_w_lookups(b, fake_w_n)
     res = censored_weighted_stats(sample, model, b, xi_exp=0.1)
     assert res["cens-h0"].value == 0.0
 

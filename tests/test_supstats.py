@@ -32,7 +32,14 @@ from empcouple.supstats import (
     stat_restricted,
     tail_sup_discrepancy,
 )
-from oracles import _breakpoints, naive_sup, naive_sup_fast, reevaluate
+from oracles import (
+    _breakpoints,
+    fake_w_lookups,
+    naive_sup,
+    naive_sup_fast,
+    on_grid,
+    reevaluate,
+)
 
 
 def _bundle(n, seed=0, rep=0, t=0.5, depth=6):
@@ -69,7 +76,7 @@ def test_single_point_sup():
     b = ProcessBundle.synthetic(4, [0.2, 0.4, 0.6, 0.8])
     delta0 = 0.37
 
-    def num(s_piece):
+    def num(s_piece, index=None):
         return lambda s: np.where(np.asarray(s, dtype=float) == 0.5, delta0, 0.0)
 
     prob = SupProblem(0.25, 0.75, True, None, [0.5], num, 0.5, "sym", 1.0)
@@ -78,16 +85,8 @@ def test_single_point_sup():
     assert res.arg_s == 0.5
 
 
-def _float_lookups_only(monkeypatch):
-    """Send every piece to the float-midpoint lookups, the only ones a faked
-    ``w_n`` reaches; the index lookups equal them bit for bit
-    (``test_index_lookups_match_float_lookups``)."""
-    monkeypatch.setattr(supstats, "_NARROW", math.inf)
-
-
-def test_zero_when_bridge_equals_quantile_process(monkeypatch):
+def test_zero_when_bridge_equals_quantile_process():
     # force W_n so the bridge reproduces the quantile process exactly
-    _float_lookups_only(monkeypatch)
     b = _bundle(16, seed=4)
     n = b.n
     b.w_nn = float(n)
@@ -97,15 +96,17 @@ def test_zero_when_bridge_equals_quantile_process(monkeypatch):
         idx = b.lattice_index(s)
         return s * n - n * (s - b.U[idx])
 
-    b.w_n = fake_w_n
+    fake_w_lookups(b, fake_w_n)
     res = stat_quantile_full(b, WeightConfig(eta=0.25))
     assert res.value == 0.0
 
 
-def test_zero_when_bridge_equals_empirical_process(monkeypatch):
-    _float_lookups_only(monkeypatch)
+def test_zero_when_bridge_equals_empirical_process():
+    # the bridge jumps where the ECDF does, so the order statistics are
+    # moved onto the dyadic grid, as every jump of a W_n bridge lies there
     b = _bundle(16, seed=5)
     n = b.n
+    b.U = on_grid(b, b.U)
     b.w_nn = -float(n)
 
     def fake_w_n(z):
@@ -113,7 +114,7 @@ def test_zero_when_bridge_equals_empirical_process(monkeypatch):
         cnt = b.ecdf_count(s)
         return -s * n - n * (cnt / n - s)
 
-    b.w_n = fake_w_n
+    fake_w_lookups(b, fake_w_n)
     res = stat_empirical_full(b, WeightConfig(nu=0.1))
     assert res.value == 0.0
 
@@ -268,7 +269,7 @@ def test_scale_equivariance():
     base = solve(b, prob)
     scaled = SupProblem(
         prob.lo, prob.hi, prob.closed_hi, prob.anchor, prob.step_jumps,
-        lambda p: lambda s: 3.0 * prob.numerator(p)(s),
+        lambda p, index=None: lambda s: 3.0 * prob.numerator(p, index)(s),
         prob.weight_exp, prob.weight_kind, prob.scale,
     )
     res = solve(b, scaled)
@@ -323,16 +324,22 @@ def test_result_metadata():
 
 
 class _LookupCounter:
-    """Counts the elements passed to ``w_n`` and ``ecdf_count`` of every bundle."""
+    """Counts the elements passed to the lookups of every bundle: the W_n
+    lookups by float (``w_n``) and by cell index (``w_cells``) together as
+    "w_n", and ``ecdf_count``."""
 
     def __init__(self, monkeypatch):
         self.counts = {"w_n": 0, "ecdf_count": 0}
-        for owner, name in ((ProcessBundle, "w_n"), (_SampleProcesses, "ecdf_count")):
-            monkeypatch.setattr(owner, name, self._counted(name, getattr(owner, name)))
+        for owner, name, kind in (
+            (ProcessBundle, "w_n", "w_n"),
+            (ProcessBundle, "w_cells", "w_n"),
+            (_SampleProcesses, "ecdf_count", "ecdf_count"),
+        ):
+            monkeypatch.setattr(owner, name, self._counted(kind, getattr(owner, name)))
 
-    def _counted(self, name, fn):
+    def _counted(self, kind, fn):
         def wrapped(bundle, s, *args, **kwargs):
-            self.counts[name] += np.size(s)
+            self.counts[kind] += np.size(s)
             return fn(bundle, s, *args, **kwargs)
 
         return wrapped
@@ -510,7 +517,6 @@ def test_index_lookups_match_float_lookups(n, depth, lam_n, t, anchored, seed, b
                 p, q = pts[:-1], pts[1:]
                 limits = prob.numerator(0.5 * (p + q))
                 right, left = supstats._abs_limits(prob, pts, index)
-                assert index is not None
                 assert np.array_equal(right, np.abs(limits(p))), prob.__dict__
                 assert np.array_equal(left, np.abs(limits(q))), prob.__dict__
                 pieces += p.size

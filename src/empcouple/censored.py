@@ -143,15 +143,11 @@ class SubEmpiricals:
 
     def __init__(self, sample: CensoredSample):
         self.n = sample.n
-        self._z_all = np.sort(sample.Z)
         self._z1 = np.sort(sample.Z[sample.delta])
         self._z0 = np.sort(sample.Z[~sample.delta])
         self._xi = np.sort(sample.xi)
         self.n1 = self._z1.size
         self.n0 = self._z0.size
-
-    def count_h(self, v) -> np.ndarray:
-        return np.searchsorted(self._z_all, np.asarray(v, dtype=float), side="right")
 
     def count_h1(self, v) -> np.ndarray:
         return np.searchsorted(self._z1, np.asarray(v, dtype=float), side="right")
@@ -161,9 +157,6 @@ class SubEmpiricals:
 
     def count_u(self, s) -> np.ndarray:
         return np.searchsorted(self._xi, np.asarray(s, dtype=float), side="right")
-
-    def h_n(self, v):
-        return self.count_h(v) / self.n
 
     def h1_n(self, v):
         return self.count_h1(v) / self.n

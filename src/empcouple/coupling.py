@@ -147,24 +147,18 @@ class CoupledPath:
             raise ValueError(f"path not frozen to depth {depth}")
         return self._fine[:: 1 << (self.refinement_depth - depth)]
 
-    def values_at(self, t: np.ndarray, depth: int | None = None) -> np.ndarray:
+    def values_at(self, t: np.ndarray, depth: int) -> np.ndarray:
         """Vectorized dyadic-grid lookup of W over [0, extent].
 
         t is floored to the grid of step 2**-depth; arguments within a few
         ulp of an integer snap to that integer first, so lattice queries are
         exact.  Requires a prior ``freeze`` at least as deep.
         """
-        if depth is None:
-            depth = self.refinement_depth
-        check_refine_depth(depth)
-        if self._fine is None or depth > self.refinement_depth:
-            self.freeze(max(depth, self.refinement_depth))
+        grid = self.grid(depth)
         t = snap_to_integer(np.asarray(t, dtype=float))
         if np.any((t < 0.0) | (t > self.extent)):
             raise ValueError(f"time outside the refined range [0, {self.extent}]")
-        idx = np.floor(t * (1 << depth)).astype(np.int64)
-        idx <<= self.refinement_depth - depth
-        return self._fine[idx]
+        return grid[np.floor(t * (1 << depth)).astype(np.int64)]
 
 
 def check_refine_depth(depth: int) -> None:

@@ -97,17 +97,26 @@ class Run(NamedTuple):
     reads_cells: bool
 
 
+def _run_in(
+    x: np.ndarray, first: int, step: int, reads_cells: bool, lo: float, hi: float
+) -> Run:
+    """The points of the ascending ``x`` in [lo, hi] as a ``Run``; x[0] has index ``first``."""
+    i = int(np.searchsorted(x, lo))
+    return Run(x[i : np.searchsorted(x, hi, "right")], first + step * i, step, reads_cells)
+
+
 class _SampleProcesses:
     """Empirical/quantile evaluators shared by both bundle kinds.
 
     Subclasses provide ``n``, ``t``, ``U`` (with U_0 = 0) and ``depth``, plus
-    the bridge methods ``bridge_piece``, ``bridge_increment``, ``jump_grid``,
-    ``increment_jump_grid`` and ``grid_runs`` that the sup statistics
-    evaluate.  The bridge methods are piece factories: called on the
-    abscissae ``s_piece`` of a set of pieces, they do the grid lookups once
-    and return ``s -> values``, which is linear in s on each piece.  Given
-    ``cells``, the pieces' W_n cell indices (one array per run of
-    ``grid_runs`` that ``reads_cells``), they read W_n by index
+    the bridge methods ``bridge_piece``, ``bridge_increment`` and
+    ``grid_runs`` that the sup statistics evaluate, and the full grids
+    ``jump_grid`` and ``increment_jump_grid``, which the oracles in the tests
+    and the benchmark's trace read as references.  The two bridge piece
+    factories, called on the abscissae ``s_piece`` of a set of pieces, do the
+    grid lookups once and return ``s -> values``, which is linear in s on
+    each piece.  Given ``cells``, the pieces' W_n cell indices (one array per
+    run of ``grid_runs`` that ``reads_cells``), they read W_n by index
     (``w_cells``) and use ``s_piece`` only to place the pieces about the
     anchor.
     """
@@ -255,48 +264,43 @@ class ProcessBundle(_SampleProcesses):
 
         return piece
 
-    def jump_grid(self, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        """Dyadic grid j / (n 2^depth), which contains the lattice k / n.
+    def jump_grid(self) -> np.ndarray:
+        """Dyadic grid j / (n 2^depth), j = 0..n 2^depth, which contains the lattice k / n.
 
         Between consecutive grid points the bridge lookup and the lattice
-        index are constant.  With ``lo``/``hi`` only the points j / (n 2^depth)
-        with floor(lo n 2^depth) - 1 <= j <= ceil(hi n 2^depth) + 1 are built:
-        the same floats as the full grid's, a superset of those in [lo, hi].
+        index are constant.  This is the full grid, kept as a reference; the
+        sup statistics read the points of a range through ``grid_runs``.
         """
-        den, j0, j1 = self._grid_span(lo, hi)
-        return np.arange(j0, j1 + 1) / den
+        den = self.n << self.depth
+        return np.arange(den + 1) / den
 
     def _grid_span(self, lo: float, hi: float) -> tuple[int, int, int]:
-        """(den, j0, j1): ``jump_grid(lo, hi)`` is j / den for j0 <= j <= j1."""
+        """(den, j0, j1): the grid points j / den with j0 <= j <= j1 hold those in [lo, hi]."""
         den = self.n << self.depth
         return den, max(0, math.floor(lo * den) - 1), min(den, math.ceil(hi * den) + 1)
 
     def grid_runs(self, anchor: float | None, lo: float, hi: float) -> list[Run]:
-        """``jump_grid(lo, hi)`` and, for a window increment at ``anchor``,
-        ``increment_jump_grid(anchor, lo, hi)`` as ascending runs.
+        """The points in [lo, hi] of ``jump_grid()`` and, for a window increment
+        at ``anchor``, of ``increment_jump_grid(anchor)``, as ascending runs.
 
         The bridge reads W_n cell j between grid points j and j + 1, and the
         window increment cell j between the increment grid's anchor - (j + 1)
         / den and anchor - j / den.
         """
         den, j0, j1 = self._grid_span(lo, hi)
-        grid = Run(np.arange(j0, j1 + 1) / den, j0, 1, anchor is None)
+        grid = _run_in(np.arange(j0, j1 + 1) / den, j0, 1, anchor is None, lo, hi)
         if anchor is None:
             return [grid]
         den, j0, j1 = self._grid_span(anchor - hi, anchor - lo)
-        return [grid, Run((anchor - np.arange(j0, j1 + 1) / den)[::-1], j1, -1, True)]
+        increment = (anchor - np.arange(j0, j1 + 1) / den)[::-1]
+        return [grid, _run_in(increment, j1, -1, True, lo, hi)]
 
-    def increment_jump_grid(
-        self, anchor: float, lo: float | None = None, hi: float | None = None
-    ) -> np.ndarray:
-        """Jump abscissae of s -> W_n((anchor - s) n) on the dyadic grid.
+    def increment_jump_grid(self, anchor: float) -> np.ndarray:
+        """Jump abscissae anchor - j / (n 2^depth) of s -> W_n((anchor - s) n).
 
-        With ``lo``/``hi``, a padded superset of those in [lo, hi], as the
-        same floats as the full grid's (see ``jump_grid``).
+        The full grid, kept as a reference (see ``jump_grid``).
         """
-        if lo is None:
-            return anchor - self.jump_grid()
-        return anchor - self.jump_grid(anchor - hi, anchor - lo)
+        return anchor - self.jump_grid()
 
     # -- constructors ------------------------------------------------------
 
@@ -444,56 +448,58 @@ class AnchoredBundle(_SampleProcesses):
 
         return piece
 
-    def jump_grid(self, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+    def jump_grid(self) -> np.ndarray:
         """Block bridge grids mapped onto [0, t] and [t, 1], plus the lattice k / n.
 
-        Unsorted, with repeats; callers sort the breakpoints they merge it into.
-        With ``lo``/``hi`` each block's grid is restricted to the preimage of
-        [lo, hi] and the lattice to k with floor(lo n) - 1 <= k <= ceil(hi n) + 1:
-        a padded superset of the full grid's points in [lo, hi], as the same
-        floats.
+        Unsorted, with repeats.  This is the full grid, kept as a reference;
+        the sup statistics read the points of a range through ``grid_runs``.
         """
-        return np.concatenate([run.x for run in self.grid_runs(None, lo, hi)])
+        t = self.t
+        return np.concatenate([
+            t - t * self.below.jump_grid(),
+            t + (1.0 - t) * self.above.jump_grid(),
+            np.arange(self.n + 1) / self.n,
+        ])
 
     def grid_runs(self, anchor: float | None, lo: float, hi: float) -> list[Run]:
-        """``jump_grid(lo, hi)`` and, for a window increment at the anchor,
-        ``increment_jump_grid(anchor, lo, hi)`` as ascending runs.
+        """The points in [lo, hi] of ``jump_grid()`` and, for a window increment
+        at the anchor, of ``increment_jump_grid(anchor)``, as ascending runs.
 
         The bridge reads W_n cells of ``below`` between the points t - t x of
         its grid and of ``above`` between the points t + (1 - t) x of its
         grid; the window increment reads cells of ``below`` between the points
-        t x of its grid.
+        t x of its grid.  No lookup reads the lattice run, but a quantile
+        window increment's step jumps t - k / n can round one ulp away from
+        k / n, and the one-ulp piece between them can hold the sup: without
+        the lattice run, approx3 at n = 100, t = 1/2, depth 3 moves in its
+        last bits.
         """
         t = self.t
         bridge = anchor is None
         den, b0, b1 = self.below._grid_span(1.0 - hi / t, 1.0 - lo / t)
-        below = np.arange(b0, b1 + 1) / den
+        below = (t - t * (np.arange(b0, b1 + 1) / den))[::-1]
         den, a0, a1 = self.above._grid_span((lo - t) / (1.0 - t), (hi - t) / (1.0 - t))
+        above = t + (1.0 - t) * (np.arange(a0, a1 + 1) / den)
         k0 = max(0, math.floor(lo * self.n) - 1)
         k1 = min(self.n, math.ceil(hi * self.n) + 1)
         runs = [
-            Run((t - t * below)[::-1], b1, -1, bridge),
-            Run(t + (1.0 - t) * (np.arange(a0, a1 + 1) / den), a0, 1, bridge),
-            Run(np.arange(k0, k1 + 1) / self.n, k0, 1, False),
+            _run_in(below, b1, -1, bridge, lo, hi),
+            _run_in(above, a0, 1, bridge, lo, hi),
+            _run_in(np.arange(k0, k1 + 1) / self.n, k0, 1, False, lo, hi),
         ]
         if not bridge:
             self._check_anchor(anchor)
             den, i0, i1 = self.below._grid_span(lo / t, hi / t)
-            runs.append(Run(t * (np.arange(i0, i1 + 1) / den), i0, 1, True))
+            runs.append(_run_in(t * (np.arange(i0, i1 + 1) / den), i0, 1, True, lo, hi))
         return runs
 
-    def increment_jump_grid(
-        self, anchor: float, lo: float | None = None, hi: float | None = None
-    ) -> np.ndarray:
+    def increment_jump_grid(self, anchor: float) -> np.ndarray:
         """Jump abscissae t j / (N_L 2^depth) of s -> B_L(s / t).
 
-        With ``lo``/``hi``, a padded superset of those in [lo, hi], as the
-        same floats as the full grid's.
+        The full grid, kept as a reference (see ``jump_grid``).
         """
         self._check_anchor(anchor)
-        if lo is None:
-            return self.t * self.below.jump_grid()
-        return self.t * self.below.jump_grid(lo / self.t, hi / self.t)
+        return self.t * self.below.jump_grid()
 
     def _check_anchor(self, anchor: float) -> None:
         if anchor != self.t:

@@ -7,10 +7,11 @@ with 0 <= c <= 1 such a ratio has no interior local maximum.  The supremum
 over the domain is therefore attained at a breakpoint, as a one-sided limit
 or as the point value there.
 
-Breakpoints are: the bundle's jump grid (``jump_grid``: where the bridge
-lookup or the lattice index k/n can change), the jump points of the bridge
-lookups of a window increment (``increment_jump_grid``), the jump points of
-whichever step process appears in the numerator, and the domain endpoints.
+Breakpoints are: the points of the bundle's grid runs (``grid_runs``), that
+is its jump grid, where the bridge lookup or the lattice index k/n can change,
+and for a window increment the jump points of its bridge lookups; the jump
+points of whichever step process appears in the numerator; and the domain
+endpoints.
 One-sided limits are evaluated by resolving all piecewise lookups on the
 adjacent interval and then plugging in the endpoint abscissa.
 
@@ -37,15 +38,15 @@ known integer index, and the lookups are read from those indices, not from
 float midpoints.  A block's breakpoints are a stable, de-duplicated merge of
 sorted runs (``_blocks``): its ends, the bundle's grid runs (``grid_runs``:
 the jump grid j / (n 2^depth), or on ``AnchoredBundle`` its blocks' grids
-mapped onto [0, t] and [t, 1], and the window increment's grid) and the step
-jumps.  How many points of each run lie at or before a piece gives its
-lookups: the W_n cell, by index into the paths' refined grids
-(``w_cells``), and the lattice index or ECDF count, from the step jumps
-before it.  A piece narrower than ``_NARROW`` keeps all its lookups at its
-float midpoint, as ``numerator(mid)`` does: its ends are floats a few ulp
-apart, such as t - t x and t x' on ``AnchoredBundle``, or an increment
-grid point one ulp off the grid, and rounding may put its midpoint in
-either neighbouring cell.
+mapped onto [0, t] and [t, 1] and the lattice k / n, and the window
+increment's grid, each cut to the block) and the step jumps.  How many
+points of each run lie at or before a piece gives its lookups: the W_n
+cell, by index into the paths' refined grids (``w_cells``), and the
+lattice index or ECDF count, from the step jumps before it.  A piece
+narrower than ``_NARROW`` keeps all its lookups at its float midpoint, as
+``numerator(mid)`` does: its ends are floats a few ulp apart, such as
+t - t x and t x' on ``AnchoredBundle``, or an increment grid point one ulp
+off the grid, and rounding may put its midpoint in either neighbouring cell.
 
 The domain is solved block by block.  Block edges are lo, every k-th step
 jump inside (lo, hi) and hi, with k chosen so that a block holds about
@@ -66,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .processes import Bundle, Run
+from .processes import Bundle
 
 # Dyadic grid points per block of the sup domain (see ``_block_edges``).
 _BLOCK_POINTS = 1 << 16
@@ -112,7 +113,7 @@ class SupProblem:
     """Domain, numerator and weight of one sup statistic.
 
     ``anchor`` is set for a window increment at that anchor, whose bridge
-    lookups jump off the bundle's ``jump_grid``, on its ``increment_jump_grid``;
+    lookups jump on the bundle's increment grid (``grid_runs(anchor, ...)``);
     ``step_jumps`` are the jump points of its step process, where the point
     value is evaluated too; the numerator counts them for its step lookups
     from an ``Index``, so they must be exactly its step process's jumps.
@@ -208,25 +209,16 @@ def _merge(runs: list, counted: list) -> tuple[np.ndarray, list]:
     order = np.argsort(x, kind="stable")
     x = x[order]
     last = np.flatnonzero(np.append(x[1:] != x[:-1], True))
-    if not counted:
-        return x[last], []
     run_of = np.repeat(np.arange(len(runs), dtype=np.int8), [r.size for r in runs])[order]
     return x[last], [np.cumsum(run_of == i, dtype=np.int32)[last[:-1]] for i in counted]
-
-
-def _trim(run: Run, a: float, b: float) -> Run:
-    """The points of ``run`` in [a, b]."""
-    i = int(np.searchsorted(run.x, a))
-    x = run.x[i : np.searchsorted(run.x, b, "right")]
-    return run._replace(x=x, first=run.first + run.step * i)
 
 
 def _blocks(bundle: Bundle, prob: SupProblem):
     """Sorted breakpoints of each block, with the index lookups of its pieces.
 
-    A block's breakpoints are its ends, the bundle's grid runs (``grid_runs``:
-    the jump grid, and the window increment's grid) and the step jumps in it,
-    merged from these sorted runs.  The piece after the c-th point of a run
+    A block's breakpoints are its ends, the bundle's grid runs in it
+    (``grid_runs``: the jump grid, and the window increment's grid) and the
+    step jumps in it, merged from these sorted runs.  The piece after the c-th point of a run
     that ``reads_cells`` lies in W_n cell first + c - 1 (ascending index) or
     first - c (descending), and ``steps`` counts the step jumps at or before
     it.
@@ -235,7 +227,7 @@ def _blocks(bundle: Bundle, prob: SupProblem):
     edges = _block_edges(bundle, prob, steps[np.append(True, steps[1:] != steps[:-1])])
     for a, b in zip(edges[:-1], edges[1:]):
         s0, s1 = int(np.searchsorted(steps, a)), int(np.searchsorted(steps, b, "right"))
-        runs = [_trim(run, a, b) for run in bundle.grid_runs(prob.anchor, a, b)]
+        runs = bundle.grid_runs(prob.anchor, a, b)
         cell_runs = [run for run in runs if run.reads_cells]
         pts, counts = _merge(
             [np.array([a, b]), steps[s0:s1], *(r.x for r in runs)],
@@ -514,7 +506,7 @@ def problem_empirical_increment(bundle: Bundle, cfg: WeightConfig) -> SupProblem
 
 
 def problem_restricted(bundle: Bundle, cfg: WeightConfig) -> SupProblem:
-    t_n = restricted_count(bundle.n, bundle.t)
+    t_n = restricted_count(bundle.n, cfg.t)
     return empirical_window_problem(
         bundle, cfg.t, bundle.U[1], bundle.U[t_n], *power_weight(bundle.n, cfg.nu, "s")
     )

@@ -5,10 +5,12 @@ and prints a single PASS/FAIL line (bypassing capture) so the run log shows
 the verdict per criterion even when everything is green.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+import scipy
 from scipy import stats
 
 import empcouple as ec
@@ -34,6 +36,10 @@ from oracles import naive_sup_fast
 
 SEED = 20260824
 CRITERION_5_LADDER = [512, 1024, 2048, 4096, 8192]
+
+# sha256 of rows_to_csv of the criterion-5 rows.  Recorded with numpy 2.4.6
+# and scipy 1.17.1; a change of either may move the last bits of a sup.
+CRITERION_5_SHA256 = "3af35e1e37377e974e077c9b1473ae3b904d90e373e3d0bee999eb51f8de1fc3"
 
 
 def _verdict(capsys, criterion: int, passed: bool, detail: str) -> None:
@@ -141,6 +147,7 @@ def test_criterion_5_tightness_proxy(capsys):
     documented desk-scale rate r(n) / r(512) floored at 1 (identically 1
     except at the near-critical eta = 0.45 and nu = 0.2) and z = 2.69 the
     Bonferroni bound over the 14 statistics.  See ``tightness_verdicts``.
+    The rows' CSV must keep its recorded sha256.
     """
     requests = _criterion_5_requests()
     rows = ec.run_requests(requests, CRITERION_5_LADDER, 500, SEED)
@@ -153,6 +160,8 @@ def test_criterion_5_tightness_proxy(capsys):
     )
     _verdict(capsys, 5, passed, detail)
     assert passed
+    digest = hashlib.sha256(ec.rows_to_csv(rows).encode()).hexdigest()
+    assert digest == CRITERION_5_SHA256, (np.__version__, scipy.__version__)
 
 
 def _synthetic_ladder_rows(name, growth, stream):

@@ -1,8 +1,10 @@
 """Special-function wrappers against independent quadrature/mpmath oracles."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from empcouple.numerics import (
@@ -62,7 +64,7 @@ def test_beta_i_against_mpmath(a, b, x):
 
 # shape ranges below match actual usage: the coupling only inverts at
 # half-integer shapes >= 1/2
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     a=st.floats(min_value=0.5, max_value=512.0),
     p=st.floats(min_value=1e-8, max_value=1.0 - 1e-8),
@@ -72,15 +74,21 @@ def test_gamma_quantile_roundtrip(a, p):
     assert reg_gamma_p(a, x) == pytest.approx(p, rel=1e-9, abs=1e-10)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     a=st.floats(min_value=0.5, max_value=256.0),
     b=st.floats(min_value=0.5, max_value=256.0),
     p=st.floats(min_value=1e-8, max_value=1.0 - 1e-8),
 )
+@example(a=2.0, b=0.5, p=0.99999999)
 def test_beta_quantile_roundtrip(a, b, p):
     x = inv_reg_beta_i(p, a, b)
-    assert reg_beta_i(x, a, b) == pytest.approx(p, rel=1e-9, abs=1e-10)
+    if x < 1.0:
+        assert reg_beta_i(x, a, b) == pytest.approx(p, rel=1e-9, abs=1e-10)
+    else:
+        # no float below 1 reaches p, so 1.0 is the correctly rounded quantile
+        # and the round trip cannot hold in float64
+        assert reg_beta_i(math.nextafter(1.0, 0.0), a, b) <= p
 
 
 def test_gamma_quantile_monotone():

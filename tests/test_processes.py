@@ -343,47 +343,52 @@ def _restricted_grid_ends(bundle, lam, theta):
     return sorted({0.0, 1.0, lam / bundle.n, bundle.t, theta, *on_grid, *off_grid})
 
 
+def _grid_test_bundles(kind, t):
+    if kind == "lattice":
+        return [_bundle(24, seed=s, t=t, depth=3) for s in range(2)]
+    return [_anchored(24, seed=s, t=t, depth=3) for s in range(3)] + [_anchored(3, seed=1, t=t)]
+
+
+def _jump_grid_parts(b):
+    """``jump_grid()`` split into the full grids of ``grid_runs(None, ...)``'s
+    runs: the dyadic grid, or the mapped block grids and the lattice."""
+    full = b.jump_grid()
+    if isinstance(b, ProcessBundle):
+        return [full]
+    nb, na = ((blk.n << b.depth) + 1 for blk in (b.below, b.above))
+    return np.split(full, [nb, nb + na])
+
+
+def _check_grid_runs(b, anchor, parts):
+    # each run holds exactly the points of its full grid in [lo, hi], in
+    # order, and x[i] is that grid's point of index first + step i
+    ends = _restricted_grid_ends(b, 1.2, 0.4)
+    for lo in ends:
+        for hi in ends:
+            if not lo < hi:
+                continue
+            runs = b.grid_runs(anchor, lo, hi)
+            assert len(runs) == len(parts)
+            for run, full in zip(runs, parts):
+                inside = np.sort(full[(full >= lo) & (full <= hi)])
+                assert np.array_equal(run.x, inside), (lo, hi)
+                at = run.first + run.step * np.arange(run.x.size)
+                assert (at >= 0).all() and np.array_equal(run.x, full[at]), (lo, hi)
+
+
 @pytest.mark.parametrize("kind", ["lattice", "anchored"])
 @pytest.mark.parametrize("t", [0.5, 0.3, 0.4])
 def test_restricted_jump_grid_covers_domain(kind, t):
-    # jump_grid(lo, hi) holds every full-grid point in [lo, hi], as the same
-    # floats; the anchored one holds t whichever block it leaves out
-    bundles = (
-        [_bundle(24, seed=s, t=t, depth=3) for s in range(2)]
-        if kind == "lattice"
-        else [_anchored(24, seed=s, t=t, depth=3) for s in range(3)] + [_anchored(3, seed=1, t=t)]
-    )
-    for b in bundles:
-        full = b.jump_grid()
-        ends = _restricted_grid_ends(b, 1.2, 0.4)
-        for lo in ends:
-            for hi in ends:
-                if not lo < hi:
-                    continue
-                part = b.jump_grid(lo, hi)
-                inside = full[(full >= lo) & (full <= hi)]
-                assert np.isin(inside, part).all(), (lo, hi)
-                assert np.isin(part, full).all(), (lo, hi)
+    # grid_runs(None, lo, hi) is the full jump grid in [lo, hi], as the same
+    # floats
+    for b in _grid_test_bundles(kind, t):
+        _check_grid_runs(b, None, _jump_grid_parts(b))
 
 
 @pytest.mark.parametrize("kind", ["lattice", "anchored"])
 @pytest.mark.parametrize("t", [0.5, 0.3, 0.4])
 def test_restricted_increment_jump_grid_covers_domain(kind, t):
-    # increment_jump_grid(t, lo, hi) holds every point of the full increment
-    # grid in [lo, hi], as the same floats
-    bundles = (
-        [_bundle(24, seed=s, t=t, depth=3) for s in range(2)]
-        if kind == "lattice"
-        else [_anchored(24, seed=s, t=t, depth=3) for s in range(3)] + [_anchored(3, seed=1, t=t)]
-    )
-    for b in bundles:
-        full = b.increment_jump_grid(t)
-        ends = _restricted_grid_ends(b, 1.2, 0.4)
-        for lo in ends:
-            for hi in ends:
-                if not lo < hi:
-                    continue
-                part = b.increment_jump_grid(t, lo, hi)
-                inside = full[(full >= lo) & (full <= hi)]
-                assert np.isin(inside, part).all(), (lo, hi)
-                assert np.isin(part, full).all(), (lo, hi)
+    # grid_runs(t, lo, hi) adds the full increment grid in [lo, hi], as the
+    # same floats
+    for b in _grid_test_bundles(kind, t):
+        _check_grid_runs(b, t, [*_jump_grid_parts(b), b.increment_jump_grid(t)])

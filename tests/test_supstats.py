@@ -283,6 +283,18 @@ def test_restricted_requires_enough_mass():
         stat_restricted(b, WeightConfig(t=0.05))
 
 
+def test_restricted_window_at_cfg_t():
+    # [U_1, U_[nt]) takes t from the config, as its anchor does, not from the
+    # t the bundle was built at
+    b = _bundle(16, seed=1, t=0.5, depth=4)
+    prob = problem_restricted(b, WeightConfig(t=0.3))
+    assert (prob.lo, prob.hi, prob.anchor) == (b.U[1], b.U[4], 0.3)
+    b = _bundle(8, seed=1, t=0.1, depth=4)
+    prob = problem_restricted(b, WeightConfig(t=0.5))
+    assert (prob.lo, prob.hi) == (b.U[1], b.U[4])
+    assert stat_restricted(b, WeightConfig(t=0.5)).value >= 0.0
+
+
 def test_restricted_nested_in_increment():
     # when [U_1, U_{t_n}) lies inside [lam/n, t) the restricted sup cannot win
     cfg = WeightConfig(nu=0.1)
@@ -506,13 +518,16 @@ def test_index_lookups_match_float_lookups(n, depth, lam_n, t, anchored, seed, b
         for prob in _lookup_problems(b, lam_n * n, t):
             if not prob.lo < prob.hi:
                 continue
+            grids = [b.jump_grid()]
+            if prob.anchor is not None:
+                grids.append(b.increment_jump_grid(prob.anchor))
+            grid = np.concatenate(grids)
+            grid = np.sort(grid[(grid >= prob.lo) & (grid <= prob.hi)])
             pieces = 0
             for pts, index in supstats._blocks(b, prob):
                 a, z = pts[0], pts[-1]
-                parts = [[a, z], b.jump_grid(a, z), prob.step_jumps]
-                if prob.anchor is not None:
-                    parts.append(b.increment_jump_grid(prob.anchor, a, z))
-                every = np.concatenate(parts)
+                inside = grid[np.searchsorted(grid, a) : np.searchsorted(grid, z, "right")]
+                every = np.concatenate([[a, z], inside, prob.step_jumps])
                 assert np.array_equal(pts, np.unique(every[(every >= a) & (every <= z)]))
                 p, q = pts[:-1], pts[1:]
                 limits = prob.numerator(0.5 * (p + q))

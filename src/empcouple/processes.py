@@ -87,47 +87,40 @@ class Run(NamedTuple):
     """An ascending run of breakpoints that carry integer grid indices.
 
     ``x[i]`` is the grid point of index ``first + step * i``.
-    ``reads_cells`` tells whether the bridge reads W_n cells (``w_cells``)
-    between these points.
     """
 
     x: np.ndarray
     first: int
     step: int
-    reads_cells: bool
 
 
-def _run_in(
-    x: np.ndarray, first: int, step: int, reads_cells: bool, lo: float, hi: float
-) -> Run:
+def _run_in(x: np.ndarray, first: int, step: int, lo: float, hi: float) -> Run:
     """The points of the ascending ``x`` in [lo, hi] as a ``Run``; x[0] has index ``first``."""
     i = int(np.searchsorted(x, lo))
-    return Run(x[i : np.searchsorted(x, hi, "right")], first + step * i, step, reads_cells)
+    return Run(x[i : np.searchsorted(x, hi, "right")], first + step * i, step)
 
 
 class _SampleProcesses:
     """Empirical/quantile evaluators shared by both bundle kinds.
 
     Subclasses provide ``n``, ``t``, ``U`` (with U_0 = 0) and ``depth``, plus
-    the bridge methods ``bridge_piece``, ``bridge_increment`` and
-    ``grid_runs`` that the sup statistics evaluate, and the full grids
+    the bridge methods ``bridge_piece``, ``bridge_increment``, ``grid_runs``
+    and ``point_breaks`` that the sup statistics evaluate, and the full grids
     ``jump_grid`` and ``increment_jump_grid``, which the oracles in the tests
-    and the benchmark's trace read as references.  The two bridge piece
-    factories, called on the abscissae ``s_piece`` of a set of pieces, do the
-    grid lookups once and return ``s -> values``, which is linear in s on
-    each piece.  Given ``cells``, the pieces' W_n cell indices (one array per
-    run of ``grid_runs`` that ``reads_cells``), they read W_n by index
-    (``w_cells``) and use ``s_piece`` only to place the pieces about the
-    anchor.
+    and the benchmark's trace read as references.  ``grid_runs`` returns
+    exactly the grid the bridge lookups of a problem read: the bridge's grid
+    for a full-range or tail sup, the increment grid for a window increment.
+    The two bridge piece factories, called on the abscissae ``s_piece`` of a
+    set of pieces, do the grid lookups once and return ``s -> values``,
+    which is linear in s on each piece.  Given ``cells``, the pieces' W_n
+    cell indices (one array per run of ``grid_runs``), they read W_n by
+    index (``w_cells``) and use ``s_piece`` only to place the pieces about
+    the anchor.
     """
 
     n: int
     t: float
     U: np.ndarray
-
-    @property
-    def t_n(self) -> int:
-        return int(math.floor(self.n * self.t))
 
     def bridge(self, s) -> np.ndarray:
         """Coupled Brownian bridge at s (point values on the dyadic grid)."""
@@ -280,20 +273,19 @@ class ProcessBundle(_SampleProcesses):
         return den, max(0, math.floor(lo * den) - 1), min(den, math.ceil(hi * den) + 1)
 
     def grid_runs(self, anchor: float | None, lo: float, hi: float) -> list[Run]:
-        """The points in [lo, hi] of ``jump_grid()`` and, for a window increment
-        at ``anchor``, of ``increment_jump_grid(anchor)``, as ascending runs.
+        """The points in [lo, hi] of the one grid the bridge lookups read, as a run.
 
-        The bridge reads W_n cell j between grid points j and j + 1, and the
-        window increment cell j between the increment grid's anchor - (j + 1)
-        / den and anchor - j / den.
+        That is ``jump_grid()``, whose cell j, between grid points j and
+        j + 1, the bridge reads; for a window increment at ``anchor`` it is
+        ``increment_jump_grid(anchor)`` instead, whose cell j lies between
+        anchor - (j + 1) / den and anchor - j / den.
         """
-        den, j0, j1 = self._grid_span(lo, hi)
-        grid = _run_in(np.arange(j0, j1 + 1) / den, j0, 1, anchor is None, lo, hi)
         if anchor is None:
-            return [grid]
+            den, j0, j1 = self._grid_span(lo, hi)
+            return [_run_in(np.arange(j0, j1 + 1) / den, j0, 1, lo, hi)]
         den, j0, j1 = self._grid_span(anchor - hi, anchor - lo)
         increment = (anchor - np.arange(j0, j1 + 1) / den)[::-1]
-        return [grid, _run_in(increment, j1, -1, True, lo, hi)]
+        return [_run_in(increment, j1, -1, lo, hi)]
 
     def increment_jump_grid(self, anchor: float) -> np.ndarray:
         """Jump abscissae anchor - j / (n 2^depth) of s -> W_n((anchor - s) n).
@@ -301,6 +293,15 @@ class ProcessBundle(_SampleProcesses):
         The full grid, kept as a reference (see ``jump_grid``).
         """
         return anchor - self.jump_grid()
+
+    def point_breaks(self, anchor: float | None) -> np.ndarray:
+        """Abscissae in (0, 1) where the bridge, or the window increment at
+        ``anchor``, takes neither of its one-sided limits: none.
+
+        W_n is left-continuous, so the bridge is too; past the anchor the
+        increment keeps its value there.
+        """
+        return np.empty(0)
 
     # -- constructors ------------------------------------------------------
 
@@ -449,49 +450,36 @@ class AnchoredBundle(_SampleProcesses):
         return piece
 
     def jump_grid(self) -> np.ndarray:
-        """Block bridge grids mapped onto [0, t] and [t, 1], plus the lattice k / n.
+        """Block bridge grids mapped onto [0, t] and [t, 1]: t - t x and t + (1 - t) x.
 
-        Unsorted, with repeats.  This is the full grid, kept as a reference;
+        Unsorted; both hold t.  This is the full grid, kept as a reference;
         the sup statistics read the points of a range through ``grid_runs``.
         """
         t = self.t
         return np.concatenate([
             t - t * self.below.jump_grid(),
             t + (1.0 - t) * self.above.jump_grid(),
-            np.arange(self.n + 1) / self.n,
         ])
 
     def grid_runs(self, anchor: float | None, lo: float, hi: float) -> list[Run]:
-        """The points in [lo, hi] of ``jump_grid()`` and, for a window increment
-        at the anchor, of ``increment_jump_grid(anchor)``, as ascending runs.
+        """The points in [lo, hi] of the grids the bridge lookups read, as runs.
 
         The bridge reads W_n cells of ``below`` between the points t - t x of
         its grid and of ``above`` between the points t + (1 - t) x of its
-        grid; the window increment reads cells of ``below`` between the points
-        t x of its grid.  No lookup reads the lattice run, but a quantile
-        window increment's step jumps t - k / n can round one ulp away from
-        k / n, and the one-ulp piece between them can hold the sup: without
-        the lattice run, approx3 at n = 100, t = 1/2, depth 3 moves in its
-        last bits.
+        grid (``jump_grid()``); the window increment at the anchor reads cells
+        of ``below`` between the points t x of its grid
+        (``increment_jump_grid(t)``), and only those.
         """
         t = self.t
-        bridge = anchor is None
+        if anchor is not None:
+            self._check_anchor(anchor)
+            den, i0, i1 = self.below._grid_span(lo / t, hi / t)
+            return [_run_in(t * (np.arange(i0, i1 + 1) / den), i0, 1, lo, hi)]
         den, b0, b1 = self.below._grid_span(1.0 - hi / t, 1.0 - lo / t)
         below = (t - t * (np.arange(b0, b1 + 1) / den))[::-1]
         den, a0, a1 = self.above._grid_span((lo - t) / (1.0 - t), (hi - t) / (1.0 - t))
         above = t + (1.0 - t) * (np.arange(a0, a1 + 1) / den)
-        k0 = max(0, math.floor(lo * self.n) - 1)
-        k1 = min(self.n, math.ceil(hi * self.n) + 1)
-        runs = [
-            _run_in(below, b1, -1, bridge, lo, hi),
-            _run_in(above, a0, 1, bridge, lo, hi),
-            _run_in(np.arange(k0, k1 + 1) / self.n, k0, 1, False, lo, hi),
-        ]
-        if not bridge:
-            self._check_anchor(anchor)
-            den, i0, i1 = self.below._grid_span(lo / t, hi / t)
-            runs.append(_run_in(t * (np.arange(i0, i1 + 1) / den), i0, 1, True, lo, hi))
-        return runs
+        return [_run_in(below, b1, -1, lo, hi), _run_in(above, a0, 1, lo, hi)]
 
     def increment_jump_grid(self, anchor: float) -> np.ndarray:
         """Jump abscissae t j / (N_L 2^depth) of s -> B_L(s / t).
@@ -500,6 +488,17 @@ class AnchoredBundle(_SampleProcesses):
         """
         self._check_anchor(anchor)
         return self.t * self.below.jump_grid()
+
+    def point_breaks(self, anchor: float | None) -> np.ndarray:
+        """Abscissae in (0, 1) where the bridge, or the window increment at
+        ``anchor``, takes neither of its one-sided limits.
+
+        For the bridge that is the splice t: both blocks' bridges are 0 at
+        their end at t, which makes B(t) = b_anchor, but not on their first
+        grid cell, so neither limit at t need equal B(t).  The window
+        increment is continuous at t.
+        """
+        return np.array([self.t]) if anchor is None else np.empty(0)
 
     def _check_anchor(self, anchor: float) -> None:
         if anchor != self.t:

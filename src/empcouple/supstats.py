@@ -7,46 +7,44 @@ with 0 <= c <= 1 such a ratio has no interior local maximum.  The supremum
 over the domain is therefore attained at a breakpoint, as a one-sided limit
 or as the point value there.
 
-Breakpoints are: the points of the bundle's grid runs (``grid_runs``), that
-is its jump grid, where the bridge lookup or the lattice index k/n can change,
-and for a window increment the jump points of its bridge lookups; the jump
-points of whichever step process appears in the numerator; and the domain
-endpoints.
+A problem's breakpoints are its domain ends, the jump points of the step
+process in its numerator, and the grid its bridge lookup reads, and nothing
+else: for a full-range or tail sup the bundle's bridge grid, for a window
+increment the jump points of its bridge increment (``grid_runs``).  Between
+them every lookup is constant.
 One-sided limits are evaluated by resolving all piecewise lookups on the
 adjacent interval and then plugging in the endpoint abscissa.
 
-Point values are evaluated at the closed endpoints and at every jump of the
-numerator's step process (k/n, t - k/n, U_k or t - U_k).  Elsewhere the step
-term is continuous, the drift linear and the bridge lookup takes the value of
-one adjacent piece, so a point value equals a one-sided limit already
-evaluated.  At a step jump it need not: on ``ProcessBundle`` the bridge is
-left-continuous in s while U_[sn] is right-continuous, and both jump at
-every k/n.  Evaluating both one-sided limits at every breakpoint and these
-point values gives the *exact* supremum of the discretized processes.
+Point values are evaluated at the closed endpoints, at every jump of the
+numerator's step process (k/n, t - k/n, U_k or t - U_k) and where the
+bridge takes neither one-sided limit (the bundle's ``point_breaks``: the
+splice t of an ``AnchoredBundle``).  Elsewhere the step term is continuous,
+the drift linear and the bridge lookup takes the value of one adjacent
+piece, so a point value equals a one-sided limit already evaluated.  At a
+step jump it need not: on ``ProcessBundle`` the bridge is left-continuous in
+s while U_[sn] is right-continuous, and both jump at every k/n.  Evaluating
+both one-sided limits at every breakpoint and these point values gives the
+*exact* supremum of the discretized processes.
 
 Every lookup (the bridge value W_n, the lattice index [sn], the ECDF count)
 is done once per piece: a numerator is a piece factory that resolves its
 lookups on a piece and returns s -> values, evaluated at both ends of each
-piece; the point values take one more pass, at their float abscissae.  The
-weight enters only after |numerator|, so several weights of one numerator
-and domain (the eta or nu variants of a statistic) share one pass
+piece.  The weight enters only after |numerator|, so several weights of one
+numerator and domain (the eta or nu variants of a statistic) share one pass
 (``solve_weights``), and each weight's base s(1-s), s or 1-s is computed
 once per block.
 
-Every breakpoint but the step jumps and the domain ends is a grid point of
-known integer index, and the lookups are read from those indices, not from
-float midpoints.  A block's breakpoints are a stable, de-duplicated merge of
-sorted runs (``_blocks``): its ends, the bundle's grid runs (``grid_runs``:
-the jump grid j / (n 2^depth), or on ``AnchoredBundle`` its blocks' grids
-mapped onto [0, t] and [t, 1] and the lattice k / n, and the window
-increment's grid, each cut to the block) and the step jumps.  How many
-points of each run lie at or before a piece gives its lookups: the W_n
-cell, by index into the paths' refined grids (``w_cells``), and the
-lattice index or ECDF count, from the step jumps before it.  A piece
-narrower than ``_NARROW`` keeps all its lookups at its float midpoint, as
-``numerator(mid)`` does: its ends are floats a few ulp apart, such as
-t - t x and t x' on ``AnchoredBundle``, or an increment grid point one ulp
-off the grid, and rounding may put its midpoint in either neighbouring cell.
+On pieces the lookups are read from integer indices, never from float
+midpoints.  A block's breakpoints are a stable, de-duplicated merge of
+sorted runs (``_blocks``): its ends, the step jumps, and the runs of
+``grid_runs``, each a grid of known integer index cut to the block (the
+jump grid j / (n 2^depth); on ``AnchoredBundle`` its blocks' grids mapped
+onto [0, t] and [t, 1]; for a window increment that increment's grid).
+How many points of each run lie at or before a piece gives its lookups:
+the W_n cell, by index into the paths' refined grids (``w_cells``), and
+the lattice index or ECDF count, from the step jumps before it.  The
+numerator's float lookups (``numerator(s)``, which snap s n to the lattice)
+serve the point values alone, at their float abscissae.
 
 The domain is solved block by block.  Block edges are lo, every k-th step
 jump inside (lo, hi) and hi, with k chosen so that a block holds about
@@ -71,12 +69,6 @@ from .processes import Bundle
 
 # Dyadic grid points per block of the sup domain (see ``_block_edges``).
 _BLOCK_POINTS = 1 << 16
-
-# Pieces narrower than this keep the lookups at their float midpoint; wider
-# ones read them by index (see ``_abs_limits``).  The midpoint lookups round and
-# snap within a few dozen ulp of 1 in s, far inside this margin, so on a
-# wider piece they find the cell the run counts give.
-_NARROW = 2.0**-36
 
 
 @dataclass(frozen=True)
@@ -141,9 +133,10 @@ class SupProblem:
         wpow = _weight_power(s, self.weight_exp, self.weight_kind)
         return _weigh(np.abs(self.numerator(s_piece)(s)), wpow, self.scale)
 
-    def point_abscissae(self) -> np.ndarray:
-        """Where the point value is evaluated: closed endpoints and step jumps."""
-        s = self.step_jumps
+    def point_abscissae(self, breaks: np.ndarray) -> np.ndarray:
+        """Where the point value is evaluated: closed endpoints, step jumps and
+        the bundle's ``point_breaks``, given as ``breaks``."""
+        s = np.concatenate([self.step_jumps, breaks])
         ends = [self.lo, self.hi] if self.closed_hi else [self.lo]
         return np.unique(np.concatenate([ends, s[(s >= self.lo) & (s < self.hi)]]))
 
@@ -194,71 +187,52 @@ class Index(NamedTuple):
     """Lookups of a block's pieces, read from the run counts (see ``_blocks``)."""
 
     steps: np.ndarray  # step jumps at or before each piece's left end
-    cells: list  # W_n cell of each piece, one array per run that ``reads_cells``
-
-    def take(self, k) -> "Index":
-        """The lookups of pieces k."""
-        return Index(self.steps[k], [c[k] for c in self.cells])
+    cells: list  # W_n cell of each piece, one array per run of ``grid_runs``
 
 
-def _merge(runs: list, counted: list) -> tuple[np.ndarray, list]:
+def _merge(runs: list) -> tuple[np.ndarray, list]:
     """Distinct values of the ascending ``runs``, merged in order, and for each
-    run in ``counted`` how many of its points lie at or before each value but
+    run but the first how many of its points lie at or before each value but
     the last."""
     x = np.concatenate(runs)
     order = np.argsort(x, kind="stable")
     x = x[order]
     last = np.flatnonzero(np.append(x[1:] != x[:-1], True))
     run_of = np.repeat(np.arange(len(runs), dtype=np.int8), [r.size for r in runs])[order]
-    return x[last], [np.cumsum(run_of == i, dtype=np.int32)[last[:-1]] for i in counted]
+    counts = [np.cumsum(run_of == i, dtype=np.int32)[last[:-1]] for i in range(1, len(runs))]
+    return x[last], counts
 
 
 def _blocks(bundle: Bundle, prob: SupProblem):
     """Sorted breakpoints of each block, with the index lookups of its pieces.
 
-    A block's breakpoints are its ends, the bundle's grid runs in it
-    (``grid_runs``: the jump grid, and the window increment's grid) and the
-    step jumps in it, merged from these sorted runs.  The piece after the c-th point of a run
-    that ``reads_cells`` lies in W_n cell first + c - 1 (ascending index) or
-    first - c (descending), and ``steps`` counts the step jumps at or before
-    it.
+    A block's breakpoints are its ends, the step jumps in it and the grid
+    its bridge lookups read (``grid_runs``: the bundle's bridge grid, or the
+    window increment's grid), merged from these sorted runs.  The piece
+    after the c-th point of a grid run lies in W_n cell first + c - 1
+    (ascending index) or first - c (descending), and ``steps`` counts the
+    step jumps at or before it.
     """
     steps = np.sort(prob.step_jumps)  # repeats kept: they count
     edges = _block_edges(bundle, prob, steps[np.append(True, steps[1:] != steps[:-1])])
     for a, b in zip(edges[:-1], edges[1:]):
         s0, s1 = int(np.searchsorted(steps, a)), int(np.searchsorted(steps, b, "right"))
         runs = bundle.grid_runs(prob.anchor, a, b)
-        cell_runs = [run for run in runs if run.reads_cells]
-        pts, counts = _merge(
-            [np.array([a, b]), steps[s0:s1], *(r.x for r in runs)],
-            [1, *(i + 2 for i, run in enumerate(runs) if run.reads_cells)],
-        )
+        pts, (before, *counts) = _merge([np.array([a, b]), steps[s0:s1], *(r.x for r in runs)])
         cells = [
-            run.first + c - 1 if run.step > 0 else run.first - c
-            for run, c in zip(cell_runs, counts[1:])
+            run.first + c - 1 if run.step > 0 else run.first - c for run, c in zip(runs, counts)
         ]
-        yield pts, Index(s0 + counts[0], cells)
+        yield pts, Index(s0 + before, cells)
 
 
 def _abs_limits(prob: SupProblem, pts: np.ndarray, index: Index) -> tuple:
     """|numerator| right limits at pts[:-1] and left limits at pts[1:].
 
-    The lookups come from ``index``, but a piece narrower than ``_NARROW``
-    takes them at its float midpoint: a float rounding may move those to a
-    neighbouring cell.  Each piece does each lookup once.
+    The lookups come from ``index``, once per piece.
     """
     p, q = pts[:-1], pts[1:]
-    mid = 0.5 * (p + q)
-    narrow = q - p < _NARROW
-    if not narrow.any():
-        limits = prob.numerator(mid, index)
-        return np.abs(limits(p)), np.abs(limits(q))
-    wide = np.flatnonzero(~narrow)  # integer indices: boolean masks gather slowly
-    right, left = np.empty_like(p), np.empty_like(p)
-    for part, idx in ((wide, index.take(wide)), (np.flatnonzero(narrow), None)):
-        limits = prob.numerator(mid[part], idx)
-        right[part], left[part] = np.abs(limits(p[part])), np.abs(limits(q[part]))
-    return right, left
+    limits = prob.numerator(0.5 * (p + q), index)
+    return np.abs(limits(p)), np.abs(limits(q))
 
 
 def solve_weights(bundle: Bundle, prob: SupProblem, weights) -> list[WeightedSupResult]:
@@ -289,7 +263,7 @@ def solve_weights(bundle: Bundle, prob: SupProblem, weights) -> list[WeightedSup
                 j = int(np.argmax(vals))
                 if vals[j] > best[side][i][0]:
                     best[side][i] = (float(vals[j]), float(s[j]))
-    at = prob.point_abscissae()
+    at = prob.point_abscissae(bundle.point_breaks(prob.anchor))
     abs_points = np.abs(prob.numerator(at)(at))
     results = []
     for i, (weight_exp, weight_kind, scale) in enumerate(weights):

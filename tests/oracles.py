@@ -105,10 +105,14 @@ def count_leq(values, x, strict: bool = False) -> int:
 
 
 def _breakpoints(bundle, prob) -> list[float]:
-    """Sorted breakpoints in the domain: endpoints, bridge grids, step jumps."""
+    """Sorted breakpoints in the domain: endpoints, step jumps and the grid the
+    bridge lookup reads, the bridge's jump grid or a window increment's grid."""
     pts = {prob.lo, prob.hi}
-    increment = [] if prob.anchor is None else bundle.increment_jump_grid(prob.anchor)
-    for source in (bundle.jump_grid(), increment, prob.step_jumps):
+    if prob.anchor is None:
+        grid = bundle.jump_grid()
+    else:
+        grid = bundle.increment_jump_grid(prob.anchor)
+    for source in (grid, prob.step_jumps):
         for s in np.asarray(source, dtype=float):
             if prob.lo <= s <= prob.hi:
                 pts.add(float(s))
@@ -154,11 +158,10 @@ def naive_sup(bundle, prob, per_cell: int = 80) -> float:
     """Exhaustive scan of a sup problem, one scalar evaluation at a time.
 
     Takes the point value and both one-sided limits at every breakpoint (the
-    bundle's bridge jump grid, the problem's bridge breaks and step jumps,
-    the endpoints), plus point values at ``per_cell`` points per lattice
-    cell.  This searches a superset of the engine's evaluation set; the
-    extra points can only tie it, so the result must equal the engine's
-    bit-for-bit.
+    grid the problem's bridge lookup reads, its step jumps, the endpoints),
+    plus point values at ``per_cell`` points per lattice cell.  This searches
+    a superset of the engine's evaluation set; the extra points can only tie
+    it, so the result must equal the engine's bit-for-bit.
     """
     best = -math.inf
     for s, piece in _candidates(bundle, prob, per_cell):

@@ -39,7 +39,7 @@ CRITERION_5_LADDER = [512, 1024, 2048, 4096, 8192]
 
 # sha256 of rows_to_csv of the criterion-5 rows.  Recorded with numpy 2.4.6
 # and scipy 1.17.1; a change of either may move the last bits of a sup.
-CRITERION_5_SHA256 = "3af35e1e37377e974e077c9b1473ae3b904d90e373e3d0bee999eb51f8de1fc3"
+CRITERION_5_SHA256 = "b7508e01422806c7eba4b5f9ad901bb948874142e1b9f56c835165c2acbfab2d"
 
 
 def _verdict(capsys, criterion: int, passed: bool, detail: str) -> None:

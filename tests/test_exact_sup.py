@@ -17,8 +17,13 @@ from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from empcouple import supstats
-from empcouple.harness import StatRequest, evaluate_requests, replicate_bundle
-from empcouple.supstats import WeightConfig
+from empcouple.harness import (
+    StatRequest,
+    build_anchored_bundle,
+    evaluate_requests,
+    replicate_bundle,
+)
+from empcouple.supstats import WeightConfig, problem_quantile_full, problem_quantile_increment
 from oracles import REL_TOL, ExactIntegrand, exact_candidates, lattice_rational
 
 # Grid points per unit of the scanned grid at most: the scan is Python-speed.
@@ -110,3 +115,47 @@ def test_sup_is_exact(stat, n, depth, lam_n, t, rate_c, d, side, seed, rep, bloc
     bound, reach = exact_candidates(integrand, lo, hi, closed_hi)
     assert max(bound) <= row.value * (1.0 + REL_TOL), (max(bound), row)
     assert any(abs(v - row.value) <= REL_TOL * row.value for v in reach), row
+
+
+# The quantile sups on a count-anchored bundle, which the harness never
+# builds, so ``test_sup_is_exact`` does not reach them.
+@settings(
+    max_examples=60, deadline=None, derandomize=True, phases=(Phase.explicit, Phase.generate)
+)
+@given(
+    stat=st.sampled_from(["approx3", "approx1"]),
+    n=st.integers(2, 300),
+    depth=st.integers(0, 8),
+    lam_n=_POINTS.map(lambda x: x / 4),
+    t=_POINTS,
+    seed=st.integers(0, 1000),
+    rep=st.integers(0, 9),
+    block_points=st.sampled_from([supstats._BLOCK_POINTS, 64]),
+)
+# The sup lies at the step jump t - 33/100, which rounds one ulp below the
+# lattice point 17/100.
+@example("approx3", 100, 3, 0.01, 0.5, 11, 0, supstats._BLOCK_POINTS)
+# The sup is the point value at the splice t, which is neither a step jump
+# nor an end: both one-sided limits there lie below it.
+@example("approx1", 2, 2, _nudged(0.3, -1) / 4, _nudged(0.3, -1), 721, 3, supstats._BLOCK_POINTS)
+def test_anchored_quantile_sup_is_exact(stat, n, depth, lam_n, t, seed, rep, block_points):
+    # Where t n lies within the snap of an integer k but t != k / n, the
+    # quantile process reads U_k at t while the bridge is spliced at the
+    # float t: no one rational anchor denotes both.
+    assume(lattice_rational(t, n) == Fraction(t))
+    depth = min(depth, (_MAX_GRID // n).bit_length() - 1)
+    cfg = WeightConfig(lam=lam_n * n, eta=0.25, t=t)
+    bundle = build_anchored_bundle(seed, n, rep, t, depth)
+    builder = problem_quantile_increment if stat == "approx3" else problem_quantile_full
+    with mock.patch.object(supstats, "_BLOCK_POINTS", block_points):
+        try:
+            res = supstats.solve(bundle, builder(bundle, cfg))
+        except ValueError:  # the sup domain is empty at this n
+            assume(False)
+    definition = _definition(StatRequest(stat, stat, cfg), bundle)
+    kind, anchor, x, weight_kind, lo, hi, closed_hi = definition
+    assume(lo < hi)
+    integrand = ExactIntegrand(bundle, kind, anchor, x, weight_kind)
+    bound, reach = exact_candidates(integrand, lo, hi, closed_hi)
+    assert max(bound) <= res.value * (1.0 + REL_TOL), (max(bound), res)
+    assert any(abs(v - res.value) <= REL_TOL * res.value for v in reach), res

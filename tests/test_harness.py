@@ -466,13 +466,13 @@ def test_one_solve_per_sup_problem(monkeypatch, lam, t, solves):
 # n = 2048 is solved in several blocks.
 _SWEEP_DIGESTS = {
     (1.0, 0.5): {
-        ((64, 128, 256), 3): "3d61048ba27e4aef2c3a26b7518a145342fe76f039f6e30f3c34f60b0a7b5772",
-        ((100,), 3): "33302648051897e75f000e91e46b27938ac3da240906d300e0d75056c30ab096",
-        ((2048,), 1): "6c6fad1abcec2e1c9f66e471ccace4d8186ef6964ce09ef3e87d2200268619df",
+        ((64, 128, 256), 3): "f11118ab093969606707f885e00b2d113be7b5868ed16eb99d0564d693f75a53",
+        ((100,), 3): "c77a261b1b58a60e7ab33bc94f897dd5b45c35007062672729395b4d7fb2a93d",
+        ((2048,), 1): "377ae662973fcf0441323ed9a1da17da2b00900a9d5bd3e5ede9253a03e72811",
     },
     (1.2, 0.3): {
-        ((64, 128, 256), 3): "a941fdcca56b5c5d23dbc8f7249e494f863897d9579f9ad403e18b6f7e891bd5",
-        ((100,), 3): "3d187fe190bf0f8f4e7bedac4a9a1e24e0b47d10b20a081a7b510e84b0b802e2",
+        ((64, 128, 256), 3): "b6188fd1f0660d0b9e020c8cc6e5d14934515f83370af1da4731dd4a49baa5a5",
+        ((100,), 3): "f45c911e702334c6812ef72f3fbccd345665e318546004702db2c7718c964662",
         ((2048,), 1): "40518a45323f29531fe7503043c01dbf08719b2453f69c09ee17cd23eb62a90d",
     },
 }

@@ -351,12 +351,11 @@ def _grid_test_bundles(kind, t):
 
 def _jump_grid_parts(b):
     """``jump_grid()`` split into the full grids of ``grid_runs(None, ...)``'s
-    runs: the dyadic grid, or the mapped block grids and the lattice."""
+    runs: the dyadic grid, or the two mapped block grids."""
     full = b.jump_grid()
     if isinstance(b, ProcessBundle):
         return [full]
-    nb, na = ((blk.n << b.depth) + 1 for blk in (b.below, b.above))
-    return np.split(full, [nb, nb + na])
+    return np.split(full, [(b.below.n << b.depth) + 1])
 
 
 def _check_grid_runs(b, anchor, parts):
@@ -388,7 +387,7 @@ def test_restricted_jump_grid_covers_domain(kind, t):
 @pytest.mark.parametrize("kind", ["lattice", "anchored"])
 @pytest.mark.parametrize("t", [0.5, 0.3, 0.4])
 def test_restricted_increment_jump_grid_covers_domain(kind, t):
-    # grid_runs(t, lo, hi) adds the full increment grid in [lo, hi], as the
-    # same floats
+    # grid_runs(t, lo, hi) is the full increment grid in [lo, hi] alone, as
+    # the same floats: a window increment reads no other grid
     for b in _grid_test_bundles(kind, t):
-        _check_grid_runs(b, t, [*_jump_grid_parts(b), b.increment_jump_grid(t)])
+        _check_grid_runs(b, t, [b.increment_jump_grid(t)])

@@ -301,7 +301,7 @@ def test_restricted_nested_in_increment():
     checked = 0
     for seed in range(10):
         b = _bundle(32, seed=seed)
-        if b.U[1] >= cfg.lam / b.n and b.U[b.t_n] <= cfg.t:
+        if b.U[1] >= cfg.lam / b.n and b.U[supstats.restricted_count(b.n, cfg.t)] <= cfg.t:
             full = stat_empirical_increment(b, cfg).value
             restricted = stat_restricted(b, cfg).value
             assert restricted <= full + 1e-12
@@ -373,7 +373,7 @@ def test_each_lookup_once_per_piece(monkeypatch, builder, anchored):
     else:
         b = _bundle(n, seed=2, t=cfg.t, depth=4)
     prob = builder(b, cfg)
-    limit = len(_breakpoints(b, prob)) - 1 + prob.point_abscissae().size
+    limit = len(_breakpoints(b, prob)) - 1 + prob.point_abscissae(b.point_breaks(prob.anchor)).size
     counter = _LookupCounter(monkeypatch)
     res, counts = counter.during(solve, b, prob)
     assert res.value == naive_sup_fast(b, prob)
@@ -495,6 +495,14 @@ def _lookup_problems(b, lam, t):
     return out
 
 
+# The float lookups round s n and snap it to the lattice within a few dozen
+# ulp of 1 in s.  On a piece a few ulp wide, such as one between a step jump
+# t - k / n and an increment grid point t x that rounds next to it, the float
+# midpoint may so land in a neighbouring cell, so the float lookups are
+# compared only on pieces at least this wide.
+_FLOAT_WIDE = 2.0**-36
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     n=st.integers(2, 300),
@@ -506,10 +514,11 @@ def _lookup_problems(b, lam, t):
     block_points=st.sampled_from([supstats._BLOCK_POINTS, 64]),
 )
 def test_index_lookups_match_float_lookups(n, depth, lam_n, t, anchored, seed, block_points):
-    # On every piece of every block, the limits the kernel takes from run
+    # The merged runs are the sorted distinct breakpoints of the block: its
+    # ends, the step jumps and the one grid the bridge lookup reads.  On every
+    # piece at least _FLOAT_WIDE wide, the limits the kernel takes from run
     # counts (the W_n cell, lattice index and ECDF count) equal those of the
-    # numerator's float lookups at the piece's midpoint, bit for bit; and the
-    # merged runs are the sorted distinct breakpoints of the block.
+    # numerator's float lookups at the piece's midpoint, bit for bit.
     if anchored:
         b = AnchoredBundle.build(n, derive_stream(seed, n, 0, "anchored"), t=t, depth=depth)
     else:
@@ -518,10 +527,10 @@ def test_index_lookups_match_float_lookups(n, depth, lam_n, t, anchored, seed, b
         for prob in _lookup_problems(b, lam_n * n, t):
             if not prob.lo < prob.hi:
                 continue
-            grids = [b.jump_grid()]
-            if prob.anchor is not None:
-                grids.append(b.increment_jump_grid(prob.anchor))
-            grid = np.concatenate(grids)
+            if prob.anchor is None:
+                grid = b.jump_grid()
+            else:
+                grid = b.increment_jump_grid(prob.anchor)
             grid = np.sort(grid[(grid >= prob.lo) & (grid <= prob.hi)])
             pieces = 0
             for pts, index in supstats._blocks(b, prob):
@@ -532,7 +541,8 @@ def test_index_lookups_match_float_lookups(n, depth, lam_n, t, anchored, seed, b
                 p, q = pts[:-1], pts[1:]
                 limits = prob.numerator(0.5 * (p + q))
                 right, left = supstats._abs_limits(prob, pts, index)
-                assert np.array_equal(right, np.abs(limits(p))), prob.__dict__
-                assert np.array_equal(left, np.abs(limits(q))), prob.__dict__
+                wide = q - p >= _FLOAT_WIDE
+                assert np.array_equal(right[wide], np.abs(limits(p))[wide]), prob.__dict__
+                assert np.array_equal(left[wide], np.abs(limits(q))[wide]), prob.__dict__
                 pieces += p.size
             assert pieces > 0

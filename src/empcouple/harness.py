@@ -33,7 +33,13 @@ from scipy import stats as sps
 from .censored import CensoringModel, censored_domain, problem_censored_part
 from .coupling import check_refine_depth, snap_to_integer
 from .numerics import gamma2_tail
-from .processes import DEFAULT_REFINE_DEPTH, AnchoredBundle, Bundle, ProcessBundle
+from .processes import (
+    DEFAULT_REFINE_DEPTH,
+    AnchoredBundle,
+    Bundle,
+    ProcessBundle,
+    bundle_bytes,
+)
 from .rng import RngStream, derive_stream
 from .supstats import (
     WeightConfig,
@@ -227,7 +233,8 @@ def evaluate_requests(
     """All requested statistics on one replicate (one row each, in request order).
 
     Statistics that share a coupling anchor share one bundle, built at most
-    once (see ``replicate_bundle``); all requests must use the same t.
+    once (see ``replicate_bundle``); the lattice-anchored bundle reads no t,
+    so requests at different t share it.
     Requests that build the same sup problem on it (their registry rows'
     ``problem``, which leaves out the weight exponent) share one evaluation
     pass, whatever their statistic: 'cens-h1' is approx4's problem at
@@ -237,8 +244,6 @@ def evaluate_requests(
     for req in requests:
         req.validate()
         req.weights.validate(n)
-    if len({req.weights.t for req in requests}) > 1:
-        raise ValueError("all requests of a replicate must use the same anchor t")
     bundles: dict = {}
     groups: dict = {}
     for i, req in enumerate(requests):
@@ -276,14 +281,35 @@ def _map_tasks(fn, tasks: list, threads: int) -> list:
     return [fn(task) for task in tasks]
 
 
-def _check_run(requests, n_ladder, reps, threads: int, refine_depth: int) -> tuple:
+# Most bytes the bundles of a run's concurrent replicates may hold.  A
+# bundle of size n holds more than 8 (n << depth) bytes, so this also keeps
+# n << depth below 2^31, as the sup engine's int32 grid counts need.
+MAX_RUN_BYTES = 8 << 30
+
+
+def _replicate_bytes(anchors, n: int, depth: int) -> int:
+    """Bytes of the bundles one replicate at size n builds for ``anchors``, at most.
+
+    The lattice-anchored bundle (anchor None) holds ``bundle_bytes(n, depth)``.
+    A count-anchored one holds U and blocks of sizes a <= b with
+    a + b <= n + 2, so a <= n // 2 + 1 and b <= n; ``bundle_bytes`` rises with n.
+    """
+    lattice = bundle_bytes(n, depth)
+    anchored = lattice + bundle_bytes(n // 2 + 1, depth) + 8 * (n + 1)
+    return sum(lattice if anchor is None else anchored for anchor in anchors)
+
+
+def _check_run(requests, n_ladder, reps, threads: int, refine_depth: int, anchors=()) -> tuple:
     """Reject a ladder run before any replicate is scheduled; (ladder, reps) as ints.
 
     Every request must validate and carry its own name: rows are keyed by
     name, so a repeated one would mix two requests' values.  A repeated
     ladder size would evaluate the same replicates twice.  Sizes and reps
     come back as ints; a size, reps or threads that is no integer is rejected.
-    Every request's sup domain must be nonempty at every ladder size.
+    The bundles that the workers' replicates at the largest size hold at
+    once, those of the requests' coupling anchors and of ``anchors``, must
+    fit in ``MAX_RUN_BYTES``.  Every request's sup domain must be nonempty
+    at every ladder size.
     """
     try:
         n_ladder = [operator.index(n) for n in n_ladder]
@@ -311,6 +337,14 @@ def _check_run(requests, n_ladder, reps, threads: int, refine_depth: int) -> tup
     if min(n_ladder) < 2:
         raise ValueError("all ladder sizes must be >= 2")
     check_refine_depth(refine_depth)
+    n, workers = n_ladder[-1], min(threads, len(n_ladder) * reps)
+    anchors = {coupling_anchor(req) for req in requests} | set(anchors)
+    need = workers * _replicate_bytes(anchors, n, refine_depth)
+    if need > MAX_RUN_BYTES:
+        raise ValueError(
+            f"bundles at n={n} and refinement depth {refine_depth} need up to {need} bytes "
+            f"over {workers} worker(s), more than {MAX_RUN_BYTES}"
+        )
     for req in requests:
         builder, *args = _PROBLEMS[req.statistic].problem(req)
         for n in n_ladder:
@@ -803,9 +837,10 @@ def sanity_global_sup(
 
     The median of n^{1/4} sup / ((log n)^{1/2} (log log n)^{1/4}) should be
     flat in n; the pass condition is max/min median ratio <= 3.  The ladder,
-    reps, threads and depth are checked up front, as in ``run_requests``.
+    reps, threads, depth and bundle memory are checked up front, as in
+    ``run_requests``.
     """
-    n_ladder, reps = _check_run([], n_ladder, reps, threads, refine_depth)
+    n_ladder, reps = _check_run([], n_ladder, reps, threads, refine_depth, anchors=[t])
     tasks = [(seed, n, rep, t, refine_depth) for n in n_ladder for rep in range(reps)]
     vals = _map_tasks(_global_sup_task, tasks, threads)
     medians, normalized = [], []

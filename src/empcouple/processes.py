@@ -348,6 +348,21 @@ class ProcessBundle(_SampleProcesses):
         return cls(n=n, t=t, path1=None, path2=None, Y=np.diff(s), S=s, U=u, depth=0)
 
 
+def bundle_bytes(n: int, depth: int) -> int:
+    """Bytes of the arrays of a ``ProcessBundle`` of size n refined to ``depth``.
+
+    From the path layout: a path of extent e holds S and W on 0..m, where m
+    is the power of two ``next_power_of_two(e)``, and W refined over [0, e],
+    (e << depth) + 1 floats; the extents are [n/2] and n + 1 - [n/2].  The
+    bundle adds Y, S and U, 3 n + 4 floats.  An ``AnchoredBundle`` with
+    count N holds U and bundles of sizes max(N, 2) and max(n - N, 2).
+    """
+    floats = 3 * n + 4
+    for extent in (n // 2, n + 1 - n // 2):
+        floats += 2 * (next_power_of_two(extent) + 1) + (extent << depth) + 1
+    return 8 * floats
+
+
 def _block(m: int, stream: RngStream, depth: int) -> tuple[ProcessBundle, np.ndarray]:
     """m uniform order statistics on (0, 1) with the bundle that couples them.
 

@@ -35,16 +35,18 @@ numerator and domain (the eta or nu variants of a statistic) share one pass
 once per block.
 
 On pieces the lookups are read from integer indices, never from float
-midpoints.  A block's breakpoints are a stable, de-duplicated merge of
-sorted runs (``_blocks``): its ends, the step jumps, and the runs of
-``grid_runs``, each a grid of known integer index cut to the block (the
-jump grid j / (n 2^depth); on ``AnchoredBundle`` its blocks' grids mapped
-onto [0, t] and [t, 1]; for a window increment that increment's grid).
-How many points of each run lie at or before a piece gives its lookups:
-the W_n cell, by index into the paths' refined grids (``w_cells``), and
-the lattice index or ECDF count, from the step jumps before it.  The
-numerator's float lookups (``numerator(s)``, which snap s n to the lattice)
-serve the point values alone, at their float abscissae.
+midpoints.  A block's breakpoints are the grid of ``grid_runs`` cut to the
+block, one strictly ascending run of known integer index (the jump grid
+j / (n 2^depth); on ``AnchoredBundle`` its blocks' grids mapped onto [0, t]
+and [t, 1], joined at t; for a window increment that increment's grid),
+with the block's ends and step jumps inserted where they are no grid point
+(``_merge``).  How many points of each run lie at or before a piece gives
+its lookups: the W_n cell, by index into the paths' refined grids
+(``w_cells``), and the lattice index or ECDF count, from the step jumps
+before it.  Both counts follow from the insertion positions, with no sort
+and no running sum over the block.  The numerator's float lookups
+(``numerator(s)``, which snap s n to the lattice) serve the point values
+alone, at their float abscissae.
 
 The domain is solved block by block.  Block edges are lo, every k-th step
 jump inside (lo, hi) and hi, with k chosen so that a block holds about
@@ -52,7 +54,11 @@ jump inside (lo, hi) and hi, with k chosen so that a block holds about
 breakpoints, so the blocks' pieces are exactly the pieces of the whole
 domain; each block asks the bundle only for the grid points over itself.
 The best right and left limits are carried across blocks with a strict
-``>``, so ties resolve to the first occurrence as in a single pass.  Working
+``>``, so ties resolve to the first occurrence as in a single pass.  A
+weight is applied on a block only if the bound scale max|numerator| /
+min(w(a), w(b))^c over the block [a, b] could beat its best so far
+(``_cannot_win``): the weight's base is smallest at a block end, and once
+the sup is found most blocks fall below it.  Working
 memory beyond the bundle is O(block + n): the block's breakpoints, and the
 step jumps and point values.
 """
@@ -190,17 +196,44 @@ class Index(NamedTuple):
     cells: list  # W_n cell of each piece, one array per run of ``grid_runs``
 
 
-def _merge(runs: list) -> tuple[np.ndarray, list]:
-    """Distinct values of the ascending ``runs``, merged in order, and for each
-    run but the first how many of its points lie at or before each value but
-    the last."""
-    x = np.concatenate(runs)
-    order = np.argsort(x, kind="stable")
-    x = x[order]
-    last = np.flatnonzero(np.append(x[1:] != x[:-1], True))
-    run_of = np.repeat(np.arange(len(runs), dtype=np.int8), [r.size for r in runs])[order]
-    counts = [np.cumsum(run_of == i, dtype=np.int32)[last[:-1]] for i in range(1, len(runs))]
-    return x[last], counts
+def _merge(a: float, b: float, steps: np.ndarray, grids: list) -> tuple[np.ndarray, list]:
+    """Breakpoints of the block [a, b], and the counts that index its pieces.
+
+    ``steps`` are the sorted step jumps in [a, b], repeats kept, and
+    ``grids`` the strictly ascending runs of ``grid_runs`` in [a, b]: one,
+    or on ``AnchoredBundle``'s full range the runs below and above t, which
+    join into one run once their shared point t is dropped.  The ends and
+    the distinct step jumps that are no grid point are inserted into that
+    run.  Returns the breakpoints and, for the step jumps and for each grid
+    run, how many of its points lie at or before each breakpoint but the
+    last.  These counts follow from the insertion positions: the step count
+    is constant between consecutive ends or step jumps, and the grid count
+    of the j-th breakpoint is j + 1 less the inserted points up to it.
+    """
+    grid, size = grids[0], grids[0].size
+    if len(grids) == 2:
+        shared = int(size > 0 and grids[1].size > 0 and grid[-1] == grids[1][0])
+        grid = np.concatenate([grid, grids[1][shared:]])
+    extras = np.concatenate([[a], steps, [b]])
+    # The i-th distinct value has last[i] step jumps at or before it (b aside).
+    last = np.flatnonzero(np.append(extras[1:] != extras[:-1], True))
+    extras = extras[last]
+    pos = np.searchsorted(grid, extras)
+    new = np.ones(extras.size, dtype=bool)
+    inside = pos < grid.size
+    new[inside] = grid[pos[inside]] != extras[inside]
+    at = pos + np.cumsum(new) - new  # where each value lands among the breakpoints
+    pts = np.insert(grid, pos[new], extras[new])
+    before = np.repeat(last[:-1].astype(np.int32), np.diff(at))
+    added = at[new]
+    inserted = np.repeat(
+        np.arange(added.size + 1, dtype=np.int32),
+        np.diff(np.concatenate([[0], added, [pts.size - 1]])),
+    )
+    count = np.arange(1, pts.size, dtype=np.int32) - inserted
+    if len(grids) == 1:
+        return pts, [before, count]
+    return pts, [before, np.minimum(count, size), np.maximum(count - (size - shared), 0)]
 
 
 def _blocks(bundle: Bundle, prob: SupProblem):
@@ -208,7 +241,7 @@ def _blocks(bundle: Bundle, prob: SupProblem):
 
     A block's breakpoints are its ends, the step jumps in it and the grid
     its bridge lookups read (``grid_runs``: the bundle's bridge grid, or the
-    window increment's grid), merged from these sorted runs.  The piece
+    window increment's grid), inserted into that grid (``_merge``).  The piece
     after the c-th point of a grid run lies in W_n cell first + c - 1
     (ascending index) or first - c (descending), and ``steps`` counts the
     step jumps at or before it.
@@ -218,7 +251,7 @@ def _blocks(bundle: Bundle, prob: SupProblem):
     for a, b in zip(edges[:-1], edges[1:]):
         s0, s1 = int(np.searchsorted(steps, a)), int(np.searchsorted(steps, b, "right"))
         runs = bundle.grid_runs(prob.anchor, a, b)
-        pts, (before, *counts) = _merge([np.array([a, b]), steps[s0:s1], *(r.x for r in runs)])
+        pts, (before, *counts) = _merge(a, b, steps[s0:s1], [r.x for r in runs])
         cells = [
             run.first + c - 1 if run.step > 0 else run.first - c for run, c in zip(runs, counts)
         ]
@@ -235,6 +268,21 @@ def _abs_limits(prob: SupProblem, pts: np.ndarray, index: Index) -> tuple:
     return np.abs(limits(p)), np.abs(limits(q))
 
 
+def _cannot_win(max_num: float, end_bases, weight: tuple, floor: float) -> bool:
+    """Whether no value of ``weight`` on a block can exceed ``floor``.
+
+    |numerator| is at most ``max_num`` on the block, and the weight's base
+    is smallest at a block end (``end_bases``, None for no weight): s(1-s)
+    is concave, s rises and 1 - s falls.  So scale max_num / min(end_bases)^c
+    bounds every value of the weight there; the relative margin 1e-12
+    covers the rounding of the bases, powers and divides.  A zero base
+    bounds nothing.
+    """
+    weight_exp, _, scale = weight
+    low = 1.0 if end_bases is None else float(np.min(end_bases)) ** weight_exp
+    return low > 0.0 and scale * max_num / low * (1.0 + 1e-12) <= floor
+
+
 def solve_weights(bundle: Bundle, prob: SupProblem, weights) -> list[WeightedSupResult]:
     """``solve`` for each (weight_exp, weight_kind, scale) in ``weights``, in one pass.
 
@@ -242,6 +290,9 @@ def solve_weights(bundle: Bundle, prob: SupProblem, weights) -> list[WeightedSup
     limits, point values) and every weight is applied to it.  The limits are
     taken block by block (``_block_edges``), carrying each weight's best
     right and best left limit across blocks; the first occurrence wins ties.
+    A weight whose values on a block cannot beat its best on either side
+    (``_cannot_win``) is not applied there, and its base is computed on a
+    block only for the weights that are.
     """
     if not prob.lo < prob.hi:
         raise ValueError(f"empty sup domain [{prob.lo}, {prob.hi})")
@@ -251,8 +302,15 @@ def solve_weights(bundle: Bundle, prob: SupProblem, weights) -> list[WeightedSup
         p, q = pts[:-1], pts[1:]
         pieces += p.size
         abs_right, abs_left = _abs_limits(prob, pts, index)
-        bases = {kind: _weight_base(pts, kind) for kind in {w[1] for w in weights}}
-        for i, (weight_exp, weight_kind, scale) in enumerate(weights):
+        max_num = max(float(np.max(abs_right)), float(np.max(abs_left)))
+        bases: dict = {}
+        for i, weight in enumerate(weights):
+            weight_exp, weight_kind, scale = weight
+            floor = min(best["right"][i][0], best["left"][i][0])
+            if _cannot_win(max_num, _weight_base(pts[[0, -1]], weight_kind), weight, floor):
+                continue
+            if weight_kind not in bases:
+                bases[weight_kind] = _weight_base(pts, weight_kind)
             base = bases[weight_kind]
             wpow = None if base is None else base**weight_exp
             for side, s, abs_num, cut in (

@@ -119,6 +119,20 @@ def _breakpoints(bundle, prob) -> list[float]:
     return sorted(pts)
 
 
+def merge_runs(runs: list) -> tuple[np.ndarray, list]:
+    """The general merge the engine's block kernel replaced: the distinct
+    values of the ascending ``runs``, merged in order by a stable sort, and
+    for each run but the first how many of its points lie at or before each
+    value but the last."""
+    x = np.concatenate(runs)
+    order = np.argsort(x, kind="stable")
+    x = x[order]
+    last = np.flatnonzero(np.append(x[1:] != x[:-1], True))
+    run_of = np.repeat(np.arange(len(runs), dtype=np.int8), [r.size for r in runs])[order]
+    counts = [np.cumsum(run_of == i, dtype=np.int32)[last[:-1]] for i in range(1, len(runs))]
+    return x[last], counts
+
+
 def _in_domain(prob, s: float) -> bool:
     return prob.lo <= s < prob.hi or (s == prob.hi and prob.closed_hi)
 

@@ -3,13 +3,17 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy
 
 from empcouple.harness import (
+    MAX_RUN_BYTES,
     StatRequest,
+    build_anchored_bundle,
+    build_bundle,
     check_floor_bound,
     check_gamma2_tail,
     check_min_ratio_law,
@@ -29,7 +33,8 @@ from empcouple import harness
 from empcouple.censored import CensoringModel, censored_weighted_stats, sample_from_bundle
 from empcouple.cli import main
 from empcouple.coupling import MAX_REFINE_DEPTH
-from empcouple.processes import AnchoredBundle, ProcessBundle
+from empcouple.coupling import CoupledPath
+from empcouple.processes import AnchoredBundle, ProcessBundle, bundle_bytes
 from empcouple.rng import RngStream, derive_stream
 from empcouple.supstats import (
     WeightConfig,
@@ -110,6 +115,63 @@ def test_repeated_request_names_rejected(monkeypatch):
             run_requests(reqs, (64,), 2, seed=1)
     with pytest.raises(ValueError, match="repeated request names"):
         estimate_ineq1(64, [4.0, 4.0], [1.0], reps=5, seed=0)
+
+
+def _nbytes(obj) -> int:
+    """Bytes of the arrays a bundle holds, its paths' and blocks' included."""
+    total = 0
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            total += value.nbytes
+        elif isinstance(value, (ProcessBundle, AnchoredBundle, CoupledPath)):
+            total += _nbytes(value)
+    return total
+
+
+def test_bundle_bytes_equal_built_bundles():
+    # the estimate from the path layout is what the built bundles hold: a
+    # lattice bundle bundle_bytes(n), a count-anchored one U and blocks of
+    # sizes max(N, 2) and max(n - N, 2), within the run check's bound
+    counts = set()
+    for n in (2, 3, 17, 100):
+        for depth in (0, 2, 6):
+            assert _nbytes(build_bundle(3, n, 0, 0.5, depth)) == bundle_bytes(n, depth)
+            for seed in range(4):
+                b = build_anchored_bundle(seed, n, 0, 0.3, depth)
+                blocks = bundle_bytes(max(b.count, 2), depth) + bundle_bytes(
+                    max(n - b.count, 2), depth
+                )
+                assert _nbytes(b) == blocks + 8 * (n + 1)
+                assert _nbytes(b) <= harness._replicate_bytes({0.3}, n, depth)
+                counts.add(min(b.count, n - b.count))
+    assert {0, 1} < counts
+
+
+def test_oversized_run_rejected_before_scheduling(monkeypatch):
+    # a run whose bundles would not fit is rejected with n, the depth, the
+    # bytes and the workers named, before any replicate or bundle is made
+    monkeypatch.setattr(harness, "_map_tasks", _no_scheduling)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"n=4194304 .* depth 12 .* bytes over 1 worker"):
+            run_requests([_REQ], [1 << 22], 1, seed=0, refine_depth=12)
+        with pytest.raises(ValueError, match=r"n=4194304 .* depth 12 .* bytes over 1 worker"):
+            sanity_global_sup([1 << 22], 1, seed=0, refine_depth=12)
+        # one replicate's bundles fit, those of two concurrent workers do not
+        n = 3 << 16
+        assert bundle_bytes(n, 12) <= MAX_RUN_BYTES < 2 * bundle_bytes(n, 12)
+        with pytest.raises(ValueError, match=r"bytes over 2 worker"):
+            run_requests([_REQ], [n], 2, seed=0, threads=2, refine_depth=12)
+        with pytest.raises(AssertionError, match="replicates scheduled"):
+            run_requests([_REQ], [n], 2, seed=0, threads=1, refine_depth=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    # n << depth stays below 2^31, which the sup engine's int32 counts need
+    for depth in range(MAX_REFINE_DEPTH + 1):
+        with pytest.raises(ValueError, match="bytes"):
+            run_requests([_REQ], [1 << (31 - depth)], 1, seed=0, refine_depth=depth)
 
 
 def test_request_names_that_break_the_csv_rejected(monkeypatch):
@@ -222,13 +284,17 @@ def test_shared_bundle_additivity():
     assert rows_to_csv(alone) == rows_to_csv(joint)
 
 
-def test_mixed_anchors_rejected():
+def test_mixed_t_rows_equal_solo_rows():
+    # requests at t = 1/2 and t = 0.3 share the lattice-anchored bundle, and
+    # each row equals the row of evaluating its request alone
     reqs = [
-        StatRequest("a", "approx3", WeightConfig(t=0.5)),
-        StatRequest("b", "approx3", WeightConfig(t=0.6)),
+        StatRequest(f"{stat}-t{t}", stat, WeightConfig(eta=0.25, nu=0.1, t=t))
+        for t in (0.5, 0.3)
+        for stat in ("approx1", "approx3", "approx4", "restricted")
     ]
-    with pytest.raises(ValueError):
-        run_requests(reqs, [8], 1, seed=0)
+    for n, rep in [(64, 0), (100, 3)]:
+        solo = [row for req in reqs for row in evaluate_requests([req], 5, n, rep)]
+        assert evaluate_requests(reqs, 5, n, rep) == solo
 
 
 def test_summarize_order_independent():

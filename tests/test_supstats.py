@@ -1,5 +1,6 @@
 """Weighted sup engine: exactness, trivial cases, and oracle equality."""
 
+import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -18,6 +19,7 @@ from empcouple.supstats import (
     SupProblem,
     WeightConfig,
     _beta_increment_minus_bridge,
+    power_weight,
     problem_empirical_full,
     problem_empirical_increment,
     problem_quantile_full,
@@ -35,6 +37,7 @@ from empcouple.supstats import (
 from oracles import (
     _breakpoints,
     fake_w_lookups,
+    merge_runs,
     naive_sup,
     naive_sup_fast,
     on_grid,
@@ -546,3 +549,97 @@ def test_index_lookups_match_float_lookups(n, depth, lam_n, t, anchored, seed, b
                 assert np.array_equal(left[wide], np.abs(limits(q))[wide]), prob.__dict__
                 pieces += p.size
             assert pieces > 0
+
+
+# (lam / n, t) near 0 and near 1.
+_EDGE_LAM_T = [(1e-3, 2e-3), (1e-3, 0.999), (0.25, 0.5), (0.99, 0.995)]
+
+
+def test_block_kernel_matches_general_merge():
+    # Every block's breakpoints and counts equal those of the general merge of
+    # its sorted runs (ends, step jumps, grid runs), array for array and bit
+    # for bit, on both bundle kinds, every problem builder, tail sides and
+    # the censored range, repeated step jumps included; the kernel's
+    # precondition, strictly ascending grid runs, holds on every block.
+    kernel = supstats._merge
+    seen = dict.fromkeys(("straddle", "no grid", "jump on grid", "repeated jump"), 0)
+
+    def checked(a, b, steps, grids):
+        for x in grids:
+            assert np.all(x[1:] > x[:-1])
+        pts, counts = kernel(a, b, steps, grids)
+        want_pts, want_counts = merge_runs([np.array([a, b]), steps, *grids])
+        assert np.array_equal(pts, want_pts)
+        assert len(counts) == len(want_counts)
+        for got, want in zip(counts, want_counts):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        seen["straddle"] += len(grids) == 2 and min(x.size for x in grids) > 0
+        seen["no grid"] += all(x.size == 0 for x in grids)
+        seen["jump on grid"] += any(np.isin(steps, x).any() for x in grids)
+        seen["repeated jump"] += bool(np.any(steps[1:] == steps[:-1]))
+        return pts, counts
+
+    for n, depth, (lam_n, t), anchored in itertools.product(
+        (9, 64), (0, 3, 6), _EDGE_LAM_T, (False, True)
+    ):
+        if anchored:
+            b = AnchoredBundle.build(n, derive_stream(2, n, 0, "anchored"), t=t, depth=depth)
+        else:
+            b = _bundle(n, seed=2, t=t, depth=depth)
+        problems = [p for p in _lookup_problems(b, lam_n * n, t) if p.lo < p.hi]
+        problems += [
+            SupProblem(p.lo, p.hi, p.closed_hi, p.anchor,
+                       np.concatenate([p.step_jumps, p.step_jumps[::3]]), p.numerator, *p.weight)
+            for p in problems
+        ]
+        for block_points in (supstats._BLOCK_POINTS, 64, 4):
+            with mock.patch.object(supstats, "_BLOCK_POINTS", block_points), \
+                    mock.patch.object(supstats, "_merge", checked):
+                for prob in problems:
+                    for _ in supstats._blocks(b, prob):
+                        pass
+    assert all(seen.values()), seen
+
+
+def _rising(rate):
+    """A numerator that grows like exp(rate s), so its sup lies in the last block."""
+    return lambda s_piece, index=None: lambda s: np.exp(rate * np.asarray(s, dtype=float))
+
+
+@pytest.mark.parametrize("lam,t,n", [(1.0, 0.5, 64), (1.2, 0.3, 100)])
+def test_weight_skip_changes_no_result(monkeypatch, lam, t, n):
+    # skipping a weight on a block that cannot beat its best (``_cannot_win``)
+    # gives the results of applying every weight on every block, field by
+    # field, for the eta and nu variants of all eight statistics, every
+    # weight kind with c = 0 among the exponents, a domain starting at the
+    # zero base s = 0, and sups in the last block
+    monkeypatch.setattr(supstats, "_BLOCK_POINTS", 64)
+    problems = _every_problem(lam, t, n)
+    lattice, anchored = problems[0][0], problems[len(_PROBLEM_BUILDERS) + 2][0]
+    problems += [
+        (anchored, supstats.empirical_window_problem(anchored, t, 0.0, t, 0.5, "s", 1.0)),
+        (lattice, supstats.empirical_range_problem(lattice, 0.0, 0.5, 0.45, "sym", 1.0)),
+        *((lattice, SupProblem(0.1, 0.9, True, None, lattice.U[1:], _rising(rate), 0.0, None, 1.0))
+          for rate in (8.0, 1e-9)),
+    ]
+    kinds = ("sym", "s", "one-minus-s", None)
+    weights = [power_weight(n, x, kind) for kind in kinds for x in (0.0, 0.1, 0.2, 0.25, 0.45)]
+    weights += [(0.0, kind, 1.0) for kind in kinds]
+    skips = []
+    cannot_win = supstats._cannot_win
+
+    def counted(*args):
+        skips.append(cannot_win(*args))
+        return skips[-1]
+
+    monkeypatch.setattr(supstats, "_cannot_win", counted)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the zero base at s = 0
+        skipping = [supstats.solve_weights(b, prob, weights) for b, prob in problems]
+        monkeypatch.setattr(supstats, "_cannot_win", lambda *args: False)
+        for (b, prob), got in zip(problems, skipping):
+            want = supstats.solve_weights(b, prob, weights)
+            assert [vars(r) for r in got] == [vars(r) for r in want], prob.__dict__
+    # a block beats the one before it by 1e-11 relative when the rate is 1e-9
+    for results in skipping[-2:]:
+        assert [r.arg_s for r, w in zip(results, weights) if w[1] is None] == [0.9] * 6
+    assert any(skips) and not all(skips)

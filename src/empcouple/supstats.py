@@ -268,18 +268,20 @@ def _abs_limits(prob: SupProblem, pts: np.ndarray, index: Index) -> tuple:
     return np.abs(limits(p)), np.abs(limits(q))
 
 
-def _cannot_win(max_num: float, end_bases, weight: tuple, floor: float) -> bool:
-    """Whether no value of ``weight`` on a block can exceed ``floor``.
+def _cannot_win(max_num: float, a: float, b: float, weight: tuple, floor: float) -> bool:
+    """Whether no value of ``weight`` on the block [a, b] can exceed ``floor``.
 
     |numerator| is at most ``max_num`` on the block, and the weight's base
-    is smallest at a block end (``end_bases``, None for no weight): s(1-s)
-    is concave, s rises and 1 - s falls.  So scale max_num / min(end_bases)^c
-    bounds every value of the weight there; the relative margin 1e-12
-    covers the rounding of the bases, powers and divides.  A zero base
-    bounds nothing.
+    is smallest at a block end: s(1-s) is concave, s rises and 1 - s falls.
+    So scale max_num / min(w(a), w(b))^c bounds every value of the weight
+    there; the relative margin 1e-12 covers the rounding of the bases,
+    powers and divides.  A zero base bounds nothing.
     """
-    weight_exp, _, scale = weight
-    low = 1.0 if end_bases is None else float(np.min(end_bases)) ** weight_exp
+    weight_exp, weight_kind, scale = weight
+    if weight_kind is None:
+        low = 1.0
+    else:
+        low = min(_weight_base(a, weight_kind), _weight_base(b, weight_kind)) ** weight_exp
     return low > 0.0 and scale * max_num / low * (1.0 + 1e-12) <= floor
 
 
@@ -302,12 +304,12 @@ def solve_weights(bundle: Bundle, prob: SupProblem, weights) -> list[WeightedSup
         p, q = pts[:-1], pts[1:]
         pieces += p.size
         abs_right, abs_left = _abs_limits(prob, pts, index)
-        max_num = max(float(np.max(abs_right)), float(np.max(abs_left)))
+        max_num = max(abs_right.max(), abs_left.max())
         bases: dict = {}
         for i, weight in enumerate(weights):
             weight_exp, weight_kind, scale = weight
             floor = min(best["right"][i][0], best["left"][i][0])
-            if _cannot_win(max_num, _weight_base(pts[[0, -1]], weight_kind), weight, floor):
+            if _cannot_win(max_num, pts[0], pts[-1], weight, floor):
                 continue
             if weight_kind not in bases:
                 bases[weight_kind] = _weight_base(pts, weight_kind)

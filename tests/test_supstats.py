@@ -615,7 +615,8 @@ def test_weight_skip_changes_no_result(monkeypatch, lam, t, n):
     # zero base s = 0, and sups in the last block
     monkeypatch.setattr(supstats, "_BLOCK_POINTS", 64)
     problems = _every_problem(lam, t, n)
-    lattice, anchored = problems[0][0], problems[len(_PROBLEM_BUILDERS) + 2][0]
+    lattice = problems[0][0]
+    anchored = next(b for b, _ in problems if isinstance(b, AnchoredBundle))
     problems += [
         (anchored, supstats.empirical_window_problem(anchored, t, 0.0, t, 0.5, "s", 1.0)),
         (lattice, supstats.empirical_range_problem(lattice, 0.0, 0.5, 0.45, "sym", 1.0)),

@@ -1,5 +1,6 @@
 """Weighted sup engine: exactness, trivial cases, and oracle equality."""
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -644,3 +645,43 @@ def test_weight_skip_changes_no_result(monkeypatch, lam, t, n):
     for results in skipping[-2:]:
         assert [r.arg_s for r, w in zip(results, weights) if w[1] is None] == [0.9] * 6
     assert any(skips) and not all(skips)
+
+
+def _anchored_full_range_solves(lam, t):
+    """(value, arg_s, side, grid_points) of every full-range sup over a range
+    that contains the splice t on count-anchored bundles, one line per solve:
+    approx1 and approx2 and the empirical range problem with each weight kind
+    but 'sym', at n = 9, 100, 513, depths 0, 3, 6 and two block sizes."""
+    cfg = WeightConfig(lam=lam, eta=0.25, nu=0.1, t=t)
+    lines = []
+    for n, depth in itertools.product((9, 100, 513), (0, 3, 6)):
+        b = AnchoredBundle.build(n, derive_stream(6, n, 0, "anchored"), t=t, depth=depth)
+        lo, hi = 0.5 * t, 0.5 * (1.0 + t)
+        problems = [problem_quantile_full(b, cfg), problem_empirical_full(b, cfg)] + [
+            supstats.empirical_range_problem(b, lo, hi, exp, kind, 1.0)
+            for exp, kind in ((0.3, "s"), (0.3, "one-minus-s"), (0.0, None))
+        ]
+        for block_points in (supstats._BLOCK_POINTS, 64):
+            with mock.patch.object(supstats, "_BLOCK_POINTS", block_points):
+                for prob in problems:
+                    r = solve(b, prob)
+                    lines.append(f"{r.value!r} {r.arg_s!r} {r.side} {r.grid_points}")
+    return "\n".join(lines)
+
+
+# sha256 of ``_anchored_full_range_solves`` at (lam, t).  Recorded with numpy
+# 2.4.6 and scipy 1.17.1.  The sweep digests hold no such solve: the harness
+# solves no full-range problem on a count-anchored bundle whose range holds t.
+_ANCHORED_FULL_RANGE_DIGESTS = {
+    (1.0, 0.5): "6671a30273d4ba72b926afbb2872ab9010c506c434490fbbaf3c775304d0e084",
+    (1.2, 0.3): "f33a2649d3e80077617df4348daad0f3859ecfe13b4e5c745d562e06f0bb851b",
+    (1.7, 0.37): "cc6cf0bc604b891edef2bc98b4e470a833ad1f4386b459059454d0bb456247e7",
+}
+
+
+@pytest.mark.parametrize("lam,t", sorted(_ANCHORED_FULL_RANGE_DIGESTS))
+def test_anchored_full_range_solves_unchanged(lam, t):
+    # every solve over the splice t stays bit-identical across changes to
+    # the sup engine
+    digest = hashlib.sha256(_anchored_full_range_solves(lam, t).encode()).hexdigest()
+    assert digest == _ANCHORED_FULL_RANGE_DIGESTS[(lam, t)], (lam, t, np.__version__)

@@ -94,10 +94,17 @@ class Run(NamedTuple):
     step: int
 
 
-def _run_in(x: np.ndarray, first: int, step: int, lo: float, hi: float) -> Run:
-    """The points of the ascending ``x`` in [lo, hi] as a ``Run``; x[0] has index ``first``."""
+def _mapped_run(den: int, offset: float, scale: float, lo: float, hi: float) -> Run:
+    """The points offset + scale j / den, j = 0..den, that lie in [lo, hi], as a ``Run``.
+
+    The run ascends in x, so ``scale < 0`` gives a descending index.
+    """
+    ends = sorted(((lo - offset) / scale * den, (hi - offset) / scale * den))
+    j0, j1 = max(0, math.floor(ends[0]) - 1), min(den, math.ceil(ends[1]) + 1)
+    step = 1 if scale > 0 else -1
+    x = offset + scale * (np.arange(j0, j1 + 1)[::step] / den)
     i = int(np.searchsorted(x, lo))
-    return Run(x[i : np.searchsorted(x, hi, "right")], first + step * i, step)
+    return Run(x[i : np.searchsorted(x, hi, "right")], (j0 if step > 0 else j1) + step * i, step)
 
 
 class _SampleProcesses:
@@ -108,14 +115,15 @@ class _SampleProcesses:
     and ``point_breaks`` that the sup statistics evaluate, and the full grids
     ``jump_grid`` and ``increment_jump_grid``, which the oracles in the tests
     and the benchmark's trace read as references.  ``grid_runs`` returns
-    exactly the grid the bridge lookups of a problem read: the bridge's grid
-    for a full-range or tail sup, the increment grid for a window increment.
+    exactly the grid the bridge lookups of a problem read over a block, as
+    one run: the bridge's grid for a full-range or tail sup, the increment
+    grid for a window increment.
     The two bridge piece factories, called on the abscissae ``s_piece`` of a
     set of pieces, do the grid lookups once and return ``s -> values``,
     which is linear in s on each piece.  Given ``cells``, the pieces' W_n
-    cell indices (one array per run of ``grid_runs``), they read W_n by
-    index (``w_cells``) and use ``s_piece`` only to place the pieces about
-    the anchor.
+    cell indices (one array, in the run of ``grid_runs`` over their block),
+    they read W_n by index (``w_cells``) and use ``s_piece`` only to place
+    the pieces about the anchor.
     """
 
     n: int
@@ -226,7 +234,7 @@ class ProcessBundle(_SampleProcesses):
         if cells is None:
             w_val = self.w_n(np.asarray(s_piece, dtype=float) * self.n)
         else:
-            w_val = self.w_cells(cells[0])
+            w_val = self.w_cells(cells)
         sqn = np.sqrt(self.n)
         return lambda s: (np.asarray(s, dtype=float) * self.w_nn - w_val) / sqn
 
@@ -246,13 +254,13 @@ class ProcessBundle(_SampleProcesses):
             shift = anchor - np.asarray(s_piece, dtype=float)
             pos = shift > 0.0
             if pos.all():
-                w_shift = self.w_n(shift * self.n) if cells is None else self.w_cells(cells[0])
+                w_shift = self.w_n(shift * self.n) if cells is None else self.w_cells(cells)
                 return lambda s: (s * self.w_nn - w_anchor + w_shift) / sqn
             w_shift = np.zeros_like(shift)
             if cells is None:
                 w_shift[pos] = self.w_n(shift[pos] * self.n)
             else:
-                w_shift[pos] = self.w_cells(cells[0][pos])
+                w_shift[pos] = self.w_cells(cells[pos])
             return lambda s: np.where(pos, (s * self.w_nn - w_anchor + w_shift) / sqn, past)
 
         return piece
@@ -267,12 +275,7 @@ class ProcessBundle(_SampleProcesses):
         den = self.n << self.depth
         return np.arange(den + 1) / den
 
-    def _grid_span(self, lo: float, hi: float) -> tuple[int, int, int]:
-        """(den, j0, j1): the grid points j / den with j0 <= j <= j1 hold those in [lo, hi]."""
-        den = self.n << self.depth
-        return den, max(0, math.floor(lo * den) - 1), min(den, math.ceil(hi * den) + 1)
-
-    def grid_runs(self, anchor: float | None, lo: float, hi: float) -> list[Run]:
+    def grid_runs(self, anchor: float | None, lo: float, hi: float) -> Run:
         """The points in [lo, hi] of the one grid the bridge lookups read, as a run.
 
         That is ``jump_grid()``, whose cell j, between grid points j and
@@ -281,11 +284,8 @@ class ProcessBundle(_SampleProcesses):
         anchor - (j + 1) / den and anchor - j / den.
         """
         if anchor is None:
-            den, j0, j1 = self._grid_span(lo, hi)
-            return [_run_in(np.arange(j0, j1 + 1) / den, j0, 1, lo, hi)]
-        den, j0, j1 = self._grid_span(anchor - hi, anchor - lo)
-        increment = (anchor - np.arange(j0, j1 + 1) / den)[::-1]
-        return [_run_in(increment, j1, -1, lo, hi)]
+            return _mapped_run(self.n << self.depth, 0.0, 1.0, lo, hi)
+        return _mapped_run(self.n << self.depth, anchor, -1.0, lo, hi)
 
     def increment_jump_grid(self, anchor: float) -> np.ndarray:
         """Jump abscissae anchor - j / (n 2^depth) of s -> W_n((anchor - s) n).
@@ -427,8 +427,8 @@ class AnchoredBundle(_SampleProcesses):
             below = self.below.bridge_piece(1.0 - sp[low] / t)
             above = self.above.bridge_piece((sp[high] - t) / (1.0 - t))
         else:
-            below = self.below.bridge_piece(None, [cells[0][low]])
-            above = self.above.bridge_piece(None, [cells[1][high]])
+            below = self.below.bridge_piece(None, cells[low])
+            above = self.above.bridge_piece(None, cells[high])
 
         def at(s) -> np.ndarray:
             s = np.asarray(s, dtype=float)
@@ -476,25 +476,25 @@ class AnchoredBundle(_SampleProcesses):
             t + (1.0 - t) * self.above.jump_grid(),
         ])
 
-    def grid_runs(self, anchor: float | None, lo: float, hi: float) -> list[Run]:
-        """The points in [lo, hi] of the grids the bridge lookups read, as runs.
+    def grid_runs(self, anchor: float | None, lo: float, hi: float) -> Run:
+        """The points in [lo, hi] of the grid the bridge lookups read, as a run.
 
         The bridge reads W_n cells of ``below`` between the points t - t x of
-        its grid and of ``above`` between the points t + (1 - t) x of its
-        grid (``jump_grid()``); the window increment at the anchor reads cells
-        of ``below`` between the points t x of its grid
-        (``increment_jump_grid(t)``), and only those.
+        its grid on [lo, hi] within [0, t], and of ``above`` between the points
+        t + (1 - t) x of its grid on [lo, hi] within [t, 1] (``jump_grid()``);
+        a range on both sides of the splice t is rejected.  The window
+        increment at the anchor reads cells of ``below`` between the points
+        t x of its grid (``increment_jump_grid(t)``), and only those.
         """
-        t = self.t
+        t, below = self.t, self.below.n << self.depth
         if anchor is not None:
             self._check_anchor(anchor)
-            den, i0, i1 = self.below._grid_span(lo / t, hi / t)
-            return [_run_in(t * (np.arange(i0, i1 + 1) / den), i0, 1, lo, hi)]
-        den, b0, b1 = self.below._grid_span(1.0 - hi / t, 1.0 - lo / t)
-        below = (t - t * (np.arange(b0, b1 + 1) / den))[::-1]
-        den, a0, a1 = self.above._grid_span((lo - t) / (1.0 - t), (hi - t) / (1.0 - t))
-        above = t + (1.0 - t) * (np.arange(a0, a1 + 1) / den)
-        return [_run_in(below, b1, -1, lo, hi), _run_in(above, a0, 1, lo, hi)]
+            return _mapped_run(below, 0.0, t, lo, hi)
+        if hi <= t:
+            return _mapped_run(below, t, -t, lo, hi)
+        if lo >= t:
+            return _mapped_run(self.above.n << self.depth, t, 1.0 - t, lo, hi)
+        raise ValueError(f"bridge grid range [{lo}, {hi}] straddles the splice t={t}")
 
     def increment_jump_grid(self, anchor: float) -> np.ndarray:
         """Jump abscissae t j / (N_L 2^depth) of s -> B_L(s / t).

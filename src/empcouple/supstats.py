@@ -37,10 +37,10 @@ once per block.
 On pieces the lookups are read from integer indices, never from float
 midpoints.  A block's breakpoints are the grid of ``grid_runs`` cut to the
 block, one strictly ascending run of known integer index (the jump grid
-j / (n 2^depth); on ``AnchoredBundle`` its blocks' grids mapped onto [0, t]
-and [t, 1], joined at t; for a window increment that increment's grid),
-with the block's ends and step jumps inserted where they are no grid point
-(``_merge``).  How many points of each run lie at or before a piece gives
+j / (n 2^depth); on ``AnchoredBundle`` one of its blocks' grids, mapped onto
+[0, t] or [t, 1]; for a window increment that increment's grid), with the
+block's ends and step jumps inserted where they are no grid point
+(``_merge``).  How many points of the run lie at or before a piece gives
 its lookups: the W_n cell, by index into the paths' refined grids
 (``w_cells``), and the lattice index or ECDF count, from the step jumps
 before it.  Both counts follow from the insertion positions, with no sort
@@ -49,7 +49,8 @@ and no running sum over the block.  The numerator's float lookups
 alone, at their float abscissae.
 
 The domain is solved block by block.  Block edges are lo, every k-th step
-jump inside (lo, hi) and hi, with k chosen so that a block holds about
+jump inside (lo, hi), the splice t inside an ``AnchoredBundle``'s full
+range, and hi, with k chosen so that a block holds about
 ``_BLOCK_POINTS`` points of the bundle's dyadic grid.  Edges are
 breakpoints, so the blocks' pieces are exactly the pieces of the whole
 domain; each block asks the bundle only for the grid points over itself.
@@ -178,42 +179,42 @@ def _weigh(abs_num, wpow, scale) -> np.ndarray:
 
 
 def _block_edges(bundle: Bundle, prob: SupProblem, jumps: np.ndarray) -> np.ndarray:
-    """lo, every k-th of the sorted step jumps inside (lo, hi), and hi.
+    """lo, every k-th of the sorted step jumps inside (lo, hi), the bundle's
+    ``point_breaks`` inside it, and hi.
 
     k is chosen so that a block holds about ``_BLOCK_POINTS`` points of the
-    dyadic grid, whose density is n 2^depth.
+    dyadic grid, whose density is n 2^depth.  The point breaks are the
+    splice t of an ``AnchoredBundle``'s full range, which its bridge grid
+    runs end at (``grid_runs``), so no block straddles it.
     """
     inside = jumps[np.searchsorted(jumps, prob.lo, "right") : np.searchsorted(jumps, prob.hi)]
     grid = (bundle.n << bundle.depth) * (prob.hi - prob.lo)
     k = max(1, int(_BLOCK_POINTS * inside.size / grid))
-    return np.concatenate([[prob.lo], inside[k - 1 :: k], [prob.hi]])
+    breaks = bundle.point_breaks(prob.anchor)
+    breaks = breaks[(breaks > prob.lo) & (breaks < prob.hi)]
+    return np.unique(np.concatenate([[prob.lo], inside[k - 1 :: k], breaks, [prob.hi]]))
 
 
 class Index(NamedTuple):
     """Lookups of a block's pieces, read from the run counts (see ``_blocks``)."""
 
     steps: np.ndarray  # step jumps at or before each piece's left end
-    cells: list  # W_n cell of each piece, one array per run of ``grid_runs``
+    cells: np.ndarray  # W_n cell of each piece, in the block's run of ``grid_runs``
 
 
-def _merge(a: float, b: float, steps: np.ndarray, grids: list) -> tuple[np.ndarray, list]:
+def _merge(a: float, b: float, steps: np.ndarray, grid: np.ndarray) -> tuple:
     """Breakpoints of the block [a, b], and the counts that index its pieces.
 
     ``steps`` are the sorted step jumps in [a, b], repeats kept, and
-    ``grids`` the strictly ascending runs of ``grid_runs`` in [a, b]: one,
-    or on ``AnchoredBundle``'s full range the runs below and above t, which
-    join into one run once their shared point t is dropped.  The ends and
-    the distinct step jumps that are no grid point are inserted into that
-    run.  Returns the breakpoints and, for the step jumps and for each grid
-    run, how many of its points lie at or before each breakpoint but the
-    last.  These counts follow from the insertion positions: the step count
-    is constant between consecutive ends or step jumps, and the grid count
-    of the j-th breakpoint is j + 1 less the inserted points up to it.
+    ``grid`` the strictly ascending run of ``grid_runs`` in [a, b].  The ends
+    and the distinct step jumps that are no grid point are inserted into
+    that run.  Returns (pts, before, count): the breakpoints and, for the
+    step jumps and for the grid run, how many of its points lie at or before
+    each breakpoint but the last.  These counts follow from the insertion
+    positions: the step count is constant between consecutive ends or step
+    jumps, and the grid count of the j-th breakpoint is j + 1 less the
+    inserted points up to it.
     """
-    grid, size = grids[0], grids[0].size
-    if len(grids) == 2:
-        shared = int(size > 0 and grids[1].size > 0 and grid[-1] == grids[1][0])
-        grid = np.concatenate([grid, grids[1][shared:]])
     extras = np.concatenate([[a], steps, [b]])
     # The i-th distinct value has last[i] step jumps at or before it (b aside).
     last = np.flatnonzero(np.append(extras[1:] != extras[:-1], True))
@@ -230,31 +231,26 @@ def _merge(a: float, b: float, steps: np.ndarray, grids: list) -> tuple[np.ndarr
         np.arange(added.size + 1, dtype=np.int32),
         np.diff(np.concatenate([[0], added, [pts.size - 1]])),
     )
-    count = np.arange(1, pts.size, dtype=np.int32) - inserted
-    if len(grids) == 1:
-        return pts, [before, count]
-    return pts, [before, np.minimum(count, size), np.maximum(count - (size - shared), 0)]
+    return pts, before, np.arange(1, pts.size, dtype=np.int32) - inserted
 
 
 def _blocks(bundle: Bundle, prob: SupProblem):
     """Sorted breakpoints of each block, with the index lookups of its pieces.
 
     A block's breakpoints are its ends, the step jumps in it and the grid
-    its bridge lookups read (``grid_runs``: the bundle's bridge grid, or the
-    window increment's grid), inserted into that grid (``_merge``).  The piece
-    after the c-th point of a grid run lies in W_n cell first + c - 1
-    (ascending index) or first - c (descending), and ``steps`` counts the
-    step jumps at or before it.
+    its bridge lookups read (``grid_runs``: one run of the bundle's bridge
+    grid, or of the window increment's grid), inserted into that run
+    (``_merge``).  The piece after the c-th point of the run lies in W_n
+    cell first + c - 1 (ascending index) or first - c (descending), and
+    ``steps`` counts the step jumps at or before it.
     """
     steps = np.sort(prob.step_jumps)  # repeats kept: they count
     edges = _block_edges(bundle, prob, steps[np.append(True, steps[1:] != steps[:-1])])
     for a, b in zip(edges[:-1], edges[1:]):
         s0, s1 = int(np.searchsorted(steps, a)), int(np.searchsorted(steps, b, "right"))
-        runs = bundle.grid_runs(prob.anchor, a, b)
-        pts, (before, *counts) = _merge(a, b, steps[s0:s1], [r.x for r in runs])
-        cells = [
-            run.first + c - 1 if run.step > 0 else run.first - c for run, c in zip(runs, counts)
-        ]
+        run = bundle.grid_runs(prob.anchor, a, b)
+        pts, before, count = _merge(a, b, steps[s0:s1], run.x)
+        cells = run.first + count - 1 if run.step > 0 else run.first - count
         yield pts, Index(s0 + before, cells)
 
 

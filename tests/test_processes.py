@@ -350,8 +350,8 @@ def _grid_test_bundles(kind, t):
 
 
 def _jump_grid_parts(b):
-    """``jump_grid()`` split into the full grids of ``grid_runs(None, ...)``'s
-    runs: the dyadic grid, or the two mapped block grids."""
+    """``jump_grid()`` split into the full grids ``grid_runs(None, ...)`` reads:
+    the dyadic grid, or the block grids mapped below and above t."""
     full = b.jump_grid()
     if isinstance(b, ProcessBundle):
         return [full]
@@ -359,20 +359,25 @@ def _jump_grid_parts(b):
 
 
 def _check_grid_runs(b, anchor, parts):
-    # each run holds exactly the points of its full grid in [lo, hi], in
-    # order, and x[i] is that grid's point of index first + step i
+    # the run holds exactly the points of its full grid in [lo, hi], in
+    # order, and x[i] is that grid's point of index first + step i; with two
+    # parts, the grid below t serves a range up to t, the one above t a
+    # range from t, and a range on both sides of t is rejected
     ends = _restricted_grid_ends(b, 1.2, 0.4)
     for lo in ends:
         for hi in ends:
             if not lo < hi:
                 continue
-            runs = b.grid_runs(anchor, lo, hi)
-            assert len(runs) == len(parts)
-            for run, full in zip(runs, parts):
-                inside = np.sort(full[(full >= lo) & (full <= hi)])
-                assert np.array_equal(run.x, inside), (lo, hi)
-                at = run.first + run.step * np.arange(run.x.size)
-                assert (at >= 0).all() and np.array_equal(run.x, full[at]), (lo, hi)
+            if len(parts) == 2 and lo < b.t < hi:
+                with pytest.raises(ValueError, match="straddles"):
+                    b.grid_runs(anchor, lo, hi)
+                continue
+            run = b.grid_runs(anchor, lo, hi)
+            full = parts[0] if len(parts) == 1 or hi <= b.t else parts[1]
+            inside = np.sort(full[(full >= lo) & (full <= hi)])
+            assert np.array_equal(run.x, inside), (lo, hi)
+            at = run.first + run.step * np.arange(run.x.size)
+            assert (at >= 0).all() and np.array_equal(run.x, full[at]), (lo, hi)
 
 
 @pytest.mark.parametrize("kind", ["lattice", "anchored"])

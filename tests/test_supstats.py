@@ -558,27 +558,26 @@ _EDGE_LAM_T = [(1e-3, 2e-3), (1e-3, 0.999), (0.25, 0.5), (0.99, 0.995)]
 
 def test_block_kernel_matches_general_merge():
     # Every block's breakpoints and counts equal those of the general merge of
-    # its sorted runs (ends, step jumps, grid runs), array for array and bit
+    # its sorted runs (ends, step jumps, grid run), array for array and bit
     # for bit, on both bundle kinds, every problem builder, tail sides and
     # the censored range, repeated step jumps included; the kernel's
-    # precondition, strictly ascending grid runs, holds on every block.
+    # precondition, a strictly ascending grid run, holds on every block.  No
+    # block of a count-anchored full-range problem straddles the splice t,
+    # and some end at it or start from it.
     kernel = supstats._merge
-    seen = dict.fromkeys(("straddle", "no grid", "jump on grid", "repeated jump"), 0)
+    seen = dict.fromkeys(("at t", "no grid", "jump on grid", "repeated jump"), 0)
 
-    def checked(a, b, steps, grids):
-        for x in grids:
-            assert np.all(x[1:] > x[:-1])
-        pts, counts = kernel(a, b, steps, grids)
-        want_pts, want_counts = merge_runs([np.array([a, b]), steps, *grids])
+    def checked(a, b, steps, grid):
+        assert np.all(grid[1:] > grid[:-1])
+        pts, before, count = kernel(a, b, steps, grid)
+        want_pts, want_counts = merge_runs([np.array([a, b]), steps, grid])
         assert np.array_equal(pts, want_pts)
-        assert len(counts) == len(want_counts)
-        for got, want in zip(counts, want_counts):
+        for got, want in zip((before, count), want_counts, strict=True):
             assert got.dtype == want.dtype and np.array_equal(got, want)
-        seen["straddle"] += len(grids) == 2 and min(x.size for x in grids) > 0
-        seen["no grid"] += all(x.size == 0 for x in grids)
-        seen["jump on grid"] += any(np.isin(steps, x).any() for x in grids)
+        seen["no grid"] += grid.size == 0
+        seen["jump on grid"] += bool(np.isin(steps, grid).any())
         seen["repeated jump"] += bool(np.any(steps[1:] == steps[:-1]))
-        return pts, counts
+        return pts, before, count
 
     for n, depth, (lam_n, t), anchored in itertools.product(
         (9, 64), (0, 3, 6), _EDGE_LAM_T, (False, True)
@@ -597,8 +596,10 @@ def test_block_kernel_matches_general_merge():
             with mock.patch.object(supstats, "_BLOCK_POINTS", block_points), \
                     mock.patch.object(supstats, "_merge", checked):
                 for prob in problems:
-                    for _ in supstats._blocks(b, prob):
-                        pass
+                    for pts, _ in supstats._blocks(b, prob):
+                        if anchored and prob.anchor is None:
+                            assert not pts[0] < t < pts[-1], (pts[0], pts[-1])
+                            seen["at t"] += t in (pts[0], pts[-1])
     assert all(seen.values()), seen
 
 

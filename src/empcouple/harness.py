@@ -240,14 +240,18 @@ def evaluate_requests(
     pass, whatever their statistic: 'cens-h1' is approx4's problem at
     t = theta.  Each row equals the request's own ``stat_*`` /
     ``tail_sup_discrepancy`` / ``censored_weighted_stats`` result bit for bit.
+    The depth and the bundles' bytes are checked before any bundle is built,
+    as in ``run_requests``.
     """
     for req in requests:
         req.validate()
         req.weights.validate(n)
+    anchors = [coupling_anchor(req) for req in requests]
+    check_refine_depth(depth)
+    _check_bytes(set(anchors), n, depth, 1)
     bundles: dict = {}
     groups: dict = {}
-    for i, req in enumerate(requests):
-        anchor = coupling_anchor(req)
+    for i, (req, anchor) in enumerate(zip(requests, anchors)):
         if anchor not in bundles:
             bundles[anchor] = replicate_bundle(req, seed, n, rep, depth)
         groups.setdefault((anchor, *_PROBLEMS[req.statistic].problem(req)), []).append(i)
@@ -299,6 +303,17 @@ def _replicate_bytes(anchors, n: int, depth: int) -> int:
     return sum(lattice if anchor is None else anchored for anchor in anchors)
 
 
+def _check_bytes(anchors, n: int, depth: int, workers: int) -> None:
+    """Reject ``workers`` concurrent replicates at size n whose bundles for
+    ``anchors`` (``_replicate_bytes``) would exceed ``MAX_RUN_BYTES``."""
+    need = workers * _replicate_bytes(anchors, n, depth)
+    if need > MAX_RUN_BYTES:
+        raise ValueError(
+            f"bundles at n={n} and refinement depth {depth} need up to {need} bytes "
+            f"over {workers} worker(s), more than {MAX_RUN_BYTES}"
+        )
+
+
 def _check_run(requests, n_ladder, reps, threads: int, refine_depth: int, anchors=()) -> tuple:
     """Reject a ladder run before any replicate is scheduled; (ladder, reps) as ints.
 
@@ -337,14 +352,8 @@ def _check_run(requests, n_ladder, reps, threads: int, refine_depth: int, anchor
     if min(n_ladder) < 2:
         raise ValueError("all ladder sizes must be >= 2")
     check_refine_depth(refine_depth)
-    n, workers = n_ladder[-1], min(threads, len(n_ladder) * reps)
     anchors = {coupling_anchor(req) for req in requests} | set(anchors)
-    need = workers * _replicate_bytes(anchors, n, refine_depth)
-    if need > MAX_RUN_BYTES:
-        raise ValueError(
-            f"bundles at n={n} and refinement depth {refine_depth} need up to {need} bytes "
-            f"over {workers} worker(s), more than {MAX_RUN_BYTES}"
-        )
+    _check_bytes(anchors, n_ladder[-1], refine_depth, min(threads, len(n_ladder) * reps))
     for req in requests:
         builder, *args = _PROBLEMS[req.statistic].problem(req)
         for n in n_ladder:
@@ -838,8 +847,10 @@ def sanity_global_sup(
     The median of n^{1/4} sup / ((log n)^{1/2} (log log n)^{1/4}) should be
     flat in n; the pass condition is max/min median ratio <= 3.  The ladder,
     reps, threads, depth and bundle memory are checked up front, as in
-    ``run_requests``.
+    ``run_requests``, and so is t, which must lie in (0, 1).
     """
+    if not 0.0 < t < 1.0:
+        raise ValueError(f"anchor t must lie in (0, 1), got {t}")
     n_ladder, reps = _check_run([], n_ladder, reps, threads, refine_depth, anchors=[t])
     tasks = [(seed, n, rep, t, refine_depth) for n in n_ladder for rep in range(reps)]
     vals = _map_tasks(_global_sup_task, tasks, threads)

@@ -6,6 +6,7 @@ import pytest
 
 from empcouple import cli
 from empcouple.cli import main
+from empcouple.processes import AnchoredBundle, ProcessBundle
 
 
 def test_usage_error_exit_code(capsys):
@@ -40,6 +41,21 @@ def test_stats_json(tmp_path):
     assert doc["statistic"] == "approx2"
     assert doc["n"] == 32
     assert doc["value"] >= 0.0
+
+
+def _no_build(*args, **kwargs):
+    raise AssertionError("bundle built before the replicate was checked")
+
+
+@pytest.mark.parametrize("stat", ["approx1", "approx4"])
+def test_stats_rejects_oversized_bundles(monkeypatch, capsys, stat):
+    # one replicate whose bundles would exceed the run's memory bound is
+    # rejected with n and the depth named, before any bundle is built
+    monkeypatch.setattr(ProcessBundle, "build", _no_build)
+    monkeypatch.setattr(AnchoredBundle, "build", _no_build)
+    assert main(["stats", "--stat", stat, "--n", "4194304", "--refine-depth", "12"]) == 1
+    err = capsys.readouterr().err
+    assert "n=4194304" in err and "depth 12" in err and "bytes" in err, err
 
 
 def test_mc_writes_csv_and_json(tmp_path):

@@ -174,6 +174,14 @@ def test_oversized_run_rejected_before_scheduling(monkeypatch):
             run_requests([_REQ], [1 << (31 - depth)], 1, seed=0, refine_depth=depth)
 
 
+def test_sanity_global_sup_rejects_t_outside_unit_interval(monkeypatch):
+    # the anchor t is checked before any replicate is scheduled
+    monkeypatch.setattr(harness, "_map_tasks", _no_scheduling)
+    for t in (1.5, 0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match=r"t must lie in \(0, 1\)"):
+            sanity_global_sup([16, 32], 2, seed=3, t=t)
+
+
 def test_request_names_that_break_the_csv_rejected(monkeypatch):
     # a comma or line break in a name would split its CSV row
     monkeypatch.setattr(harness, "_map_tasks", _no_scheduling)

@@ -102,7 +102,9 @@ def _mapped_run(den: int, offset: float, scale: float, lo: float, hi: float) -> 
     ends = sorted(((lo - offset) / scale * den, (hi - offset) / scale * den))
     j0, j1 = max(0, math.floor(ends[0]) - 1), min(den, math.ceil(ends[1]) + 1)
     step = 1 if scale > 0 else -1
-    x = offset + scale * (np.arange(j0, j1 + 1)[::step] / den)
+    x = np.arange(j0, j1 + 1, dtype=float)[::step] / den
+    x *= scale  # in place: the same floats as offset + scale * (j / den)
+    x += offset
     i = int(np.searchsorted(x, lo))
     return Run(x[i : np.searchsorted(x, hi, "right")], (j0 if step > 0 else j1) + step * i, step)
 

@@ -488,12 +488,12 @@ class AnchoredBundle(_SampleProcesses):
         increment at the anchor reads cells of ``below`` between the points
         t x of its grid (``increment_jump_grid(t)``), and only those.
         """
-        t, below = self.t, self.below.n << self.depth
+        t, den = self.t, self.below.n << self.depth
         if anchor is not None:
             self._check_anchor(anchor)
-            return _mapped_run(below, 0.0, t, lo, hi)
+            return _mapped_run(den, 0.0, t, lo, hi)
         if hi <= t:
-            return _mapped_run(below, t, -t, lo, hi)
+            return _mapped_run(den, t, -t, lo, hi)
         if lo >= t:
             return _mapped_run(self.above.n << self.depth, t, 1.0 - t, lo, hi)
         raise ValueError(f"bridge grid range [{lo}, {hi}] straddles the splice t={t}")

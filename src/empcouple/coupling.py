@@ -1,8 +1,8 @@
 """Joint construction of exponential partial sums and a Brownian motion.
 
 A path carries iid Exp(1) increment sums S_0 < S_1 < ... < S_m together with
-a standard Brownian motion W evaluated on the integers 0..m (and, after
-freezing, on a dyadic refinement of [0, m]).  The two are built on the same
+a standard Brownian motion W evaluated on the integers 0..m (and, once read
+there, on a dyadic refinement of [0, m]).  The two are built on the same
 draws by top-down dyadic conditional quantile coupling:
 
   * W is generated first: W(m) ~ N(0, m), then midpoints by bridge bisection.
@@ -41,8 +41,17 @@ _FRAC_FLOOR = 1e-300
 _FRAC_CEIL = 1.0 - 1e-16
 
 
-def _is_power_of_two(m: int) -> bool:
-    return m >= 1 and (m & (m - 1)) == 0
+def _check_power_of_two(m: int) -> None:
+    if m < 1 or m & (m - 1):
+        raise ValueError(f"m must be a power of two, got {m}")
+
+
+def _checked_extent(m: int, extent: int | None) -> int:
+    """``extent``, or m when None, which must lie in [1, m]."""
+    extent = m if extent is None else extent
+    if not 1 <= extent <= m:
+        raise ValueError(f"extent must lie in [1, {m}], got {extent}")
+    return extent
 
 
 def _brownian_integer_grid(m: int, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -59,15 +68,24 @@ def _brownian_integer_grid(m: int, rng: np.random.Generator, count: int) -> np.n
     return w
 
 
-def _sums_from_brownian(m: int, w: np.ndarray, counter: ClampCounter) -> np.ndarray:
-    """Partial sums S_0..S_m coupled to integer-grid Brownian values."""
+def _sums_from_brownian(
+    m: int, w: np.ndarray, counter: ClampCounter, extent: int | None = None
+) -> np.ndarray:
+    """Partial sums S_0..S_extent coupled to integer-grid Brownian values.
+
+    ``extent`` (default m) bounds the sums made: each level splits only the
+    blocks that start below it, so no inversion is spent on summands past it.
+    Every inversion is elementwise and the cumsum runs left to right, so the
+    sums are the first extent + 1 of the full ones, bit for bit.
+    """
+    extent = m if extent is None else extent
     count = w.shape[0]
     p_top = clamp_probability(std_normal_cdf(w[:, m] / np.sqrt(m)), counter)
     sums = inv_reg_gamma_p(float(m), p_top).reshape(count, 1)
     k = m
     while k > 1:
         half = k // 2
-        start = np.arange(0, m, k)
+        start = np.arange(0, extent, k)
         v = w[:, start + half] - 0.5 * (w[:, start] + w[:, start + k])
         q = clamp_probability(std_normal_cdf(v * (2.0 / np.sqrt(k))), counter)
         frac = inv_reg_beta_i(q, float(half), float(half))
@@ -78,9 +96,9 @@ def _sums_from_brownian(m: int, w: np.ndarray, counter: ClampCounter) -> np.ndar
         merged = np.empty((count, 2 * sums.shape[1]))
         merged[:, 0::2] = left
         merged[:, 1::2] = sums - left
-        sums = merged
+        sums = merged[:, : -(-extent // half)]
         k = half
-    s = np.empty((count, m + 1))
+    s = np.empty((count, extent + 1))
     s[:, 0] = 0.0
     np.cumsum(sums, axis=1, out=s[:, 1:])
     return s
@@ -90,8 +108,10 @@ def _sums_from_brownian(m: int, w: np.ndarray, counter: ClampCounter) -> np.ndar
 class CoupledPath:
     """One realization of the coupled (S, W) pair on [0, m].
 
-    ``extent`` (default m) bounds the range [0, extent] that ``freeze``
-    refines and ``values_at`` answers; S and W stay on the whole of 0..m.
+    ``extent`` (default m) bounds the range [0, extent] the path serves: S
+    holds S_0..S_extent, and W is refined over [0, extent] on its first grid
+    read (``grid``, ``values_at``) or by ``freeze``.  W stays on the whole of
+    0..m: its top-down draws start at W(m), and all of them must be made.
     """
 
     m: int
@@ -99,15 +119,19 @@ class CoupledPath:
     W: np.ndarray
     stream: RngStream
     clamp_count: int
-    refinement_depth: int = 0
     _fine: np.ndarray | None = field(default=None, repr=False)
     extent: int | None = None
 
     def __post_init__(self) -> None:
-        if self.extent is None:
-            self.extent = self.m
-        if not 1 <= self.extent <= self.m:
-            raise ValueError(f"extent must lie in [1, {self.m}], got {self.extent}")
+        self.extent = _checked_extent(self.m, self.extent)
+
+    @property
+    def refinement_depth(self) -> int:
+        """Depth of the refined grid held; 0 before the first refinement."""
+        return 0 if self._fine is None else self._depth_of(self._fine)
+
+    def _depth_of(self, fine: np.ndarray) -> int:
+        return ((fine.size - 1) // self.extent).bit_length() - 1
 
     def freeze(self, depth: int) -> None:
         """Materialize W on the dyadic grid of step 2**-depth over [0, extent].
@@ -118,41 +142,44 @@ class CoupledPath:
         freezes extend shallower ones without changing them.  For the same
         reason a path refined over [0, extent] holds a prefix of the values
         of one refined over [0, m], bit for bit: each level's normals are
-        the first draws of the full level's.
+        the first draws of the full level's.  The missing levels are built
+        in locals and the grid, which carries its depth in its size, is
+        published by one assignment, so concurrent reads are safe.
         """
         check_refine_depth(depth)
-        if self._fine is None:
-            self._fine = self.W[: self.extent + 1].copy()
-            self.refinement_depth = 0
-        while self.refinement_depth < depth:
-            level = self.refinement_depth + 1
-            cur = self._fine
+        fine = self._fine
+        if fine is None:
+            fine = self.W[: self.extent + 1].copy()
+        for level in range(self._depth_of(fine) + 1, depth + 1):
             spacing = 2.0 ** -(level - 1)
             rng = self.stream.child("refine", level).generator()
-            z = rng.standard_normal(cur.size - 1)
-            fine = np.empty(2 * cur.size - 1)
-            fine[0::2] = cur
-            fine[1::2] = 0.5 * (cur[:-1] + cur[1:]) + (0.5 * np.sqrt(spacing)) * z
-            self._fine = fine
-            self.refinement_depth = level
+            z = rng.standard_normal(fine.size - 1)
+            finer = np.empty(2 * fine.size - 1)
+            finer[0::2] = fine
+            finer[1::2] = 0.5 * (fine[:-1] + fine[1:]) + (0.5 * np.sqrt(spacing)) * z
+            fine = finer
+        self._fine = fine
 
     def grid(self, depth: int) -> np.ndarray:
         """View of W on the dyadic grid of step 2**-depth over [0, extent].
 
         Entry i is W(i 2**-depth), the value ``values_at`` reads on [i, i + 1)
-        2**-depth.  Requires a prior ``freeze`` at least as deep.
+        2**-depth.  The first read at a depth refines the path to it
+        (``freeze``); a path never read is never refined.
         """
         check_refine_depth(depth)
-        if self._fine is None or depth > self.refinement_depth:
-            raise ValueError(f"path not frozen to depth {depth}")
-        return self._fine[:: 1 << (self.refinement_depth - depth)]
+        fine = self._fine
+        while fine is None or fine.size <= self.extent << depth:
+            self.freeze(depth)  # again if a concurrent shallower freeze published last
+            fine = self._fine
+        return fine[:: (fine.size - 1) // (self.extent << depth)]
 
     def values_at(self, t: np.ndarray, depth: int) -> np.ndarray:
         """Vectorized dyadic-grid lookup of W over [0, extent].
 
         t is floored to the grid of step 2**-depth; arguments within a few
         ulp of an integer snap to that integer first, so lattice queries are
-        exact.  Requires a prior ``freeze`` at least as deep.
+        exact.  Reads through ``grid``, so the first read refines the path.
         """
         grid = self.grid(depth)
         t = snap_to_integer(np.asarray(t, dtype=float))
@@ -185,11 +212,15 @@ def couple_exponential_sums(
 ) -> CoupledPath:
     """Build one coupled path of m exponential summands; m must be 2**L.
 
-    ``extent`` (default m) is the range [0, extent] its Brownian motion is
-    refined over (see ``CoupledPath``).
+    ``extent`` (default m) is the range [0, extent] the path serves (see
+    ``CoupledPath``): only S_0..S_extent are coupled, and they equal the
+    first extent + 1 sums of the full path bit for bit.
     """
+    _check_power_of_two(m)
+    extent = _checked_extent(m, extent)
     counter = ClampCounter()
-    s, w = couple_batch(m, 1, stream, counter)
+    w = _brownian_integer_grid(m, stream.generator(), 1)
+    s = _sums_from_brownian(m, w, counter, extent)
     if np.any(np.diff(s[0]) <= 0.0):
         raise RuntimeError(f"non-increasing partial sums for m={m}, stream={stream}")
     return CoupledPath(
@@ -206,16 +237,15 @@ def couple_batch(
     for aggregate Monte Carlo checks, not for reproducing individual paths.
     ``counter`` collects the tail clamps of the inversions.
     """
-    if not _is_power_of_two(m):
-        raise ValueError(f"m must be a power of two, got {m}")
+    _check_power_of_two(m)
     w = _brownian_integer_grid(m, stream.generator(), count)
     return _sums_from_brownian(m, w, ClampCounter() if counter is None else counter), w
 
 
 def max_discrepancy(path: CoupledPath) -> tuple[float, int]:
-    """Exact max over k = 1..m of |S_k - k - W(k)| with its location."""
-    k = np.arange(1, path.m + 1)
-    gap = np.abs(path.S[1:] - k - path.W[1:])
+    """Exact max over k = 1..extent of |S_k - k - W(k)| with its location."""
+    k = np.arange(1, path.extent + 1)
+    gap = np.abs(path.S[1:] - k - path.W[1 : path.extent + 1])
     j = int(np.argmax(gap))
     return float(gap[j]), int(k[j])
 

@@ -294,7 +294,7 @@ MAX_RUN_BYTES = 8 << 30
 def _replicate_bytes(anchors, n: int, depth: int) -> int:
     """Bytes of the bundles one replicate at size n builds for ``anchors``, at most.
 
-    The lattice-anchored bundle (anchor None) holds ``bundle_bytes(n, depth)``.
+    The lattice-anchored bundle (anchor None) holds at most ``bundle_bytes(n, depth)``.
     A count-anchored one holds U and blocks of sizes a <= b with
     a + b <= n + 2, so a <= n // 2 + 1 and b <= n; ``bundle_bytes`` rises with n.
     """

@@ -160,10 +160,12 @@ class _SampleProcesses:
 class ProcessBundle(_SampleProcesses):
     """Order statistics, process evaluators and coupled bridge for one n.
 
-    Immutable after construction: both paths are frozen to ``depth`` extra
-    dyadic levels, so concurrent reads are safe.  W_n reads the first path
-    only on [0, h] and the second only on [0, g], so each is refined over
-    that range alone.
+    W_n reads the first path only on [0, h] and the second only on [0, g],
+    so each is coupled and refined over that range alone.  A path is refined
+    to ``depth`` extra dyadic levels on its first grid read, so a path that
+    no statistic reads is never refined.  Its values do not depend on when
+    it is refined, and ``CoupledPath.freeze`` publishes a grid whole, so
+    concurrent reads are safe.
     """
 
     n: int
@@ -187,7 +189,10 @@ class ProcessBundle(_SampleProcesses):
     # -- Brownian machinery ------------------------------------------------
 
     def w_n(self, z) -> np.ndarray:
-        """Spliced Brownian motion on [0, n+1] (dyadic-grid resolution)."""
+        """Spliced Brownian motion on [0, n+1] (dyadic-grid resolution).
+
+        A path's grid is read only for arguments on its side of [n/2].
+        """
         if self.path1 is None or self.path2 is None:
             raise ValueError("synthetic bundle has no Brownian paths")
         z = np.asarray(z, dtype=float)
@@ -195,11 +200,12 @@ class ProcessBundle(_SampleProcesses):
             raise ValueError("w_n argument outside [0, n+1]")
         out = np.empty_like(z)
         lo = z <= self.h
-        w1_h = self.path1.values_at(np.asarray([float(self.h)]), self.depth)[0]
-        out[lo] = w1_h - self.path1.values_at(self.h - z[lo], self.depth)
+        w1_h = self.path1.W[self.h]
+        if np.any(lo):
+            out[lo] = w1_h - self.path1.values_at(self.h - z[lo], self.depth)
         hi = ~lo
         if np.any(hi):
-            w2_g = self.path2.values_at(np.asarray([float(self.g)]), self.depth)[0]
+            w2_g = self.path2.W[self.g]
             out[hi] = w1_h + w2_g - self.path2.values_at((self.n + 1) - z[hi], self.depth)
         return out
 
@@ -208,7 +214,8 @@ class ProcessBundle(_SampleProcesses):
 
         That is the value ``w_n`` takes at every point of the open cell.  Cells
         outside [0, (n+1) 2^depth) are clipped to the nearest one.  Only the
-        paths' grid over the cells asked for is read.
+        paths' grid over the cells asked for is read, and a path's grid only
+        when a cell on its side is asked for.
         """
         d = self.depth
         hd, top = self.h << d, ((self.n + 1) << d) - 1
@@ -218,13 +225,14 @@ class ProcessBundle(_SampleProcesses):
         if c0 < 0 or c1 > top:
             j = np.clip(j, 0, top)
             c0, c1 = min(max(c0, 0), top), max(min(c1, top), 0)
-        v1, v2 = self.path1.grid(d), self.path2.grid(d)
-        w1_h = v1[hd]
+        w1_h = self.path1.W[self.h]
         parts = []
         if c0 < hd:
+            v1 = self.path1.grid(d)
             parts.append(w1_h - v1[hd - 1 - min(c1, hd - 1) : hd - c0][::-1])
         if c1 >= hd:
-            parts.append(w1_h + v2[self.g << d] - v2[top - c1 : top + 1 - max(c0, hd)][::-1])
+            v2 = self.path2.grid(d)
+            parts.append(w1_h + self.path2.W[self.g] - v2[top - c1 : top + 1 - max(c0, hd)][::-1])
         return (parts[0] if len(parts) == 1 else np.concatenate(parts))[j - c0]
 
     def bridge_piece(self, s_piece, cells=None):
@@ -325,8 +333,6 @@ class ProcessBundle(_SampleProcesses):
         g = n + 1 - h
         path1 = couple_exponential_sums(next_power_of_two(h), stream1, extent=h)
         path2 = couple_exponential_sums(next_power_of_two(g), stream2, extent=g)
-        path1.freeze(depth)
-        path2.freeze(depth)
         y = interleave(n, np.diff(path1.S), np.diff(path2.S))
         s = np.empty(n + 2)
         s[0] = 0.0
@@ -334,7 +340,9 @@ class ProcessBundle(_SampleProcesses):
         bundle = cls(
             n=n, t=t, path1=path1, path2=path2, Y=y, S=s, U=s[: n + 1] / s[n + 1], depth=depth
         )
-        bundle.w_nn = float(bundle.w_n(np.asarray([float(n)]))[0])
+        # W_n(n) = W1(h) + W2(g) - W2(1), read at integers from the coarse W,
+        # which the refined grids hold unchanged
+        bundle.w_nn = float(path1.W[h] + path2.W[g] - path2.W[1])
         return bundle
 
     @classmethod
@@ -351,17 +359,19 @@ class ProcessBundle(_SampleProcesses):
 
 
 def bundle_bytes(n: int, depth: int) -> int:
-    """Bytes of the arrays of a ``ProcessBundle`` of size n refined to ``depth``.
+    """Bytes of the arrays of a ``ProcessBundle`` of size n once every path is read at ``depth``.
 
-    From the path layout: a path of extent e holds S and W on 0..m, where m
-    is the power of two ``next_power_of_two(e)``, and W refined over [0, e],
-    (e << depth) + 1 floats; the extents are [n/2] and n + 1 - [n/2].  The
-    bundle adds Y, S and U, 3 n + 4 floats.  An ``AnchoredBundle`` with
-    count N holds U and bundles of sizes max(N, 2) and max(n - N, 2).
+    From the path layout: a path of extent e holds S on 0..e, W on 0..m,
+    where m is the power of two ``next_power_of_two(e)``, and, once read, W
+    refined over [0, e], (e << depth) + 1 floats; the extents are [n/2] and
+    n + 1 - [n/2].  The bundle adds Y, S and U, 3 n + 4 floats.  A path that
+    is never read holds no refined grid, so this is an upper bound on a
+    bundle's bytes.  An ``AnchoredBundle`` with count N holds U and bundles
+    of sizes max(N, 2) and max(n - N, 2).
     """
     floats = 3 * n + 4
     for extent in (n // 2, n + 1 - n // 2):
-        floats += 2 * (next_power_of_two(extent) + 1) + (extent << depth) + 1
+        floats += (extent + 1) + (next_power_of_two(extent) + 1) + (extent << depth) + 1
     return 8 * floats
 
 

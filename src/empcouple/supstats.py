@@ -96,6 +96,8 @@ class WeightConfig:
             raise ValueError("nu must lie in [0, 1/4)")
         if not 0.0 < self.t < 1.0:
             raise ValueError("t must lie in (0, 1)")
+        if n is not None and n < 1:
+            raise ValueError(f"sample size n must be >= 1, got {n}")
         if n is not None and self.lam / n >= 1.0:
             raise ValueError(f"lam/n must be < 1 (lam={self.lam}, n={n})")
 

@@ -240,6 +240,7 @@ class ExactBridge:
     """Coupled bridge of a lattice-anchored bundle, with exact lookups."""
 
     def __init__(self, bundle):
+        bundle.path1.grid(bundle.depth), bundle.path2.grid(bundle.depth)
         if bundle.path1.refinement_depth != bundle.depth:
             raise ValueError("paths refined past the bundle's depth")
         self.n, self.h, self.g = bundle.n, bundle.n // 2, bundle.n + 1 - bundle.n // 2

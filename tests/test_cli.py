@@ -43,6 +43,13 @@ def test_stats_json(tmp_path):
     assert doc["value"] >= 0.0
 
 
+def test_stats_rejects_zero_n(capsys):
+    # a sample size below 1 is an input error, reported on one line
+    assert main(["stats", "--n", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and len(err.splitlines()) == 1, err
+
+
 def _no_build(*args, **kwargs):
     raise AssertionError("bundle built before the replicate was checked")
 

@@ -108,12 +108,16 @@ def test_values_at_rejects_out_of_range():
 
 @pytest.mark.parametrize("m", [16, 64])
 def test_truncated_freeze_is_prefix(m):
-    # a path refined over [0, extent] holds the full refinement's values
-    # there, bit for bit, at every depth
+    # a path coupled and refined over [0, extent] holds the full path's sums
+    # and refined values there, bit for bit, at every depth
     for extent in (1, m // 2 + 1, m):
         full = couple_exponential_sums(m, RngStream(8, m))
         part = couple_exponential_sums(m, RngStream(8, m), extent=extent)
         assert part.extent == extent and full.extent == m
+        np.testing.assert_array_equal(part.S, full.S[: extent + 1])
+        np.testing.assert_array_equal(part.W, full.W)
+        assert part.clamp_count <= full.clamp_count
+        assert max_discrepancy(part) == naive_max_discrepancy(full.S, full.W, extent)
         for depth in range(7):
             full.freeze(depth)
             part.freeze(depth)

@@ -128,6 +128,12 @@ def _nbytes(obj) -> int:
     return total
 
 
+def _read_paths(bundle) -> None:
+    """Refine every path of a bundle through its public grid read."""
+    for block in (bundle.below, bundle.above) if isinstance(bundle, AnchoredBundle) else (bundle,):
+        block.path1.grid(block.depth), block.path2.grid(block.depth)
+
+
 def test_bundle_bytes_equal_built_bundles():
     # the estimate from the path layout is what the built bundles hold: a
     # lattice bundle bundle_bytes(n), a count-anchored one U and blocks of
@@ -135,9 +141,12 @@ def test_bundle_bytes_equal_built_bundles():
     counts = set()
     for n in (2, 3, 17, 100):
         for depth in (0, 2, 6):
-            assert _nbytes(build_bundle(3, n, 0, 0.5, depth)) == bundle_bytes(n, depth)
+            lattice = build_bundle(3, n, 0, 0.5, depth)
+            _read_paths(lattice)
+            assert _nbytes(lattice) == bundle_bytes(n, depth)
             for seed in range(4):
                 b = build_anchored_bundle(seed, n, 0, 0.3, depth)
+                _read_paths(b)
                 blocks = bundle_bytes(max(b.count, 2), depth) + bundle_bytes(
                     max(n - b.count, 2), depth
                 )

@@ -240,6 +240,7 @@ def test_paths_refined_only_where_read(n):
     # W_n reads the first path on [0, h] and the second on [0, g]
     b = _bundle(n, seed=4, depth=3)
     assert (b.path1.extent, b.path2.extent) == (b.h, b.g)
+    b.path2.grid(3)
     assert b.path2._fine.size == (b.g << 3) + 1
     z = np.linspace(0.0, n + 1, 4 * n + 1)
     b.w_n(z)

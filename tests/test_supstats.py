@@ -447,6 +447,36 @@ def test_block_size_changes_no_bit(monkeypatch, lam, t, n):
         assert solve(b, prob) == expected, prob.__dict__
 
 
+def _read_all_paths(b):
+    """b, with every path refined through its public grid read."""
+    for block in (b.below, b.above) if isinstance(b, AnchoredBundle) else (b,):
+        block.path1.grid(block.depth), block.path2.grid(block.depth)
+    return b
+
+
+def _outcome(res):
+    return res.value, res.arg_s, res.side, res.grid_points
+
+
+@pytest.mark.parametrize("n", [64, 100, 513])
+def test_solves_refine_only_the_paths_they_read(n):
+    # a tail sup reads one path of a lattice bundle, and approx4 only the
+    # below block of a count-anchored one; the other paths stay unrefined,
+    # and each result equals the one on a bundle whose paths were all read
+    for side, unread in (("left", "path2"), ("right", "path1")):
+        b = _bundle(n, seed=2)
+        res = solve(b, problem_tail(b, 16.0, side))
+        assert getattr(b, unread)._fine is None, side
+        ref = _read_all_paths(_bundle(n, seed=2))
+        assert _outcome(res) == _outcome(solve(ref, problem_tail(ref, 16.0, side)))
+    cfg, stream = WeightConfig(t=0.3), derive_stream(2, n, 0, "anchored")
+    a = AnchoredBundle.build(n, stream, t=cfg.t)
+    res = solve(a, problem_empirical_increment(a, cfg))
+    assert a.above.path1._fine is None and a.above.path2._fine is None
+    ref = _read_all_paths(AnchoredBundle.build(n, stream, t=cfg.t))
+    assert _outcome(res) == _outcome(solve(ref, problem_empirical_increment(ref, cfg)))
+
+
 _MEMORY_CASES = [("approx1", False), ("approx2", False), ("approx3", False), ("approx4", True)]
 
 
@@ -464,6 +494,8 @@ def test_solve_memory_bounded(stat, anchored, depth):
         b = AnchoredBundle.build(n, derive_stream(1, n, 0, "anchored"), depth=depth)
     else:
         b = _bundle(n, seed=1, depth=depth)
+    for block in (b.below, b.above) if anchored else (b,):
+        block.path1.grid(depth), block.path2.grid(depth)
     tracemalloc.start()
     try:
         solve(b, _STAT_PROBLEMS[stat](b, WeightConfig()))

@@ -1,6 +1,8 @@
 """Dyadic quantile coupling of exponential sums to a Brownian motion."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -126,6 +128,24 @@ def test_truncated_freeze_is_prefix(m):
             assert part._fine.size == (extent << depth) + 1
     with pytest.raises(ValueError):
         couple_exponential_sums(m, RngStream(8, m), extent=m + 1)
+
+
+def test_concurrent_first_reads_agree():
+    # threads racing to refine a fresh path at mixed depths each read the
+    # values of the path refined alone
+    ref = couple_exponential_sums(64, RngStream(9), extent=40)
+    depths = (6, 3, 0, 5, 1, 6, 2, 4) * 3
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            for _ in range(5):
+                path = couple_exponential_sums(64, RngStream(9), extent=40)
+                futures = [pool.submit(path.grid, d) for d in depths]
+                for d, fut in zip(depths, futures):
+                    np.testing.assert_array_equal(fut.result(timeout=60), ref.grid(d))
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_snap_to_integer():

@@ -40,6 +40,11 @@ MAX_REFINE_DEPTH = 12
 _FRAC_FLOOR = 1e-300
 _FRAC_CEIL = 1.0 - 1e-16
 
+# Midpoints a refinement level computes per pass, so that its normals and
+# the grid cells they move stay in cache; the draws come out in the same
+# order whatever the chunk.
+_REFINE_CHUNK = 1 << 14
+
 
 def _check_power_of_two(m: int) -> None:
     if m < 1 or m & (m - 1):
@@ -142,22 +147,37 @@ class CoupledPath:
         freezes extend shallower ones without changing them.  For the same
         reason a path refined over [0, extent] holds a prefix of the values
         of one refined over [0, m], bit for bit: each level's normals are
-        the first draws of the full level's.  The missing levels are built
-        in locals and the grid, which carries its depth in its size, is
+        the first draws of the full level's.  The missing levels are written
+        in place into one local array: the held grid at its stride, then each
+        level's midpoints between the points of the last, a chunk of normals
+        at a time.  The grid, which carries its depth in its size, is
         published by one assignment, so concurrent reads are safe.
         """
         check_refine_depth(depth)
-        fine = self._fine
-        if fine is None:
-            fine = self.W[: self.extent + 1].copy()
-        for level in range(self._depth_of(fine) + 1, depth + 1):
-            spacing = 2.0 ** -(level - 1)
+        held = self._fine
+        if held is not None and self._depth_of(held) >= depth:
+            return
+        if held is None:
+            held = self.W[: self.extent + 1]
+        have = self._depth_of(held)
+        fine = np.empty((self.extent << depth) + 1)
+        fine[:: 1 << (depth - have)] = held
+        z = np.empty(min(_REFINE_CHUNK, fine.size // 2))
+        for level in range(have + 1, depth + 1):
+            stride = 1 << (depth - level)
+            prev = fine[:: 2 * stride]
+            mid = fine[stride :: 2 * stride]
+            scale = 0.5 * np.sqrt(2.0 ** -(level - 1))
             rng = self.stream.child("refine", level).generator()
-            z = rng.standard_normal(fine.size - 1)
-            finer = np.empty(2 * fine.size - 1)
-            finer[0::2] = fine
-            finer[1::2] = 0.5 * (fine[:-1] + fine[1:]) + (0.5 * np.sqrt(spacing)) * z
-            fine = finer
+            for lo in range(0, mid.size, _REFINE_CHUNK):
+                cell = mid[lo : lo + _REFINE_CHUNK]
+                zc = z[: cell.size]
+                rng.standard_normal(out=zc)
+                # 0.5 * (a + b) + c * z, operation for operation
+                np.add(prev[lo : lo + cell.size], prev[lo + 1 : lo + cell.size + 1], out=cell)
+                cell *= 0.5
+                zc *= scale
+                cell += zc
         self._fine = fine
 
     def grid(self, depth: int) -> np.ndarray:

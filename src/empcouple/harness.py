@@ -28,11 +28,10 @@ from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import stats as sps
 
 from .censored import CensoringModel, censored_domain, problem_censored_part
 from .coupling import check_refine_depth, snap_to_integer
-from .numerics import gamma2_tail
+from .numerics import gamma2_tail, std_normal_quantile
 from .processes import (
     DEFAULT_REFINE_DEPTH,
     AnchoredBundle,
@@ -516,7 +515,7 @@ def tightness_verdicts(
     """
     values = _values_by_stat(rows)
     stream = _bootstrap_stream(rows)
-    z = float(sps.norm.ppf(1.0 - FAMILY_ALPHA / len(requests)))
+    z = float(std_normal_quantile(1.0 - FAMILY_ALPHA / len(requests)))
     verdicts = {}
     for req in requests:
         per_n = values[req.name]
@@ -582,6 +581,25 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     center = (p + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))
     return max(0.0, center - half), min(1.0, center + half)
+
+
+def _line_fit(x, y) -> tuple[float, float, float]:
+    """Least-squares line through (x, y), x not constant: (slope, intercept, r).
+
+    The formulas and operation order of scipy 1.17's ``stats.linregress``,
+    so the three agree with it bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    xmean = np.mean(x)
+    ymean = np.mean(y)
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.nan if ssxym == 0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    slope = ssxym / ssxm
+    return slope, ymean - slope * xmean, r
 
 
 @dataclass
@@ -651,9 +669,9 @@ def estimate_ineq1(
                 xs.append(x)
                 logs.append(math.log(probs[i, j]))
     if len(set(xs)) >= 2:
-        fit = sps.linregress(xs, logs)
-        c_hat, b_hat = float(-fit.slope), float(math.exp(fit.intercept))
-        fit_r2 = float(fit.rvalue**2)
+        slope, intercept, r = _line_fit(xs, logs)
+        c_hat, b_hat = float(-slope), float(math.exp(intercept))
+        fit_r2 = float(r**2)
     else:
         c_hat = b_hat = fit_r2 = float("nan")
     return Ineq1Estimate(

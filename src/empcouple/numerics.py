@@ -1,10 +1,12 @@
-"""Special-function layer: normal, gamma and beta CDFs with their inverses.
+"""Special-function layer: normal, gamma and beta CDFs with their inverses,
+and the binomial quantile.
 
 Thin, validated wrappers around ``scipy.special`` ufuncs.  The coupling
 applies these inverses once per summand per path, so the contract here is
 robustness and monotonicity rather than raw speed.  Probabilities that fall
 outside the representable inversion range are clamped and counted instead of
-aborting the path.
+aborting the path.  Nothing here imports ``scipy.stats``, whose import costs
+a fresh process most of its start-up time.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import threading
 
 import numpy as np
 from scipy import special
+from scipy.special._ufuncs import _binom_ppf
 
 # Inversion clamp range on the probability scale.  Outside of it quantiles
 # are pinned to the nearest representable value and the event is counted.
@@ -61,6 +64,24 @@ def std_normal_quantile(p):
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise ValueError("std_normal_quantile requires 0 < p < 1")
     return special.ndtri(p)
+
+
+def binom_quantile(p, n, t):
+    """Smallest k with P{Bin(n, t) <= k} >= p, for p strictly inside (0, 1).
+
+    The Boost ufunc that ``scipy.stats.binom.ppf`` dispatches to for such p
+    (scipy 1.17), so the two agree bit for bit; returned as a float.
+    """
+    p = np.asarray(p, dtype=float)
+    if np.any((p <= 0.0) | (p >= 1.0)):
+        raise ValueError("binom_quantile requires 0 < p < 1")
+    n = np.asarray(n)
+    if np.any((n < 0) | (n != np.floor(n))):
+        raise ValueError("binom_quantile requires an integer n >= 0")
+    t = np.asarray(t, dtype=float)
+    if np.any(~((t >= 0.0) & (t <= 1.0))):
+        raise ValueError("binom_quantile requires 0 <= t <= 1")
+    return _binom_ppf(p, n, t)
 
 
 def reg_gamma_p(a, x):

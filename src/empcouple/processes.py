@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats as sps
 
 from .coupling import (
     CoupledPath,
@@ -41,7 +40,7 @@ from .coupling import (
     couple_exponential_sums,
     snap_to_integer,
 )
-from .numerics import clamp_probability, std_normal_cdf
+from .numerics import binom_quantile, clamp_probability, std_normal_cdf
 from .rng import RngStream
 
 DEFAULT_REFINE_DEPTH = 6
@@ -544,7 +543,7 @@ class AnchoredBundle(_SampleProcesses):
             raise ValueError("anchor t must lie in (0, 1)")
         check_refine_depth(depth)
         z = float(stream.child("anchor").generator().standard_normal())
-        count = int(sps.binom.ppf(clamp_probability(std_normal_cdf(z)), n, t))
+        count = int(binom_quantile(clamp_probability(std_normal_cdf(z)), n, t))
         below, r_below = _block(count, stream.child("below"), depth)
         above, r_above = _block(n - count, stream.child("above"), depth)
         u = np.concatenate([[0.0], t * (1.0 - r_below[::-1]), t + (1.0 - t) * r_above])

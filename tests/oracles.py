@@ -89,6 +89,23 @@ def naive_max_discrepancy(S, W, m: int) -> tuple[float, int]:
     return best, at
 
 
+def refine_reference(path, depth: int) -> np.ndarray:
+    """W on the dyadic grid of step 2**-depth over [0, path.extent], refined
+    one level at a time into a new array: each level's points interleaved
+    with the midpoints 0.5 (a + b) + 0.5 sqrt(2**-(level - 1)) z, where z are
+    the level's normals drawn at once from the path's ("refine", level)
+    stream."""
+    fine = np.array(path.W[: path.extent + 1], dtype=float)
+    for level in range(1, depth + 1):
+        spacing = 2.0 ** -(level - 1)
+        z = path.stream.child("refine", level).generator().standard_normal(fine.size - 1)
+        finer = np.empty(2 * fine.size - 1)
+        finer[0::2] = fine
+        finer[1::2] = 0.5 * (fine[:-1] + fine[1:]) + (0.5 * np.sqrt(spacing)) * z
+        fine = finer
+    return fine
+
+
 # -- counting ---------------------------------------------------------------
 
 

@@ -19,7 +19,7 @@ from empcouple.coupling import (
 )
 from empcouple.numerics import ClampCounter
 from empcouple.rng import RngStream
-from oracles import gamma2_median, naive_max_discrepancy
+from oracles import gamma2_median, naive_max_discrepancy, refine_reference
 
 
 def _forced_sums(m, w_values):
@@ -86,6 +86,19 @@ def test_refinement_deterministic_and_nested():
     path.freeze(5)
     np.testing.assert_array_equal(path.values_at(np.asarray([4.5, 7.25]), 3), mid)
     np.testing.assert_array_equal(path.values_at(np.arange(17.0), 5), path.W)
+    # every grid read equals the level-by-level reference refinement, bit for
+    # bit, whether the path is refined at once or through shallower depths;
+    # extents 2048 and 2049 span several chunks of the deepest levels
+    chains = [(d,) for d in range(7)] + [(3, 6)]
+    for m, extent in ((1, 1), (4, 3), (64, 33), (2048, 2048), (4096, 2049)):
+        for chain in chains + ([(2, 5, 12)] if extent < 64 else []):
+            path = couple_exponential_sums(m, RngStream(2, m), extent=extent)
+            for depth in chain:
+                path.freeze(depth)
+                ref = refine_reference(path, depth)
+                for d in range(depth + 1):
+                    np.testing.assert_array_equal(path.grid(d), ref[:: 1 << (depth - d)])
+            assert path.refinement_depth == chain[-1]
 
 
 def test_values_at_origin_and_integers():

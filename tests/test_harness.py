@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy
+from scipy import stats
 
 from empcouple.harness import (
     MAX_RUN_BYTES,
@@ -34,6 +35,7 @@ from empcouple.censored import CensoringModel, censored_weighted_stats, sample_f
 from empcouple.cli import main
 from empcouple.coupling import MAX_REFINE_DEPTH
 from empcouple.coupling import CoupledPath
+from empcouple.numerics import std_normal_quantile
 from empcouple.processes import AnchoredBundle, ProcessBundle, bundle_bytes
 from empcouple.rng import RngStream, derive_stream
 from empcouple.supstats import (
@@ -364,6 +366,31 @@ def test_wilson_interval():
         wilson_interval(5, 0)
     with pytest.raises(ValueError):
         wilson_interval(5, 4)
+
+
+def test_line_fit_is_scipy_linregress():
+    # estimate_ineq1's fit must keep c_hat, b_hat and fit_r2 to the bit
+    rng = np.random.default_rng(20261019)
+    cases = [
+        ([0.0, 1.0], [-0.5, -2.25]),  # two points
+        ([0.0, 0.5, 1.0, 2.0], [-1.5, -1.5, -1.5, -1.5]),  # constant y
+        ([0.0, 1.0, 2.0, 0.0, 1.0, 2.0], [-0.1, -0.9, -2.3, -0.2, -1.1, -2.0]),
+        ([1.0, 2.0, 3.0], [2.0, 4.0, 6.0]),  # exact line, r at 1
+    ]
+    for size in (3, 7, 40):
+        x = rng.choice(np.arange(0.0, 4.0, 0.25), size)
+        x[:2] = (0.0, 1.0)
+        cases.append((list(x), list(np.log(rng.random(size)))))
+    for x, y in cases:
+        fit = stats.linregress(x, y)
+        expected = np.array([fit.slope, fit.intercept, fit.rvalue])
+        assert np.array(harness._line_fit(x, y)).tobytes() == expected.tobytes(), (x, y)
+
+
+def test_verdict_z_is_scipy_norm_ppf():
+    for m in range(1, 500):
+        q = 1.0 - harness.FAMILY_ALPHA / m
+        assert float(std_normal_quantile(q)) == float(stats.norm.ppf(q)), m
 
 
 def test_estimate_ineq1_contracts():

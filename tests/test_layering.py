@@ -1,6 +1,10 @@
-"""No package module imports another module's private (``_``-prefixed) names."""
+"""No package module imports another module's private (``_``-prefixed) names,
+and the package leaves ``scipy.stats`` out of its import graph."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,3 +23,17 @@ def test_no_private_imports_across_modules(path):
         if alias.name.startswith("_")
     ]
     assert not private, private
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats costs a fresh process most of its start-up time
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    code = "import sys, empcouple, empcouple.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"

@@ -1,4 +1,5 @@
-"""Special-function wrappers against independent quadrature/mpmath oracles."""
+"""Special-function wrappers against independent quadrature/mpmath oracles,
+and the binomial quantile against the scipy.stats function it replaces."""
 
 import math
 
@@ -6,9 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from empcouple.numerics import (
+    P_CEIL,
+    P_FLOOR,
     ClampCounter,
+    binom_quantile,
     clamp_probability,
     gamma2_tail,
     inv_reg_beta_i,
@@ -123,3 +128,38 @@ def test_gamma2_tail_matches_survival():
 def test_gamma2_tail_rejects_negative():
     with pytest.raises(ValueError):
         gamma2_tail(-0.5)
+
+
+def test_binom_quantile_is_scipy_binom_ppf():
+    # binom_quantile calls the Boost ufunc scipy.stats.binom.ppf dispatches
+    # to, so every count AnchoredBundle draws stays the same.  The public
+    # route, the smallest k with scipy.special.bdtr(k, n, t) >= q found by
+    # bisection, was rejected: near a tie it gives other counts.  Over
+    # n in {2, 17, 100, 511, 4096, 100 000} and t in {0.01, 0.3, 0.5, 0.9}
+    # it disagreed with binom.ppf for 6 633 of 13 651 q at a CDF value
+    # within 4 sd of the mean or one ulp from one (255 against 256 at the
+    # tie below), though for none of 24 000 random q.
+    rng = np.random.default_rng(20261019)
+    n = np.array([0, 1, 2, 3, 17, 64, 100, 511, 512, 4096, 100_000, 1 << 20])
+    t = np.array([1e-3, 0.01, 0.3, 0.5, 0.7, 0.99])
+    q = np.concatenate([rng.random(120), [P_FLOOR, P_CEIL, 0.5, 1e-10, 1 - 1e-10]])
+    q, n, t = np.meshgrid(q, n, t, indexing="ij")
+    np.testing.assert_array_equal(binom_quantile(q, n, t), stats.binom.ppf(q, n, t))
+    # q at the cdf of the mean count and one ulp either side
+    tie = stats.binom.cdf(np.floor(n * t), n, t)
+    for q in (tie, np.nextafter(tie, 0.0), np.nextafter(tie, 1.0)):
+        ok = (q > 0.0) & (q < 1.0)
+        np.testing.assert_array_equal(
+            binom_quantile(q[ok], n[ok], t[ok]), stats.binom.ppf(q[ok], n[ok], t[ok])
+        )
+    # P{Bin(511, 1/2) <= 255} rounds below 1/2; Boost returns 256
+    assert binom_quantile(0.5, 511, 0.5) == 256.0 == stats.binom.ppf(0.5, 511, 0.5)
+
+
+@pytest.mark.parametrize(
+    "p,n,t",
+    [(0.0, 4, 0.5), (1.0, 4, 0.5), (0.5, -1, 0.5), (0.5, 2.5, 0.5), (0.5, 4, 1.5), (0.5, 4, np.nan)],
+)
+def test_binom_quantile_rejects_bad_arguments(p, n, t):
+    with pytest.raises(ValueError):
+        binom_quantile(p, n, t)

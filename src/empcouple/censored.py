@@ -52,12 +52,6 @@ class CensoringModel:
     def theta(self) -> float:
         return 1.0 / (1.0 + self.rate_c)
 
-    def lifetime_cdf(self, z):
-        return 1.0 - np.exp(-np.asarray(z, dtype=float))
-
-    def censor_cdf(self, z):
-        return 1.0 - np.exp(-self.rate_c * np.asarray(z, dtype=float))
-
     def h(self, z):
         return 1.0 - np.exp(-(1.0 + self.rate_c) * np.asarray(z, dtype=float))
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -85,15 +85,19 @@ def floor_combination(n: int, s: float, t: float) -> int:
 class Run(NamedTuple):
     """An ascending run of breakpoints that carry integer grid indices.
 
-    ``x[i]`` is the grid point of index ``first + step * i``.
+    ``x[i]`` is the grid point of index ``first + step * i``.  Cell j lies
+    between the grid points of index j and j + 1, and ``w_span(c0, c1)``
+    reads W_n in the cells c0..c1 (``ProcessBundle.w_span`` of the bundle
+    whose grid the run maps).
     """
 
     x: np.ndarray
     first: int
     step: int
+    w_span: Callable[[int, int], np.ndarray]
 
 
-def _mapped_run(den: int, offset: float, scale: float, lo: float, hi: float) -> Run:
+def _mapped_run(den: int, offset: float, scale: float, lo: float, hi: float, w_span) -> Run:
     """The points offset + scale j / den, j = 0..den, that lie in [lo, hi], as a ``Run``.
 
     The run ascends in x, so ``scale < 0`` gives a descending index.
@@ -105,7 +109,8 @@ def _mapped_run(den: int, offset: float, scale: float, lo: float, hi: float) -> 
     x *= scale  # in place: the same floats as offset + scale * (j / den)
     x += offset
     i = int(np.searchsorted(x, lo))
-    return Run(x[i : np.searchsorted(x, hi, "right")], (j0 if step > 0 else j1) + step * i, step)
+    first = (j0 if step > 0 else j1) + step * i
+    return Run(x[i : np.searchsorted(x, hi, "right")], first, step, w_span)
 
 
 class _SampleProcesses:
@@ -113,18 +118,19 @@ class _SampleProcesses:
 
     Subclasses provide ``n``, ``t``, ``U`` (with U_0 = 0) and ``depth``, plus
     the bridge methods ``bridge_piece``, ``bridge_increment``, ``grid_runs``
-    and ``point_breaks`` that the sup statistics evaluate, and the full grids
-    ``jump_grid`` and ``increment_jump_grid``, which the oracles in the tests
-    and the benchmark's trace read as references.  ``grid_runs`` returns
-    exactly the grid the bridge lookups of a problem read over a block, as
-    one run: the bridge's grid for a full-range or tail sup, the increment
-    grid for a window increment.
+    and ``point_breaks`` that the sup statistics evaluate, and the full grid
+    ``jump_grid``, which the oracles in the tests and the benchmark's trace
+    read as a reference.  ``grid_runs`` returns exactly the grid the bridge
+    lookups of a problem read over a block, as one run: the bridge's grid
+    for a full-range or tail sup, the increment grid for a window increment.
     The two bridge piece factories, called on the abscissae ``s_piece`` of a
     set of pieces, do the grid lookups once and return ``s -> values``,
     which is linear in s on each piece.  Given ``cells``, the pieces' W_n
-    cell indices (one array, in the run of ``grid_runs`` over their block),
-    they read W_n by index (``w_cells``) and use ``s_piece`` only to place
-    the pieces about the anchor.
+    cell indices (one integer array, in the run of ``grid_runs`` over their
+    block), they read W_n by index (``w_cells``) and use ``s_piece`` only to
+    place the pieces about the anchor; float ``cells`` are taken as the
+    W_n values themselves, which is how the sup statistics bound a
+    numerator over a range of cells.
     """
 
     n: int
@@ -208,22 +214,19 @@ class ProcessBundle(_SampleProcesses):
             out[hi] = w1_h + w2_g - self.path2.values_at((self.n + 1) - z[hi], self.depth)
         return out
 
-    def w_cells(self, j: np.ndarray) -> np.ndarray:
-        """W_n inside the grid cells (j, j + 1) 2^-depth, read by index from the paths.
+    def w_span(self, c0: int, c1: int) -> np.ndarray:
+        """W_n inside the grid cells (j, j + 1) 2^-depth, j = c0..c1, read from the paths.
 
         That is the value ``w_n`` takes at every point of the open cell.  Cells
-        outside [0, (n+1) 2^depth) are clipped to the nearest one.  Only the
-        paths' grid over the cells asked for is read, and a path's grid only
-        when a cell on its side is asked for.
+        outside [0, (n+1) 2^depth) read the nearest one.  Only the paths' grid
+        over the cells asked for is read, and a path's grid only when a cell
+        on its side is asked for.
         """
         d = self.depth
         hd, top = self.h << d, ((self.n + 1) << d) - 1
-        if j.size == 0:
-            return np.empty(0)
-        c0, c1 = sorted((int(j[0]), int(j[-1])))  # j is monotone along the pieces
-        if c0 < 0 or c1 > top:
-            j = np.clip(j, 0, top)
-            c0, c1 = min(max(c0, 0), top), max(min(c1, top), 0)
+        lo, hi = min(max(c0, 0), top), max(min(c1, top), 0)
+        if lo != c0 or hi != c1:
+            return self.w_span(lo, hi)[np.clip(np.arange(c0, c1 + 1), 0, top) - lo]
         w1_h = self.path1.W[self.h]
         parts = []
         if c0 < hd:
@@ -232,7 +235,18 @@ class ProcessBundle(_SampleProcesses):
         if c1 >= hd:
             v2 = self.path2.grid(d)
             parts.append(w1_h + self.path2.W[self.g] - v2[top - c1 : top + 1 - max(c0, hd)][::-1])
-        return (parts[0] if len(parts) == 1 else np.concatenate(parts))[j - c0]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def w_cells(self, j: np.ndarray) -> np.ndarray:
+        """W_n inside the grid cells j, which are monotone, by one ``w_span`` read."""
+        if j.size == 0:
+            return np.empty(0)
+        c0, c1 = sorted((int(j[0]), int(j[-1])))
+        return self.w_span(c0, c1)[j - c0]
+
+    def _cell_w(self, cells: np.ndarray) -> np.ndarray:
+        """W_n of pieces given by their cells, or float ``cells`` as W_n itself."""
+        return cells if cells.dtype.kind == "f" else self.w_cells(cells)
 
     def bridge_piece(self, s_piece, cells=None):
         """s -> bridge n^{-1/2} (s W_n(n) - W_n(s n)), with the W_n lookup done once at s_piece.
@@ -243,7 +257,7 @@ class ProcessBundle(_SampleProcesses):
         if cells is None:
             w_val = self.w_n(np.asarray(s_piece, dtype=float) * self.n)
         else:
-            w_val = self.w_cells(cells)
+            w_val = self._cell_w(cells)
         sqn = np.sqrt(self.n)
         return lambda s: (np.asarray(s, dtype=float) * self.w_nn - w_val) / sqn
 
@@ -263,13 +277,13 @@ class ProcessBundle(_SampleProcesses):
             shift = anchor - np.asarray(s_piece, dtype=float)
             pos = shift > 0.0
             if pos.all():
-                w_shift = self.w_n(shift * self.n) if cells is None else self.w_cells(cells)
+                w_shift = self.w_n(shift * self.n) if cells is None else self._cell_w(cells)
                 return lambda s: (s * self.w_nn - w_anchor + w_shift) / sqn
             w_shift = np.zeros_like(shift)
             if cells is None:
                 w_shift[pos] = self.w_n(shift[pos] * self.n)
             else:
-                w_shift[pos] = self.w_cells(cells[pos])
+                w_shift[pos] = self._cell_w(cells[pos])
             return lambda s: np.where(pos, (s * self.w_nn - w_anchor + w_shift) / sqn, past)
 
         return piece
@@ -289,19 +303,12 @@ class ProcessBundle(_SampleProcesses):
 
         That is ``jump_grid()``, whose cell j, between grid points j and
         j + 1, the bridge reads; for a window increment at ``anchor`` it is
-        ``increment_jump_grid(anchor)`` instead, whose cell j lies between
-        anchor - (j + 1) / den and anchor - j / den.
+        the increment grid anchor - j / den instead, whose cell j lies
+        between anchor - (j + 1) / den and anchor - j / den.
         """
         if anchor is None:
-            return _mapped_run(self.n << self.depth, 0.0, 1.0, lo, hi)
-        return _mapped_run(self.n << self.depth, anchor, -1.0, lo, hi)
-
-    def increment_jump_grid(self, anchor: float) -> np.ndarray:
-        """Jump abscissae anchor - j / (n 2^depth) of s -> W_n((anchor - s) n).
-
-        The full grid, kept as a reference (see ``jump_grid``).
-        """
-        return anchor - self.jump_grid()
+            return _mapped_run(self.n << self.depth, 0.0, 1.0, lo, hi, self.w_span)
+        return _mapped_run(self.n << self.depth, anchor, -1.0, lo, hi, self.w_span)
 
     def point_breaks(self, anchor: float | None) -> np.ndarray:
         """Abscissae in (0, 1) where the bridge, or the window increment at
@@ -495,25 +502,18 @@ class AnchoredBundle(_SampleProcesses):
         t + (1 - t) x of its grid on [lo, hi] within [t, 1] (``jump_grid()``);
         a range on both sides of the splice t is rejected.  The window
         increment at the anchor reads cells of ``below`` between the points
-        t x of its grid (``increment_jump_grid(t)``), and only those.
+        t x of its grid, and only those.
         """
-        t, den = self.t, self.below.n << self.depth
+        t, below, above = self.t, self.below, self.above
+        den = below.n << self.depth
         if anchor is not None:
             self._check_anchor(anchor)
-            return _mapped_run(den, 0.0, t, lo, hi)
+            return _mapped_run(den, 0.0, t, lo, hi, below.w_span)
         if hi <= t:
-            return _mapped_run(den, t, -t, lo, hi)
+            return _mapped_run(den, t, -t, lo, hi, below.w_span)
         if lo >= t:
-            return _mapped_run(self.above.n << self.depth, t, 1.0 - t, lo, hi)
+            return _mapped_run(above.n << self.depth, t, 1.0 - t, lo, hi, above.w_span)
         raise ValueError(f"bridge grid range [{lo}, {hi}] straddles the splice t={t}")
-
-    def increment_jump_grid(self, anchor: float) -> np.ndarray:
-        """Jump abscissae t j / (N_L 2^depth) of s -> B_L(s / t).
-
-        The full grid, kept as a reference (see ``jump_grid``).
-        """
-        self._check_anchor(anchor)
-        return self.t * self.below.jump_grid()
 
     def point_breaks(self, anchor: float | None) -> np.ndarray:
         """Abscissae in (0, 1) where the bridge, or the window increment at

@@ -48,20 +48,42 @@ and no running sum over the block.  The numerator's float lookups
 (``numerator(s)``, which snap s n to the lattice) serve the point values
 alone, at their float abscissae.
 
-The domain is solved block by block.  Block edges are lo, every k-th step
-jump inside (lo, hi), the splice t inside an ``AnchoredBundle``'s full
-range, and hi, with k chosen so that a block holds about
-``_BLOCK_POINTS`` points of the bundle's dyadic grid.  Edges are
-breakpoints, so the blocks' pieces are exactly the pieces of the whole
-domain; each block asks the bundle only for the grid points over itself.
-The best right and left limits are carried across blocks with a strict
-``>``, so ties resolve to the first occurrence as in a single pass.  A
-weight is applied on a block only if the bound scale max|numerator| /
-min(w(a), w(b))^c over the block [a, b] could beat its best so far
-(``_cannot_win``): the weight's base is smallest at a block end, and once
-the sup is found most blocks fall below it.  Working
-memory beyond the bundle is O(block + n): the block's breakpoints, and the
-step jumps and point values.
+The point values are evaluated first; then the domain is solved block by
+block.  Block edges are lo, every k-th step jump inside (lo, hi), the
+splice t inside an ``AnchoredBundle``'s full range, and hi, with k chosen
+so that a block holds about ``_BLOCK_POINTS`` points of the bundle's
+dyadic grid.  Edges are breakpoints, so the blocks' pieces are exactly the
+pieces of the whole domain; each block asks the bundle only for the grid
+points over itself.  The best right and left limits are carried across
+blocks with a strict ``>``, so ties resolve to the first occurrence as in
+a single pass.
+
+A block of more than ``_BOUND_CELLS`` grid cells is cut into sub-blocks at
+every ``_SUB_BLOCK``-th point of its grid run, and each sub-block [e, f] is
+bounded without a merge (``_sub_block_bounds``).  Every numerator is affine
+in s, affine in W_n and monotone in its step count, so |numerator| there is
+at most its largest |value| at the 8 corners s in {e, f}, step count in
+{at e, just before f} and W_n in {min, max over the sub-block's cells}.
+That is widened by 1e-9 relative and by 1e-9 (sqrt(n) + max|W_n| / sqrt(n)
++ 1), which covers the rounding of the numerator's terms, near a zero
+crossing too.  A weight's bound there is scale bound / min(w(e), w(f))^c,
+widened by 1e-9 relative, and its floor is the largest of its best point
+value and its best right and left limits so far: values the sup reaches.
+Only the sub-blocks whose bound reaches the floor of some weight (a tie
+can still move arg_s or side), those with a zero base and those past a
+window increment's anchor are merged, as one set of pieces in position
+order, and evaluated (``_kept``, ``_pieces``).  A skipped sub-block holds
+no value at or above any floor, so no first occurrence of a side's best
+that can win, and every result is that of a full evaluation, to the bit;
+``grid_points`` still counts every piece.  Smaller blocks, such as the tail
+sups' of at most 2^14 cells at n = 4096, are evaluated whole: there the
+bound costs about as much as it saves.
+
+A weight is applied on the evaluated pieces only if the bound scale
+max|numerator| / min(w(a), w(b))^c over their range [a, b] could beat its
+best so far (``_cannot_win``): the weight's base is smallest at an end of
+the range.  Working memory beyond the bundle is O(block + n): the block's
+breakpoints, and the step jumps and point values.
 """
 
 from __future__ import annotations
@@ -76,6 +98,11 @@ from .processes import Bundle
 
 # Dyadic grid points per block of the sup domain (see ``_block_edges``).
 _BLOCK_POINTS = 1 << 16
+# A block of more grid cells than this is bounded by sub-blocks of
+# ``_SUB_BLOCK`` grid points (``_kept``); a smaller one is evaluated whole,
+# where the bound costs about as much as it saves.
+_BOUND_CELLS = 1 << 14
+_SUB_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -137,11 +164,6 @@ class SupProblem:
     def weight(self) -> tuple:
         return self.weight_exp, self.weight_kind, self.scale
 
-    def weighted(self, s, s_piece) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        wpow = _weight_power(s, self.weight_exp, self.weight_kind)
-        return _weigh(np.abs(self.numerator(s_piece)(s)), wpow, self.scale)
-
     def point_abscissae(self, breaks: np.ndarray) -> np.ndarray:
         """Where the point value is evaluated: closed endpoints, step jumps and
         the bundle's ``point_breaks``, given as ``breaks``."""
@@ -197,11 +219,37 @@ def _block_edges(bundle: Bundle, prob: SupProblem, jumps: np.ndarray) -> np.ndar
     return np.unique(np.concatenate([[prob.lo], inside[k - 1 :: k], breaks, [prob.hi]]))
 
 
+def _blocks(bundle: Bundle, prob: SupProblem, steps: np.ndarray):
+    """(a, b, run) of each block [a, b] (``_block_edges``): the run is the grid
+    its bridge lookups read (``grid_runs``), and ``steps`` the problem's
+    sorted step jumps."""
+    edges = _block_edges(bundle, prob, steps[np.append(True, steps[1:] != steps[:-1])])
+    for a, b in zip(edges[:-1], edges[1:]):
+        yield a, b, bundle.grid_runs(prob.anchor, a, b)
+
+
 class Index(NamedTuple):
-    """Lookups of a block's pieces, read from the run counts (see ``_blocks``)."""
+    """Lookups of a block's pieces, read from the run counts (see ``_pieces``)."""
 
     steps: np.ndarray  # step jumps at or before each piece's left end
-    cells: np.ndarray  # W_n cell of each piece, in the block's run of ``grid_runs``
+    cells: np.ndarray  # W_n cell of each piece, in the block's run of ``grid_runs``, or W_n
+
+
+def _extras(a: float, b: float, steps: np.ndarray, grid: np.ndarray) -> tuple:
+    """The block ends and distinct step jumps of [a, b] and where they go in the grid run.
+
+    Returns (extras, last, pos, new): the distinct values of a, ``steps``
+    and b, where the i-th has last[i] step jumps at or before it (b aside),
+    their ``searchsorted`` positions in ``grid``, and which are no grid point.
+    """
+    extras = np.concatenate([[a], steps, [b]])
+    last = np.flatnonzero(np.append(extras[1:] != extras[:-1], True))
+    extras = extras[last]
+    pos = np.searchsorted(grid, extras)
+    new = np.ones(extras.size, dtype=bool)
+    inside = pos < grid.size
+    new[inside] = grid[pos[inside]] != extras[inside]
+    return extras, last, pos, new
 
 
 def _merge(a: float, b: float, steps: np.ndarray, grid: np.ndarray) -> tuple:
@@ -217,14 +265,7 @@ def _merge(a: float, b: float, steps: np.ndarray, grid: np.ndarray) -> tuple:
     jumps, and the grid count of the j-th breakpoint is j + 1 less the
     inserted points up to it.
     """
-    extras = np.concatenate([[a], steps, [b]])
-    # The i-th distinct value has last[i] step jumps at or before it (b aside).
-    last = np.flatnonzero(np.append(extras[1:] != extras[:-1], True))
-    extras = extras[last]
-    pos = np.searchsorted(grid, extras)
-    new = np.ones(extras.size, dtype=bool)
-    inside = pos < grid.size
-    new[inside] = grid[pos[inside]] != extras[inside]
+    extras, last, pos, new = _extras(a, b, steps, grid)
     at = pos + np.cumsum(new) - new  # where each value lands among the breakpoints
     pts = np.insert(grid, pos[new], extras[new])
     before = np.repeat(last[:-1].astype(np.int32), np.diff(at))
@@ -236,32 +277,122 @@ def _merge(a: float, b: float, steps: np.ndarray, grid: np.ndarray) -> tuple:
     return pts, before, np.arange(1, pts.size, dtype=np.int32) - inserted
 
 
-def _blocks(bundle: Bundle, prob: SupProblem):
-    """Sorted breakpoints of each block, with the index lookups of its pieces.
+def _preceding(sizes: np.ndarray) -> np.ndarray:
+    """Sum of the sizes before each."""
+    return np.cumsum(sizes) - sizes
 
-    A block's breakpoints are its ends, the step jumps in it and the grid
-    its bridge lookups read (``grid_runs``: one run of the bundle's bridge
-    grid, or of the window increment's grid), inserted into that run
-    (``_merge``).  The piece after the c-th point of the run lies in W_n
-    cell first + c - 1 (ascending index) or first - c (descending), and
-    ``steps`` counts the step jumps at or before it.
+
+def _pieces(steps: np.ndarray, run, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """The pieces of the disjoint ranges [lo[i], hi[i]] of one block, in order.
+
+    ``lo`` and ``hi`` ascend, and every end but lo[0] and hi[-1] is a point of
+    the block's grid ``run``.  The ranges' grid points and step jumps are
+    merged at once (``_merge``) into the breakpoints ``pts``; ``take`` picks
+    the pieces (pts[:-1][take], pts[1:][take]) that lie in a range, which
+    drops the one piece across each gap.  The piece after the c-th point of
+    the run lies in W_n cell first + c - 1 (ascending index) or first - c
+    (descending), and ``Index.steps`` counts the problem's step jumps
+    ``steps`` at or before it.  Returns (pts, take, Index).
     """
-    steps = np.sort(prob.step_jumps)  # repeats kept: they count
-    edges = _block_edges(bundle, prob, steps[np.append(True, steps[1:] != steps[:-1])])
-    for a, b in zip(edges[:-1], edges[1:]):
-        s0, s1 = int(np.searchsorted(steps, a)), int(np.searchsorted(steps, b, "right"))
-        run = bundle.grid_runs(prob.anchor, a, b)
-        pts, before, count = _merge(a, b, steps[s0:s1], run.x)
-        cells = run.first + count - 1 if run.step > 0 else run.first - count
-        yield pts, Index(s0 + before, cells)
+    g0, g1 = np.searchsorted(run.x, lo), np.searchsorted(run.x, hi, "right")
+    s0, s1 = np.searchsorted(steps, lo), np.searchsorted(steps, hi, "right")
+    if lo.size == 1:
+        pts, before, count = _merge(lo[0], hi[0], steps[s0[0] : s1[0]], run.x[g0[0] : g1[0]])
+        take, at_steps, skipped = slice(None), s0[0] + before, g0[0]
+    else:
+        grid = np.concatenate([run.x[i:j] for i, j in zip(g0, g1)])
+        jumps = np.concatenate([steps[i:j] for i, j in zip(s0, s1)])
+        pts, before, count = _merge(lo[0], hi[-1], jumps, grid)
+        first = np.searchsorted(pts, lo)
+        sizes = np.searchsorted(pts, hi) - first
+        take = np.repeat(first - _preceding(sizes), sizes) + np.arange(sizes.sum())
+        at_steps = before[take] + np.repeat(s0 - _preceding(s1 - s0), sizes)
+        count = count[take] + np.repeat(g0 - _preceding(g1 - g0), sizes)
+        skipped = 0
+    # skipped + count points of the run lie at or before each piece's left end
+    if run.step > 0:
+        cells = (run.first + skipped - 1) + count
+    else:
+        cells = (run.first - skipped) - count
+    return pts, take, Index(at_steps, cells)
 
 
-def _abs_limits(prob: SupProblem, pts: np.ndarray, index: Index) -> tuple:
-    """|numerator| right limits at pts[:-1] and left limits at pts[1:].
+def _piece_count(a: float, b: float, steps: np.ndarray, grid: np.ndarray) -> int:
+    """How many pieces ``_merge`` makes of the block [a, b], without merging.
+
+    ``steps`` are the problem's sorted step jumps, and ``grid`` the block's run.
+    """
+    steps = steps[np.searchsorted(steps, a) : np.searchsorted(steps, b, "right")]
+    return grid.size + int(np.count_nonzero(_extras(a, b, steps, grid)[3])) - 1
+
+
+def _sub_block_bounds(bundle: Bundle, prob: SupProblem, steps: np.ndarray, a, b, run) -> tuple:
+    """Edges of the sub-blocks of the block [a, b], and a bound on |numerator| over each.
+
+    The edges are a, every ``_SUB_BLOCK``-th point of the block's grid run
+    and b, all breakpoints.  On a sub-block [e, f] each numerator is affine
+    in s, affine in W_n and monotone in the step count, so |numerator| there
+    is at most its largest |value| over the 8 corners s in {e, f}, step
+    count in {at e, just before f} and W_n in {min, max over the sub-block's
+    cells}.  All 8 are evaluated in one call of the piece factory, with the
+    W_n values passed as cells.  The bound is widened for the rounding of
+    the numerator's terms, of size sqrt(n) s and W_n / sqrt(n).
+    """
+    x = run.x
+    inner = np.arange(_SUB_BLOCK, x.size - 1, _SUB_BLOCK)
+    edges = np.concatenate([[a], x[inner], [b]])
+    lo, hi = edges[:-1], edges[1:]
+    k_lo, k_hi = np.searchsorted(steps, lo, "right"), np.searchsorted(steps, hi)
+    # the pieces of the block lie after its c-th run point, c = c_a..c_b, and
+    # those of sub-block i after c = inner[i - 1] + 1 .. inner[i]
+    c_a, c_b = int(x[0] == a), x.size - int(x[-1] == b)
+    if run.step > 0:
+        w = run.w_span(run.first + c_a - 1, run.first + c_b - 1)
+    else:
+        w = run.w_span(run.first - c_b, run.first - c_a)[::-1]
+    starts = np.concatenate([[0], inner + 1 - c_a])
+    w_min, w_max = np.minimum.reduceat(w, starts), np.maximum.reduceat(w, starts)
+    s = np.concatenate([lo, hi] * 4)
+    k = np.concatenate([k_lo, k_lo, k_hi, k_hi] * 2)
+    w = np.concatenate([w_min] * 4 + [w_max] * 4)
+    corners = np.abs(prob.numerator(np.tile(0.5 * (lo + hi), 8), Index(k, w))(s))
+    bound = corners.reshape(8, -1).max(axis=0)
+    sqn = math.sqrt(bundle.n)
+    w_abs = np.maximum(np.abs(w_min), np.abs(w_max))
+    return lo, hi, bound * (1.0 + 1e-9) + 1e-9 * (sqn + w_abs / sqn + 1.0)
+
+
+def _kept(bundle: Bundle, prob: SupProblem, steps, a, b, run, weights, floors) -> tuple:
+    """The sub-blocks of [a, b] that may hold a value at or above a weight's floor.
+
+    The weight's base is smallest at a sub-block end (see ``_cannot_win``),
+    so scale bound / min(w(e), w(f))^c, widened by 1e-9 relative, bounds its
+    values on the sub-block [e, f] (``_sub_block_bounds``).  A sub-block is
+    kept where that reaches the floor of some weight: on a tie it could still
+    move arg_s or side.  It is also kept where a base is zero, and past the
+    anchor of a window increment, where the increment is constant (only the
+    restricted domain reaches there).  Returns the ends (lo, hi) of the
+    kept ranges, adjacent sub-blocks joined.
+    """
+    lo, hi, bound = _sub_block_bounds(bundle, prob, steps, a, b, run)
+    keep = np.zeros(lo.size, dtype=bool) if prob.anchor is None else hi > prob.anchor
+    for (weight_exp, weight_kind, scale), floor in zip(weights, floors):
+        if weight_kind is None:
+            low = 1.0
+        else:
+            base = np.minimum(_weight_base(lo, weight_kind), _weight_base(hi, weight_kind))
+            low = base**weight_exp
+        with np.errstate(divide="ignore", invalid="ignore"):
+            keep |= (low <= 0.0) | (scale * bound / low * (1.0 + 1e-9) >= floor)
+    turns = np.diff(np.concatenate([[0], keep, [0]]).astype(np.int8))
+    return lo[turns[:-1] == 1], hi[turns[1:] == -1]
+
+
+def _abs_limits(prob: SupProblem, p: np.ndarray, q: np.ndarray, index: Index) -> tuple:
+    """|numerator| right limits at p and left limits at q, the ends of pieces.
 
     The lookups come from ``index``, once per piece.
     """
-    p, q = pts[:-1], pts[1:]
     limits = prob.numerator(0.5 * (p + q), index)
     return np.abs(limits(p)), np.abs(limits(q))
 
@@ -283,25 +414,58 @@ def _cannot_win(max_num: float, a: float, b: float, weight: tuple, floor: float)
     return low > 0.0 and scale * max_num / low * (1.0 + 1e-12) <= floor
 
 
+def _best_points(bundle: Bundle, prob: SupProblem, weights) -> tuple:
+    """Each weight's largest point value and its abscissa, the first on a tie,
+    from the numerator's float lookups (``point_abscissae``); and how many
+    abscissae there are."""
+    at = prob.point_abscissae(bundle.point_breaks(prob.anchor))
+    abs_points = np.abs(prob.numerator(at)(at))
+    best = []
+    for weight_exp, weight_kind, scale in weights:
+        vals = _weigh(abs_points, _weight_power(at, weight_exp, weight_kind), scale)
+        j = int(np.argmax(vals))
+        best.append((float(vals[j]), float(at[j])))
+    return best, at.size
+
+
 def solve_weights(bundle: Bundle, prob: SupProblem, weights) -> list[WeightedSupResult]:
     """``solve`` for each (weight_exp, weight_kind, scale) in ``weights``, in one pass.
 
-    |numerator| is evaluated once on each candidate set (right limits, left
-    limits, point values) and every weight is applied to it.  The limits are
-    taken block by block (``_block_edges``), carrying each weight's best
-    right and best left limit across blocks; the first occurrence wins ties.
-    A weight whose values on a block cannot beat its best on either side
-    (``_cannot_win``) is not applied there, and its base is computed on a
-    block only for the weights that are.
+    |numerator| is evaluated once on each candidate set (point values, right
+    limits, left limits) and every weight is applied to it.  The point
+    values come first.  The limits are taken block by block
+    (``_block_edges``), carrying each weight's best right and best left
+    limit across blocks; the first occurrence wins ties.  On a block of more
+    than ``_BOUND_CELLS`` grid cells only the sub-blocks that may reach a
+    weight's floor, the largest of its best point value and its best limits
+    so far, are evaluated (``_kept``).  A weight whose values on the
+    evaluated pieces cannot beat its best on either side (``_cannot_win``)
+    is not applied there, and its base is computed on a block only for the
+    weights that are.
     """
     if not prob.lo < prob.hi:
         raise ValueError(f"empty sup domain [{prob.lo}, {prob.hi})")
+    points, n_points = _best_points(bundle, prob, weights)
     best = {side: [(-math.inf, prob.lo)] * len(weights) for side in ("right", "left")}
     pieces = 0
-    for pts, index in _blocks(bundle, prob):
-        p, q = pts[:-1], pts[1:]
-        pieces += p.size
-        abs_right, abs_left = _abs_limits(prob, pts, index)
+    steps = np.sort(prob.step_jumps)  # repeats kept: they count
+    for a, b, run in _blocks(bundle, prob, steps):
+        if run.x.size - 1 > _BOUND_CELLS:
+            pieces += _piece_count(a, b, steps, run.x)
+            # a NaN point value (0/0 at a zero base) never wins, so sets no floor
+            floors = [
+                max(right[0], left[0], -math.inf if math.isnan(point[0]) else point[0])
+                for right, left, point in zip(best["right"], best["left"], points)
+            ]
+            lo, hi = _kept(bundle, prob, steps, a, b, run, weights, floors)
+            if lo.size == 0:
+                continue
+            pts, take, index = _pieces(steps, run, lo, hi)
+        else:
+            pts, take, index = _pieces(steps, run, np.array([a]), np.array([b]))
+            pieces += pts.size - 1
+        p, q = pts[:-1][take], pts[1:][take]
+        abs_right, abs_left = _abs_limits(prob, p, q, index)
         max_num = max(abs_right.max(), abs_left.max())
         bases: dict = {}
         for i, weight in enumerate(weights):
@@ -317,23 +481,19 @@ def solve_weights(bundle: Bundle, prob: SupProblem, weights) -> list[WeightedSup
                 ("right", p, abs_right, slice(None, -1)),
                 ("left", q, abs_left, slice(1, None)),
             ):
-                vals = _weigh(abs_num, None if wpow is None else wpow[cut], scale)
+                vals = _weigh(abs_num, None if wpow is None else wpow[cut][take], scale)
                 j = int(np.argmax(vals))
                 if vals[j] > best[side][i][0]:
                     best[side][i] = (float(vals[j]), float(s[j]))
-    at = prob.point_abscissae(bundle.point_breaks(prob.anchor))
-    abs_points = np.abs(prob.numerator(at)(at))
     results = []
-    for i, (weight_exp, weight_kind, scale) in enumerate(weights):
-        res = WeightedSupResult(-math.inf, prob.lo, "right", 2 * pieces + at.size)
+    for i, (value, arg_s) in enumerate(points):
+        res = WeightedSupResult(-math.inf, prob.lo, "right", 2 * pieces + n_points)
         for side in ("right", "left"):
-            value, arg_s = best[side][i]
-            if value > res.value:
-                res.value, res.arg_s, res.side = value, arg_s, side
-        vals = _weigh(abs_points, _weight_power(at, weight_exp, weight_kind), scale)
-        j = int(np.argmax(vals))
-        if vals[j] > res.value:
-            res.value, res.arg_s, res.side = float(vals[j]), float(at[j]), "point"
+            if best[side][i][0] > res.value:
+                res.value, res.arg_s = best[side][i]
+                res.side = side
+        if value > res.value:
+            res.value, res.arg_s, res.side = value, arg_s, "point"
         results.append(res)
     return results
 
@@ -349,7 +509,9 @@ def solve(bundle: Bundle, prob: SupProblem) -> WeightedSupResult:
 # s_piece and returns s -> values, which is linear in s on each piece.
 # num(s_piece, index) takes them from an ``Index`` instead, for pieces with
 # midpoints s_piece; the problem's step jumps, sorted, are then the jumps of
-# the step process it reads.
+# the step process it reads.  Float ``index.cells`` are W_n values, passed
+# through to the bundle's bridge (the corners of ``_sub_block_bounds``).
+# Each value is affine in s and in W_n, and monotone in the step count.
 
 
 def _beta_minus_bridge(bundle: Bundle):

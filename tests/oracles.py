@@ -121,6 +121,25 @@ def count_leq(values, x, strict: bool = False) -> int:
 # -- weighted sup oracles ---------------------------------------------------
 
 
+def increment_grid(bundle, anchor: float) -> np.ndarray:
+    """The full grid a window increment at ``anchor`` reads: anchor - j / (n 2^depth),
+    or on a count-anchored bundle t x for the points x of its lower block's grid."""
+    if hasattr(bundle, "below"):
+        return bundle.t * bundle.below.jump_grid()
+    return anchor - bundle.jump_grid()
+
+
+def weighted(prob, s, s_piece) -> np.ndarray:
+    """The weighted integrand scale |numerator| / w(s)^c of ``prob`` at s, with
+    the numerator's float lookups done at s_piece."""
+    s = np.asarray(s, dtype=float)
+    num = prob.scale * np.abs(prob.numerator(s_piece)(s))
+    if prob.weight_kind is None:
+        return num
+    base = {"sym": s * (1.0 - s), "s": s, "one-minus-s": 1.0 - s}[prob.weight_kind]
+    return num / base**prob.weight_exp
+
+
 def _breakpoints(bundle, prob) -> list[float]:
     """Sorted breakpoints in the domain: endpoints, step jumps and the grid the
     bridge lookup reads, the bridge's jump grid or a window increment's grid."""
@@ -128,7 +147,7 @@ def _breakpoints(bundle, prob) -> list[float]:
     if prob.anchor is None:
         grid = bundle.jump_grid()
     else:
-        grid = bundle.increment_jump_grid(prob.anchor)
+        grid = increment_grid(bundle, prob.anchor)
     for source in (grid, prob.step_jumps):
         for s in np.asarray(source, dtype=float):
             if prob.lo <= s <= prob.hi:
@@ -196,7 +215,7 @@ def naive_sup(bundle, prob, per_cell: int = 80) -> float:
     """
     best = -math.inf
     for s, piece in _candidates(bundle, prob, per_cell):
-        val = float(prob.weighted(np.asarray([s]), np.asarray([piece]))[0])
+        val = float(weighted(prob, np.asarray([s]), np.asarray([piece]))[0])
         best = max(best, val)
     return best
 
@@ -209,7 +228,7 @@ def naive_sup_fast(bundle, prob, per_cell: int = 80) -> float:
     n = 64 across many replicates.
     """
     s, piece = (np.asarray(col) for col in zip(*_candidates(bundle, prob, per_cell)))
-    return float(np.max(prob.weighted(s, piece)))
+    return float(np.max(weighted(prob, s, piece)))
 
 
 def reevaluate(bundle, prob, s: float, side: str) -> float:
@@ -226,7 +245,7 @@ def reevaluate(bundle, prob, s: float, side: str) -> float:
         piece = np.asarray([s - off])
     else:
         raise ValueError(side)
-    return float(prob.weighted(arr, piece)[0])
+    return float(weighted(prob, arr, piece)[0])
 
 
 # -- exact-rational sup scan ------------------------------------------------
@@ -413,11 +432,12 @@ def fake_w_lookups(bundle, w_n) -> None:
     """Replace a ``ProcessBundle``'s W_n by ``w_n`` (a function of z in [0, n+1]).
 
     Both lookups are replaced: by float (``w_n``) and by cell index
-    (``w_cells``: cell j, (j, j + 1) 2^-depth, is read at its midpoint).
-    ``w_n`` must be constant on those cells, as the true W_n is.
+    (``w_span``, which ``w_cells`` and the sub-block bounds read through:
+    cell j, (j, j + 1) 2^-depth, is read at its midpoint).  ``w_n`` must be
+    constant on those cells, as the true W_n is.
     """
     bundle.w_n = w_n
-    bundle.w_cells = lambda j: w_n((np.asarray(j) + 0.5) / (1 << bundle.depth))
+    bundle.w_span = lambda c0, c1: w_n((np.arange(c0, c1 + 1) + 0.5) / (1 << bundle.depth))
 
 
 def on_grid(bundle, x) -> np.ndarray:

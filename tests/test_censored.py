@@ -68,7 +68,7 @@ def test_model_identities(c):
     np.testing.assert_allclose(model.h(z), model.h0(z) + model.h1(z), atol=1e-14)
     np.testing.assert_allclose(
         1.0 - model.h(z),
-        (1.0 - model.lifetime_cdf(z)) * (1.0 - model.censor_cdf(z)),
+        np.exp(-z) * np.exp(-c * z),  # P{X > z} P{Y > z}
         atol=1e-14,
     )
     assert model.theta == pytest.approx(1.0 / (1.0 + c))

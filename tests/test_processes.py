@@ -17,7 +17,7 @@ from empcouple.processes import (
     next_power_of_two,
 )
 from empcouple.rng import derive_stream
-from oracles import increment
+from oracles import increment, increment_grid
 
 SQ2 = math.sqrt(2.0)
 
@@ -305,7 +305,7 @@ def test_anchored_increments_only_at_anchor():
     with pytest.raises(ValueError):
         b.bridge_increment(0.4)
     with pytest.raises(ValueError):
-        b.increment_jump_grid(0.4)
+        b.grid_runs(0.4, 0.1, 0.2)
 
 
 def test_anchored_build_validation():
@@ -396,4 +396,4 @@ def test_restricted_increment_jump_grid_covers_domain(kind, t):
     # grid_runs(t, lo, hi) is the full increment grid in [lo, hi] alone, as
     # the same floats: a window increment reads no other grid
     for b in _grid_test_bundles(kind, t):
-        _check_grid_runs(b, t, [b.increment_jump_grid(t)])
+        _check_grid_runs(b, t, [increment_grid(b, t)])

@@ -38,11 +38,13 @@ from empcouple.supstats import (
 from oracles import (
     _breakpoints,
     fake_w_lookups,
+    increment_grid,
     merge_runs,
     naive_sup,
     naive_sup_fast,
     on_grid,
     reevaluate,
+    weighted,
 )
 
 
@@ -232,8 +234,8 @@ def test_closed_lower_endpoint_point_value():
     bundle, prob = _harness_problem(req, 5, 64, 9)
     res = stat_quantile_increment(bundle, cfg)
     lo = np.asarray([prob.lo])
-    at_lo = prob.weighted(lo, lo)[0]
-    limit = prob.weighted(lo, lo + 1e-9)[0]
+    at_lo = weighted(prob, lo, lo)[0]
+    limit = weighted(prob, lo, lo + 1e-9)[0]
     assert at_lo > 1.1 * limit
     assert (res.value, res.arg_s, res.side) == (at_lo, prob.lo, "point")
 
@@ -511,6 +513,15 @@ def _nudged(x: float, ulps: int) -> float:
     return x
 
 
+def _whole_blocks(b, prob):
+    """(pts, p, q, index) of every block of ``prob``, merged whole: its
+    breakpoints, the ends of its pieces and their lookups."""
+    steps = np.sort(prob.step_jumps)
+    for a, z, run in supstats._blocks(b, prob, steps):
+        pts, take, index = supstats._pieces(steps, run, np.array([a]), np.array([z]))
+        yield pts, pts[:-1][take], pts[1:][take], index
+
+
 # Anchors and lam/n on dyadic points, one ulp off them, and off any grid.
 _ANCHORS = st.builds(
     _nudged, st.sampled_from([0.5, 0.25, 0.75, 0.375, 0.3, 0.37, 0.61]), st.integers(-1, 1)
@@ -566,22 +577,72 @@ def test_index_lookups_match_float_lookups(n, depth, lam_n, t, anchored, seed, b
             if prob.anchor is None:
                 grid = b.jump_grid()
             else:
-                grid = b.increment_jump_grid(prob.anchor)
+                grid = increment_grid(b, prob.anchor)
             grid = np.sort(grid[(grid >= prob.lo) & (grid <= prob.hi)])
             pieces = 0
-            for pts, index in supstats._blocks(b, prob):
+            for pts, p, q, index in _whole_blocks(b, prob):
                 a, z = pts[0], pts[-1]
                 inside = grid[np.searchsorted(grid, a) : np.searchsorted(grid, z, "right")]
                 every = np.concatenate([[a, z], inside, prob.step_jumps])
                 assert np.array_equal(pts, np.unique(every[(every >= a) & (every <= z)]))
-                p, q = pts[:-1], pts[1:]
                 limits = prob.numerator(0.5 * (p + q))
-                right, left = supstats._abs_limits(prob, pts, index)
+                right, left = supstats._abs_limits(prob, p, q, index)
                 wide = q - p >= _FLOAT_WIDE
                 assert np.array_equal(right[wide], np.abs(limits(p))[wide]), prob.__dict__
                 assert np.array_equal(left[wide], np.abs(limits(q))[wide]), prob.__dict__
                 pieces += p.size
             assert pieces > 0
+
+
+def test_sub_block_bound_covers_limits():
+    # On every block of random problems of every builder, both bundle kinds,
+    # tails and the censored range, at off-lattice lam and t, each sub-block's
+    # bound (``_sub_block_bounds``) is at least every |right limit| and |left
+    # limit| the full evaluation computes on its pieces.  Sub-blocks past a
+    # window increment's anchor are never skipped, so they are not checked.
+    # The draws hold sub-blocks on which a numerator crosses zero.
+    crossings = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 300),
+        depth=st.integers(0, 8),
+        lam_n=_ANCHORS.map(lambda x: x / 4),
+        t=_ANCHORS,
+        anchored=st.booleans(),
+        seed=st.integers(0, 1000),
+        block_points=st.sampled_from([supstats._BLOCK_POINTS, 64]),
+        sub_block=st.sampled_from([4, 64]),
+    )
+    def check(n, depth, lam_n, t, anchored, seed, block_points, sub_block):
+        if anchored:
+            b = AnchoredBundle.build(n, derive_stream(seed, n, 0, "anchored"), t=t, depth=depth)
+        else:
+            b = _bundle(n, seed=seed, t=t, depth=depth)
+        with mock.patch.object(supstats, "_BLOCK_POINTS", block_points), \
+                mock.patch.object(supstats, "_SUB_BLOCK", sub_block):
+            for prob in _lookup_problems(b, lam_n * n, t):
+                if not prob.lo < prob.hi:
+                    continue
+                steps = np.sort(prob.step_jumps)
+                for a, z, run in supstats._blocks(b, prob, steps):
+                    if run.x.size < 2:
+                        continue
+                    lo, hi, bound = supstats._sub_block_bounds(b, prob, steps, a, z, run)
+                    pts, take, index = supstats._pieces(steps, run, np.array([a]), np.array([z]))
+                    p, q = pts[:-1][take], pts[1:][take]
+                    limits = prob.numerator(0.5 * (p + q), index)
+                    right, left = limits(p), limits(q)
+                    sub = np.searchsorted(lo, p, "right") - 1
+                    checked = hi[sub] <= (math.inf if prob.anchor is None else prob.anchor)
+                    assert np.all((np.abs(right) <= bound[sub])[checked]), prob.__dict__
+                    assert np.all((np.abs(left) <= bound[sub])[checked]), prob.__dict__
+                    signs = [np.bincount(sub, (right < 0) & checked, lo.size),
+                             np.bincount(sub, (right > 0) & checked, lo.size)]
+                    crossings.append(np.count_nonzero((signs[0] > 0) & (signs[1] > 0)))
+
+    check()
+    assert sum(crossings) > 0
 
 
 # (lam / n, t) near 0 and near 1.
@@ -628,7 +689,7 @@ def test_block_kernel_matches_general_merge():
             with mock.patch.object(supstats, "_BLOCK_POINTS", block_points), \
                     mock.patch.object(supstats, "_merge", checked):
                 for prob in problems:
-                    for pts, _ in supstats._blocks(b, prob):
+                    for pts, *_ in _whole_blocks(b, prob):
                         if anchored and prob.anchor is None:
                             assert not pts[0] < t < pts[-1], (pts[0], pts[-1])
                             seen["at t"] += t in (pts[0], pts[-1])
@@ -680,6 +741,70 @@ def test_weight_skip_changes_no_result(monkeypatch, lam, t, n):
     assert any(skips) and not all(skips)
 
 
+def _wobbling(s_piece, index=None):
+    """A numerator that is 0 in exact arithmetic, but whose float values
+    are off by an ulp of 1, up or down, on some pieces."""
+    return lambda s: (3.0 * np.asarray(s, dtype=float) + 1.0) - 3.0 * np.asarray(s, dtype=float) - 1.0
+
+
+def _skip_problems(lam, t, n):
+    """``_every_problem`` and the extra problems of ``test_weight_skip_changes_no_result``:
+    a window and a range from the zero base s = 0, and two numerators that
+    rise over the domain, one so slowly that neighbouring pieces all but tie.
+    Two more numerators tie a sub-block's bound with the floor: one that
+    overflows to +inf past s = 0.71, where bound and floor are both +inf,
+    and ``_wobbling``, whose values above 0 only the bound's absolute margin
+    covers."""
+    problems = _every_problem(lam, t, n)
+    lattice = problems[0][0]
+    anchored = next(b for b, _ in problems if isinstance(b, AnchoredBundle))
+    return problems + [
+        (anchored, supstats.empirical_window_problem(anchored, t, 0.0, t, 0.5, "s", 1.0)),
+        (lattice, supstats.empirical_range_problem(lattice, 0.0, 0.5, 0.45, "sym", 1.0)),
+        *((lattice, SupProblem(0.1, 0.9, True, None, lattice.U[1:], num, 0.0, None, 1.0))
+          for num in (_rising(8.0), _rising(1e-9), _rising(1e3), _wobbling)),
+    ]
+
+
+@pytest.mark.parametrize("sub_block", [4, 64])
+@pytest.mark.parametrize("lam,t", [(1.0, 0.5), (1.2, 0.3), (1.7, 0.37)])
+@pytest.mark.parametrize("n", [64, 100, 513])
+def test_sub_block_skip_changes_no_result(monkeypatch, sub_block, lam, t, n):
+    # bounding every block by sub-blocks and evaluating only those that may
+    # reach a weight's floor (``_kept``) gives the results of a run whose
+    # bound keeps every sub-block, field by field, for every weight kind on
+    # every problem builder, both bundle kinds, the tails and the censored
+    # pair, zero bases and near-ties; and some sub-blocks, but not all, are
+    # skipped
+    monkeypatch.setattr(supstats, "_BOUND_CELLS", 0)
+    monkeypatch.setattr(supstats, "_SUB_BLOCK", sub_block)
+    problems = _skip_problems(lam, t, n)
+    kinds = ("sym", "s", "one-minus-s", None)
+    weights = [power_weight(n, x, kind) for kind in kinds for x in (0.0, 0.25, 0.45)]
+    bounds, kept = supstats._sub_block_bounds, supstats._kept
+    counts = []
+
+    def counted(*args):
+        lo, hi = kept(*args)
+        every = bounds(*args[:6])[0]
+        inside = sum(np.count_nonzero((every >= a) & (every < b)) for a, b in zip(lo, hi))
+        counts.append((every.size, inside))
+        return lo, hi
+
+    monkeypatch.setattr(supstats, "_kept", counted)
+    # the zero base at s = 0, and the overflow
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        skipping = [supstats.solve_weights(b, prob, weights) for b, prob in problems]
+        monkeypatch.setattr(
+            supstats, "_kept", lambda bundle, prob, steps, a, b, *rest: (np.array([a]), np.array([b]))
+        )
+        for (b, prob), got in zip(problems, skipping):
+            want = supstats.solve_weights(b, prob, weights)
+            assert [vars(r) for r in got] == [vars(r) for r in want], prob.__dict__
+    total, inside = np.sum(counts, axis=0)
+    assert 0 < inside < total, (inside, total)
+
+
 def _anchored_full_range_solves(lam, t):
     """(value, arg_s, side, grid_points) of every full-range sup over a range
     that contains the splice t on count-anchored bundles, one line per solve:
@@ -718,3 +843,35 @@ def test_anchored_full_range_solves_unchanged(lam, t):
     # the sup engine
     digest = hashlib.sha256(_anchored_full_range_solves(lam, t).encode()).hexdigest()
     assert digest == _ANCHORED_FULL_RANGE_DIGESTS[(lam, t)], (lam, t, np.__version__)
+
+
+def _bounded_size_solves(lam, t):
+    """(value, arg_s, side, grid_points) of ``_every_problem`` at n = 1024 and
+    4099, depth 6, with the weights x = 0, 0.1 and 0.2 of each problem's
+    kind, one line per solve.  Their full-range and window blocks hold more
+    than ``_BOUND_CELLS`` grid cells, so they are bounded by sub-blocks."""
+    lines = []
+    for n in (1024, 4099):
+        for b, prob in _every_problem(lam, t, n):
+            weights = [power_weight(n, x, prob.weight_kind) for x in (0.0, 0.1, 0.2)]
+            for r in supstats.solve_weights(b, prob, weights):
+                lines.append(f"{r.value!r} {r.arg_s!r} {r.side} {r.grid_points}")
+    return "\n".join(lines)
+
+
+# sha256 of ``_bounded_size_solves`` at (lam, t), recorded before the
+# sub-block bound, with numpy 2.4.6 and scipy 1.17.1.  No other digest but
+# criterion 5's reaches a bounded block.
+_BOUNDED_SIZE_DIGESTS = {
+    (1.0, 0.5): "f878a058d2d606b1fdf00e6628315ad9add4e4049f0347a07b520061a355b2b5",
+    (1.2, 0.3): "4ed70a172e92bf25325cca5f5a37a20c00a5f86197fa6c12d7f1ed44dd389143",
+    (1.7, 0.37): "cd3a6c81881aed9f01661fef571a8c0b303e7fb1e1e13fc406da0b07a0a255dc",
+}
+
+
+@pytest.mark.parametrize("lam,t", [(1.0, 0.5), (1.2, 0.3), (1.7, 0.37)])
+def test_bounded_size_solves_unchanged(lam, t):
+    # solves over blocks that the sub-block bound skips through stay
+    # bit-identical to full evaluation
+    digest = hashlib.sha256(_bounded_size_solves(lam, t).encode()).hexdigest()
+    assert digest == _BOUNDED_SIZE_DIGESTS[(lam, t)], (lam, t, np.__version__)

@@ -40,10 +40,10 @@ MAX_REFINE_DEPTH = 12
 _FRAC_FLOOR = 1e-300
 _FRAC_CEIL = 1.0 - 1e-16
 
-# Midpoints a refinement level computes per pass, so that its normals and
-# the grid cells they move stay in cache; the draws come out in the same
-# order whatever the chunk.
-_REFINE_CHUNK = 1 << 14
+# Grid values ``freeze`` refines per tile, every level of one tile before the
+# next, so that a tile's values and normals stay in cache; each level's
+# draws come out in the same order whatever the tile.
+_REFINE_TILE = 1 << 16
 
 
 def _check_power_of_two(m: int) -> None:
@@ -126,6 +126,7 @@ class CoupledPath:
     clamp_count: int
     _fine: np.ndarray | None = field(default=None, repr=False)
     extent: int | None = None
+    _extremes: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.extent = _checked_extent(self.m, self.extent)
@@ -148,10 +149,12 @@ class CoupledPath:
         reason a path refined over [0, extent] holds a prefix of the values
         of one refined over [0, m], bit for bit: each level's normals are
         the first draws of the full level's.  The missing levels are written
-        in place into one local array: the held grid at its stride, then each
-        level's midpoints between the points of the last, a chunk of normals
-        at a time.  The grid, which carries its depth in its size, is
-        published by one assignment, so concurrent reads are safe.
+        in place into one local array: the held grid at its stride, then,
+        tile by tile of the held grid's cells, each level's midpoints between
+        the points of the last.  Each level draws from its own generator in
+        index order, so the tiling changes no draw.  The grid, which carries
+        its depth in its size, is published by one assignment, so concurrent
+        reads are safe.
         """
         check_refine_depth(depth)
         held = self._fine
@@ -160,25 +163,54 @@ class CoupledPath:
         if held is None:
             held = self.W[: self.extent + 1]
         have = self._depth_of(held)
+        span = 1 << (depth - have)  # refined values per held cell
         fine = np.empty((self.extent << depth) + 1)
-        fine[:: 1 << (depth - have)] = held
-        z = np.empty(min(_REFINE_CHUNK, fine.size // 2))
-        for level in range(have + 1, depth + 1):
-            stride = 1 << (depth - level)
-            prev = fine[:: 2 * stride]
-            mid = fine[stride :: 2 * stride]
-            scale = 0.5 * np.sqrt(2.0 ** -(level - 1))
-            rng = self.stream.child("refine", level).generator()
-            for lo in range(0, mid.size, _REFINE_CHUNK):
-                cell = mid[lo : lo + _REFINE_CHUNK]
-                zc = z[: cell.size]
+        fine[::span] = held
+        levels = [  # (stride, scale, generator) of each missing level
+            (
+                1 << (depth - level),
+                0.5 * np.sqrt(2.0 ** -(level - 1)),
+                self.stream.child("refine", level).generator(),
+            )
+            for level in range(have + 1, depth + 1)
+        ]
+        tile = max(1, _REFINE_TILE // span) * span
+        z = np.empty(min(tile, fine.size - 1) // 2)
+        for lo in range(0, fine.size - 1, tile):
+            part = fine[lo : lo + tile + 1]
+            for stride, scale, rng in levels:
+                prev = part[:: 2 * stride]
+                mid = part[stride :: 2 * stride]
+                zc = z[: mid.size]
                 rng.standard_normal(out=zc)
                 # 0.5 * (a + b) + c * z, operation for operation
-                np.add(prev[lo : lo + cell.size], prev[lo + 1 : lo + cell.size + 1], out=cell)
-                cell *= 0.5
+                np.add(prev[:-1], prev[1:], out=mid)
+                mid *= 0.5
                 zc *= scale
-                cell += zc
+                mid += zc
         self._fine = fine
+
+    def extremes(self, depth: int, size: int) -> np.ndarray:
+        """Least and greatest W over each chunk of ``size`` grid cells of [0, extent).
+
+        Row 0 holds the least and row 1 the greatest of ``grid(depth)[i]``
+        over the cells [i, i + 1) 2**-depth, i = c size .. (c + 1) size - 1, of
+        chunk c; the last chunk ends at the cell before ``extent``.  The first
+        call at a (depth, size) reads the grid, and so refines the path, and
+        computes every chunk with one ``reduceat`` each; the result is kept
+        beside the grid, published by one assignment, so concurrent reads
+        are safe.
+        """
+        held = self._extremes
+        if held is not None and held[:2] == (depth, size):
+            return held[2]
+        cells = self.grid(depth)[:-1]
+        starts = np.arange(0, cells.size, size)
+        out = np.empty((2, starts.size))
+        np.minimum.reduceat(cells, starts, out=out[0])
+        np.maximum.reduceat(cells, starts, out=out[1])
+        self._extremes = (depth, size, out)
+        return out
 
     def grid(self, depth: int) -> np.ndarray:
         """View of W on the dyadic grid of step 2**-depth over [0, extent].

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +44,10 @@ from .numerics import binom_quantile, clamp_probability, std_normal_cdf
 from .rng import RngStream
 
 DEFAULT_REFINE_DEPTH = 6
+
+# Grid cells per chunk of a path's cached W extremes (``CoupledPath.extremes``),
+# and so per sub-block of the sup statistics' bound.
+_SUB_BLOCK = 64
 
 
 def next_power_of_two(k: int) -> int:
@@ -85,32 +89,82 @@ def floor_combination(n: int, s: float, t: float) -> int:
 class Run(NamedTuple):
     """An ascending run of breakpoints that carry integer grid indices.
 
-    ``x[i]`` is the grid point of index ``first + step * i``.  Cell j lies
-    between the grid points of index j and j + 1, and ``w_span(c0, c1)``
-    reads W_n in the cells c0..c1 (``ProcessBundle.w_span`` of the bundle
-    whose grid the run maps).
+    The run's i-th point, i = 0..size - 1, is the grid point of index
+    j = first + step i, the float offset + scale (j / den) with the
+    operations in that order; ``scale < 0`` gives a descending index.  The
+    points are computed only where they are read (``at``, ``points``), and
+    placed by index arithmetic checked against those floats (``search``),
+    so a run costs nothing per point until its points are read.  Cell j
+    lies between the grid points of index j and j + 1, and ``bundle`` is the
+    ``ProcessBundle`` whose W_n cells the index counts (``w_span``,
+    ``w_extremes``).
     """
 
-    x: np.ndarray
+    den: int
+    offset: float
+    scale: float
     first: int
     step: int
-    w_span: Callable[[int, int], np.ndarray]
+    size: int
+    bundle: "ProcessBundle"
+
+    def at(self, i) -> np.ndarray:
+        """The points at the positions i."""
+        j = self.first + self.step * np.asarray(i, dtype=np.int64)
+        return j / self.den * self.scale + self.offset
+
+    def points(self, i0: int, i1: int) -> np.ndarray:
+        """The points at the positions i0..i1 - 1, the same floats as ``at``."""
+        j0 = self.first + self.step * i0
+        x = np.arange(j0, j0 + self.step * (i1 - i0), self.step, dtype=float) / self.den
+        x *= self.scale  # in place: the same floats as offset + scale * (j / den)
+        x += self.offset
+        return x
+
+    @property
+    def x(self) -> np.ndarray:
+        """Every point of the run."""
+        return self.points(0, self.size)
+
+    def search(self, v, side: str = "left") -> np.ndarray:
+        """``np.searchsorted(self.x, v, side)``, without computing the run.
+
+        Each position is estimated from the index of v and moved until the
+        points on either side of it, computed as ``at`` computes them,
+        bracket v.
+        """
+        v = np.asarray(v, dtype=float)
+        est = (v - self.offset) * (self.step * self.den / self.scale) - self.step * self.first
+        if side == "left":
+            i, before = np.ceil(est - 2.0**-20), np.less
+        else:
+            i, before = np.floor(est + 2.0**-20) + 1, np.less_equal
+        i = i.clip(0, self.size).astype(np.int64)
+        while True:
+            x = self.at(np.stack([i - 1, i]).clip(0, max(self.size - 1, 0)))
+            down = (i > 0) & ~before(x[0], v)
+            up = (i < self.size) & before(x[1], v)
+            if not (down.any() or up.any()):
+                return i
+            i = i - down + up
 
 
-def _mapped_run(den: int, offset: float, scale: float, lo: float, hi: float, w_span) -> Run:
+def _mapped_run(den: int, offset: float, scale: float, lo: float, hi: float, bundle) -> Run:
     """The points offset + scale j / den, j = 0..den, that lie in [lo, hi], as a ``Run``.
 
-    The run ascends in x, so ``scale < 0`` gives a descending index.
+    The index range is estimated with a margin of one point, and trimmed to
+    [lo, hi] by the points' own floats (Python floats, the same as ``Run.at``).
     """
     ends = sorted(((lo - offset) / scale * den, (hi - offset) / scale * den))
     j0, j1 = max(0, math.floor(ends[0]) - 1), min(den, math.ceil(ends[1]) + 1)
     step = 1 if scale > 0 else -1
-    x = np.arange(j0, j1 + 1, dtype=float)[::step] / den
-    x *= scale  # in place: the same floats as offset + scale * (j / den)
-    x += offset
-    i = int(np.searchsorted(x, lo))
-    first = (j0 if step > 0 else j1) + step * i
-    return Run(x[i : np.searchsorted(x, hi, "right")], first, step, w_span)
+    first, size = (j0 if step > 0 else j1), max(0, j1 - j0 + 1)
+    i = 0
+    while i < size and (first + step * i) / den * scale + offset < lo:
+        i += 1
+    while size > i and (first + step * (size - 1)) / den * scale + offset > hi:
+        size -= 1
+    return Run(den, offset, scale, first + step * i, step, size - i, bundle)
 
 
 class _SampleProcesses:
@@ -170,7 +224,8 @@ class ProcessBundle(_SampleProcesses):
     to ``depth`` extra dyadic levels on its first grid read, so a path that
     no statistic reads is never refined.  Its values do not depend on when
     it is refined, and ``CoupledPath.freeze`` publishes a grid whole, so
-    concurrent reads are safe.
+    concurrent reads are safe.  The same holds for the W extremes a path
+    caches on the first bounded read of its cells (``w_extremes``).
     """
 
     n: int
@@ -236,6 +291,57 @@ class ProcessBundle(_SampleProcesses):
             v2 = self.path2.grid(d)
             parts.append(w1_h + self.path2.W[self.g] - v2[top - c1 : top + 1 - max(c0, hd)][::-1])
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def chunk_starts(self, c0: int, c1: int) -> np.ndarray:
+        """The cells in (c0, c1] that start a chunk of the paths' ``extremes``, ascending.
+
+        Cell c < [n/2] 2^depth reads the first path's grid value
+        [n/2] 2^depth - 1 - c, and cell c >= [n/2] 2^depth the second path's
+        (n + 1) 2^depth - 1 - c (``w_span``).  A path's chunks of
+        ``_SUB_BLOCK`` cells are aligned at its grid value 0, and the path
+        split [n/2] 2^depth starts a chunk on either side.
+        """
+        size, hd = _SUB_BLOCK, self.h << self.depth
+        end = (self.n + 1) << self.depth
+
+        def aligned(top: int, lo: int) -> np.ndarray:
+            # top - k size in (lo, c1], k >= 1, ascending
+            k = np.arange((top - lo - 1) // size, max(1, -((c1 - top) // size)) - 1, -1)
+            return top - size * k
+
+        split = np.array([hd] * (c0 < hd <= c1), dtype=np.int64)
+        return np.concatenate([aligned(hd, max(c0, 0)), split, aligned(end, max(c0, hd))])
+
+    def w_extremes(self, c0: int, c1: int) -> tuple:
+        """(starts, least, greatest): W_n over the cells c0..c1 in sub-ranges
+        that start at c0 and at each of ``chunk_starts(c0, c1)``.
+
+        The inner sub-ranges are whole chunks of one path, whose least and
+        greatest W_n come from the path's cached ``extremes``: a cell reads
+        C - v for a scalar C and the path's value v, and float subtraction
+        is monotone, so C - (greatest v) is the least W_n, to the bit.  The
+        first and last sub-range are read cell by cell (``w_span``).
+        """
+        d, size = self.depth, _SUB_BLOCK
+        hd, top = self.h << d, ((self.n + 1) << d) - 1
+        starts = np.concatenate([[c0], self.chunk_starts(c0, c1)])
+        stops = np.append(starts[1:] - 1, c1)
+        least, greatest = np.empty(starts.size), np.empty(starts.size)
+        split = int(np.searchsorted(starts, hd))  # the first sub-range on the second path
+        w1_h = self.path1.W[self.h]
+        for path, last, const, i0, i1 in (
+            (self.path1, hd - 1, w1_h, 1, min(split, starts.size - 1)),
+            (self.path2, top, w1_h + self.path2.W[self.g], max(split, 1), starts.size - 1),
+        ):
+            if i0 < i1:
+                # sub-ranges i0..i1 - 1 are the path's chunks m down to m - (i1 - i0) + 1
+                m = (last - int(stops[i0])) // size
+                low, high = path.extremes(d, size)[:, m - (i1 - i0) + 1 : m + 1]
+                least[i0:i1], greatest[i0:i1] = const - high[::-1], const - low[::-1]
+        for i in {0, starts.size - 1}:
+            w = self.w_span(int(starts[i]), int(stops[i]))
+            least[i], greatest[i] = w.min(), w.max()
+        return starts, least, greatest
 
     def w_cells(self, j: np.ndarray) -> np.ndarray:
         """W_n inside the grid cells j, which are monotone, by one ``w_span`` read."""
@@ -304,11 +410,13 @@ class ProcessBundle(_SampleProcesses):
         That is ``jump_grid()``, whose cell j, between grid points j and
         j + 1, the bridge reads; for a window increment at ``anchor`` it is
         the increment grid anchor - j / den instead, whose cell j lies
-        between anchor - (j + 1) / den and anchor - j / den.
+        between anchor - (j + 1) / den and anchor - j / den.  The run's ends
+        are found by index arithmetic, checked against the points' floats, so
+        it costs O(1) until its points are read.
         """
         if anchor is None:
-            return _mapped_run(self.n << self.depth, 0.0, 1.0, lo, hi, self.w_span)
-        return _mapped_run(self.n << self.depth, anchor, -1.0, lo, hi, self.w_span)
+            return _mapped_run(self.n << self.depth, 0.0, 1.0, lo, hi, self)
+        return _mapped_run(self.n << self.depth, anchor, -1.0, lo, hi, self)
 
     def point_breaks(self, anchor: float | None) -> np.ndarray:
         """Abscissae in (0, 1) where the bridge, or the window increment at
@@ -369,15 +477,19 @@ def bundle_bytes(n: int, depth: int) -> int:
 
     From the path layout: a path of extent e holds S on 0..e, W on 0..m,
     where m is the power of two ``next_power_of_two(e)``, and, once read, W
-    refined over [0, e], (e << depth) + 1 floats; the extents are [n/2] and
+    refined over [0, e], (e << depth) + 1 floats, and, once bounded, the
+    least and greatest W over each chunk of ``_SUB_BLOCK`` of its e << depth
+    cells (``CoupledPath.extremes``); the extents are [n/2] and
     n + 1 - [n/2].  The bundle adds Y, S and U, 3 n + 4 floats.  A path that
-    is never read holds no refined grid, so this is an upper bound on a
-    bundle's bytes.  An ``AnchoredBundle`` with count N holds U and bundles
-    of sizes max(N, 2) and max(n - N, 2).
+    is never read holds no refined grid, and one never bounded no extremes,
+    so this is an upper bound on a bundle's bytes.  An ``AnchoredBundle``
+    with count N holds U and bundles of sizes max(N, 2) and max(n - N, 2).
     """
     floats = 3 * n + 4
     for extent in (n // 2, n + 1 - n // 2):
-        floats += (extent + 1) + (next_power_of_two(extent) + 1) + (extent << depth) + 1
+        cells = extent << depth
+        floats += (extent + 1) + (next_power_of_two(extent) + 1) + cells + 1
+        floats += 2 * -(-cells // _SUB_BLOCK)
     return 8 * floats
 
 
@@ -502,17 +614,18 @@ class AnchoredBundle(_SampleProcesses):
         t + (1 - t) x of its grid on [lo, hi] within [t, 1] (``jump_grid()``);
         a range on both sides of the splice t is rejected.  The window
         increment at the anchor reads cells of ``below`` between the points
-        t x of its grid, and only those.
+        t x of its grid, and only those.  As on ``ProcessBundle``, the run
+        computes its points only where they are read.
         """
         t, below, above = self.t, self.below, self.above
         den = below.n << self.depth
         if anchor is not None:
             self._check_anchor(anchor)
-            return _mapped_run(den, 0.0, t, lo, hi, below.w_span)
+            return _mapped_run(den, 0.0, t, lo, hi, below)
         if hi <= t:
-            return _mapped_run(den, t, -t, lo, hi, below.w_span)
+            return _mapped_run(den, t, -t, lo, hi, below)
         if lo >= t:
-            return _mapped_run(above.n << self.depth, t, 1.0 - t, lo, hi, above.w_span)
+            return _mapped_run(above.n << self.depth, t, 1.0 - t, lo, hi, above)
         raise ValueError(f"bridge grid range [{lo}, {hi}] straddles the splice t={t}")
 
     def point_breaks(self, anchor: float | None) -> np.ndarray:

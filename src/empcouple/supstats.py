@@ -58,32 +58,46 @@ points over itself.  The best right and left limits are carried across
 blocks with a strict ``>``, so ties resolve to the first occurrence as in
 a single pass.
 
-A block of more than ``_BOUND_CELLS`` grid cells is cut into sub-blocks at
-every ``_SUB_BLOCK``-th point of its grid run, and each sub-block [e, f] is
-bounded without a merge (``_sub_block_bounds``).  Every numerator is affine
-in s, affine in W_n and monotone in its step count, so |numerator| there is
-at most its largest |value| at the 8 corners s in {e, f}, step count in
-{at e, just before f} and W_n in {min, max over the sub-block's cells}.
-That is widened by 1e-9 relative and by 1e-9 (sqrt(n) + max|W_n| / sqrt(n)
-+ 1), which covers the rounding of the numerator's terms, near a zero
-crossing too.  A weight's bound there is scale bound / min(w(e), w(f))^c,
-widened by 1e-9 relative, and its floor is the largest of its best point
-value and its best right and left limits so far: values the sup reaches.
-Only the sub-blocks whose bound reaches the floor of some weight (a tie
-can still move arg_s or side), those with a zero base and those past a
-window increment's anchor are merged, as one set of pieces in position
-order, and evaluated (``_kept``, ``_pieces``).  A skipped sub-block holds
-no value at or above any floor, so no first occurrence of a side's best
-that can win, and every result is that of a full evaluation, to the bit;
-``grid_points`` still counts every piece.  Smaller blocks, such as the tail
-sups' of at most 2^14 cells at n = 4096, are evaluated whole: there the
-bound costs about as much as it saves.
+A block of more than ``_BOUND_CELLS`` grid cells is cut into sub-blocks
+where its W_n cells split into the aligned chunks of ``_SUB_BLOCK`` cells
+of the paths' refined grids (chunks of each path start at its grid value 0,
+and the path split [n/2] 2^depth is always an edge), and each sub-block
+[e, f] is bounded without a merge (``_sub_block_bounds``).  Every numerator
+is affine in s, affine in W_n and monotone in its step count, so
+|numerator| there is at most its largest |value| at the 8 corners s in
+{e, f}, step count in {at e, just before f} and W_n in {min, max over the
+sub-block's cells}.  A path computes the least and greatest value of every
+chunk once, on its first bounded read, and keeps them beside its grid
+(``CoupledPath.extremes``); a cell's W_n is C - v for a scalar C and the
+path's value v, so these give each whole sub-block's W_n extremes to the
+bit, and only the two sub-blocks at the block's ends are read cell by cell
+(``ProcessBundle.w_extremes``).  The bound is widened by 1e-9 relative and
+by 1e-9 (sqrt(n) + max|W_n| / sqrt(n) + 1), which covers the rounding of
+the numerator's terms, near a zero crossing too.  A weight's bound there is
+scale bound / min(w(e), w(f))^c, widened by 1e-9 relative, and its floor is
+the largest of its best point value and its best right and left limits so
+far: values the sup reaches.  Only the sub-blocks whose bound reaches the
+floor of some weight (a tie can still move arg_s or side), those with a
+zero base and those past a window increment's anchor are merged, as one set
+of pieces in position order, and evaluated (``_kept``, ``_pieces``).  A
+skipped sub-block holds no value at or above any floor, so no first
+occurrence of a side's best that can win, and every result is that of a
+full evaluation, to the bit; ``grid_points`` still counts every piece
+(``_piece_count``).  The block's grid run computes its points only where
+they are read, the sub-block edges and the kept ranges, and places the ends
+and step jumps in the run by index arithmetic checked against those floats
+(``Run``), so a bounded block costs O(sub-blocks + step jumps in the block
++ kept pieces) and builds no array of its grid size.  Smaller blocks, such
+as the tail sups' of at most 2^14 cells at n = 4096, are evaluated whole:
+there the bound costs about as much as it saves.
 
 A weight is applied on the evaluated pieces only if the bound scale
 max|numerator| / min(w(a), w(b))^c over their range [a, b] could beat its
 best so far (``_cannot_win``): the weight's base is smallest at an end of
-the range.  Working memory beyond the bundle is O(block + n): the block's
-breakpoints, and the step jumps and point values.
+the range.  Working memory beyond the bundle is O(n) for the step jumps
+and point values, plus, per block, its breakpoints where it is evaluated
+whole, and its sub-blocks and kept pieces where it is bounded.  The paths'
+cached extremes add 2 floats per ``_SUB_BLOCK`` grid cells to the bundle.
 """
 
 from __future__ import annotations
@@ -98,11 +112,10 @@ from .processes import Bundle
 
 # Dyadic grid points per block of the sup domain (see ``_block_edges``).
 _BLOCK_POINTS = 1 << 16
-# A block of more grid cells than this is bounded by sub-blocks of
-# ``_SUB_BLOCK`` grid points (``_kept``); a smaller one is evaluated whole,
-# where the bound costs about as much as it saves.
+# A block of more grid cells than this is bounded by sub-blocks, the chunks of
+# the paths' cached W_n extremes (``_kept``); a smaller one is evaluated
+# whole, where the bound costs about as much as it saves.
 _BOUND_CELLS = 1 << 14
-_SUB_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -235,20 +248,22 @@ class Index(NamedTuple):
     cells: np.ndarray  # W_n cell of each piece, in the block's run of ``grid_runs``, or W_n
 
 
-def _extras(a: float, b: float, steps: np.ndarray, grid: np.ndarray) -> tuple:
+def _extras(a: float, b: float, steps: np.ndarray, size: int, search, at) -> tuple:
     """The block ends and distinct step jumps of [a, b] and where they go in the grid run.
 
-    Returns (extras, last, pos, new): the distinct values of a, ``steps``
-    and b, where the i-th has last[i] step jumps at or before it (b aside),
-    their ``searchsorted`` positions in ``grid``, and which are no grid point.
+    The run has ``size`` points; ``search`` is its ``searchsorted`` and
+    ``at`` reads its points at given positions.  Returns (extras, last, pos,
+    new): the distinct values of a, ``steps`` and b, where the i-th has
+    last[i] step jumps at or before it (b aside), their positions in the
+    run, and which are no run point.
     """
     extras = np.concatenate([[a], steps, [b]])
     last = np.flatnonzero(np.append(extras[1:] != extras[:-1], True))
     extras = extras[last]
-    pos = np.searchsorted(grid, extras)
+    pos = search(extras)
     new = np.ones(extras.size, dtype=bool)
-    inside = pos < grid.size
-    new[inside] = grid[pos[inside]] != extras[inside]
+    inside = pos < size
+    new[inside] = at(pos[inside]) != extras[inside]
     return extras, last, pos, new
 
 
@@ -265,7 +280,7 @@ def _merge(a: float, b: float, steps: np.ndarray, grid: np.ndarray) -> tuple:
     jumps, and the grid count of the j-th breakpoint is j + 1 less the
     inserted points up to it.
     """
-    extras, last, pos, new = _extras(a, b, steps, grid)
+    extras, last, pos, new = _extras(a, b, steps, grid.size, grid.searchsorted, grid.__getitem__)
     at = pos + np.cumsum(new) - new  # where each value lands among the breakpoints
     pts = np.insert(grid, pos[new], extras[new])
     before = np.repeat(last[:-1].astype(np.int32), np.diff(at))
@@ -286,21 +301,24 @@ def _pieces(steps: np.ndarray, run, lo: np.ndarray, hi: np.ndarray) -> tuple:
     """The pieces of the disjoint ranges [lo[i], hi[i]] of one block, in order.
 
     ``lo`` and ``hi`` ascend, and every end but lo[0] and hi[-1] is a point of
-    the block's grid ``run``.  The ranges' grid points and step jumps are
-    merged at once (``_merge``) into the breakpoints ``pts``; ``take`` picks
-    the pieces (pts[:-1][take], pts[1:][take]) that lie in a range, which
-    drops the one piece across each gap.  The piece after the c-th point of
-    the run lies in W_n cell first + c - 1 (ascending index) or first - c
-    (descending), and ``Index.steps`` counts the problem's step jumps
-    ``steps`` at or before it.  Returns (pts, take, Index).
+    the block's grid ``run``.  The ranges' grid points, computed from their
+    run positions, and step jumps are merged at once (``_merge``) into the
+    breakpoints ``pts``; ``take`` picks the pieces (pts[:-1][take],
+    pts[1:][take]) that lie in a range, which drops the one piece across
+    each gap.  The piece after the c-th point of the run lies in W_n cell
+    first + c - 1 (ascending index) or first - c (descending), and
+    ``Index.steps`` counts the problem's step jumps ``steps`` at or before
+    it.  Returns (pts, take, Index).
     """
-    g0, g1 = np.searchsorted(run.x, lo), np.searchsorted(run.x, hi, "right")
+    g0, g1 = run.search(lo), run.search(hi, "right")
     s0, s1 = np.searchsorted(steps, lo), np.searchsorted(steps, hi, "right")
     if lo.size == 1:
-        pts, before, count = _merge(lo[0], hi[0], steps[s0[0] : s1[0]], run.x[g0[0] : g1[0]])
+        grid = run.points(int(g0[0]), int(g1[0]))
+        pts, before, count = _merge(lo[0], hi[0], steps[s0[0] : s1[0]], grid)
         take, at_steps, skipped = slice(None), s0[0] + before, g0[0]
     else:
-        grid = np.concatenate([run.x[i:j] for i, j in zip(g0, g1)])
+        sizes = g1 - g0
+        grid = run.at(np.repeat(g0 - _preceding(sizes), sizes) + np.arange(sizes.sum()))
         jumps = np.concatenate([steps[i:j] for i, j in zip(s0, s1)])
         pts, before, count = _merge(lo[0], hi[-1], jumps, grid)
         first = np.searchsorted(pts, lo)
@@ -317,41 +335,55 @@ def _pieces(steps: np.ndarray, run, lo: np.ndarray, hi: np.ndarray) -> tuple:
     return pts, take, Index(at_steps, cells)
 
 
-def _piece_count(a: float, b: float, steps: np.ndarray, grid: np.ndarray) -> int:
+def _in_block(steps: np.ndarray, a: float, b: float) -> tuple:
+    """(i, steps in [a, b]): the block's slice of the sorted step jumps, and where it starts."""
+    i = int(np.searchsorted(steps, a))
+    return i, steps[i : np.searchsorted(steps, b, "right")]
+
+
+def _piece_count(a: float, b: float, steps: np.ndarray, run) -> int:
     """How many pieces ``_merge`` makes of the block [a, b], without merging.
 
-    ``steps`` are the problem's sorted step jumps, and ``grid`` the block's run.
+    ``steps`` are the problem's sorted step jumps, and ``run`` the block's
+    grid run.  The ends and step jumps are placed in the run by index
+    (``Run.search``), so the run's points are never computed.
     """
-    steps = steps[np.searchsorted(steps, a) : np.searchsorted(steps, b, "right")]
-    return grid.size + int(np.count_nonzero(_extras(a, b, steps, grid)[3])) - 1
+    inside = _in_block(steps, a, b)[1]
+    new = _extras(a, b, inside, run.size, run.search, run.at)[3]
+    return run.size + int(np.count_nonzero(new)) - 1
 
 
 def _sub_block_bounds(bundle: Bundle, prob: SupProblem, steps: np.ndarray, a, b, run) -> tuple:
     """Edges of the sub-blocks of the block [a, b], and a bound on |numerator| over each.
 
-    The edges are a, every ``_SUB_BLOCK``-th point of the block's grid run
+    The edges are a, the run points where the W_n cells of the block split
+    into chunks of the paths' cached extremes (``ProcessBundle.w_extremes``)
     and b, all breakpoints.  On a sub-block [e, f] each numerator is affine
     in s, affine in W_n and monotone in the step count, so |numerator| there
     is at most its largest |value| over the 8 corners s in {e, f}, step
     count in {at e, just before f} and W_n in {min, max over the sub-block's
     cells}.  All 8 are evaluated in one call of the piece factory, with the
     W_n values passed as cells.  The bound is widened for the rounding of
-    the numerator's terms, of size sqrt(n) s and W_n / sqrt(n).
+    the numerator's terms, of size sqrt(n) s and W_n / sqrt(n).  The step
+    counts are searched in the block's own step jumps, and only the edges of
+    the run are computed, so this costs O(sub-blocks + step jumps in [a, b]).
     """
-    x = run.x
-    inner = np.arange(_SUB_BLOCK, x.size - 1, _SUB_BLOCK)
-    edges = np.concatenate([[a], x[inner], [b]])
-    lo, hi = edges[:-1], edges[1:]
-    k_lo, k_hi = np.searchsorted(steps, lo, "right"), np.searchsorted(steps, hi)
-    # the pieces of the block lie after its c-th run point, c = c_a..c_b, and
-    # those of sub-block i after c = inner[i - 1] + 1 .. inner[i]
-    c_a, c_b = int(x[0] == a), x.size - int(x[-1] == b)
+    ends = run.at([0, run.size - 1])
+    # the pieces of the block lie in the cells c0..c1 (see ``_pieces``)
+    c_a, c_b = int(ends[0] == a), run.size - int(ends[1] == b)
     if run.step > 0:
-        w = run.w_span(run.first + c_a - 1, run.first + c_b - 1)
+        c0, c1 = run.first + c_a - 1, run.first + c_b - 1
     else:
-        w = run.w_span(run.first - c_b, run.first - c_a)[::-1]
-    starts = np.concatenate([[0], inner + 1 - c_a])
-    w_min, w_max = np.minimum.reduceat(w, starts), np.maximum.reduceat(w, starts)
+        c0, c1 = run.first - c_b, run.first - c_a
+    starts, w_min, w_max = run.bundle.w_extremes(c0, c1)
+    # the grid point of index c, where cell c starts, is run point (c - first) step
+    pos = (starts[1:] - run.first) * run.step
+    if run.step < 0:
+        pos, w_min, w_max = pos[::-1], w_min[::-1], w_max[::-1]
+    edges = np.concatenate([[a], run.at(pos), [b]])
+    lo, hi = edges[:-1], edges[1:]
+    i, inside = _in_block(steps, a, b)
+    k_lo, k_hi = i + np.searchsorted(inside, lo, "right"), i + np.searchsorted(inside, hi)
     s = np.concatenate([lo, hi] * 4)
     k = np.concatenate([k_lo, k_lo, k_hi, k_hi] * 2)
     w = np.concatenate([w_min] * 4 + [w_max] * 4)
@@ -450,8 +482,8 @@ def solve_weights(bundle: Bundle, prob: SupProblem, weights) -> list[WeightedSup
     pieces = 0
     steps = np.sort(prob.step_jumps)  # repeats kept: they count
     for a, b, run in _blocks(bundle, prob, steps):
-        if run.x.size - 1 > _BOUND_CELLS:
-            pieces += _piece_count(a, b, steps, run.x)
+        if run.size - 1 > _BOUND_CELLS:
+            pieces += _piece_count(a, b, steps, run)
             # a NaN point value (0/0 at a zero base) never wins, so sets no floor
             floors = [
                 max(right[0], left[0], -math.inf if math.isnan(point[0]) else point[0])

@@ -431,13 +431,41 @@ def hand_xi(Z, delta, c: float = 1.0):
 def fake_w_lookups(bundle, w_n) -> None:
     """Replace a ``ProcessBundle``'s W_n by ``w_n`` (a function of z in [0, n+1]).
 
-    Both lookups are replaced: by float (``w_n``) and by cell index
-    (``w_span``, which ``w_cells`` and the sub-block bounds read through:
-    cell j, (j, j + 1) 2^-depth, is read at its midpoint).  ``w_n`` must be
-    constant on those cells, as the true W_n is.
+    Every lookup is replaced: by float (``w_n``), by cell index (``w_span``,
+    which ``w_cells`` reads through: cell j, (j, j + 1) 2^-depth, is read at
+    its midpoint), and the sub-block bounds' extremes (``w_extremes``), which
+    are read through the fake ``w_span``.  ``w_n`` must be constant on those
+    cells, as the true W_n is.
     """
     bundle.w_n = w_n
     bundle.w_span = lambda c0, c1: w_n((np.arange(c0, c1 + 1) + 0.5) / (1 << bundle.depth))
+    bundle.w_extremes = lambda c0, c1: w_extremes(bundle, c0, c1)
+
+
+def w_extremes(bundle, c0: int, c1: int) -> tuple:
+    """``ProcessBundle.w_extremes`` by ``reduceat`` over one ``w_span`` read of
+    the cells c0..c1, cut where ``chunk_starts`` cuts them."""
+    starts = np.concatenate([[c0], bundle.chunk_starts(c0, c1)]).astype(np.int64)
+    w = bundle.w_span(c0, c1)
+    return starts, np.minimum.reduceat(w, starts - c0), np.maximum.reduceat(w, starts - c0)
+
+
+def mapped_run(den: int, offset: float, scale: float, lo: float, hi: float) -> tuple:
+    """(x, first, step): the points offset + scale j / den, j = 0..den, that lie
+    in [lo, hi], ascending, built whole; x[i] has index first + step i.
+
+    The reference for ``processes.Run``, which computes its points only where
+    they are read.
+    """
+    ends = sorted(((lo - offset) / scale * den, (hi - offset) / scale * den))
+    j0, j1 = max(0, math.floor(ends[0]) - 1), min(den, math.ceil(ends[1]) + 1)
+    step = 1 if scale > 0 else -1
+    x = np.arange(j0, j1 + 1, dtype=float)[::step] / den
+    x *= scale  # in place: the same floats as offset + scale * (j / den)
+    x += offset
+    i = int(np.searchsorted(x, lo))
+    first = (j0 if step > 0 else j1) + step * i
+    return x[i : np.searchsorted(x, hi, "right")], first, step
 
 
 def on_grid(bundle, x) -> np.ndarray:

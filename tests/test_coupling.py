@@ -161,6 +161,39 @@ def test_concurrent_first_reads_agree():
         sys.setswitchinterval(old)
 
 
+def test_concurrent_first_extremes_reads_agree():
+    # threads racing on a fresh path's first extremes read, at one (depth,
+    # size) or at mixed ones, each get the arrays of the path read alone
+    keys = ((6, 64), (6, 64), (3, 4), (6, 64), (0, 4), (6, 4)) * 4
+    want = {}
+    for key in set(keys):
+        want[key] = couple_exponential_sums(64, RngStream(9), extent=40).extremes(*key)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            for mixed in (False, True, False, True, False):
+                path = couple_exponential_sums(64, RngStream(9), extent=40)
+                asked = keys if mixed else [(6, 64)] * len(keys)
+                futures = [pool.submit(path.extremes, *key) for key in asked]
+                for key, fut in zip(asked, futures):
+                    np.testing.assert_array_equal(fut.result(timeout=60), want[key])
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_extremes_are_chunk_extremes():
+    # row 0 and row 1 hold the least and greatest grid value over each chunk
+    # of cells [i, i + 1) 2**-depth of [0, extent), the last chunk short
+    path = couple_exponential_sums(64, RngStream(9), extent=40)
+    for depth, size in ((0, 4), (3, 7), (6, 64), (2, 1000)):
+        cells = path.grid(depth)[:-1]
+        ext = path.extremes(depth, size)
+        assert ext.shape == (2, -(-cells.size // size))
+        for c, chunk in enumerate(np.split(cells, np.arange(size, cells.size, size))):
+            assert (ext[0, c], ext[1, c]) == (chunk.min(), chunk.max())
+
+
 def test_snap_to_integer():
     n = 10
     s = 0.7

@@ -30,7 +30,7 @@ from empcouple.harness import (
     verify_exact_laws,
     wilson_interval,
 )
-from empcouple import harness
+from empcouple import harness, processes
 from empcouple.censored import CensoringModel, censored_weighted_stats, sample_from_bundle
 from empcouple.cli import main
 from empcouple.coupling import MAX_REFINE_DEPTH
@@ -125,15 +125,20 @@ def _nbytes(obj) -> int:
     for value in vars(obj).values():
         if isinstance(value, np.ndarray):
             total += value.nbytes
+        elif isinstance(value, tuple):  # a path's cached extremes
+            total += sum(v.nbytes for v in value if isinstance(v, np.ndarray))
         elif isinstance(value, (ProcessBundle, AnchoredBundle, CoupledPath)):
             total += _nbytes(value)
     return total
 
 
 def _read_paths(bundle) -> None:
-    """Refine every path of a bundle through its public grid read."""
+    """Refine every path of a bundle through its public grid read, and
+    cache its W extremes as a bounded block reads them."""
     for block in (bundle.below, bundle.above) if isinstance(bundle, AnchoredBundle) else (bundle,):
         block.path1.grid(block.depth), block.path2.grid(block.depth)
+        for path in (block.path1, block.path2):
+            path.extremes(block.depth, processes._SUB_BLOCK)
 
 
 def test_bundle_bytes_equal_built_bundles():

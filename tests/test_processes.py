@@ -1,5 +1,6 @@
 """Interleaving, splice, bridge, and empirical/quantile process evaluators."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from empcouple import processes
 from empcouple.processes import (
     AnchoredBundle,
     ProcessBundle,
@@ -17,7 +19,7 @@ from empcouple.processes import (
     next_power_of_two,
 )
 from empcouple.rng import derive_stream
-from oracles import increment, increment_grid
+from oracles import increment, increment_grid, mapped_run, w_extremes
 
 SQ2 = math.sqrt(2.0)
 
@@ -397,3 +399,67 @@ def test_restricted_increment_jump_grid_covers_domain(kind, t):
     # the same floats: a window increment reads no other grid
     for b in _grid_test_bundles(kind, t):
         _check_grid_runs(b, t, [increment_grid(b, t)])
+
+
+@pytest.mark.parametrize("t", [0.5, 0.3, 0.37])
+def test_runs_match_mapped_run(t):
+    # every run of grid_runs, for the bridge and for the increment at t, on
+    # both bundle kinds, has the points, first index and size of the
+    # reference that builds the mapped grid whole, to the bit, also read one
+    # position at a time; and its index search places the grid points, the
+    # floats one ulp either side of them and the range's ends where
+    # np.searchsorted over the built points does
+    bundles = _grid_test_bundles("lattice", t) + _grid_test_bundles("anchored", t)
+    bundles += [_bundle(101, t=t, depth=8), _anchored(101, t=t, depth=8)]
+    for b in bundles:
+        for anchor in (None, t):
+            for lo, hi in itertools.combinations(_restricted_grid_ends(b, 1.2, 0.4), 2):
+                if anchor is None and isinstance(b, AnchoredBundle) and lo < t < hi:
+                    continue
+                run = b.grid_runs(anchor, lo, hi)
+                x, first, step = mapped_run(run.den, run.offset, run.scale, lo, hi)
+                assert np.array_equal(run.x, x), (lo, hi)
+                assert (run.size, run.step) == (x.size, step) and (x.size == 0 or run.first == first)
+                assert np.array_equal(run.at(np.arange(x.size)[::-1]), x[::-1])
+                probe = np.concatenate([
+                    x, np.nextafter(x, -math.inf), np.nextafter(x, math.inf), [lo, hi, -1.0, 2.0]
+                ])
+                for side in ("left", "right"):
+                    assert np.array_equal(run.search(probe, side), np.searchsorted(x, probe, side))
+
+
+@pytest.mark.parametrize("sub_block", [4, 64])
+@pytest.mark.parametrize("depth", [0, 3, 6, 8])
+def test_w_extremes_match_reduceat(monkeypatch, sub_block, depth):
+    # the least and greatest W_n of each sub-range, whole chunks read from
+    # the paths' cached extremes, equal reduceat over one w_span read of its
+    # cells, to the bit: over the cells of bridge runs (ascending index) and
+    # increment runs (descending) on a lattice bundle and on the below and
+    # above blocks of a count-anchored one, on either path's side, next to
+    # the path split and past the cells' ends
+    monkeypatch.setattr(processes, "_SUB_BLOCK", sub_block)
+    sides = set()
+    for n in (37, 100, 1001):
+        lattice = _bundle(n, t=0.37, depth=depth)
+        anchored = _anchored(n, t=0.37, depth=depth)
+        runs = [
+            lattice.grid_runs(None, 0.01, 0.99),
+            lattice.grid_runs(0.37, 0.01, 0.37),
+            anchored.grid_runs(None, 0.01, 0.37),
+            anchored.grid_runs(None, 0.37, 0.99),
+            anchored.grid_runs(0.37, 0.01, 0.37),
+        ]
+        for run in runs:
+            b = run.bundle
+            hd, top = b.h << depth, ((b.n + 1) << depth) - 1
+            j0, j1 = sorted((run.first, run.first + run.step * (run.size - 1)))
+            ranges = [(j0, j1 - 1), (j0 - 1, j1), (-1, top + 1), (0, top), (hd - 1, hd), (hd, hd)]
+            ranges += [(hd - 3 * sub_block - 1, hd + 2 * sub_block + 2), (hd - 1, top - 1)]
+            for c0, c1 in ranges:
+                c0, c1 = max(c0, -1), min(c1, top + 1)
+                got, want = b.w_extremes(c0, c1), w_extremes(b, c0, c1)
+                for g, w in zip(got, want, strict=True):
+                    assert g.dtype == w.dtype and np.array_equal(g, w), (n, c0, c1)
+                inner = got[0][1:-1]
+                sides |= {"first path" for c in inner if c < hd} | {"second path" for c in inner if c >= hd}
+    assert sides == {"first path", "second path"}

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from empcouple.censored import CensoringModel, censored_sup_problems, sample_from_bundle
 from empcouple.harness import STATISTIC_IDS, StatRequest, evaluate_requests, replicate_bundle
 from empcouple.processes import AnchoredBundle, ProcessBundle, _SampleProcesses
-from empcouple import supstats
+from empcouple import processes, supstats
 from empcouple.rng import derive_stream
 from empcouple.supstats import (
     SupProblem,
@@ -620,7 +620,7 @@ def test_sub_block_bound_covers_limits():
         else:
             b = _bundle(n, seed=seed, t=t, depth=depth)
         with mock.patch.object(supstats, "_BLOCK_POINTS", block_points), \
-                mock.patch.object(supstats, "_SUB_BLOCK", sub_block):
+                mock.patch.object(processes, "_SUB_BLOCK", sub_block):
             for prob in _lookup_problems(b, lam_n * n, t):
                 if not prob.lo < prob.hi:
                     continue
@@ -693,6 +693,45 @@ def test_block_kernel_matches_general_merge():
                         if anchored and prob.anchor is None:
                             assert not pts[0] < t < pts[-1], (pts[0], pts[-1])
                             seen["at t"] += t in (pts[0], pts[-1])
+    assert all(seen.values()), seen
+
+
+def test_piece_count_matches_merge():
+    # the piece count of a bounded block, from its ends and step jumps placed
+    # in the run by index (``_piece_count``), is the size of the general
+    # merge (``merge_runs``) less one, on every block of every problem of both bundle kinds,
+    # with step jumps and block ends on grid points, one ulp off them and off
+    # the grid
+    seen = dict.fromkeys(("end on grid", "end off grid", "jump on grid"), 0)
+    for n, depth, anchored in itertools.product((64, 513), (0, 3, 6), (False, True)):
+        if anchored:
+            b = AnchoredBundle.build(n, derive_stream(2, n, 0, "anchored"), t=0.37, depth=depth)
+        else:
+            b = _bundle(n, seed=2, t=0.37, depth=depth)
+        for prob in _lookup_problems(b, 1.2, 0.37):
+            if not prob.lo < prob.hi:
+                continue
+            steps = np.sort(prob.step_jumps)
+            for a, z, run in supstats._blocks(b, prob, steps):
+                x = run.x
+                if x.size < 4:
+                    continue
+                jumps = np.sort(np.concatenate([
+                    steps, x[::7], np.nextafter(x[3::11], -math.inf), np.nextafter(x[5::11], math.inf)
+                ]))
+                inner = (x[1], x[-2])
+                for lo, hi in (
+                    (a, z), inner,
+                    (np.nextafter(x[1], -math.inf), np.nextafter(x[-2], math.inf)),
+                    (np.nextafter(x[1], math.inf), np.nextafter(x[-2], -math.inf)),
+                ):
+                    r = b.grid_runs(prob.anchor, lo, hi)
+                    for jump in (steps, jumps):
+                        inside = jump[(jump >= lo) & (jump <= hi)]
+                        want = merge_runs([np.array([lo, hi]), inside, r.x])[0].size - 1
+                        assert supstats._piece_count(lo, hi, jump, r) == want, (lo, hi)
+                    seen["end on grid" if lo in x else "end off grid"] += 1
+                seen["jump on grid"] += bool(np.isin(steps, x).any())
     assert all(seen.values()), seen
 
 
@@ -777,7 +816,7 @@ def test_sub_block_skip_changes_no_result(monkeypatch, sub_block, lam, t, n):
     # pair, zero bases and near-ties; and some sub-blocks, but not all, are
     # skipped
     monkeypatch.setattr(supstats, "_BOUND_CELLS", 0)
-    monkeypatch.setattr(supstats, "_SUB_BLOCK", sub_block)
+    monkeypatch.setattr(processes, "_SUB_BLOCK", sub_block)
     problems = _skip_problems(lam, t, n)
     kinds = ("sym", "s", "one-minus-s", None)
     weights = [power_weight(n, x, kind) for kind in kinds for x in (0.0, 0.25, 0.45)]

@@ -248,22 +248,20 @@ class Index(NamedTuple):
     cells: np.ndarray  # W_n cell of each piece, in the block's run of ``grid_runs``, or W_n
 
 
-def _extras(a: float, b: float, steps: np.ndarray, size: int, search, at) -> tuple:
+def _extras(a: float, b: float, steps: np.ndarray, grid: np.ndarray) -> tuple:
     """The block ends and distinct step jumps of [a, b] and where they go in the grid run.
 
-    The run has ``size`` points; ``search`` is its ``searchsorted`` and
-    ``at`` reads its points at given positions.  Returns (extras, last, pos,
-    new): the distinct values of a, ``steps`` and b, where the i-th has
-    last[i] step jumps at or before it (b aside), their positions in the
-    run, and which are no run point.
+    Returns (extras, last, pos, new): the distinct values of a, ``steps``
+    and b, where the i-th has last[i] step jumps at or before it (b aside),
+    their ``searchsorted`` positions in ``grid``, and which are no grid point.
     """
     extras = np.concatenate([[a], steps, [b]])
     last = np.flatnonzero(np.append(extras[1:] != extras[:-1], True))
     extras = extras[last]
-    pos = search(extras)
+    pos = np.searchsorted(grid, extras)
     new = np.ones(extras.size, dtype=bool)
-    inside = pos < size
-    new[inside] = at(pos[inside]) != extras[inside]
+    inside = pos < grid.size
+    new[inside] = grid[pos[inside]] != extras[inside]
     return extras, last, pos, new
 
 
@@ -280,7 +278,7 @@ def _merge(a: float, b: float, steps: np.ndarray, grid: np.ndarray) -> tuple:
     jumps, and the grid count of the j-th breakpoint is j + 1 less the
     inserted points up to it.
     """
-    extras, last, pos, new = _extras(a, b, steps, grid.size, grid.searchsorted, grid.__getitem__)
+    extras, last, pos, new = _extras(a, b, steps, grid)
     at = pos + np.cumsum(new) - new  # where each value lands among the breakpoints
     pts = np.insert(grid, pos[new], extras[new])
     before = np.repeat(last[:-1].astype(np.int32), np.diff(at))
@@ -345,12 +343,15 @@ def _piece_count(a: float, b: float, steps: np.ndarray, run) -> int:
     """How many pieces ``_merge`` makes of the block [a, b], without merging.
 
     ``steps`` are the problem's sorted step jumps, and ``run`` the block's
-    grid run.  The ends and step jumps are placed in the run by index
-    (``Run.search``), so the run's points are never computed.
+    grid run, of at least one point.  Each distinct end or step jump that is
+    no run point adds a piece (``_extras``).  They are placed in the run by
+    index (``Run.search``), so its points are computed only where they fall.
     """
-    inside = _in_block(steps, a, b)[1]
-    new = _extras(a, b, inside, run.size, run.search, run.at)[3]
-    return run.size + int(np.count_nonzero(new)) - 1
+    ends = np.concatenate([[a], _in_block(steps, a, b)[1], [b]])
+    extras = ends[np.append(ends[1:] != ends[:-1], True)]
+    # a value past the last point lies above it, so it is no run point
+    on = run.at(np.minimum(run.search(extras), run.size - 1)) == extras
+    return run.size + extras.size - int(np.count_nonzero(on)) - 1
 
 
 def _sub_block_bounds(bundle: Bundle, prob: SupProblem, steps: np.ndarray, a, b, run) -> tuple:

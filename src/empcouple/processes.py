@@ -29,6 +29,7 @@ ordinary bundles whose well-coupled tails sit at t.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -126,6 +127,19 @@ class Run(NamedTuple):
         """Every point of the run."""
         return self.points(0, self.size)
 
+    def place(self, v: float, side: str = "left") -> int:
+        """``search`` of one value, in Python floats, which are those of ``at``."""
+        est = (v - self.offset) * (self.step * self.den / self.scale) - self.step * self.first
+        i = math.ceil(est - 2.0**-20) if side == "left" else math.floor(est + 2.0**-20) + 1
+        i = min(max(i, 0), self.size)
+        before = operator.lt if side == "left" else operator.le
+        point = lambda k: (self.first + self.step * k) / self.den * self.scale + self.offset
+        while i > 0 and not before(point(i - 1), v):
+            i -= 1
+        while i < self.size and before(point(i), v):
+            i += 1
+        return i
+
     def search(self, v, side: str = "left") -> np.ndarray:
         """``np.searchsorted(self.x, v, side)``, without computing the run.
 
@@ -153,18 +167,14 @@ def _mapped_run(den: int, offset: float, scale: float, lo: float, hi: float, bun
     """The points offset + scale j / den, j = 0..den, that lie in [lo, hi], as a ``Run``.
 
     The index range is estimated with a margin of one point, and trimmed to
-    [lo, hi] by the points' own floats (Python floats, the same as ``Run.at``).
+    [lo, hi] by the points' own floats (``Run.place``).
     """
     ends = sorted(((lo - offset) / scale * den, (hi - offset) / scale * den))
     j0, j1 = max(0, math.floor(ends[0]) - 1), min(den, math.ceil(ends[1]) + 1)
     step = 1 if scale > 0 else -1
-    first, size = (j0 if step > 0 else j1), max(0, j1 - j0 + 1)
-    i = 0
-    while i < size and (first + step * i) / den * scale + offset < lo:
-        i += 1
-    while size > i and (first + step * (size - 1)) / den * scale + offset > hi:
-        size -= 1
-    return Run(den, offset, scale, first + step * i, step, size - i, bundle)
+    near = Run(den, offset, scale, j0 if step > 0 else j1, step, max(0, j1 - j0 + 1), bundle)
+    i = near.place(lo)
+    return near._replace(first=near.first + step * i, size=near.place(hi, "right") - i)
 
 
 class _SampleProcesses:

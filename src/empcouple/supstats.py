@@ -308,13 +308,14 @@ def _pieces(steps: np.ndarray, run, lo: np.ndarray, hi: np.ndarray) -> tuple:
     ``Index.steps`` counts the problem's step jumps ``steps`` at or before
     it.  Returns (pts, take, Index).
     """
-    g0, g1 = run.search(lo), run.search(hi, "right")
     s0, s1 = np.searchsorted(steps, lo), np.searchsorted(steps, hi, "right")
     if lo.size == 1:
-        grid = run.points(int(g0[0]), int(g1[0]))
+        g0 = run.place(lo[0])
+        grid = run.points(g0, run.place(hi[0], "right"))
         pts, before, count = _merge(lo[0], hi[0], steps[s0[0] : s1[0]], grid)
-        take, at_steps, skipped = slice(None), s0[0] + before, g0[0]
+        take, at_steps, skipped = slice(None), s0[0] + before, g0
     else:
+        g0, g1 = run.search(lo), run.search(hi, "right")
         sizes = g1 - g0
         grid = run.at(np.repeat(g0 - _preceding(sizes), sizes) + np.arange(sizes.sum()))
         jumps = np.concatenate([steps[i:j] for i, j in zip(s0, s1)])

@@ -408,7 +408,8 @@ def test_runs_match_mapped_run(t):
     # reference that builds the mapped grid whole, to the bit, also read one
     # position at a time; and its index search places the grid points, the
     # floats one ulp either side of them and the range's ends where
-    # np.searchsorted over the built points does
+    # np.searchsorted over the built points does, for many values at once
+    # and one at a time
     bundles = _grid_test_bundles("lattice", t) + _grid_test_bundles("anchored", t)
     bundles += [_bundle(101, t=t, depth=8), _anchored(101, t=t, depth=8)]
     for b in bundles:
@@ -425,7 +426,9 @@ def test_runs_match_mapped_run(t):
                     x, np.nextafter(x, -math.inf), np.nextafter(x, math.inf), [lo, hi, -1.0, 2.0]
                 ])
                 for side in ("left", "right"):
-                    assert np.array_equal(run.search(probe, side), np.searchsorted(x, probe, side))
+                    want = np.searchsorted(x, probe, side)
+                    assert np.array_equal(run.search(probe, side), want)
+                    assert [run.place(v, side) for v in probe[::9]] == want[::9].tolist()
 
 
 @pytest.mark.parametrize("sub_block", [4, 64])

@@ -29,7 +29,6 @@ ordinary bundles whose well-coupled tails sit at t.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -94,8 +93,9 @@ class Run(NamedTuple):
     j = first + step i, the float offset + scale (j / den) with the
     operations in that order; ``scale < 0`` gives a descending index.  The
     points are computed only where they are read (``at``, ``points``), and
-    placed by index arithmetic checked against those floats (``search``),
-    so a run costs nothing per point until its points are read.  Cell j
+    values are placed by index arithmetic checked against those floats
+    (``search``, ``place``), so a run costs nothing per point until its
+    points are read.  Cell j
     lies between the grid points of index j and j + 1, and ``bundle`` is the
     ``ProcessBundle`` whose W_n cells the index counts (``w_span``,
     ``w_extremes``).
@@ -132,11 +132,11 @@ class Run(NamedTuple):
         est = (v - self.offset) * (self.step * self.den / self.scale) - self.step * self.first
         i = math.ceil(est - 2.0**-20) if side == "left" else math.floor(est + 2.0**-20) + 1
         i = min(max(i, 0), self.size)
-        before = operator.lt if side == "left" else operator.le
         point = lambda k: (self.first + self.step * k) / self.den * self.scale + self.offset
-        while i > 0 and not before(point(i - 1), v):
+        before = (lambda x: x < v) if side == "left" else (lambda x: x <= v)
+        while i > 0 and not before(point(i - 1)):
             i -= 1
-        while i < self.size and before(point(i), v):
+        while i < self.size and before(point(i)):
             i += 1
         return i
 

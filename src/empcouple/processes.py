@@ -94,8 +94,8 @@ class Run(NamedTuple):
     operations in that order; ``scale < 0`` gives a descending index.  The
     points are computed only where they are read (``at``, ``points``), and
     values are placed by index arithmetic checked against those floats
-    (``search``, ``place``), so a run costs nothing per point until its
-    points are read.  Cell j
+    (``search``, ``place``, ``holds``), so a run costs nothing per point
+    until its points are read.  Cell j
     lies between the grid points of index j and j + 1, and ``bundle`` is the
     ``ProcessBundle`` whose W_n cells the index counts (``w_span``,
     ``w_extremes``).
@@ -140,6 +140,21 @@ class Run(NamedTuple):
             i += 1
         return i
 
+    def _estimate(self, v: np.ndarray) -> np.ndarray:
+        """The position of each v in the run, from its index, before rounding."""
+        return (v - self.offset) * (self.step * self.den / self.scale) - self.step * self.first
+
+    def holds(self, v) -> np.ndarray:
+        """Whether each value of v is a point of the run.
+
+        A point's position is its estimate to within far less than one
+        (``search`` allows 2^-20), so v is compared with the one point,
+        computed as ``at`` computes it, nearest its estimated position.
+        """
+        v = np.asarray(v, dtype=float)
+        i = np.rint(self._estimate(v)).clip(0, self.size - 1).astype(np.int64)
+        return self.at(i) == v
+
     def search(self, v, side: str = "left") -> np.ndarray:
         """``np.searchsorted(self.x, v, side)``, without computing the run.
 
@@ -148,7 +163,7 @@ class Run(NamedTuple):
         bracket v.
         """
         v = np.asarray(v, dtype=float)
-        est = (v - self.offset) * (self.step * self.den / self.scale) - self.step * self.first
+        est = self._estimate(v)
         if side == "left":
             i, before = np.ceil(est - 2.0**-20), np.less
         else:

@@ -58,46 +58,55 @@ points over itself.  The best right and left limits are carried across
 blocks with a strict ``>``, so ties resolve to the first occurrence as in
 a single pass.
 
-A block of more than ``_BOUND_CELLS`` grid cells is cut into sub-blocks
-where its W_n cells split into the aligned chunks of ``_SUB_BLOCK`` cells
-of the paths' refined grids (chunks of each path start at its grid value 0,
-and the path split [n/2] 2^depth is always an edge), and each sub-block
-[e, f] is bounded without a merge (``_sub_block_bounds``).  Every numerator
-is affine in s, affine in W_n and monotone in its step count, so
-|numerator| there is at most its largest |value| at the 8 corners s in
-{e, f}, step count in {at e, just before f} and W_n in {min, max over the
-sub-block's cells}.  A path computes the least and greatest value of every
-chunk once, on its first bounded read, and keeps them beside its grid
+Most of a large domain cannot hold the sup, and is never evaluated.  The
+domain splits at the splice t into stretches of one grid run each
+(``_runs``).  A stretch of more than ``_BOUND_CELLS`` grid cells is cut
+into sub-blocks where its W_n cells split into the aligned chunks of
+``_SUB_BLOCK`` cells of the paths' refined grids (chunks of each path
+start at its grid value 0, and the path split [n/2] 2^depth is always an
+edge), and groups of 4 sub-blocks, of 4 of those, and so on, form the
+nodes of coarser levels (``_Nodes``).  Every numerator is affine in s,
+affine in W_n and monotone in its step count, so |numerator| on a node
+[e, f] is at most its largest |value| at the 8 corners s in {e, f}, step
+count in {at e, just before f} and W_n in {min, max over the node's
+cells}.  A path computes the least and greatest value of every chunk once,
+on its first bounded read, and keeps them beside its grid
 (``CoupledPath.extremes``); a cell's W_n is C - v for a scalar C and the
 path's value v, so these give each whole sub-block's W_n extremes to the
-bit, and only the two sub-blocks at the block's ends are read cell by cell
-(``ProcessBundle.w_extremes``).  The bound is widened by 1e-9 relative and
-by 1e-9 (sqrt(n) + max|W_n| / sqrt(n) + 1), which covers the rounding of
-the numerator's terms, near a zero crossing too.  A weight's bound there is
-scale bound / min(w(e), w(f))^c, widened by 1e-9 relative, and its floor is
-the largest of its best point value and its best right and left limits so
-far: values the sup reaches.  Only the sub-blocks whose bound reaches the
-floor of some weight (a tie can still move arg_s or side), those with a
-zero base and those past a window increment's anchor are merged, as one set
-of pieces in position order, and evaluated (``_kept``, ``_pieces``).  A
-skipped sub-block holds no value at or above any floor, so no first
-occurrence of a side's best that can win, and every result is that of a
-full evaluation, to the bit; ``grid_points`` still counts every piece
-(``_piece_count``).  The block's grid run computes its points only where
-they are read, the sub-block edges and the kept ranges, and places the ends
-and step jumps in the run by index arithmetic checked against those floats
-(``Run``), so a bounded block costs O(sub-blocks + step jumps in the block
-+ kept pieces) and builds no array of its grid size.  Smaller blocks, such
-as the tail sups' of at most 2^14 cells at n = 4096, are evaluated whole:
-there the bound costs about as much as it saves.
+bit, only the two sub-blocks at the stretch's ends are read cell by cell
+(``ProcessBundle.w_extremes``), and a node's extremes are those of its
+children.  The bound is widened by 1e-9 relative and by 1e-9 (sqrt(n) +
+max|W_n| / sqrt(n) + 1), which covers the rounding of the numerator's
+terms, near a zero crossing too.  A weight's bound there is scale bound /
+min(w(e), w(f))^c, widened by 1e-9 relative, and its floor is its best
+point value: a value the sup reaches.  The nodes are bounded from the
+coarsest level down, and only the children of those whose bound reaches
+the floor of some weight (a tie can still move arg_s or side), those with
+a zero base and those past a window increment's anchor are bounded at the
+next level (``_kept``).  The sub-blocks kept at the finest level are
+merged, block by block, as one set of pieces in position order, and
+evaluated (``_pieces``).  A skipped node holds no value at or above any
+floor, so no first occurrence of a side's best that can win, and every
+result is that of a full evaluation, to the bit; ``grid_points`` still
+counts every piece (``_piece_count``, once per stretch).  The grid run
+computes its points only where they are read, the node edges and the kept
+ranges, and places the ends and step jumps in the run by index arithmetic
+checked against those floats (``Run``), so a bounded stretch costs
+O(sub-blocks + step jumps in it) in cheap array passes, plus the nodes
+bounded and the kept pieces, and builds no array of its grid size.
+Smaller stretches, such as the tail sups' of at most 2^14 cells at
+n = 4096, are evaluated whole: there the bound costs about as much as it
+saves.
 
 A weight is applied on the evaluated pieces only if the bound scale
 max|numerator| / min(w(a), w(b))^c over their range [a, b] could beat its
 best so far (``_cannot_win``): the weight's base is smallest at an end of
 the range.  Working memory beyond the bundle is O(n) for the step jumps
 and point values, plus, per block, its breakpoints where it is evaluated
-whole, and its sub-blocks and kept pieces where it is bounded.  The paths'
-cached extremes add 2 floats per ``_SUB_BLOCK`` grid cells to the bundle.
+whole and its kept pieces where it is bounded, plus, per bounded stretch,
+4 floats and an index per sub-block for the extremes and node edges.  The
+paths' cached extremes add 2 floats per ``_SUB_BLOCK`` grid cells to the
+bundle.
 """
 
 from __future__ import annotations
@@ -112,9 +121,10 @@ from .processes import Bundle
 
 # Dyadic grid points per block of the sup domain (see ``_block_edges``).
 _BLOCK_POINTS = 1 << 16
-# A block of more grid cells than this is bounded by sub-blocks, the chunks of
-# the paths' cached W_n extremes (``_kept``); a smaller one is evaluated
-# whole, where the bound costs about as much as it saves.
+# A stretch of more grid cells than this is bounded by a descent over its
+# sub-blocks, the chunks of the paths' cached W_n extremes (``_kept``); a
+# smaller one is evaluated whole, where the bound costs about as much as it
+# saves.
 _BOUND_CELLS = 1 << 14
 
 
@@ -177,12 +187,15 @@ class SupProblem:
     def weight(self) -> tuple:
         return self.weight_exp, self.weight_kind, self.scale
 
-    def point_abscissae(self, breaks: np.ndarray) -> np.ndarray:
+    def point_abscissae(self, steps: np.ndarray, breaks: np.ndarray) -> np.ndarray:
         """Where the point value is evaluated: closed endpoints, step jumps and
-        the bundle's ``point_breaks``, given as ``breaks``."""
-        s = np.concatenate([self.step_jumps, breaks])
-        ends = [self.lo, self.hi] if self.closed_hi else [self.lo]
-        return np.unique(np.concatenate([ends, s[(s >= self.lo) & (s < self.hi)]]))
+        the bundle's ``point_breaks``, given as ``breaks``; ``steps`` are the
+        step jumps, sorted.  Ascending and distinct."""
+        inside = steps[np.searchsorted(steps, self.lo) : np.searchsorted(steps, self.hi)]
+        at = np.concatenate([[self.lo], inside, [self.hi] if self.closed_hi else []])
+        breaks = breaks[(breaks >= self.lo) & (breaks < self.hi)]
+        at = np.insert(at, np.searchsorted(at, breaks), breaks)
+        return at[np.append(True, at[1:] != at[:-1])]
 
 
 def power_weight(n: int, x: float, kind) -> tuple:
@@ -230,6 +243,15 @@ def _block_edges(bundle: Bundle, prob: SupProblem, jumps: np.ndarray) -> np.ndar
     breaks = bundle.point_breaks(prob.anchor)
     breaks = breaks[(breaks > prob.lo) & (breaks < prob.hi)]
     return np.unique(np.concatenate([[prob.lo], inside[k - 1 :: k], breaks, [prob.hi]]))
+
+
+def _runs(bundle: Bundle, prob: SupProblem):
+    """(a, b, run) of each stretch [a, b] of the domain between the bundle's
+    ``point_breaks``, and the one grid run of ``grid_runs`` over it."""
+    breaks = bundle.point_breaks(prob.anchor)
+    edges = np.concatenate([[prob.lo], breaks[(breaks > prob.lo) & (breaks < prob.hi)], [prob.hi]])
+    for a, b in zip(edges[:-1], edges[1:]):
+        yield a, b, bundle.grid_runs(prob.anchor, a, b)
 
 
 def _blocks(bundle: Bundle, prob: SupProblem, steps: np.ndarray):
@@ -341,85 +363,130 @@ def _in_block(steps: np.ndarray, a: float, b: float) -> tuple:
 
 
 def _piece_count(a: float, b: float, steps: np.ndarray, run) -> int:
-    """How many pieces ``_merge`` makes of the block [a, b], without merging.
+    """How many pieces ``_merge`` makes of [a, b], without merging.
 
-    ``steps`` are the problem's sorted step jumps, and ``run`` the block's
-    grid run, of at least one point.  Each distinct end or step jump that is
-    no run point adds a piece (``_extras``).  They are placed in the run by
-    index (``Run.search``), so its points are computed only where they fall.
+    ``steps`` are the problem's sorted step jumps, and ``run`` the grid run
+    of [a, b], of at least one point.  Each distinct end or step jump that
+    is no run point adds a piece (``_extras``).  Each is checked against the
+    run points next to its index (``Run.holds``), so the run's points are
+    computed only there.
     """
     ends = np.concatenate([[a], _in_block(steps, a, b)[1], [b]])
     extras = ends[np.append(ends[1:] != ends[:-1], True)]
-    # a value past the last point lies above it, so it is no run point
-    on = run.at(np.minimum(run.search(extras), run.size - 1)) == extras
-    return run.size + extras.size - int(np.count_nonzero(on)) - 1
+    return run.size + extras.size - int(np.count_nonzero(run.holds(extras))) - 1
 
 
-def _sub_block_bounds(bundle: Bundle, prob: SupProblem, steps: np.ndarray, a, b, run) -> tuple:
-    """Edges of the sub-blocks of the block [a, b], and a bound on |numerator| over each.
+def _by_fours(x: np.ndarray, pick) -> np.ndarray:
+    """``pick`` (np.minimum or np.maximum) over x[4 i .. 4 i + 3], for each i."""
+    fours = np.append(x, [x[-1]] * (-x.size % 4)).reshape(-1, 4)
+    return pick(pick(fours[:, 0], fours[:, 1]), pick(fours[:, 2], fours[:, 3]))
 
-    The edges are a, the run points where the W_n cells of the block split
-    into chunks of the paths' cached extremes (``ProcessBundle.w_extremes``)
-    and b, all breakpoints.  On a sub-block [e, f] each numerator is affine
-    in s, affine in W_n and monotone in the step count, so |numerator| there
-    is at most its largest |value| over the 8 corners s in {e, f}, step
-    count in {at e, just before f} and W_n in {min, max over the sub-block's
-    cells}.  All 8 are evaluated in one call of the piece factory, with the
-    W_n values passed as cells.  The bound is widened for the rounding of
-    the numerator's terms, of size sqrt(n) s and W_n / sqrt(n).  The step
-    counts are searched in the block's own step jumps, and only the edges of
-    the run are computed, so this costs O(sub-blocks + step jumps in [a, b]).
+
+class _Nodes:
+    """The sub-blocks of a stretch [a, b] of one grid run, and their unions.
+
+    Sub-block edges are a, the run points where the W_n cells of [a, b]
+    split into chunks of the paths' cached extremes
+    (``ProcessBundle.w_extremes``), and b, all breakpoints.  A node of
+    level L is the union of the 4^L consecutive sub-blocks 4^L i ..
+    4^L (i + 1) - 1 (the last node may hold fewer), and its least and
+    greatest W_n are those of its 4 children (``_by_fours``), so of its
+    sub-blocks, to the bit.  Levels coarsen until one has fewer than 4
+    nodes per ``_BLOCK_POINTS`` grid cells of the run (``top``).
     """
-    ends = run.at([0, run.size - 1])
-    # the pieces of the block lie in the cells c0..c1 (see ``_pieces``)
-    c_a, c_b = int(ends[0] == a), run.size - int(ends[1] == b)
-    if run.step > 0:
-        c0, c1 = run.first + c_a - 1, run.first + c_b - 1
-    else:
-        c0, c1 = run.first - c_b, run.first - c_a
-    starts, w_min, w_max = run.bundle.w_extremes(c0, c1)
-    # the grid point of index c, where cell c starts, is run point (c - first) step
-    pos = (starts[1:] - run.first) * run.step
-    if run.step < 0:
-        pos, w_min, w_max = pos[::-1], w_min[::-1], w_max[::-1]
-    edges = np.concatenate([[a], run.at(pos), [b]])
-    lo, hi = edges[:-1], edges[1:]
-    i, inside = _in_block(steps, a, b)
-    k_lo, k_hi = i + np.searchsorted(inside, lo, "right"), i + np.searchsorted(inside, hi)
-    s = np.concatenate([lo, hi] * 4)
-    k = np.concatenate([k_lo, k_lo, k_hi, k_hi] * 2)
-    w = np.concatenate([w_min] * 4 + [w_max] * 4)
-    corners = np.abs(prob.numerator(np.tile(0.5 * (lo + hi), 8), Index(k, w))(s))
-    bound = corners.reshape(8, -1).max(axis=0)
-    sqn = math.sqrt(bundle.n)
-    w_abs = np.maximum(np.abs(w_min), np.abs(w_max))
-    return lo, hi, bound * (1.0 + 1e-9) + 1e-9 * (sqn + w_abs / sqn + 1.0)
+
+    def __init__(self, bundle: Bundle, prob: SupProblem, steps: np.ndarray, a, b, run):
+        self.prob, self.steps, self.a, self.b, self.run = prob, steps, a, b, run
+        self.sqn = math.sqrt(bundle.n)
+        ends = run.at([0, run.size - 1])
+        # the pieces of [a, b] lie in the cells c0..c1 (see ``_pieces``)
+        c_a, c_b = int(ends[0] == a), run.size - int(ends[1] == b)
+        if run.step > 0:
+            c0, c1 = run.first + c_a - 1, run.first + c_b - 1
+        else:
+            c0, c1 = run.first - c_b, run.first - c_a
+        starts, w_min, w_max = run.bundle.w_extremes(c0, c1)
+        # the grid point of index c, where cell c starts, is run point (c - first) step
+        pos = (starts[1:] - run.first) * run.step
+        if run.step < 0:
+            pos, w_min, w_max = pos[::-1], w_min[::-1], w_max[::-1]
+        self.pos = np.concatenate([[0], pos, [0]])  # of edge j; a and b are set apart
+        self.w = [(w_min, w_max)]
+        blocks = max(1, (run.size - 1) // _BLOCK_POINTS)
+        while self.w[-1][0].size >= 4 * blocks:
+            self.w.append(tuple(map(_by_fours, self.w[-1], (np.minimum, np.maximum))))
+        self.top = len(self.w) - 1
+
+    def bounds(self, level: int, i=None) -> tuple:
+        """(lo, hi, bound): the ends of the nodes i of ``level`` (all if None)
+        and a bound on |numerator| over each.
+
+        On a node [e, f] each numerator is affine in s, affine in W_n and
+        monotone in the step count, so |numerator| there is at most its
+        largest |value| over the 8 corners s in {e, f}, step count in {at e,
+        just before f} and W_n in {min, max over the node's cells}.  All 8
+        are evaluated in one call of the piece factory, with the W_n values
+        passed as cells.  The bound is widened for the rounding of the
+        numerator's terms, of size sqrt(n) s and W_n / sqrt(n).  Only the
+        nodes' edges are computed, and their step counts searched.
+        """
+        w_min, w_max = self.w[level]
+        if i is None:
+            i = np.arange(w_min.size)
+        else:
+            w_min, w_max = w_min[i], w_max[i]
+        m = self.pos.size - 1  # sub-blocks
+        j = np.concatenate([i << 2 * level, np.minimum((i + 1) << 2 * level, m)])
+        edges = self.run.at(self.pos[j])
+        edges[j == 0], edges[j == m] = self.a, self.b
+        lo, hi = edges[: i.size], edges[i.size :]
+        k_lo = np.searchsorted(self.steps, lo, "right")
+        k_hi = np.searchsorted(self.steps, hi)
+        s = np.concatenate([lo, hi] * 4)
+        k = np.concatenate([k_lo, k_lo, k_hi, k_hi] * 2)
+        w = np.concatenate([w_min] * 4 + [w_max] * 4)
+        corners = np.abs(self.prob.numerator(np.tile(0.5 * (lo + hi), 8), Index(k, w))(s))
+        bound = corners.reshape(8, -1).max(axis=0)
+        w_abs = np.maximum(np.abs(w_min), np.abs(w_max))
+        return lo, hi, bound * (1.0 + 1e-9) + 1e-9 * (self.sqn + w_abs / self.sqn + 1.0)
 
 
 def _kept(bundle: Bundle, prob: SupProblem, steps, a, b, run, weights, floors) -> tuple:
-    """The sub-blocks of [a, b] that may hold a value at or above a weight's floor.
+    """The ranges of the stretch [a, b] that may hold a value at or above a weight's floor.
 
-    The weight's base is smallest at a sub-block end (see ``_cannot_win``),
-    so scale bound / min(w(e), w(f))^c, widened by 1e-9 relative, bounds its
-    values on the sub-block [e, f] (``_sub_block_bounds``).  A sub-block is
-    kept where that reaches the floor of some weight: on a tie it could still
-    move arg_s or side.  It is also kept where a base is zero, and past the
+    The nodes of [a, b] (``_Nodes``) are bounded from the top level down,
+    and only the children of the nodes kept at one level are bounded at the
+    next.  The weight's base is smallest at a node end (see
+    ``_cannot_win``), so scale bound / min(w(e), w(f))^c, widened by 1e-9
+    relative, bounds its values on the node [e, f].  A node is kept where
+    that reaches the floor of some weight: on a tie it could still move
+    arg_s or side.  It is also kept where a base is zero, and past the
     anchor of a window increment, where the increment is constant (only the
     restricted domain reaches there).  Returns the ends (lo, hi) of the
-    kept ranges, adjacent sub-blocks joined.
+    kept sub-blocks, adjacent ones joined.
     """
-    lo, hi, bound = _sub_block_bounds(bundle, prob, steps, a, b, run)
-    keep = np.zeros(lo.size, dtype=bool) if prob.anchor is None else hi > prob.anchor
-    for (weight_exp, weight_kind, scale), floor in zip(weights, floors):
-        if weight_kind is None:
-            low = 1.0
-        else:
-            base = np.minimum(_weight_base(lo, weight_kind), _weight_base(hi, weight_kind))
-            low = base**weight_exp
-        with np.errstate(divide="ignore", invalid="ignore"):
-            keep |= (low <= 0.0) | (scale * bound / low * (1.0 + 1e-9) >= floor)
-    turns = np.diff(np.concatenate([[0], keep, [0]]).astype(np.int8))
-    return lo[turns[:-1] == 1], hi[turns[1:] == -1]
+    nodes = _Nodes(bundle, prob, steps, a, b, run)
+    i = np.arange(nodes.w[-1][0].size)
+    for level in range(nodes.top, -1, -1):
+        if level < nodes.top:  # the children of the nodes kept above
+            i = (4 * i[:, None] + np.arange(4)).ravel()
+            i = i[i < nodes.w[level][0].size]
+        lo, hi, bound = nodes.bounds(level, i)
+        keep = np.zeros(i.size, dtype=bool) if prob.anchor is None else hi > prob.anchor
+        for (weight_exp, weight_kind, scale), floor in zip(weights, floors):
+            if weight_kind is None:
+                low = 1.0
+            else:
+                base = np.minimum(_weight_base(lo, weight_kind), _weight_base(hi, weight_kind))
+                low = base**weight_exp
+            with np.errstate(divide="ignore", invalid="ignore"):
+                keep |= (low <= 0.0) | (scale * bound / low * (1.0 + 1e-9) >= floor)
+        i = i[keep]
+        if not i.size:
+            return np.empty(0), np.empty(0)
+    lo, hi = lo[keep], hi[keep]
+    gap = i[1:] != i[:-1] + 1
+    return lo[np.append(True, gap)], hi[np.append(gap, True)]
 
 
 def _abs_limits(prob: SupProblem, p: np.ndarray, q: np.ndarray, index: Index) -> tuple:
@@ -448,11 +515,11 @@ def _cannot_win(max_num: float, a: float, b: float, weight: tuple, floor: float)
     return low > 0.0 and scale * max_num / low * (1.0 + 1e-12) <= floor
 
 
-def _best_points(bundle: Bundle, prob: SupProblem, weights) -> tuple:
+def _best_points(bundle: Bundle, prob: SupProblem, steps: np.ndarray, weights) -> tuple:
     """Each weight's largest point value and its abscissa, the first on a tie,
-    from the numerator's float lookups (``point_abscissae``); and how many
-    abscissae there are."""
-    at = prob.point_abscissae(bundle.point_breaks(prob.anchor))
+    from the numerator's float lookups (``point_abscissae``, with ``steps``
+    the sorted step jumps); and how many abscissae there are."""
+    at = prob.point_abscissae(steps, bundle.point_breaks(prob.anchor))
     abs_points = np.abs(prob.numerator(at)(at))
     best = []
     for weight_exp, weight_kind, scale in weights:
@@ -467,37 +534,36 @@ def solve_weights(bundle: Bundle, prob: SupProblem, weights) -> list[WeightedSup
 
     |numerator| is evaluated once on each candidate set (point values, right
     limits, left limits) and every weight is applied to it.  The point
-    values come first.  The limits are taken block by block
+    values come first, and are each weight's floor.  On a stretch of the
+    domain (``_runs``) of more than ``_BOUND_CELLS`` grid cells only the
+    ranges that may reach a floor are kept (``_kept``); the others are kept
+    whole.  The limits on the kept ranges are taken block by block
     (``_block_edges``), carrying each weight's best right and best left
-    limit across blocks; the first occurrence wins ties.  On a block of more
-    than ``_BOUND_CELLS`` grid cells only the sub-blocks that may reach a
-    weight's floor, the largest of its best point value and its best limits
-    so far, are evaluated (``_kept``).  A weight whose values on the
-    evaluated pieces cannot beat its best on either side (``_cannot_win``)
-    is not applied there, and its base is computed on a block only for the
-    weights that are.
+    limit across blocks; the first occurrence wins ties.  A weight whose
+    values on a block's kept pieces cannot beat its best on either side
+    (``_cannot_win``) is not applied there, and its base is computed on a
+    block only for the weights that are.
     """
     if not prob.lo < prob.hi:
         raise ValueError(f"empty sup domain [{prob.lo}, {prob.hi})")
-    points, n_points = _best_points(bundle, prob, weights)
-    best = {side: [(-math.inf, prob.lo)] * len(weights) for side in ("right", "left")}
-    pieces = 0
     steps = np.sort(prob.step_jumps)  # repeats kept: they count
-    for a, b, run in _blocks(bundle, prob, steps):
+    points, n_points = _best_points(bundle, prob, steps, weights)
+    # a NaN point value (0/0 at a zero base) never wins, so sets no floor
+    floors = [-math.inf if math.isnan(value) else value for value, _ in points]
+    pieces, kept = 0, []
+    for a, b, run in _runs(bundle, prob):
+        pieces += _piece_count(a, b, steps, run)
         if run.size - 1 > _BOUND_CELLS:
-            pieces += _piece_count(a, b, steps, run)
-            # a NaN point value (0/0 at a zero base) never wins, so sets no floor
-            floors = [
-                max(right[0], left[0], -math.inf if math.isnan(point[0]) else point[0])
-                for right, left, point in zip(best["right"], best["left"], points)
-            ]
-            lo, hi = _kept(bundle, prob, steps, a, b, run, weights, floors)
-            if lo.size == 0:
-                continue
-            pts, take, index = _pieces(steps, run, lo, hi)
+            kept.append(_kept(bundle, prob, steps, a, b, run, weights, floors))
         else:
-            pts, take, index = _pieces(steps, run, np.array([a]), np.array([b]))
-            pieces += pts.size - 1
+            kept.append(([a], [b]))
+    lo, hi = (np.concatenate(ends) for ends in zip(*kept))
+    best = {side: [(-math.inf, prob.lo)] * len(weights) for side in ("right", "left")}
+    for a, b, run in _blocks(bundle, prob, steps):
+        r0, r1 = np.searchsorted(hi, a, "right"), np.searchsorted(lo, b)  # the ranges in (a, b)
+        if r0 == r1:
+            continue
+        pts, take, index = _pieces(steps, run, np.maximum(lo[r0:r1], a), np.minimum(hi[r0:r1], b))
         p, q = pts[:-1][take], pts[1:][take]
         abs_right, abs_left = _abs_limits(prob, p, q, index)
         max_num = max(abs_right.max(), abs_left.max())
@@ -544,7 +610,7 @@ def solve(bundle: Bundle, prob: SupProblem) -> WeightedSupResult:
 # num(s_piece, index) takes them from an ``Index`` instead, for pieces with
 # midpoints s_piece; the problem's step jumps, sorted, are then the jumps of
 # the step process it reads.  Float ``index.cells`` are W_n values, passed
-# through to the bundle's bridge (the corners of ``_sub_block_bounds``).
+# through to the bundle's bridge (the corners of ``_Nodes.bounds``).
 # Each value is affine in s and in W_n, and monotone in the step count.
 
 

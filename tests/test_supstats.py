@@ -379,7 +379,8 @@ def test_each_lookup_once_per_piece(monkeypatch, builder, anchored):
     else:
         b = _bundle(n, seed=2, t=cfg.t, depth=4)
     prob = builder(b, cfg)
-    limit = len(_breakpoints(b, prob)) - 1 + prob.point_abscissae(b.point_breaks(prob.anchor)).size
+    steps = np.sort(prob.step_jumps)
+    limit = len(_breakpoints(b, prob)) - 1 + prob.point_abscissae(steps, b.point_breaks(prob.anchor)).size
     counter = _LookupCounter(monkeypatch)
     res, counts = counter.during(solve, b, prob)
     assert res.value == naive_sup_fast(b, prob)
@@ -628,7 +629,7 @@ def test_sub_block_bound_covers_limits():
                 for a, z, run in supstats._blocks(b, prob, steps):
                     if run.x.size < 2:
                         continue
-                    lo, hi, bound = supstats._sub_block_bounds(b, prob, steps, a, z, run)
+                    lo, hi, bound = supstats._Nodes(b, prob, steps, a, z, run).bounds(0)
                     pts, take, index = supstats._pieces(steps, run, np.array([a]), np.array([z]))
                     p, q = pts[:-1][take], pts[1:][take]
                     limits = prob.numerator(0.5 * (p + q), index)
@@ -643,6 +644,93 @@ def test_sub_block_bound_covers_limits():
 
     check()
     assert sum(crossings) > 0
+
+
+def test_node_bounds_cover_limits():
+    # Over the draws of ``test_sub_block_bound_covers_limits``, on every
+    # stretch of the domain (``_runs``), the nodes of each level of the
+    # descent (``_Nodes``) tile the stretch, none crosses the splice t of a
+    # count-anchored full range, and each node's bound is at least every
+    # |right limit| and |left limit| the full evaluation computes on its
+    # pieces.  Nodes past a window increment's anchor are never skipped, so
+    # they are not checked.
+    tops = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 300),
+        depth=st.integers(0, 8),
+        lam_n=_ANCHORS.map(lambda x: x / 4),
+        t=_ANCHORS,
+        anchored=st.booleans(),
+        seed=st.integers(0, 1000),
+        block_points=st.sampled_from([supstats._BLOCK_POINTS, 64]),
+        sub_block=st.sampled_from([4, 64]),
+    )
+    def check(n, depth, lam_n, t, anchored, seed, block_points, sub_block):
+        if anchored:
+            b = AnchoredBundle.build(n, derive_stream(seed, n, 0, "anchored"), t=t, depth=depth)
+        else:
+            b = _bundle(n, seed=seed, t=t, depth=depth)
+        with mock.patch.object(supstats, "_BLOCK_POINTS", block_points), \
+                mock.patch.object(processes, "_SUB_BLOCK", sub_block):
+            for prob in _lookup_problems(b, lam_n * n, t):
+                if not prob.lo < prob.hi:
+                    continue
+                steps = np.sort(prob.step_jumps)
+                for a, z, run in supstats._runs(b, prob):
+                    if run.size < 2:
+                        continue
+                    nodes = supstats._Nodes(b, prob, steps, a, z, run)
+                    tops.append(nodes.top)
+                    pts, take, index = supstats._pieces(steps, run, np.array([a]), np.array([z]))
+                    p, q = pts[:-1][take], pts[1:][take]
+                    limits = prob.numerator(0.5 * (p + q), index)
+                    right, left = np.abs(limits(p)), np.abs(limits(q))
+                    for level in range(nodes.top + 1):
+                        lo, hi, bound = nodes.bounds(level)
+                        assert lo[0] == a and hi[-1] == z and np.array_equal(hi[:-1], lo[1:])
+                        assert np.all(lo < hi), (level, prob.__dict__)
+                        if anchored and prob.anchor is None:
+                            assert not np.any((lo < t) & (t < hi)), (level, t)
+                        node = np.searchsorted(lo, p, "right") - 1
+                        checked = hi[node] <= (math.inf if prob.anchor is None else prob.anchor)
+                        assert np.all((right <= bound[node])[checked]), (level, prob.__dict__)
+                        assert np.all((left <= bound[node])[checked]), (level, prob.__dict__)
+
+    check()
+    assert max(tops) >= 3
+
+
+@pytest.mark.parametrize("builder", [problem_quantile_full, problem_quantile_increment])
+def test_descent_bounds_few_nodes(monkeypatch, builder):
+    # approx1 and approx3 at n = 2^15, depth 6, seed 1: the descent bounds
+    # fewer than 3/5 as many nodes, so corner numerators (8 a node), as a
+    # flat pass over every sub-block (0.39 and 0.54 of them when written),
+    # and its results equal, field for field, those of a run in which every
+    # node reaches the floor and so is kept
+    n = 1 << 15
+    b = _bundle(n, seed=1, depth=6)
+    prob = builder(b, WeightConfig(eta=0.25))
+    weights = [power_weight(n, x, prob.weight_kind) for x in (0.0, 0.1, 0.25)]
+    bounds, kept = supstats._Nodes.bounds, supstats._kept
+    bounded = {}
+
+    def counted(nodes, level, i=None):
+        out = bounds(nodes, level, i)
+        bounded[level] = bounded.get(level, 0) + out[0].size
+        return out
+
+    monkeypatch.setattr(supstats._Nodes, "bounds", counted)
+    got = supstats.solve_weights(b, prob, weights)
+    descent = sum(bounded.values())
+    bounded.clear()
+    monkeypatch.setattr(
+        supstats, "_kept", lambda *args: kept(*args[:7], [-math.inf] * len(weights))
+    )
+    want = supstats.solve_weights(b, prob, weights)
+    assert [vars(r) for r in got] == [vars(r) for r in want]
+    assert 5 * descent < 3 * bounded[0], (descent, bounded)
 
 
 # (lam / n, t) near 0 and near 1.
@@ -820,12 +908,12 @@ def test_sub_block_skip_changes_no_result(monkeypatch, sub_block, lam, t, n):
     problems = _skip_problems(lam, t, n)
     kinds = ("sym", "s", "one-minus-s", None)
     weights = [power_weight(n, x, kind) for kind in kinds for x in (0.0, 0.25, 0.45)]
-    bounds, kept = supstats._sub_block_bounds, supstats._kept
+    kept = supstats._kept
     counts = []
 
     def counted(*args):
         lo, hi = kept(*args)
-        every = bounds(*args[:6])[0]
+        every = supstats._Nodes(*args[:6]).bounds(0)[0]
         inside = sum(np.count_nonzero((every >= a) & (every < b)) for a, b in zip(lo, hi))
         counts.append((every.size, inside))
         return lo, hi

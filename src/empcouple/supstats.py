@@ -48,24 +48,25 @@ and no running sum over the block.  The numerator's float lookups
 (``numerator(s)``, which snap s n to the lattice) serve the point values
 alone, at their float abscissae.
 
-The point values are evaluated first; then the domain is solved block by
-block.  Block edges are lo, every k-th step jump inside (lo, hi), the
-splice t inside an ``AnchoredBundle``'s full range, and hi, with k chosen
+The point values are evaluated first; then the domain is solved stretch
+by stretch and block by block.  The splice t of an ``AnchoredBundle``'s
+full range (the bundle's ``point_breaks``) splits the domain into
+stretches that each read one grid run (``_runs``).  Block edges are lo,
+every k-th step jump inside (lo, hi), the splice t and hi, with k chosen
 so that a block holds about ``_BLOCK_POINTS`` points of the bundle's
 dyadic grid.  Edges are breakpoints, so the blocks' pieces are exactly the
-pieces of the whole domain; each block asks the bundle only for the grid
-points over itself.  The best right and left limits are carried across
-blocks with a strict ``>``, so ties resolve to the first occurrence as in
-a single pass.
+pieces of the whole domain; a block computes only the points of its
+stretch's run over itself.  The best right and left limits are carried
+across blocks with a strict ``>``, so ties resolve to the first occurrence
+as in a single pass.
 
-Most of a large domain cannot hold the sup, and is never evaluated.  The
-domain splits at the splice t into stretches of one grid run each
-(``_runs``).  A stretch of more than ``_BOUND_CELLS`` grid cells is cut
-into sub-blocks where its W_n cells split into the aligned chunks of
-``_SUB_BLOCK`` cells of the paths' refined grids (chunks of each path
-start at its grid value 0, and the path split [n/2] 2^depth is always an
-edge), and groups of 4 sub-blocks, of 4 of those, and so on, form the
-nodes of coarser levels (``_Nodes``).  Every numerator is affine in s,
+Most of a large domain cannot hold the sup, and is never evaluated.  A
+stretch of more than ``_BOUND_CELLS`` grid cells is cut into sub-blocks
+where its W_n cells split into the aligned chunks of ``_SUB_BLOCK`` cells
+of the paths' refined grids (chunks of each path start at its grid value
+0, and the path split [n/2] 2^depth is always an edge).  Groups of 4
+sub-blocks, of 4 of those, and so on, are the nodes of coarser levels, as
+long as a level holds at least ``_TOP_NODES`` nodes (``_Nodes``).  Every numerator is affine in s,
 affine in W_n and monotone in its step count, so |numerator| on a node
 [e, f] is at most its largest |value| at the 8 corners s in {e, f}, step
 count in {at e, just before f} and W_n in {min, max over the node's
@@ -88,7 +89,7 @@ merged, block by block, as one set of pieces in position order, and
 evaluated (``_pieces``).  A skipped node holds no value at or above any
 floor, so no first occurrence of a side's best that can win, and every
 result is that of a full evaluation, to the bit; ``grid_points`` still
-counts every piece (``_piece_count``, once per stretch).  The grid run
+counts every piece (``_piece_count``, once per bounded stretch).  The grid run
 computes its points only where they are read, the node edges and the kept
 ranges, and places the ends and step jumps in the run by index arithmetic
 checked against those floats (``Run``), so a bounded stretch costs
@@ -126,6 +127,10 @@ _BLOCK_POINTS = 1 << 16
 # smaller one is evaluated whole, where the bound costs about as much as it
 # saves.
 _BOUND_CELLS = 1 << 14
+# The coarsest level of a stretch's descent holds at least this many nodes
+# (``_Nodes``): each level costs a fixed ~0.1 ms of array calls, which fewer
+# nodes do not repay.
+_TOP_NODES = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -194,7 +199,8 @@ class SupProblem:
         inside = steps[np.searchsorted(steps, self.lo) : np.searchsorted(steps, self.hi)]
         at = np.concatenate([[self.lo], inside, [self.hi] if self.closed_hi else []])
         breaks = breaks[(breaks >= self.lo) & (breaks < self.hi)]
-        at = np.insert(at, np.searchsorted(at, breaks), breaks)
+        if breaks.size:
+            at = np.insert(at, np.searchsorted(at, breaks), breaks)
         return at[np.append(True, at[1:] != at[:-1])]
 
 
@@ -250,15 +256,6 @@ def _runs(bundle: Bundle, prob: SupProblem):
     ``point_breaks``, and the one grid run of ``grid_runs`` over it."""
     breaks = bundle.point_breaks(prob.anchor)
     edges = np.concatenate([[prob.lo], breaks[(breaks > prob.lo) & (breaks < prob.hi)], [prob.hi]])
-    for a, b in zip(edges[:-1], edges[1:]):
-        yield a, b, bundle.grid_runs(prob.anchor, a, b)
-
-
-def _blocks(bundle: Bundle, prob: SupProblem, steps: np.ndarray):
-    """(a, b, run) of each block [a, b] (``_block_edges``): the run is the grid
-    its bridge lookups read (``grid_runs``), and ``steps`` the problem's
-    sorted step jumps."""
-    edges = _block_edges(bundle, prob, steps[np.append(True, steps[1:] != steps[:-1])])
     for a, b in zip(edges[:-1], edges[1:]):
         yield a, b, bundle.grid_runs(prob.anchor, a, b)
 
@@ -356,12 +353,6 @@ def _pieces(steps: np.ndarray, run, lo: np.ndarray, hi: np.ndarray) -> tuple:
     return pts, take, Index(at_steps, cells)
 
 
-def _in_block(steps: np.ndarray, a: float, b: float) -> tuple:
-    """(i, steps in [a, b]): the block's slice of the sorted step jumps, and where it starts."""
-    i = int(np.searchsorted(steps, a))
-    return i, steps[i : np.searchsorted(steps, b, "right")]
-
-
 def _piece_count(a: float, b: float, steps: np.ndarray, run) -> int:
     """How many pieces ``_merge`` makes of [a, b], without merging.
 
@@ -371,7 +362,8 @@ def _piece_count(a: float, b: float, steps: np.ndarray, run) -> int:
     run points next to its index (``Run.holds``), so the run's points are
     computed only there.
     """
-    ends = np.concatenate([[a], _in_block(steps, a, b)[1], [b]])
+    inside = steps[np.searchsorted(steps, a) : np.searchsorted(steps, b, "right")]
+    ends = np.concatenate([[a], inside, [b]])
     extras = ends[np.append(ends[1:] != ends[:-1], True)]
     return run.size + extras.size - int(np.count_nonzero(run.holds(extras))) - 1
 
@@ -391,8 +383,8 @@ class _Nodes:
     level L is the union of the 4^L consecutive sub-blocks 4^L i ..
     4^L (i + 1) - 1 (the last node may hold fewer), and its least and
     greatest W_n are those of its 4 children (``_by_fours``), so of its
-    sub-blocks, to the bit.  Levels coarsen until one has fewer than 4
-    nodes per ``_BLOCK_POINTS`` grid cells of the run (``top``).
+    sub-blocks, to the bit.  Levels coarsen while the coarser one holds at
+    least ``_TOP_NODES`` nodes; ``top`` is the coarsest.
     """
 
     def __init__(self, bundle: Bundle, prob: SupProblem, steps: np.ndarray, a, b, run):
@@ -412,8 +404,7 @@ class _Nodes:
             pos, w_min, w_max = pos[::-1], w_min[::-1], w_max[::-1]
         self.pos = np.concatenate([[0], pos, [0]])  # of edge j; a and b are set apart
         self.w = [(w_min, w_max)]
-        blocks = max(1, (run.size - 1) // _BLOCK_POINTS)
-        while self.w[-1][0].size >= 4 * blocks:
+        while self.w[-1][0].size >= 4 * _TOP_NODES:
             self.w.append(tuple(map(_by_fours, self.w[-1], (np.minimum, np.maximum))))
         self.top = len(self.w) - 1
 
@@ -466,13 +457,10 @@ def _kept(bundle: Bundle, prob: SupProblem, steps, a, b, run, weights, floors) -
     kept sub-blocks, adjacent ones joined.
     """
     nodes = _Nodes(bundle, prob, steps, a, b, run)
-    i = np.arange(nodes.w[-1][0].size)
+    i = None  # every node of the top level
     for level in range(nodes.top, -1, -1):
-        if level < nodes.top:  # the children of the nodes kept above
-            i = (4 * i[:, None] + np.arange(4)).ravel()
-            i = i[i < nodes.w[level][0].size]
         lo, hi, bound = nodes.bounds(level, i)
-        keep = np.zeros(i.size, dtype=bool) if prob.anchor is None else hi > prob.anchor
+        keep = np.zeros(lo.size, dtype=bool) if prob.anchor is None else hi > prob.anchor
         for (weight_exp, weight_kind, scale), floor in zip(weights, floors):
             if weight_kind is None:
                 low = 1.0
@@ -481,9 +469,12 @@ def _kept(bundle: Bundle, prob: SupProblem, steps, a, b, run, weights, floors) -
                 low = base**weight_exp
             with np.errstate(divide="ignore", invalid="ignore"):
                 keep |= (low <= 0.0) | (scale * bound / low * (1.0 + 1e-9) >= floor)
-        i = i[keep]
+        i = np.flatnonzero(keep) if i is None else i[keep]
         if not i.size:
             return np.empty(0), np.empty(0)
+        if level:  # the children of the kept nodes
+            i = (4 * i[:, None] + np.arange(4)).ravel()
+            i = i[i < nodes.w[level - 1][0].size]
     lo, hi = lo[keep], hi[keep]
     gap = i[1:] != i[:-1] + 1
     return lo[np.append(True, gap)], hi[np.append(gap, True)]
@@ -529,6 +520,36 @@ def _best_points(bundle: Bundle, prob: SupProblem, steps: np.ndarray, weights) -
     return best, at.size
 
 
+def _carry(prob: SupProblem, weights, best: dict, pts: np.ndarray, take, index: Index) -> None:
+    """Carry each weight's best right and left limit in ``best`` over the
+    pieces (pts[:-1][take], pts[1:][take]) of ``_pieces``, in position order;
+    a value replaces the best only if it is larger, so the first occurrence
+    wins ties.  A weight whose values there cannot beat its best on either
+    side (``_cannot_win``) is not applied, and its base is computed only for
+    the weights that are."""
+    p, q = pts[:-1][take], pts[1:][take]
+    abs_right, abs_left = _abs_limits(prob, p, q, index)
+    max_num = max(abs_right.max(), abs_left.max())
+    bases: dict = {}
+    for i, weight in enumerate(weights):
+        weight_exp, weight_kind, scale = weight
+        floor = min(best["right"][i][0], best["left"][i][0])
+        if _cannot_win(max_num, pts[0], pts[-1], weight, floor):
+            continue
+        if weight_kind not in bases:
+            bases[weight_kind] = _weight_base(pts, weight_kind)
+        base = bases[weight_kind]
+        wpow = None if base is None else base**weight_exp
+        for side, s, abs_num, cut in (
+            ("right", p, abs_right, slice(None, -1)),
+            ("left", q, abs_left, slice(1, None)),
+        ):
+            vals = _weigh(abs_num, None if wpow is None else wpow[cut][take], scale)
+            j = int(np.argmax(vals))
+            if vals[j] > best[side][i][0]:
+                best[side][i] = (float(vals[j]), float(s[j]))
+
+
 def solve_weights(bundle: Bundle, prob: SupProblem, weights) -> list[WeightedSupResult]:
     """``solve`` for each (weight_exp, weight_kind, scale) in ``weights``, in one pass.
 
@@ -536,13 +557,10 @@ def solve_weights(bundle: Bundle, prob: SupProblem, weights) -> list[WeightedSup
     limits, left limits) and every weight is applied to it.  The point
     values come first, and are each weight's floor.  On a stretch of the
     domain (``_runs``) of more than ``_BOUND_CELLS`` grid cells only the
-    ranges that may reach a floor are kept (``_kept``); the others are kept
-    whole.  The limits on the kept ranges are taken block by block
-    (``_block_edges``), carrying each weight's best right and best left
-    limit across blocks; the first occurrence wins ties.  A weight whose
-    values on a block's kept pieces cannot beat its best on either side
-    (``_cannot_win``) is not applied there, and its base is computed on a
-    block only for the weights that are.
+    ranges that may reach a floor are kept (``_kept``); a smaller one is
+    kept whole.  The limits on the kept ranges are taken block by block
+    (``_block_edges``), from the stretch's grid run, carrying each weight's
+    best right and best left limit across blocks (``_carry``).
     """
     if not prob.lo < prob.hi:
         raise ValueError(f"empty sup domain [{prob.lo}, {prob.hi})")
@@ -550,41 +568,25 @@ def solve_weights(bundle: Bundle, prob: SupProblem, weights) -> list[WeightedSup
     points, n_points = _best_points(bundle, prob, steps, weights)
     # a NaN point value (0/0 at a zero base) never wins, so sets no floor
     floors = [-math.inf if math.isnan(value) else value for value, _ in points]
-    pieces, kept = 0, []
-    for a, b, run in _runs(bundle, prob):
-        pieces += _piece_count(a, b, steps, run)
-        if run.size - 1 > _BOUND_CELLS:
-            kept.append(_kept(bundle, prob, steps, a, b, run, weights, floors))
-        else:
-            kept.append(([a], [b]))
-    lo, hi = (np.concatenate(ends) for ends in zip(*kept))
+    edges = _block_edges(bundle, prob, steps[np.append(True, steps[1:] != steps[:-1])])
     best = {side: [(-math.inf, prob.lo)] * len(weights) for side in ("right", "left")}
-    for a, b, run in _blocks(bundle, prob, steps):
-        r0, r1 = np.searchsorted(hi, a, "right"), np.searchsorted(lo, b)  # the ranges in (a, b)
-        if r0 == r1:
-            continue
-        pts, take, index = _pieces(steps, run, np.maximum(lo[r0:r1], a), np.minimum(hi[r0:r1], b))
-        p, q = pts[:-1][take], pts[1:][take]
-        abs_right, abs_left = _abs_limits(prob, p, q, index)
-        max_num = max(abs_right.max(), abs_left.max())
-        bases: dict = {}
-        for i, weight in enumerate(weights):
-            weight_exp, weight_kind, scale = weight
-            floor = min(best["right"][i][0], best["left"][i][0])
-            if _cannot_win(max_num, pts[0], pts[-1], weight, floor):
+    pieces = 0
+    for a, b, run in _runs(bundle, prob):
+        bounded = run.size - 1 > _BOUND_CELLS
+        if bounded:
+            pieces += _piece_count(a, b, steps, run)
+            lo, hi = _kept(bundle, prob, steps, a, b, run, weights, floors)
+        else:
+            lo, hi = np.array([a]), np.array([b])
+        blocks = edges[(edges >= a) & (edges <= b)]
+        firsts, lasts = np.searchsorted(hi, blocks[:-1], "right"), np.searchsorted(lo, blocks[1:])
+        for e, f, r0, r1 in zip(blocks[:-1], blocks[1:], firsts, lasts):
+            if r0 == r1:  # no kept range in (e, f)
                 continue
-            if weight_kind not in bases:
-                bases[weight_kind] = _weight_base(pts, weight_kind)
-            base = bases[weight_kind]
-            wpow = None if base is None else base**weight_exp
-            for side, s, abs_num, cut in (
-                ("right", p, abs_right, slice(None, -1)),
-                ("left", q, abs_left, slice(1, None)),
-            ):
-                vals = _weigh(abs_num, None if wpow is None else wpow[cut][take], scale)
-                j = int(np.argmax(vals))
-                if vals[j] > best[side][i][0]:
-                    best[side][i] = (float(vals[j]), float(s[j]))
+            pts, take, index = _pieces(steps, run, np.maximum(lo[r0:r1], e), np.minimum(hi[r0:r1], f))
+            if not bounded:
+                pieces += pts.size - 1
+            _carry(prob, weights, best, pts, take, index)
     results = []
     for i, (value, arg_s) in enumerate(points):
         res = WeightedSupResult(-math.inf, prob.lo, "right", 2 * pieces + n_points)

@@ -514,11 +514,19 @@ def _nudged(x: float, ulps: int) -> float:
     return x
 
 
+def _blocks(b, prob, steps):
+    """(a, z, run) of each block [a, z] of ``prob`` (``_block_edges``), with
+    the grid run of the block alone; ``steps`` are the sorted step jumps."""
+    edges = supstats._block_edges(b, prob, np.unique(steps))
+    for a, z in zip(edges[:-1], edges[1:]):
+        yield a, z, b.grid_runs(prob.anchor, a, z)
+
+
 def _whole_blocks(b, prob):
     """(pts, p, q, index) of every block of ``prob``, merged whole: its
     breakpoints, the ends of its pieces and their lookups."""
     steps = np.sort(prob.step_jumps)
-    for a, z, run in supstats._blocks(b, prob, steps):
+    for a, z, run in _blocks(b, prob, steps):
         pts, take, index = supstats._pieces(steps, run, np.array([a]), np.array([z]))
         yield pts, pts[:-1][take], pts[1:][take], index
 
@@ -626,7 +634,7 @@ def test_sub_block_bound_covers_limits():
                 if not prob.lo < prob.hi:
                     continue
                 steps = np.sort(prob.step_jumps)
-                for a, z, run in supstats._blocks(b, prob, steps):
+                for a, z, run in _blocks(b, prob, steps):
                     if run.x.size < 2:
                         continue
                     lo, hi, bound = supstats._Nodes(b, prob, steps, a, z, run).bounds(0)
@@ -649,11 +657,11 @@ def test_sub_block_bound_covers_limits():
 def test_node_bounds_cover_limits():
     # Over the draws of ``test_sub_block_bound_covers_limits``, on every
     # stretch of the domain (``_runs``), the nodes of each level of the
-    # descent (``_Nodes``) tile the stretch, none crosses the splice t of a
-    # count-anchored full range, and each node's bound is at least every
-    # |right limit| and |left limit| the full evaluation computes on its
-    # pieces.  Nodes past a window increment's anchor are never skipped, so
-    # they are not checked.
+    # descent (``_Nodes``, coarsened here down to a few nodes) tile the
+    # stretch, none crosses the splice t of a count-anchored full range, and
+    # each node's bound is at least every |right limit| and |left limit| the
+    # full evaluation computes on its pieces.  Nodes past a window
+    # increment's anchor are never skipped, so they are not checked.
     tops = []
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -673,7 +681,8 @@ def test_node_bounds_cover_limits():
         else:
             b = _bundle(n, seed=seed, t=t, depth=depth)
         with mock.patch.object(supstats, "_BLOCK_POINTS", block_points), \
-                mock.patch.object(processes, "_SUB_BLOCK", sub_block):
+                mock.patch.object(processes, "_SUB_BLOCK", sub_block), \
+                mock.patch.object(supstats, "_TOP_NODES", 1):
             for prob in _lookup_problems(b, lam_n * n, t):
                 if not prob.lo < prob.hi:
                     continue
@@ -731,6 +740,45 @@ def test_descent_bounds_few_nodes(monkeypatch, builder):
     want = supstats.solve_weights(b, prob, weights)
     assert [vars(r) for r in got] == [vars(r) for r in want]
     assert 5 * descent < 3 * bounded[0], (descent, bounded)
+
+
+@pytest.mark.parametrize("sub_block", [4, 64])
+@pytest.mark.parametrize("lam,t", [(1.0, 0.5), (1.7, 0.37)])
+@pytest.mark.parametrize("n", [100, 513])
+def test_deep_descent_changes_no_result(monkeypatch, sub_block, lam, t, n):
+    # a descent from a single top node down to the sub-blocks, on every
+    # stretch, gives the results of a run in which every node reaches the
+    # floor and so is kept, field for field, on the problems of
+    # ``test_sub_block_skip_changes_no_result``; and some sub-blocks, but not
+    # all, are kept
+    monkeypatch.setattr(supstats, "_BOUND_CELLS", 0)
+    monkeypatch.setattr(supstats, "_TOP_NODES", 1)
+    monkeypatch.setattr(processes, "_SUB_BLOCK", sub_block)
+    problems = _skip_problems(lam, t, n)
+    kinds = ("sym", "s", "one-minus-s", None)
+    weights = [power_weight(n, x, kind) for kind in kinds for x in (0.0, 0.25, 0.45)]
+    kept, tops, sub_blocks = supstats._kept, [], []
+
+    def counted(bundle, prob, steps, a, b, run, weights, floors):
+        tops.append(supstats._Nodes(bundle, prob, steps, a, b, run).top)
+        lo, hi = kept(bundle, prob, steps, a, b, run, weights, floors)
+        every = supstats._Nodes(bundle, prob, steps, a, b, run).bounds(0)[0]
+        inside = sum(np.count_nonzero((every >= e) & (every < f)) for e, f in zip(lo, hi))
+        sub_blocks.append((every.size, inside))
+        return lo, hi
+
+    monkeypatch.setattr(supstats, "_kept", counted)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        descending = [supstats.solve_weights(b, prob, weights) for b, prob in problems]
+        monkeypatch.setattr(
+            supstats, "_kept", lambda *args: kept(*args[:7], [-math.inf] * len(weights))
+        )
+        for (b, prob), got in zip(problems, descending):
+            want = supstats.solve_weights(b, prob, weights)
+            assert [vars(r) for r in got] == [vars(r) for r in want], prob.__dict__
+    total, inside = np.sum(sub_blocks, axis=0)
+    assert 0 < inside < total, (inside, total)
+    assert max(tops) >= 3
 
 
 # (lam / n, t) near 0 and near 1.
@@ -800,7 +848,7 @@ def test_piece_count_matches_merge():
             if not prob.lo < prob.hi:
                 continue
             steps = np.sort(prob.step_jumps)
-            for a, z, run in supstats._blocks(b, prob, steps):
+            for a, z, run in _blocks(b, prob, steps):
                 x = run.x
                 if x.size < 4:
                     continue

@@ -63,41 +63,41 @@ as in a single pass.
 Most of a large domain cannot hold the sup, and is never evaluated.  A
 stretch of more than ``_BOUND_CELLS`` grid cells is cut into sub-blocks
 where its W_n cells split into the aligned chunks of ``_SUB_BLOCK`` cells
-of the paths' refined grids (chunks of each path start at its grid value
-0, and the path split [n/2] 2^depth is always an edge).  Groups of 4
+of the paths' refined grids (chunks of each path start at its grid value 0,
+and the path split [n/2] 2^depth is always an edge).  Groups of 4
 sub-blocks, of 4 of those, and so on, are the nodes of coarser levels, as
-long as a level holds at least ``_TOP_NODES`` nodes (``_Nodes``).  Every numerator is affine in s,
-affine in W_n and monotone in its step count, so |numerator| on a node
-[e, f] is at most its largest |value| at the 8 corners s in {e, f}, step
-count in {at e, just before f} and W_n in {min, max over the node's
-cells}.  A path computes the least and greatest value of every chunk once,
-on its first bounded read, and keeps them beside its grid
-(``CoupledPath.extremes``); a cell's W_n is C - v for a scalar C and the
-path's value v, so these give each whole sub-block's W_n extremes to the
-bit, only the two sub-blocks at the stretch's ends are read cell by cell
-(``ProcessBundle.w_extremes``), and a node's extremes are those of its
+long as a level holds at least ``_TOP_NODES`` nodes (``_Nodes``).  Every
+numerator is affine in s, affine in W_n and monotone in its step count, so
+|numerator| on a node [e, f] is at most its largest |value| at the 8
+corners s in {e, f}, step count in {at e, just before f} and W_n in {min,
+max over the node's cells}.  A path computes the least and greatest value
+of every chunk once, on its first bounded read, and keeps them beside its
+grid (``CoupledPath.extremes``); a cell's W_n is C - v for a scalar C and
+the path's value v, so these give each whole sub-block's W_n extremes to
+the bit, only the two sub-blocks at the stretch's ends are read cell by
+cell (``ProcessBundle.w_extremes``), and a node's extremes are those of its
 children.  The bound is widened by 1e-9 relative and by 1e-9 (sqrt(n) +
 max|W_n| / sqrt(n) + 1), which covers the rounding of the numerator's
 terms, near a zero crossing too.  A weight's bound there is scale bound /
 min(w(e), w(f))^c, widened by 1e-9 relative, and its floor is its best
 point value: a value the sup reaches.  The nodes are bounded from the
-coarsest level down, and only the children of those whose bound reaches
-the floor of some weight (a tie can still move arg_s or side), those with
-a zero base and those past a window increment's anchor are bounded at the
-next level (``_kept``).  The sub-blocks kept at the finest level are
-merged, block by block, as one set of pieces in position order, and
-evaluated (``_pieces``).  A skipped node holds no value at or above any
-floor, so no first occurrence of a side's best that can win, and every
-result is that of a full evaluation, to the bit; ``grid_points`` still
-counts every piece (``_piece_count``, once per bounded stretch).  The grid run
-computes its points only where they are read, the node edges and the kept
-ranges, and places the ends and step jumps in the run by index arithmetic
-checked against those floats (``Run``), so a bounded stretch costs
-O(sub-blocks + step jumps in it) in cheap array passes, plus the nodes
-bounded and the kept pieces, and builds no array of its grid size.
-Smaller stretches, such as the tail sups' of at most 2^14 cells at
-n = 4096, are evaluated whole: there the bound costs about as much as it
-saves.
+coarsest level down, and only the children of those whose bound reaches the
+floor of some weight (a tie can still move arg_s or side), those with a
+zero base and those past a window increment's anchor are bounded at the
+next level (``_kept``).  Of the sub-blocks kept at the finest level, each
+block merges, as one set of pieces in position order, and evaluates those
+whose bound still reaches a floor raised by the best limits so far
+(``_pieces``).  A skipped node holds no value at or above any floor, so no
+first occurrence of a side's best that can win, and every result is that of
+a full evaluation, to the bit; ``grid_points`` still counts every piece
+(``_piece_count``, once per bounded stretch).  The grid run computes its
+points only where they are read, the node edges and the kept ranges, and
+places the ends and step jumps in the run by index arithmetic checked
+against those floats (``Run``), so a bounded stretch costs O(sub-blocks +
+step jumps in it) in cheap array passes, plus the nodes bounded and the
+kept pieces, and builds no array of its grid size.  Smaller stretches, such
+as the tail sups' of at most 2^14 cells at n = 4096, are evaluated whole:
+there the bound costs about as much as it saves.
 
 A weight is applied on the evaluated pieces only if the bound scale
 max|numerator| / min(w(a), w(b))^c over their range [a, b] could beat its
@@ -105,9 +105,9 @@ best so far (``_cannot_win``): the weight's base is smallest at an end of
 the range.  Working memory beyond the bundle is O(n) for the step jumps
 and point values, plus, per block, its breakpoints where it is evaluated
 whole and its kept pieces where it is bounded, plus, per bounded stretch,
-4 floats and an index per sub-block for the extremes and node edges.  The
-paths' cached extremes add 2 floats per ``_SUB_BLOCK`` grid cells to the
-bundle.
+a few floats and indices per sub-block for the extremes and node edges and
+the corners of ``_CORNER_NODES`` nodes at a time.  The paths' cached
+extremes add 2 floats per ``_SUB_BLOCK`` grid cells to the bundle.
 """
 
 from __future__ import annotations
@@ -131,6 +131,9 @@ _BOUND_CELLS = 1 << 14
 # (``_Nodes``): each level costs a fixed ~0.1 ms of array calls, which fewer
 # nodes do not repay.
 _TOP_NODES = 1 << 10
+# Nodes whose 8 corners are evaluated in one call of the piece factory; this
+# keeps the corners' temporaries to about 1 MB, as a block's flat pass did.
+_CORNER_NODES = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -359,7 +362,7 @@ def _piece_count(a: float, b: float, steps: np.ndarray, run) -> int:
     ``steps`` are the problem's sorted step jumps, and ``run`` the grid run
     of [a, b], of at least one point.  Each distinct end or step jump that
     is no run point adds a piece (``_extras``).  Each is checked against the
-    run points next to its index (``Run.holds``), so the run's points are
+    run point nearest its index (``Run.holds``), so the run's points are
     computed only there.
     """
     inside = steps[np.searchsorted(steps, a) : np.searchsorted(steps, b, "right")]
@@ -417,9 +420,10 @@ class _Nodes:
         largest |value| over the 8 corners s in {e, f}, step count in {at e,
         just before f} and W_n in {min, max over the node's cells}.  All 8
         are evaluated in one call of the piece factory, with the W_n values
-        passed as cells.  The bound is widened for the rounding of the
-        numerator's terms, of size sqrt(n) s and W_n / sqrt(n).  Only the
-        nodes' edges are computed, and their step counts searched.
+        passed as cells, for ``_CORNER_NODES`` nodes at a time.  The bound is
+        widened for the rounding of the numerator's terms, of size sqrt(n) s
+        and W_n / sqrt(n).  Only the nodes' edges are computed, and their
+        step counts searched.
         """
         w_min, w_max = self.w[level]
         if i is None:
@@ -433,51 +437,66 @@ class _Nodes:
         lo, hi = edges[: i.size], edges[i.size :]
         k_lo = np.searchsorted(self.steps, lo, "right")
         k_hi = np.searchsorted(self.steps, hi)
-        s = np.concatenate([lo, hi] * 4)
-        k = np.concatenate([k_lo, k_lo, k_hi, k_hi] * 2)
-        w = np.concatenate([w_min] * 4 + [w_max] * 4)
-        corners = np.abs(self.prob.numerator(np.tile(0.5 * (lo + hi), 8), Index(k, w))(s))
-        bound = corners.reshape(8, -1).max(axis=0)
+        bound = np.empty(i.size)
+        for c in range(0, i.size, _CORNER_NODES):
+            part = slice(c, c + _CORNER_NODES)
+            e, f, k_e, k_f = lo[part], hi[part], k_lo[part], k_hi[part]
+            s = np.concatenate([e, f] * 4)
+            k = np.concatenate([k_e, k_e, k_f, k_f] * 2)
+            w = np.concatenate([w_min[part]] * 4 + [w_max[part]] * 4)
+            corners = np.abs(self.prob.numerator(np.tile(0.5 * (e + f), 8), Index(k, w))(s))
+            bound[part] = corners.reshape(8, -1).max(axis=0)
         w_abs = np.maximum(np.abs(w_min), np.abs(w_max))
         return lo, hi, bound * (1.0 + 1e-9) + 1e-9 * (self.sqn + w_abs / self.sqn + 1.0)
 
 
+def _reach(prob: SupProblem, lo: np.ndarray, hi: np.ndarray, bound: np.ndarray, weights):
+    """Each weight's bound, one row per weight, on the nodes [lo, hi] on which
+    |numerator| is at most ``bound``.
+
+    The weight's base is smallest at a node end (see ``_cannot_win``), so
+    scale bound / min(w(e), w(f))^c, widened by 1e-9 relative, bounds its
+    values on the node [e, f].  It is +inf where a base is zero, and past
+    the anchor of a window increment, where the increment is constant (only
+    the restricted domain reaches there), so such a node is never skipped.
+    """
+    reach = np.empty((len(weights), lo.size))
+    for row, (weight_exp, weight_kind, scale) in zip(reach, weights):
+        if weight_kind is None:
+            low = 1.0
+        else:
+            low = np.minimum(_weight_base(lo, weight_kind), _weight_base(hi, weight_kind))
+            low = low**weight_exp
+        with np.errstate(divide="ignore", invalid="ignore"):
+            row[:] = np.where(np.less_equal(low, 0.0), np.inf, scale * bound / low * (1.0 + 1e-9))
+    if prob.anchor is not None:
+        reach[:, hi > prob.anchor] = np.inf
+    return reach
+
+
 def _kept(bundle: Bundle, prob: SupProblem, steps, a, b, run, weights, floors) -> tuple:
-    """The ranges of the stretch [a, b] that may hold a value at or above a weight's floor.
+    """The sub-blocks of the stretch [a, b] that may hold a value at or above a weight's floor.
 
     The nodes of [a, b] (``_Nodes``) are bounded from the top level down,
     and only the children of the nodes kept at one level are bounded at the
-    next.  The weight's base is smallest at a node end (see
-    ``_cannot_win``), so scale bound / min(w(e), w(f))^c, widened by 1e-9
-    relative, bounds its values on the node [e, f].  A node is kept where
-    that reaches the floor of some weight: on a tie it could still move
-    arg_s or side.  It is also kept where a base is zero, and past the
-    anchor of a window increment, where the increment is constant (only the
-    restricted domain reaches there).  Returns the ends (lo, hi) of the
-    kept sub-blocks, adjacent ones joined.
+    next.  A node is kept where some weight's bound on it (``_reach``)
+    reaches that weight's floor: on a tie it could still move arg_s or side.
+    Returns the ends (lo, hi) of the kept sub-blocks and their ``_reach``.
     """
     nodes = _Nodes(bundle, prob, steps, a, b, run)
+    floors = np.asarray(floors)[:, None]
     i = None  # every node of the top level
     for level in range(nodes.top, -1, -1):
         lo, hi, bound = nodes.bounds(level, i)
-        keep = np.zeros(lo.size, dtype=bool) if prob.anchor is None else hi > prob.anchor
-        for (weight_exp, weight_kind, scale), floor in zip(weights, floors):
-            if weight_kind is None:
-                low = 1.0
-            else:
-                base = np.minimum(_weight_base(lo, weight_kind), _weight_base(hi, weight_kind))
-                low = base**weight_exp
-            with np.errstate(divide="ignore", invalid="ignore"):
-                keep |= (low <= 0.0) | (scale * bound / low * (1.0 + 1e-9) >= floor)
+        reach = _reach(prob, lo, hi, bound, weights)
+        keep = (reach >= floors).any(axis=0)
         i = np.flatnonzero(keep) if i is None else i[keep]
         if not i.size:
-            return np.empty(0), np.empty(0)
+            break
         if level:  # the children of the kept nodes
             i = (4 * i[:, None] + np.arange(4)).ravel()
             i = i[i < nodes.w[level - 1][0].size]
-    lo, hi = lo[keep], hi[keep]
-    gap = i[1:] != i[:-1] + 1
-    return lo[np.append(True, gap)], hi[np.append(gap, True)]
+    return lo[keep], hi[keep], reach[:, keep]
 
 
 def _abs_limits(prob: SupProblem, p: np.ndarray, q: np.ndarray, index: Index) -> tuple:
@@ -567,7 +586,7 @@ def solve_weights(bundle: Bundle, prob: SupProblem, weights) -> list[WeightedSup
     steps = np.sort(prob.step_jumps)  # repeats kept: they count
     points, n_points = _best_points(bundle, prob, steps, weights)
     # a NaN point value (0/0 at a zero base) never wins, so sets no floor
-    floors = [-math.inf if math.isnan(value) else value for value, _ in points]
+    floors = np.array([-math.inf if math.isnan(value) else value for value, _ in points])
     edges = _block_edges(bundle, prob, steps[np.append(True, steps[1:] != steps[:-1])])
     best = {side: [(-math.inf, prob.lo)] * len(weights) for side in ("right", "left")}
     pieces = 0
@@ -575,7 +594,7 @@ def solve_weights(bundle: Bundle, prob: SupProblem, weights) -> list[WeightedSup
         bounded = run.size - 1 > _BOUND_CELLS
         if bounded:
             pieces += _piece_count(a, b, steps, run)
-            lo, hi = _kept(bundle, prob, steps, a, b, run, weights, floors)
+            lo, hi, reach = _kept(bundle, prob, steps, a, b, run, weights, floors)
         else:
             lo, hi = np.array([a]), np.array([b])
         blocks = edges[(edges >= a) & (edges <= b)]
@@ -583,7 +602,19 @@ def solve_weights(bundle: Bundle, prob: SupProblem, weights) -> list[WeightedSup
         for e, f, r0, r1 in zip(blocks[:-1], blocks[1:], firsts, lasts):
             if r0 == r1:  # no kept range in (e, f)
                 continue
-            pts, take, index = _pieces(steps, run, np.maximum(lo[r0:r1], e), np.minimum(hi[r0:r1], f))
+            if bounded:  # the sub-blocks that reach a floor raised by the best limits so far
+                limits = [
+                    max(right[0], left[0]) for right, left in zip(best["right"], best["left"])
+                ]
+                raised = np.maximum(floors, limits)[:, None]
+                at = r0 + np.flatnonzero((reach[:, r0:r1] >= raised).any(axis=0))
+                if not at.size:
+                    continue
+                gap = lo[at[1:]] != hi[at[:-1]]
+                r_lo, r_hi = lo[at[np.append(True, gap)]], hi[at[np.append(gap, True)]]
+            else:
+                r_lo, r_hi = lo, hi
+            pts, take, index = _pieces(steps, run, np.maximum(r_lo, e), np.minimum(r_hi, f))
             if not bounded:
                 pieces += pts.size - 1
             _carry(prob, weights, best, pts, take, index)

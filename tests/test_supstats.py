@@ -715,7 +715,7 @@ def test_node_bounds_cover_limits():
 def test_descent_bounds_few_nodes(monkeypatch, builder):
     # approx1 and approx3 at n = 2^15, depth 6, seed 1: the descent bounds
     # fewer than 3/5 as many nodes, so corner numerators (8 a node), as a
-    # flat pass over every sub-block (0.39 and 0.54 of them when written),
+    # flat pass over every sub-block (0.37 and 0.52 of them when written),
     # and its results equal, field for field, those of a run in which every
     # node reaches the floor and so is kept
     n = 1 << 15
@@ -730,13 +730,15 @@ def test_descent_bounds_few_nodes(monkeypatch, builder):
         bounded[level] = bounded.get(level, 0) + out[0].size
         return out
 
+    def every(*args):
+        lo, hi, reach = kept(*args[:7], [-math.inf] * len(weights))
+        return lo, hi, np.full_like(reach, math.inf)
+
     monkeypatch.setattr(supstats._Nodes, "bounds", counted)
     got = supstats.solve_weights(b, prob, weights)
     descent = sum(bounded.values())
     bounded.clear()
-    monkeypatch.setattr(
-        supstats, "_kept", lambda *args: kept(*args[:7], [-math.inf] * len(weights))
-    )
+    monkeypatch.setattr(supstats, "_kept", every)
     want = supstats.solve_weights(b, prob, weights)
     assert [vars(r) for r in got] == [vars(r) for r in want]
     assert 5 * descent < 3 * bounded[0], (descent, bounded)
@@ -761,18 +763,20 @@ def test_deep_descent_changes_no_result(monkeypatch, sub_block, lam, t, n):
 
     def counted(bundle, prob, steps, a, b, run, weights, floors):
         tops.append(supstats._Nodes(bundle, prob, steps, a, b, run).top)
-        lo, hi = kept(bundle, prob, steps, a, b, run, weights, floors)
+        lo, hi, reach = kept(bundle, prob, steps, a, b, run, weights, floors)
         every = supstats._Nodes(bundle, prob, steps, a, b, run).bounds(0)[0]
         inside = sum(np.count_nonzero((every >= e) & (every < f)) for e, f in zip(lo, hi))
         sub_blocks.append((every.size, inside))
-        return lo, hi
+        return lo, hi, reach
+
+    def every(*args):
+        lo, hi, reach = kept(*args[:7], [-math.inf] * len(weights))
+        return lo, hi, np.full_like(reach, math.inf)
 
     monkeypatch.setattr(supstats, "_kept", counted)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         descending = [supstats.solve_weights(b, prob, weights) for b, prob in problems]
-        monkeypatch.setattr(
-            supstats, "_kept", lambda *args: kept(*args[:7], [-math.inf] * len(weights))
-        )
+        monkeypatch.setattr(supstats, "_kept", every)
         for (b, prob), got in zip(problems, descending):
             want = supstats.solve_weights(b, prob, weights)
             assert [vars(r) for r in got] == [vars(r) for r in want], prob.__dict__
@@ -960,18 +964,20 @@ def test_sub_block_skip_changes_no_result(monkeypatch, sub_block, lam, t, n):
     counts = []
 
     def counted(*args):
-        lo, hi = kept(*args)
+        lo, hi, reach = kept(*args)
         every = supstats._Nodes(*args[:6]).bounds(0)[0]
         inside = sum(np.count_nonzero((every >= a) & (every < b)) for a, b in zip(lo, hi))
         counts.append((every.size, inside))
-        return lo, hi
+        return lo, hi, reach
 
     monkeypatch.setattr(supstats, "_kept", counted)
     # the zero base at s = 0, and the overflow
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         skipping = [supstats.solve_weights(b, prob, weights) for b, prob in problems]
         monkeypatch.setattr(
-            supstats, "_kept", lambda bundle, prob, steps, a, b, *rest: (np.array([a]), np.array([b]))
+            supstats, "_kept", lambda bundle, prob, steps, a, b, *rest: (
+                np.array([a]), np.array([b]), np.full((len(weights), 1), np.inf)
+            )
         )
         for (b, prob), got in zip(problems, skipping):
             want = supstats.solve_weights(b, prob, weights)

@@ -105,9 +105,10 @@ best so far (``_cannot_win``): the weight's base is smallest at an end of
 the range.  Working memory beyond the bundle is O(n) for the step jumps
 and point values, plus, per block, its breakpoints where it is evaluated
 whole and its kept pieces where it is bounded, plus, per bounded stretch,
-a few floats and indices per sub-block for the extremes and node edges and
-the corners of ``_CORNER_NODES`` nodes at a time.  The paths' cached
-extremes add 2 floats per ``_SUB_BLOCK`` grid cells to the bundle.
+a few floats and indices per sub-block for the extremes and node edges,
+and the corners of fewer than 2 ``_CORNER_NODES`` nodes at a time.  The
+paths' cached extremes add 2 floats per ``_SUB_BLOCK`` grid cells to the
+bundle.
 """
 
 from __future__ import annotations
@@ -131,8 +132,9 @@ _BOUND_CELLS = 1 << 14
 # (``_Nodes``): each level costs a fixed ~0.1 ms of array calls, which fewer
 # nodes do not repay.
 _TOP_NODES = 1 << 10
-# Nodes whose 8 corners are evaluated in one call of the piece factory; this
-# keeps the corners' temporaries to about 1 MB, as a block's flat pass did.
+# Nodes whose 8 corners are evaluated in one call of the piece factory, up to
+# twice as many; this keeps the corners' temporaries near those of a block's
+# flat pass, 1 024 sub-blocks.
 _CORNER_NODES = 1 << 10
 
 
@@ -420,10 +422,10 @@ class _Nodes:
         largest |value| over the 8 corners s in {e, f}, step count in {at e,
         just before f} and W_n in {min, max over the node's cells}.  All 8
         are evaluated in one call of the piece factory, with the W_n values
-        passed as cells, for ``_CORNER_NODES`` nodes at a time.  The bound is
-        widened for the rounding of the numerator's terms, of size sqrt(n) s
-        and W_n / sqrt(n).  Only the nodes' edges are computed, and their
-        step counts searched.
+        passed as cells, for ``_CORNER_NODES`` to twice as many nodes at a
+        time.  The bound is widened for the rounding of the numerator's
+        terms, of size sqrt(n) s and W_n / sqrt(n).  Only the nodes' edges
+        are computed, and their step counts searched.
         """
         w_min, w_max = self.w[level]
         if i is None:
@@ -438,8 +440,9 @@ class _Nodes:
         k_lo = np.searchsorted(self.steps, lo, "right")
         k_hi = np.searchsorted(self.steps, hi)
         bound = np.empty(i.size)
-        for c in range(0, i.size, _CORNER_NODES):
-            part = slice(c, c + _CORNER_NODES)
+        parts = max(1, i.size // _CORNER_NODES)
+        for c in range(parts):
+            part = slice(c * i.size // parts, (c + 1) * i.size // parts)
             e, f, k_e, k_f = lo[part], hi[part], k_lo[part], k_hi[part]
             s = np.concatenate([e, f] * 4)
             k = np.concatenate([k_e, k_e, k_f, k_f] * 2)

@@ -49,16 +49,19 @@ and no running sum over the block.  The numerator's float lookups
 alone, at their float abscissae.
 
 The point values are evaluated first; then the domain is solved stretch
-by stretch and block by block.  The splice t of an ``AnchoredBundle``'s
-full range (the bundle's ``point_breaks``) splits the domain into
-stretches that each read one grid run (``_runs``).  Block edges are lo,
-every k-th step jump inside (lo, hi), the splice t and hi, with k chosen
-so that a block holds about ``_BLOCK_POINTS`` points of the bundle's
-dyadic grid.  Edges are breakpoints, so the blocks' pieces are exactly the
-pieces of the whole domain; a block computes only the points of its
-stretch's run over itself.  The best right and left limits are carried
-across blocks with a strict ``>``, so ties resolve to the first occurrence
-as in a single pass.
+by stretch and block by block, every stretch on one path.  The splice t of
+an ``AnchoredBundle``'s full range (the bundle's ``point_breaks``) splits
+the domain into stretches that each read one grid run (``_runs``).  Each
+stretch is cut into blocks at every ``_BLOCK_POINTS``-th point of its run.
+Run points are breakpoints, so the blocks' pieces are exactly the pieces of
+the stretch; a block computes only the points of its stretch's run over
+itself.  Of the stretch's kept ranges (``_kept``, below), each block merges,
+as one set of pieces in position order, and evaluates those that still
+reach a floor raised by the best limits so far (``_pieces``).  The best
+right and left limits are carried across blocks with a strict ``>``
+(``_carry``), so ties resolve to the first occurrence as in a single pass.
+``grid_points`` counts every piece of every stretch once, evaluated or not
+(``_piece_count``).
 
 Most of a large domain cannot hold the sup, and is never evaluated.  A
 stretch of more than ``_BOUND_CELLS`` grid cells is cut into sub-blocks
@@ -83,32 +86,32 @@ min(w(e), w(f))^c, widened by 1e-9 relative, and its floor is its best
 point value: a value the sup reaches.  The nodes are bounded from the
 coarsest level down, and only the children of those whose bound reaches the
 floor of some weight (a tie can still move arg_s or side), those with a
-zero base and those past a window increment's anchor are bounded at the
-next level (``_kept``).  Of the sub-blocks kept at the finest level, each
-block merges, as one set of pieces in position order, and evaluates those
-whose bound still reaches a floor raised by the best limits so far
-(``_pieces``).  A skipped node holds no value at or above any floor, so no
-first occurrence of a side's best that can win, and every result is that of
-a full evaluation, to the bit; ``grid_points`` still counts every piece
-(``_piece_count``, once per bounded stretch).  The grid run computes its
-points only where they are read, the node edges and the kept ranges, and
-places the ends and step jumps in the run by index arithmetic checked
-against those floats (``Run``), so a bounded stretch costs O(sub-blocks +
-step jumps in it) in cheap array passes, plus the nodes bounded and the
-kept pieces, and builds no array of its grid size.  Smaller stretches, such
-as the tail sups' of at most 2^14 cells at n = 4096, are evaluated whole:
-there the bound costs about as much as it saves.
+zero base and those that reach past a window increment's anchor are
+bounded at the next level (``_kept``); the sub-blocks kept at the finest
+level are the stretch's kept ranges.  A skipped node holds no value at or
+above any floor, so no first occurrence of a side's best that can win, and
+every result is that of a full evaluation, to the bit.  The grid run
+computes its points only where they are read, the node edges and the kept
+ranges, and places the ends and step jumps in the run by index arithmetic
+checked against those floats (``Run``), so a bounded stretch costs
+O(sub-blocks + step jumps in it) in cheap array passes, plus the nodes
+bounded and the kept pieces, and builds no array of its grid size.  A
+stretch of at most ``_BOUND_CELLS`` cells, such as the tail sups' of at
+most 2^14 cells at n = 4096, is kept whole, as one range that reaches
+every floor: bounding those too made a replicate of the three
+tail-exceedance sups, bundle build included, 11-14% slower (0.8 to 1.9 ms
+on medians of 7.7 to 13.9 ms, over seven runs of 110 replicates on a
+shared 2-core x86 machine), and slower in at least 99 of 110 replicates.
 
 A weight is applied on the evaluated pieces only if the bound scale
 max|numerator| / min(w(a), w(b))^c over their range [a, b] could beat its
 best so far (``_cannot_win``): the weight's base is smallest at an end of
 the range.  Working memory beyond the bundle is O(n) for the step jumps
-and point values, plus, per block, its breakpoints where it is evaluated
-whole and its kept pieces where it is bounded, plus, per bounded stretch,
-a few floats and indices per sub-block for the extremes and node edges,
-and the corners of fewer than 2 ``_CORNER_NODES`` nodes at a time.  The
-paths' cached extremes add 2 floats per ``_SUB_BLOCK`` grid cells to the
-bundle.
+and point values, plus, per block, the pieces of its kept ranges, plus,
+per bounded stretch, a few floats and indices per sub-block for the
+extremes and node edges, and the corners of fewer than 2 ``_CORNER_NODES``
+nodes at a time.  The paths' cached extremes add 2 floats per
+``_SUB_BLOCK`` grid cells to the bundle.
 """
 
 from __future__ import annotations
@@ -121,12 +124,12 @@ import numpy as np
 
 from .processes import Bundle
 
-# Dyadic grid points per block of the sup domain (see ``_block_edges``).
+# Grid run points per block of a stretch (``solve_weights``).
 _BLOCK_POINTS = 1 << 16
 # A stretch of more grid cells than this is bounded by a descent over its
-# sub-blocks, the chunks of the paths' cached W_n extremes (``_kept``); a
-# smaller one is evaluated whole, where the bound costs about as much as it
-# saves.
+# sub-blocks, the chunks of the paths' cached W_n extremes; a smaller one is
+# kept whole (``_kept``).  Bounding those too made a tail-exceedance
+# replicate, three tail sups at n = 4096, 11-14% slower.
 _BOUND_CELLS = 1 << 14
 # The coarsest level of a stretch's descent holds at least this many nodes
 # (``_Nodes``): each level costs a fixed ~0.1 ms of array calls, which fewer
@@ -167,7 +170,7 @@ class WeightedSupResult:
     value: float
     arg_s: float
     side: str  # 'right' | 'left' | 'point'
-    grid_points: int  # number of evaluations
+    grid_points: int  # 2 x pieces + point abscissae, evaluated or not
 
 
 class SupProblem:
@@ -237,23 +240,6 @@ def _weigh(abs_num, wpow, scale) -> np.ndarray:
     """scale |numerator| / w(s)^weight_exp, with wpow from ``_weight_power``."""
     num = scale * abs_num
     return num if wpow is None else num / wpow
-
-
-def _block_edges(bundle: Bundle, prob: SupProblem, jumps: np.ndarray) -> np.ndarray:
-    """lo, every k-th of the sorted step jumps inside (lo, hi), the bundle's
-    ``point_breaks`` inside it, and hi.
-
-    k is chosen so that a block holds about ``_BLOCK_POINTS`` points of the
-    dyadic grid, whose density is n 2^depth.  The point breaks are the
-    splice t of an ``AnchoredBundle``'s full range, which its bridge grid
-    runs end at (``grid_runs``), so no block straddles it.
-    """
-    inside = jumps[np.searchsorted(jumps, prob.lo, "right") : np.searchsorted(jumps, prob.hi)]
-    grid = (bundle.n << bundle.depth) * (prob.hi - prob.lo)
-    k = max(1, int(_BLOCK_POINTS * inside.size / grid))
-    breaks = bundle.point_breaks(prob.anchor)
-    breaks = breaks[(breaks > prob.lo) & (breaks < prob.hi)]
-    return np.unique(np.concatenate([[prob.lo], inside[k - 1 :: k], breaks, [prob.hi]]))
 
 
 def _runs(bundle: Bundle, prob: SupProblem):
@@ -453,23 +439,29 @@ class _Nodes:
         return lo, hi, bound * (1.0 + 1e-9) + 1e-9 * (self.sqn + w_abs / self.sqn + 1.0)
 
 
+def _least_power(e, f, weight_exp, weight_kind):
+    """min(w(e), w(f))^weight_exp, the least of w(s)^weight_exp on [e, f]
+    (see ``_weight_base``): s(1-s) is concave, s rises and 1 - s falls.
+    1.0 for no weight."""
+    if weight_kind is None:
+        return 1.0
+    return np.minimum(_weight_base(e, weight_kind), _weight_base(f, weight_kind)) ** weight_exp
+
+
 def _reach(prob: SupProblem, lo: np.ndarray, hi: np.ndarray, bound: np.ndarray, weights):
     """Each weight's bound, one row per weight, on the nodes [lo, hi] on which
     |numerator| is at most ``bound``.
 
-    The weight's base is smallest at a node end (see ``_cannot_win``), so
-    scale bound / min(w(e), w(f))^c, widened by 1e-9 relative, bounds its
-    values on the node [e, f].  It is +inf where a base is zero, and past
-    the anchor of a window increment, where the increment is constant (only
-    the restricted domain reaches there), so such a node is never skipped.
+    scale bound / ``_least_power`` on the node, widened by 1e-9 relative,
+    bounds the weight's values there.  It is +inf where a base is zero, and
+    on a node that reaches past the anchor of a window increment (only the
+    restricted domain does): past it the increment stops following the
+    bridge, and a node's corners, evaluated on one side of the anchor,
+    bound nothing on the other.  So such a node is never skipped.
     """
     reach = np.empty((len(weights), lo.size))
     for row, (weight_exp, weight_kind, scale) in zip(reach, weights):
-        if weight_kind is None:
-            low = 1.0
-        else:
-            low = np.minimum(_weight_base(lo, weight_kind), _weight_base(hi, weight_kind))
-            low = low**weight_exp
+        low = _least_power(lo, hi, weight_exp, weight_kind)
         with np.errstate(divide="ignore", invalid="ignore"):
             row[:] = np.where(np.less_equal(low, 0.0), np.inf, scale * bound / low * (1.0 + 1e-9))
     if prob.anchor is not None:
@@ -485,7 +477,11 @@ def _kept(bundle: Bundle, prob: SupProblem, steps, a, b, run, weights, floors) -
     next.  A node is kept where some weight's bound on it (``_reach``)
     reaches that weight's floor: on a tie it could still move arg_s or side.
     Returns the ends (lo, hi) of the kept sub-blocks and their ``_reach``.
+    A stretch of at most ``_BOUND_CELLS`` grid cells is kept whole, as one
+    range that reaches +inf for every weight.
     """
+    if run.size - 1 <= _BOUND_CELLS:
+        return np.array([a]), np.array([b]), np.full((len(weights), 1), np.inf)
     nodes = _Nodes(bundle, prob, steps, a, b, run)
     floors = np.asarray(floors)[:, None]
     i = None  # every node of the top level
@@ -514,17 +510,13 @@ def _abs_limits(prob: SupProblem, p: np.ndarray, q: np.ndarray, index: Index) ->
 def _cannot_win(max_num: float, a: float, b: float, weight: tuple, floor: float) -> bool:
     """Whether no value of ``weight`` on the block [a, b] can exceed ``floor``.
 
-    |numerator| is at most ``max_num`` on the block, and the weight's base
-    is smallest at a block end: s(1-s) is concave, s rises and 1 - s falls.
-    So scale max_num / min(w(a), w(b))^c bounds every value of the weight
-    there; the relative margin 1e-12 covers the rounding of the bases,
-    powers and divides.  A zero base bounds nothing.
+    |numerator| is at most ``max_num`` on the block, so scale max_num /
+    ``_least_power`` bounds every value of the weight there; the relative
+    margin 1e-12 covers the rounding of the bases, powers and divides.  A
+    zero base bounds nothing.
     """
     weight_exp, weight_kind, scale = weight
-    if weight_kind is None:
-        low = 1.0
-    else:
-        low = min(_weight_base(a, weight_kind), _weight_base(b, weight_kind)) ** weight_exp
+    low = _least_power(a, b, weight_exp, weight_kind)
     return low > 0.0 and scale * max_num / low * (1.0 + 1e-12) <= floor
 
 
@@ -577,12 +569,14 @@ def solve_weights(bundle: Bundle, prob: SupProblem, weights) -> list[WeightedSup
 
     |numerator| is evaluated once on each candidate set (point values, right
     limits, left limits) and every weight is applied to it.  The point
-    values come first, and are each weight's floor.  On a stretch of the
-    domain (``_runs``) of more than ``_BOUND_CELLS`` grid cells only the
-    ranges that may reach a floor are kept (``_kept``); a smaller one is
-    kept whole.  The limits on the kept ranges are taken block by block
-    (``_block_edges``), from the stretch's grid run, carrying each weight's
-    best right and best left limit across blocks (``_carry``).
+    values come first, and are each weight's floor.  Every stretch of the
+    domain (``_runs``) then takes the same steps: its pieces are counted
+    (``_piece_count``), the ranges that may reach a floor are kept
+    (``_kept``, the whole stretch where it is small), and it is cut into
+    blocks at every ``_BLOCK_POINTS``-th point of its grid run.  Each block
+    evaluates the kept ranges in it that still reach a floor raised by the
+    best limits so far (``_pieces``), carrying each weight's best right and
+    best left limit across blocks (``_carry``).
     """
     if not prob.lo < prob.hi:
         raise ValueError(f"empty sup domain [{prob.lo}, {prob.hi})")
@@ -590,36 +584,26 @@ def solve_weights(bundle: Bundle, prob: SupProblem, weights) -> list[WeightedSup
     points, n_points = _best_points(bundle, prob, steps, weights)
     # a NaN point value (0/0 at a zero base) never wins, so sets no floor
     floors = np.array([-math.inf if math.isnan(value) else value for value, _ in points])
-    edges = _block_edges(bundle, prob, steps[np.append(True, steps[1:] != steps[:-1])])
     best = {side: [(-math.inf, prob.lo)] * len(weights) for side in ("right", "left")}
     pieces = 0
     for a, b, run in _runs(bundle, prob):
-        bounded = run.size - 1 > _BOUND_CELLS
-        if bounded:
-            pieces += _piece_count(a, b, steps, run)
-            lo, hi, reach = _kept(bundle, prob, steps, a, b, run, weights, floors)
-        else:
-            lo, hi = np.array([a]), np.array([b])
-        blocks = edges[(edges >= a) & (edges <= b)]
+        pieces += _piece_count(a, b, steps, run)
+        lo, hi, reach = _kept(bundle, prob, steps, a, b, run, weights, floors)
+        cuts = run.at(np.arange(_BLOCK_POINTS, run.size - 1, _BLOCK_POINTS))
+        blocks = np.concatenate([[a], cuts, [b]])
         firsts, lasts = np.searchsorted(hi, blocks[:-1], "right"), np.searchsorted(lo, blocks[1:])
         for e, f, r0, r1 in zip(blocks[:-1], blocks[1:], firsts, lasts):
             if r0 == r1:  # no kept range in (e, f)
                 continue
-            if bounded:  # the sub-blocks that reach a floor raised by the best limits so far
-                limits = [
-                    max(right[0], left[0]) for right, left in zip(best["right"], best["left"])
-                ]
-                raised = np.maximum(floors, limits)[:, None]
-                at = r0 + np.flatnonzero((reach[:, r0:r1] >= raised).any(axis=0))
-                if not at.size:
-                    continue
-                gap = lo[at[1:]] != hi[at[:-1]]
-                r_lo, r_hi = lo[at[np.append(True, gap)]], hi[at[np.append(gap, True)]]
-            else:
-                r_lo, r_hi = lo, hi
+            # the kept ranges in (e, f) that reach a floor raised by the best limits so far
+            limits = [max(right[0], left[0]) for right, left in zip(best["right"], best["left"])]
+            raised = np.maximum(floors, limits)[:, None]
+            at = r0 + np.flatnonzero((reach[:, r0:r1] >= raised).any(axis=0))
+            if not at.size:
+                continue
+            gap = lo[at[1:]] != hi[at[:-1]]
+            r_lo, r_hi = lo[at[np.append(True, gap)]], hi[at[np.append(gap, True)]]
             pts, take, index = _pieces(steps, run, np.maximum(r_lo, e), np.minimum(r_hi, f))
-            if not bounded:
-                pieces += pts.size - 1
             _carry(prob, weights, best, pts, take, index)
     results = []
     for i, (value, arg_s) in enumerate(points):

@@ -11,11 +11,13 @@ the lines before it, with their count.
 
 Usage, with the package to dump on the path:
 
-    PYTHONPATH=src python tests/solve_dump.py [--bound-all] [--sub-block N]
+    PYTHONPATH=src python tests/solve_dump.py [--bound-all] [--sub-block N] [--block-points N]
 
-``--bound-all`` sets ``_BOUND_CELLS`` to 0, so that every block is
-bounded, and ``--sub-block N`` sets the grid cells per sub-block
-(``_SUB_BLOCK``).  To compare two checkouts, run it once with each
+``--bound-all`` sets ``_BOUND_CELLS`` to 0, so that every stretch is
+bounded, ``--sub-block N`` sets the grid cells per sub-block
+(``_SUB_BLOCK``), and ``--block-points N`` the grid run points per block
+(``_BLOCK_POINTS``), so that the best limits are carried across many
+blocks.  To compare two checkouts, run it once with each
 checkout's ``src`` on the path and compare the outputs byte for byte.  The
 file is no test module, so pytest does not collect it.
 """
@@ -98,13 +100,16 @@ def lines():
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--bound-all", action="store_true", help="bound every block")
+    parser.add_argument("--bound-all", action="store_true", help="bound every stretch")
     parser.add_argument("--sub-block", type=int, help="grid cells per sub-block")
+    parser.add_argument("--block-points", type=int, help="grid run points per block")
     args = parser.parse_args()
     if args.bound_all:
         supstats._BOUND_CELLS = 0
     if args.sub_block is not None:
         processes._SUB_BLOCK = args.sub_block
+    if args.block_points is not None:
+        supstats._BLOCK_POINTS = args.block_points
     digest, count = hashlib.sha256(), 0
     for line in lines():
         print(line)

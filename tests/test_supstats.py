@@ -439,15 +439,18 @@ def _every_problem(lam, t, n, seed=4):
 @pytest.mark.parametrize("lam,t", [(1.0, 0.5), (1.2, 0.3), (1.7, 0.37)])
 @pytest.mark.parametrize("n", [64, 100])
 def test_block_size_changes_no_bit(monkeypatch, lam, t, n):
-    # one block at the default size; at 64 grid points per block every
-    # solve runs over many blocks, and value, arg_s, side and grid_points
-    # stay the same to the bit
+    # one block at the default size; at 64 grid run points per block every
+    # solve carries its best limits over many blocks, and value, arg_s, side
+    # and grid_points stay the same to the bit
     problems = _every_problem(lam, t, n)
     default = [solve(b, prob) for b, prob in problems]
     monkeypatch.setattr(supstats, "_BLOCK_POINTS", 64)
+    carry, carried = supstats._carry, []
+    monkeypatch.setattr(supstats, "_carry", lambda *args: carried.append(carry(*args)))
     for (b, prob), expected in zip(problems, default):
-        assert supstats._block_edges(b, prob, np.unique(prob.step_jumps)).size > 8
+        carried.clear()
         assert solve(b, prob) == expected, prob.__dict__
+        assert len(carried) > 8
 
 
 def _read_all_paths(b):
@@ -514,19 +517,22 @@ def _nudged(x: float, ulps: int) -> float:
     return x
 
 
-def _blocks(b, prob, steps):
-    """(a, z, run) of each block [a, z] of ``prob`` (``_block_edges``), with
-    the grid run of the block alone; ``steps`` are the sorted step jumps."""
-    edges = supstats._block_edges(b, prob, np.unique(steps))
-    for a, z in zip(edges[:-1], edges[1:]):
-        yield a, z, b.grid_runs(prob.anchor, a, z)
+def _blocks(b, prob):
+    """(a, z, run) of each block [a, z] of ``prob``, with the grid run of the
+    block alone: each stretch (``_runs``) cut at every ``_BLOCK_POINTS``-th
+    point of its run, as ``solve_weights`` cuts it."""
+    for e, f, run in supstats._runs(b, prob):
+        cuts = run.at(np.arange(supstats._BLOCK_POINTS, run.size - 1, supstats._BLOCK_POINTS))
+        edges = np.concatenate([[e], cuts, [f]])
+        for a, z in zip(edges[:-1], edges[1:]):
+            yield a, z, b.grid_runs(prob.anchor, a, z)
 
 
 def _whole_blocks(b, prob):
     """(pts, p, q, index) of every block of ``prob``, merged whole: its
     breakpoints, the ends of its pieces and their lookups."""
     steps = np.sort(prob.step_jumps)
-    for a, z, run in _blocks(b, prob, steps):
+    for a, z, run in _blocks(b, prob):
         pts, take, index = supstats._pieces(steps, run, np.array([a]), np.array([z]))
         yield pts, pts[:-1][take], pts[1:][take], index
 
@@ -634,7 +640,7 @@ def test_sub_block_bound_covers_limits():
                 if not prob.lo < prob.hi:
                     continue
                 steps = np.sort(prob.step_jumps)
-                for a, z, run in _blocks(b, prob, steps):
+                for a, z, run in _blocks(b, prob):
                     if run.x.size < 2:
                         continue
                     lo, hi, bound = supstats._Nodes(b, prob, steps, a, z, run).bounds(0)
@@ -785,15 +791,55 @@ def test_deep_descent_changes_no_result(monkeypatch, sub_block, lam, t, n):
     assert max(tops) >= 3
 
 
+@pytest.mark.parametrize(
+    "anchored,n,depth,seed,t,sub_block",
+    [(False, 6, 2, 20, 0.5, 4), (False, 8, 2, 26, 0.3, 16),
+     (True, 8, 6, 37, 0.5, 16), (True, 10, 6, 33, 0.45, 4)],
+)
+def test_descent_keeps_nodes_past_the_anchor(monkeypatch, anchored, n, depth, seed, t, sub_block):
+    # the restricted domain [U_1, U_[nt]) here reaches past the anchor t,
+    # where the window increment stops following the bridge, so the corners
+    # of a node across t, all on one side of it, do not bound its limits; a
+    # descent from a single top node still gives the results of a full
+    # evaluation, field for field
+    monkeypatch.setattr(supstats, "_BOUND_CELLS", 0)
+    monkeypatch.setattr(supstats, "_TOP_NODES", 1)
+    monkeypatch.setattr(processes, "_SUB_BLOCK", sub_block)
+    if anchored:
+        b = AnchoredBundle.build(n, derive_stream(seed, n, 0, "anchored"), t=t, depth=depth)
+    else:
+        b = _bundle(n, seed=seed, t=t, depth=depth)
+    prob = problem_restricted(b, WeightConfig(nu=0.1, t=t))
+    assert prob.hi > t
+    weights = [power_weight(n, x, "s") for x in (0.0, 0.1, 0.25)]
+    got = supstats.solve_weights(b, prob, weights)
+    monkeypatch.setattr(
+        supstats, "_kept", lambda bundle, prob, steps, a, b, *rest: (
+            np.array([a]), np.array([b]), np.full((len(weights), 1), np.inf)
+        )
+    )
+    want = supstats.solve_weights(b, prob, weights)
+    assert [vars(r) for r in got] == [vars(r) for r in want]
+
+
 # (lam / n, t) near 0 and near 1.
 _EDGE_LAM_T = [(1e-3, 2e-3), (1e-3, 0.999), (0.25, 0.5), (0.99, 0.995)]
+
+
+def _in_one_cell(b, prob):
+    """``prob`` on the inside of the first grid cell of its domain: a
+    stretch that holds no grid point, so its block merges no grid run."""
+    x = next(supstats._runs(b, prob))[2].at([0, 1])
+    return SupProblem(np.nextafter(x[0], 1.0), np.nextafter(x[1], 0.0), prob.closed_hi,
+                      prob.anchor, prob.step_jumps, prob.numerator, *prob.weight)
 
 
 def test_block_kernel_matches_general_merge():
     # Every block's breakpoints and counts equal those of the general merge of
     # its sorted runs (ends, step jumps, grid run), array for array and bit
     # for bit, on both bundle kinds, every problem builder, tail sides and
-    # the censored range, repeated step jumps included; the kernel's
+    # the censored range, repeated step jumps and domains inside one grid
+    # cell (``_in_one_cell``) included; the kernel's
     # precondition, a strictly ascending grid run, holds on every block.  No
     # block of a count-anchored full-range problem straddles the splice t,
     # and some end at it or start from it.
@@ -820,6 +866,7 @@ def test_block_kernel_matches_general_merge():
         else:
             b = _bundle(n, seed=2, t=t, depth=depth)
         problems = [p for p in _lookup_problems(b, lam_n * n, t) if p.lo < p.hi]
+        problems += [_in_one_cell(b, p) for p in problems if next(supstats._runs(b, p))[2].size > 1]
         problems += [
             SupProblem(p.lo, p.hi, p.closed_hi, p.anchor,
                        np.concatenate([p.step_jumps, p.step_jumps[::3]]), p.numerator, *p.weight)
@@ -837,12 +884,12 @@ def test_block_kernel_matches_general_merge():
 
 
 def test_piece_count_matches_merge():
-    # the piece count of a bounded block, from its ends and step jumps placed
-    # in the run by index (``_piece_count``), is the size of the general
+    # the piece count of a stretch or block, from its ends and step jumps
+    # placed in the run by index (``_piece_count``), is the size of the general
     # merge (``merge_runs``) less one, on every block of every problem of both bundle kinds,
     # with step jumps and block ends on grid points, one ulp off them and off
-    # the grid
-    seen = dict.fromkeys(("end on grid", "end off grid", "jump on grid"), 0)
+    # the grid, and on a stretch inside one grid cell, whose run is empty
+    seen = dict.fromkeys(("end on grid", "end off grid", "jump on grid", "jump in a cell"), 0)
     for n, depth, anchored in itertools.product((64, 513), (0, 3, 6), (False, True)):
         if anchored:
             b = AnchoredBundle.build(n, derive_stream(2, n, 0, "anchored"), t=0.37, depth=depth)
@@ -852,7 +899,13 @@ def test_piece_count_matches_merge():
             if not prob.lo < prob.hi:
                 continue
             steps = np.sort(prob.step_jumps)
-            for a, z, run in _blocks(b, prob, steps):
+            cell = _in_one_cell(b, prob)
+            r = b.grid_runs(prob.anchor, cell.lo, cell.hi)
+            inside = steps[(steps >= cell.lo) & (steps <= cell.hi)]
+            want = merge_runs([np.array([cell.lo, cell.hi]), inside, r.x])[0].size - 1
+            assert r.size == 0 and supstats._piece_count(cell.lo, cell.hi, steps, r) == want
+            seen["jump in a cell"] += inside.size > 0
+            for a, z, run in _blocks(b, prob):
                 x = run.x
                 if x.size < 4:
                     continue

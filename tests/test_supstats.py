@@ -866,7 +866,9 @@ def test_block_kernel_matches_general_merge():
         else:
             b = _bundle(n, seed=2, t=t, depth=depth)
         problems = [p for p in _lookup_problems(b, lam_n * n, t) if p.lo < p.hi]
-        problems += [_in_one_cell(b, p) for p in problems if next(supstats._runs(b, p))[2].size > 1]
+        problems += [
+            _in_one_cell(b, p) for p in problems if next(supstats._runs(b, p))[2].size > 1
+        ]
         problems += [
             SupProblem(p.lo, p.hi, p.closed_hi, p.anchor,
                        np.concatenate([p.step_jumps, p.step_jumps[::3]]), p.numerator, *p.weight)

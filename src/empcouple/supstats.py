@@ -690,9 +690,11 @@ def _beta_increment_minus_bridge(bundle: Bundle, anchor: float):
 
 def _alpha_increment_minus_bridge(bundle: Bundle, anchor: float):
     # Same increment-bridge comparison as _beta_increment_minus_bridge.  The
-    # restricted domain can reach past the anchor; there the shifted
-    # processes are extended by zero, so the increment degenerates to the
-    # anchor value itself (``bridge_increment`` does the same).
+    # restricted domain can reach past the anchor.  There the count of
+    # points at or below anchor - s is 0, but the centring term keeps
+    # anchor - s, so the empirical increment is alpha(anchor) - sqrt(n)
+    # (s - anchor): it falls with slope -sqrt(n) in s.  The bridge increment
+    # keeps its value at the anchor, B(anchor) - B(0) (``bridge_increment``).
     sqn = np.sqrt(bundle.n)
     alpha_anchor = float(bundle.empirical_process(np.asarray([anchor]))[0])
     bridge_inc = bundle.bridge_increment(anchor)

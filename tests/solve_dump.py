@@ -12,12 +12,15 @@ the lines before it, with their count.
 Usage, with the package to dump on the path:
 
     PYTHONPATH=src python tests/solve_dump.py [--bound-all] [--sub-block N] [--block-points N]
+        [--pair-threads-all]
 
 ``--bound-all`` sets ``_BOUND_CELLS`` to 0, so that every stretch is
 bounded, ``--sub-block N`` sets the grid cells per sub-block
-(``_SUB_BLOCK``), and ``--block-points N`` the grid run points per block
+(``_SUB_BLOCK``), ``--block-points N`` the grid run points per block
 (``_BLOCK_POINTS``), so that the best limits are carried across many
-blocks.  To compare two checkouts, run it once with each
+blocks, and ``--pair-threads-all`` sets ``_PAIR_THREADS`` to 0, so that
+every bundle couples and refines its two paths on two threads where the
+process has two cores.  To compare two checkouts, run it once with each
 checkout's ``src`` on the path and compare the outputs byte for byte.  The
 file is no test module, so pytest does not collect it.
 """
@@ -103,6 +106,9 @@ def main() -> None:
     parser.add_argument("--bound-all", action="store_true", help="bound every stretch")
     parser.add_argument("--sub-block", type=int, help="grid cells per sub-block")
     parser.add_argument("--block-points", type=int, help="grid run points per block")
+    parser.add_argument(
+        "--pair-threads-all", action="store_true", help="pair every bundle's paths on two threads"
+    )
     args = parser.parse_args()
     if args.bound_all:
         supstats._BOUND_CELLS = 0
@@ -110,6 +116,8 @@ def main() -> None:
         processes._SUB_BLOCK = args.sub_block
     if args.block_points is not None:
         supstats._BLOCK_POINTS = args.block_points
+    if args.pair_threads_all:
+        processes._PAIR_THREADS = 0
     digest, count = hashlib.sha256(), 0
     for line in lines():
         print(line)

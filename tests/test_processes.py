@@ -1,16 +1,26 @@
 """Interleaving, splice, bridge, and empirical/quantile process evaluators."""
 
+import contextlib
 import itertools
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from empcouple import processes
+from empcouple.harness import (
+    StatRequest,
+    default_requests,
+    evaluate_requests,
+    rows_to_csv,
+    run_requests,
+)
 from empcouple.processes import (
     AnchoredBundle,
     ProcessBundle,
@@ -18,7 +28,8 @@ from empcouple.processes import (
     interleave,
     next_power_of_two,
 )
-from empcouple.rng import derive_stream
+from empcouple.rng import RngStream, derive_stream
+from empcouple.supstats import WeightConfig
 from oracles import increment, increment_grid, mapped_run, w_extremes
 
 SQ2 = math.sqrt(2.0)
@@ -466,3 +477,111 @@ def test_w_extremes_match_reduceat(monkeypatch, sub_block, depth):
                 inner = got[0][1:-1]
                 sides |= {"first path" for c in inner if c < hd} | {"second path" for c in inner if c >= hd}
     assert sides == {"first path", "second path"}
+
+
+@contextlib.contextmanager
+def _paired_threads():
+    """Every bundle's two per-path jobs on two threads, which switch often.
+
+    The size rule is 0 and the process is taken to have two cores, whatever
+    the machine.  Yields the list of helper threads started, one calling
+    thread's ident each.  A pool worker that would start one raises: the
+    patches reach the workers by fork.
+    """
+    started = []
+    real = processes.ThreadPoolExecutor
+
+    def counted(*args):
+        if multiprocessing.parent_process() is not None:
+            raise AssertionError("a pool worker started a helper thread")
+        started.append(threading.get_ident())
+        return real(*args)
+
+    saved = (processes._PAIR_THREADS, os.sched_getaffinity, sys.getswitchinterval())
+    processes._PAIR_THREADS, processes.ThreadPoolExecutor = 0, counted
+    os.sched_getaffinity = lambda pid: {0, 1}
+    sys.setswitchinterval(1e-6)
+    try:
+        yield started
+    finally:
+        processes._PAIR_THREADS, processes.ThreadPoolExecutor = saved[0], real
+        os.sched_getaffinity = saved[1]
+        sys.setswitchinterval(saved[2])
+
+
+def _sweep_and_censored():
+    weights = WeightConfig()
+    return default_requests() + [
+        StatRequest(s, s, weights, rate_c=1.0, xi_exp=0.1) for s in ("cens-h0", "cens-h1")
+    ]
+
+
+@pytest.mark.parametrize("n", [64, 513, 2048])
+def test_paired_threads_change_no_bit(n):
+    # coupling and refining every bundle's two paths on two threads gives
+    # the rows of doing them in turn, row for row
+    reqs = _sweep_and_censored()
+    for rep in (0, 1):
+        alone = evaluate_requests(reqs, 31, n, rep)
+        with _paired_threads() as started:
+            paired = evaluate_requests(reqs, 31, n, rep)
+        assert paired == alone, (n, rep)
+        assert started
+
+
+@pytest.mark.parametrize("n", [64, 100, 513])
+def test_paired_threads_refine_only_the_paths_they_read(n):
+    # a read of one path still refines that path alone: the unedited test,
+    # with every pair of paths on two threads
+    import test_supstats
+
+    with _paired_threads() as started:
+        test_supstats.test_solves_refine_only_the_paths_they_read(n)
+    assert started
+
+
+def test_pool_workers_start_no_helper():
+    # the workers of a process pool share the cores already: they couple
+    # and refine in turn, and give the calling process's CSV
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patches reach the workers only by fork")
+    reqs = [StatRequest("approx1", "approx1"), StatRequest("approx4", "approx4")]
+    with _paired_threads() as started:
+        serial = run_requests(reqs, [64, 100], 2, seed=3, threads=1)
+        assert started
+        parallel = run_requests(reqs, [64, 100], 2, seed=3, threads=2)
+    assert rows_to_csv(parallel) == rows_to_csv(serial)
+
+
+class _HelperFailed(RuntimeError):
+    pass
+
+
+def test_helper_exception_reaches_caller(monkeypatch):
+    # an exception on the helper thread is raised in the calling thread
+    stream2 = RngStream(5, 2)
+    couple, raised_on = processes.couple_exponential_sums, []
+
+    def failing(m, stream, extent=None):
+        if stream == stream2:
+            raised_on.append(threading.get_ident())
+            raise _HelperFailed("path2")
+        return couple(m, stream, extent=extent)
+
+    monkeypatch.setattr(processes, "couple_exponential_sums", failing)
+    with _paired_threads() as started:
+        with pytest.raises(_HelperFailed):
+            ProcessBundle.build(64, RngStream(5, 1), stream2)
+    assert started == [threading.get_ident()]
+    assert raised_on and raised_on[0] != threading.get_ident()
+
+
+@pytest.mark.parametrize("extent,helpers", [(processes._PAIR_THREADS - 1, 0), (processes._PAIR_THREADS, 1)])
+def test_helper_starts_from_the_size_rule(monkeypatch, extent, helpers):
+    # two jobs share the threads only from the size rule on
+    started = []
+    real = processes.ThreadPoolExecutor
+    monkeypatch.setattr(processes, "ThreadPoolExecutor", lambda *a: started.append(1) or real(*a))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert processes._paired(lambda: 1, lambda: 2, extent) == (1, 2)
+    assert len(started) == helpers

@@ -75,15 +75,19 @@ def _paired(first, second, extent: int) -> tuple:
     kept pool would leave a forked worker a pool without its thread.  An
     exception on the helper is raised here.
     """
-    if (
-        extent < _PAIR_THREADS
-        or multiprocessing.parent_process() is not None
-        or len(os.sched_getaffinity(0)) < 2
-    ):
+    if extent < _PAIR_THREADS or multiprocessing.parent_process() is not None or _cores() < 2:
         return first(), second()
     with ThreadPoolExecutor(1) as helper:
         other = helper.submit(second)
         return first(), other.result()
+
+
+def _cores() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
 
 def next_power_of_two(k: int) -> int:
     return 1 << max(0, (k - 1).bit_length())
@@ -329,12 +333,13 @@ class ProcessBundle(_SampleProcesses):
         out = np.empty_like(z)
         lo = z <= self.h
         hi = ~lo
-        if np.any(lo) and np.any(hi):
+        some_lo, some_hi = bool(lo.any()), bool(hi.any())
+        if some_lo and some_hi:
             self._refine_both()
         w1_h = self.path1.W[self.h]
-        if np.any(lo):
+        if some_lo:
             out[lo] = w1_h - self.path1.values_at(self.h - z[lo], self.depth)
-        if np.any(hi):
+        if some_hi:
             w2_g = self.path2.W[self.g]
             out[hi] = w1_h + w2_g - self.path2.values_at((self.n + 1) - z[hi], self.depth)
         return out

@@ -497,15 +497,15 @@ def _paired_threads():
         started.append(threading.get_ident())
         return real(*args)
 
-    saved = (processes._PAIR_THREADS, os.sched_getaffinity, sys.getswitchinterval())
+    saved = (processes._PAIR_THREADS, processes._cores, sys.getswitchinterval())
     processes._PAIR_THREADS, processes.ThreadPoolExecutor = 0, counted
-    os.sched_getaffinity = lambda pid: {0, 1}
+    processes._cores = lambda: 2
     sys.setswitchinterval(1e-6)
     try:
         yield started
     finally:
         processes._PAIR_THREADS, processes.ThreadPoolExecutor = saved[0], real
-        os.sched_getaffinity = saved[1]
+        processes._cores = saved[1]
         sys.setswitchinterval(saved[2])
 
 
@@ -576,12 +576,13 @@ def test_helper_exception_reaches_caller(monkeypatch):
     assert raised_on and raised_on[0] != threading.get_ident()
 
 
-@pytest.mark.parametrize("extent,helpers", [(processes._PAIR_THREADS - 1, 0), (processes._PAIR_THREADS, 1)])
-def test_helper_starts_from_the_size_rule(monkeypatch, extent, helpers):
+@pytest.mark.parametrize("below,helpers", [(1, 0), (0, 1)])
+def test_helper_starts_from_the_size_rule(monkeypatch, below, helpers):
     # two jobs share the threads only from the size rule on
+    extent = processes._PAIR_THREADS - below
     started = []
     real = processes.ThreadPoolExecutor
     monkeypatch.setattr(processes, "ThreadPoolExecutor", lambda *a: started.append(1) or real(*a))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(processes, "_cores", lambda: 2)
     assert processes._paired(lambda: 1, lambda: 2, extent) == (1, 2)
     assert len(started) == helpers

@@ -61,8 +61,9 @@ _SUB_BLOCK = 64
 # Least extent, in summands, of both paths of a ``ProcessBundle`` for their
 # coupling and refinement to run on two threads (``_paired``).  A helper
 # thread costs about 135 us to start and slows the small jobs it overlaps:
-# sweep sizes n <= 8 192 ran up to 24% slower in wall time threaded.  Paths
-# of 2^16 summands couple and refine in about two thirds of the time.
+# with no size rule, the sweep sizes n <= 8 192 ran up to 24% slower in wall
+# time.  Paths of 2^16 summands couple and refine in about two thirds of the
+# time.
 _PAIR_THREADS = 1 << 14
 
 

@@ -1,5 +1,6 @@
 """Dyadic quantile coupling of exponential sums to a Brownian motion."""
 
+import hashlib
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -99,6 +100,63 @@ def test_refinement_deterministic_and_nested():
                 for d in range(depth + 1):
                     np.testing.assert_array_equal(path.grid(d), ref[:: 1 << (depth - d)])
             assert path.refinement_depth == chain[-1]
+
+
+def _sha256(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of the bytes of S then W of ``couple_exponential_sums(m,
+# RngStream(20261021, m), extent)``, by (m, extent), and of S then W of
+# ``couple_batch(256, 50, RngStream(20261021, 7))``.  Recorded with numpy
+# 2.4.6 and scipy 1.17.1; a change of either may move the last bits.
+_COUPLING_DIGESTS = {
+    (1, 1): "9fdd5b05b8adf7563da20cb0cf1918d40a024f49fd4270dd93a5b6a045c1b5dd",
+    (2, 2): "a155ef737c7a0fcf9448c749bfe840bb3eabe70a6999d425ec9feff7a9c97417",
+    (256, 256): "8dda5fa9aaadd47d891176f7a206280df1ba533dc7d4093bcd7d95c7b5efe205",
+    (4096, 2049): "e95da0c885454008595a1e48833039d3acd36837e84ff855a59defcfbe6ee048",
+    (4096, 4096): "cc905ce95021615d3621f5d5612ed32a3993bfee13473f4f34fbb92f1c6373e9",
+}
+_BATCH_DIGEST = "91f13c34fc3a16ef37f673a8fece3bad64850b017308dfc208910e2024aeb495"
+
+
+def test_coupling_bits_unchanged():
+    # the coupled sums and Brownian values stay bit-identical across changes
+    # to how the levels are drawn and inverted
+    for (m, extent), expected in _COUPLING_DIGESTS.items():
+        path = couple_exponential_sums(m, RngStream(20261021, m), extent)
+        assert _sha256(path.S, path.W) == expected, (m, extent)
+        assert path.clamp_count == 0
+    counter = ClampCounter()
+    s, w = couple_batch(256, 50, RngStream(20261021, 7), counter)
+    assert _sha256(s, w) == _BATCH_DIGEST
+    assert counter.count == 0
+
+
+def test_clamps_counted_at_every_level():
+    # a W row whose standardized deviations leave the inversion range at the
+    # top and at four levels below it: 7 clamps over [0, 64], 6 over [0, 37],
+    # and the same sums as before, bit for bit
+    m, w = 64, np.zeros(65)
+    w[m] = 80.0  # Phi(10) rounds to 1
+    deviation = {32: 300.0, 48: -200.0, 2: -100.0, 10: 60.0, 1: -40.0, 61: 50.0}
+    step = m
+    while step > 1:
+        half = step // 2
+        for mid in range(half, m, step):
+            w[mid] = 0.5 * (w[mid - half] + w[mid + half]) + deviation.get(mid, 0.0)
+        step = half
+    for extent, clamps, expected in (
+        (None, 7, "baf73b82f5fffb85ba6058e842f0396c1df707f543c2d74c19c4afffffae8b9a"),
+        (37, 6, "b0977c994b532cc002eda2076db335f436714dfa0957e39b89dc1d3037238e84"),
+    ):
+        counter = ClampCounter()
+        s = _sums_from_brownian(m, w[None], counter, extent)
+        assert counter.count == clamps
+        assert _sha256(s) == expected
 
 
 def test_values_at_origin_and_integers():

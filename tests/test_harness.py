@@ -1,5 +1,6 @@
 """Experiment harness: determinism, aggregation, estimators, exact laws."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -223,6 +224,51 @@ def test_estimate_ineq1_close_tail_widths():
     est = estimate_ineq1(64, [16.0, 16.000001], [0.0, 1.0], reps=10, seed=1)
     assert est.probs.shape == (2, 2)
     assert np.all((est.probs >= 0) & (est.probs <= 1))
+
+
+def _estimate_digest(est) -> str:
+    fields = {
+        k: v.tolist() if isinstance(v, np.ndarray) else v
+        for k, v in dataclasses.asdict(est).items()
+    }
+    return hashlib.sha256(repr(sorted(fields.items())).encode()).hexdigest()
+
+
+# sha256 of every field of ``estimate_ineq1(n, (4, 16, 64), _INEQ1_X, 40,
+# 20261021, side=side)``, and of the CSV of its tail rows, by (n, side).
+# Recorded with numpy 2.4.6 and scipy 1.17.1.
+_INEQ1_X = (0.0, 0.5, 1.0, 1.5, 2.0)
+_INEQ1_DIGESTS = {
+    (256, "left"): (
+        "bf405492be6ec67c9822dfa140c001c72983809a7b98cb4ca40ea430f32a9915",
+        "61757e88f30d40c78a0e3f6fa72c34400024b62c82b7ed6c555377f3cd8e16b7",
+    ),
+    (256, "right"): (
+        "b70d55a2ef50f2529c117748f676207a28383741496f71aa40f00c9f0061ba5e",
+        "08a02be7347ae3464e432960f95f210be9e9ac9a44dbc183eb5abe1e4a5d506a",
+    ),
+    (271, "left"): (
+        "80989b92944dd669787c8ca639abbf8d5c35d90174ae6f20f16402bf35da4ae6",
+        "1e6eb98a4cf93314e791b949bc2fd74e9affc0b9f2d4922a91204ab3a72ab3fc",
+    ),
+    (271, "right"): (
+        "0b654037aac1fdf94598dafd31ac3b64cac77f0f963effb58ba97352636168d2",
+        "a752b32ffa88679eabad36d8aa7b76f80d01c2edd76aabe7d4d363c56536dc8c",
+    ),
+}
+
+
+@pytest.mark.parametrize("n,side", sorted(_INEQ1_DIGESTS))
+def test_estimate_ineq1_bytes_unchanged(n, side):
+    # several tail widths of one side on each replicate; n = 271 is no power
+    # of two, so not every end 1 - d/n is the float of a lattice point
+    d_grid = (4.0, 16.0, 64.0)
+    est = estimate_ineq1(n, d_grid, _INEQ1_X, reps=40, seed=20261021, side=side)
+    reqs = [StatRequest(repr(d), "ineq1-tail", d=d, side=side) for d in d_grid]
+    csv = rows_to_csv(run_requests(reqs, [n], 40, 20261021))
+    want_est, want_csv = _INEQ1_DIGESTS[(n, side)]
+    assert hashlib.sha256(csv.encode()).hexdigest() == want_csv
+    assert _estimate_digest(est) == want_est
 
 
 def test_repeated_ladder_size_rejected():

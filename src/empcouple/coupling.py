@@ -13,6 +13,12 @@ draws by top-down dyadic conditional quantile coupling:
     block sum is Beta(k/2, k/2) independent of the total, so the increments
     come out iid Exp(1) while staying maximally dependent on W.
 
+A block's split depends on W alone, not on the sums above it, so a path
+computes the splitting fractions of every level in one pass of the normal
+CDF and one beta inversion over all of them (``_sums_from_brownian``), and
+then walks the levels top-down for the products alone.  Its normals are
+drawn in one call too (``_brownian_integer_grid``).
+
 The maximal gap max_k |S_k - k - W(k)| of this construction grows
 logarithmically in m with an exponential upper tail; ``fit_kmt_tail``
 estimates those growth/tail constants empirically.
@@ -60,15 +66,27 @@ def _checked_extent(m: int, extent: int | None) -> int:
 
 
 def _brownian_integer_grid(m: int, rng: np.random.Generator, count: int) -> np.ndarray:
-    """W at integer times 0..m, shape (count, m+1), by top-down bisection."""
+    """W at integer times 0..m, shape (count, m+1), by top-down bisection.
+
+    All count m normals are drawn at once, in the order they are used: W(m)
+    of each row, then each level's midpoints, row by row.  Each level is
+    written through strided views of w.
+    """
+    z = rng.standard_normal(count * m)
     w = np.zeros((count, m + 1))
-    w[:, m] = np.sqrt(m) * rng.standard_normal(count)
+    w[:, m] = np.sqrt(m) * z[:count]
+    used = count
     step = m
     while step > 1:
         half = step // 2
-        mid = np.arange(half, m, step)
-        z = rng.standard_normal((count, mid.size))
-        w[:, mid] = 0.5 * (w[:, mid - half] + w[:, mid + half]) + (0.5 * np.sqrt(step)) * z
+        zl = z[used : used + count * (m // step)].reshape(count, -1)
+        used += zl.size
+        mid = w[:, half:m:step]
+        # 0.5 * (w[mid - half] + w[mid + half]) + (0.5 * sqrt(step)) * z, operation for operation
+        np.add(w[:, 0 : m - half : step], w[:, step : m + 1 : step], out=mid)
+        mid *= 0.5
+        zl *= 0.5 * np.sqrt(step)
+        mid += zl
         step = half
     return w
 
@@ -80,29 +98,44 @@ def _sums_from_brownian(
 
     ``extent`` (default m) bounds the sums made: each level splits only the
     blocks that start below it, so no inversion is spent on summands past it.
-    Every inversion is elementwise and the cumsum runs left to right, so the
-    sums are the first extent + 1 of the full ones, bit for bit.
+    A level's splitting fractions depend on W alone, so every level's
+    standardized deviation is written into one array first, and the normal
+    CDF, the clamp and the beta inversion run once over it, in place; the
+    levels are then walked top-down for the splits alone.  Every inversion
+    is elementwise and the cumsum runs left to right, so the sums are the
+    first extent + 1 of the full ones, bit for bit.
     """
     extent = m if extent is None else extent
     count = w.shape[0]
     p_top = clamp_probability(std_normal_cdf(w[:, m] / np.sqrt(m)), counter)
     sums = inv_reg_gamma_p(float(m), p_top).reshape(count, 1)
-    k = m
-    while k > 1:
-        half = k // 2
-        start = np.arange(0, extent, k)
-        v = w[:, start + half] - 0.5 * (w[:, start] + w[:, start + k])
-        q = clamp_probability(std_normal_cdf(v * (2.0 / np.sqrt(k))), counter)
-        frac = inv_reg_beta_i(q, float(half), float(half))
-        clipped = (frac < _FRAC_FLOOR) | (frac > _FRAC_CEIL)
-        counter.add(int(np.count_nonzero(clipped)))
-        frac = np.clip(frac, _FRAC_FLOOR, _FRAC_CEIL)
-        left = sums * frac
-        merged = np.empty((count, 2 * sums.shape[1]))
-        merged[:, 0::2] = left
-        merged[:, 1::2] = sums - left
-        sums = merged[:, : -(-extent // half)]
-        k = half
+    # (block size k, blocks split) of each level, top-down
+    levels = [(k, -(-extent // k)) for k in (m >> i for i in range(m.bit_length() - 1))]
+    z = np.empty((count, sum(cnt for _, cnt in levels)))
+    shapes = np.empty(z.shape[1])
+    used = 0
+    for k, cnt in levels:
+        half, stop = k // 2, cnt * k
+        v = z[:, used : used + cnt]
+        # w[mid] - 0.5 * (w[start] + w[start + k]), then * (2 / sqrt(k))
+        np.add(w[:, 0:stop:k], w[:, k : stop + 1 : k], out=v)
+        v *= 0.5
+        np.subtract(w[:, half : stop : k], v, out=v)
+        v *= 2.0 / np.sqrt(k)
+        shapes[used : used + cnt] = half
+        used += cnt
+    q = clamp_probability(std_normal_cdf(z, out=z), counter, out=z)
+    frac = inv_reg_beta_i(q, shapes, shapes, out=z)
+    counter.add(int(np.count_nonzero((frac < _FRAC_FLOOR) | (frac > _FRAC_CEIL))))
+    np.clip(frac, _FRAC_FLOOR, _FRAC_CEIL, out=frac)
+    used = 0
+    for k, cnt in levels:
+        split = np.empty((count, 2 * cnt))
+        left = split[:, 0::2]
+        np.multiply(sums, frac[:, used : used + cnt], out=left)
+        np.subtract(sums, left, out=split[:, 1::2])
+        sums = split[:, : -(-extent // (k // 2))]
+        used += cnt
     s = np.empty((count, extent + 1))
     s[:, 0] = 0.0
     np.cumsum(sums, axis=1, out=s[:, 1:])
@@ -176,18 +209,20 @@ class CoupledPath:
         ]
         tile = max(1, _REFINE_TILE // span) * span
         z = np.empty(min(tile, fine.size - 1) // 2)
+        tmp = np.empty_like(z)
         for lo in range(0, fine.size - 1, tile):
             part = fine[lo : lo + tile + 1]
             for stride, scale, rng in levels:
                 prev = part[:: 2 * stride]
                 mid = part[stride :: 2 * stride]
-                zc = z[: mid.size]
+                zc, tc = z[: mid.size], tmp[: mid.size]
                 rng.standard_normal(out=zc)
-                # 0.5 * (a + b) + c * z, operation for operation
-                np.add(prev[:-1], prev[1:], out=mid)
-                mid *= 0.5
+                # 0.5 * (a + b) + c * z, operation for operation, through the
+                # contiguous tc so that the strided mid is written once
+                np.add(prev[:-1], prev[1:], out=tc)
+                tc *= 0.5
                 zc *= scale
-                mid += zc
+                np.add(tc, zc, out=mid)
         self._fine = fine
 
     def extremes(self, depth: int, size: int) -> np.ndarray:

@@ -222,6 +222,35 @@ def replicate_bundle(
     return build_anchored_bundle(seed, n, rep, anchor, depth)
 
 
+def _on_lattice(x: float, n: int) -> bool:
+    """Whether x is the float of a lattice point k / n."""
+    return round(x * n) / n == x
+
+
+def _solve_key(req: StatRequest, anchor, n: int) -> tuple:
+    """The solve a request shares: its bundle and sup problem (its registry
+    row's ``problem``), or for a tail whose inner end, d/n on the left and
+    1 - d/n on the right, is the float of a lattice point, the nested tails
+    of its side, with d left out."""
+    builder, *args = _PROBLEMS[req.statistic].problem(req)
+    if builder is problem_tail:
+        lo, hi = tail_domain(n, req.d, req.side)
+        if _on_lattice(hi if req.side == "left" else lo, n):
+            return anchor, _nested_tails, req.side
+    return (anchor, builder, *args)
+
+
+def _nested_tails(bundle: Bundle, side: str, reqs) -> tuple:
+    """The widest of the tails ``reqs`` of one side, and each one's domain as a view of it.
+
+    Tail domains of one side are nested, and each inner end here is a step
+    jump of the widest tail's problem (``_solve_key``), so each view's
+    ``solve_weights`` row equals its own ``problem_tail`` solve, to the bit.
+    """
+    prob = problem_tail(bundle, max(req.d for req in reqs), side)
+    return prob, [tail_domain(bundle.n, req.d, side) for req in reqs]
+
+
 def evaluate_requests(
     requests: list[StatRequest],
     seed: int,
@@ -237,7 +266,9 @@ def evaluate_requests(
     Requests that build the same sup problem on it (their registry rows'
     ``problem``, which leaves out the weight exponent) share one evaluation
     pass, whatever their statistic: 'cens-h1' is approx4's problem at
-    t = theta.  Each row equals the request's own ``stat_*`` /
+    t = theta.  So do the tails of one side whose inner ends are lattice
+    points, whatever their width: each is a view of the widest
+    (``_nested_tails``).  Each row equals the request's own ``stat_*`` /
     ``tail_sup_discrepancy`` / ``censored_weighted_stats`` result bit for bit.
     The depth and the bundles' bytes are checked before any bundle is built,
     as in ``run_requests``.
@@ -253,13 +284,16 @@ def evaluate_requests(
     for i, (req, anchor) in enumerate(zip(requests, anchors)):
         if anchor not in bundles:
             bundles[anchor] = replicate_bundle(req, seed, n, rep, depth)
-        groups.setdefault((anchor, *_PROBLEMS[req.statistic].problem(req)), []).append(i)
+        groups.setdefault(_solve_key(req, anchor, n), []).append(i)
     results: dict = {}
     for (anchor, builder, *args), members in groups.items():
-        prob = builder(bundles[anchor], *args)
+        if builder is _nested_tails:  # the views follow the weights
+            prob, *views = _nested_tails(bundles[anchor], *args, [requests[i] for i in members])
+        else:
+            prob, views = builder(bundles[anchor], *args), []
         xs = (_PROBLEMS[requests[i].statistic].exponent(requests[i]) for i in members)
         weights = [power_weight(n, x, prob.weight_kind) for x in xs]
-        results.update(zip(members, solve_weights(bundles[anchor], prob, weights)))
+        results.update(zip(members, solve_weights(bundles[anchor], prob, weights, *views)))
     return [
         ResultRow(
             statistic=req.name, n=n, rep=rep, value=results[i].value,

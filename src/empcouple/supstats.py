@@ -32,7 +32,11 @@ lookups on a piece and returns s -> values, evaluated at both ends of each
 piece.  The weight enters only after |numerator|, so several weights of one
 numerator and domain (the eta or nu variants of a statistic) share one pass
 (``solve_weights``), and each weight's base s(1-s), s or 1-s is computed
-once per block.
+once per block.  So do sub-intervals of the domain, *views*, whose inner
+ends are point abscissae of the problem: a view's pieces and point
+abscissae are then the problem's in it, and a row of a (weight, view) pair
+equals the solve over the view alone, to the bit.  The tails of one side
+whose inner ends are lattice points are views of the widest.
 
 On pieces the lookups are read from integer indices, never from float
 midpoints.  A block's breakpoints are the grid of ``grid_runs`` cut to the
@@ -60,8 +64,8 @@ as one set of pieces in position order, and evaluates those that still
 reach a floor raised by the best limits so far (``_pieces``).  The best
 right and left limits are carried across blocks with a strict ``>``
 (``_carry``), so ties resolve to the first occurrence as in a single pass.
-``grid_points`` counts every piece of every stretch once, evaluated or not
-(``_piece_count``).
+``grid_points`` counts every piece of every stretch in a row's view once,
+evaluated or not (``_piece_count``).
 
 Most of a large domain cannot hold the sup, and is never evaluated.  A
 stretch of more than ``_BOUND_CELLS`` grid cells is cut into sub-blocks
@@ -85,7 +89,8 @@ terms, near a zero crossing too.  A weight's bound there is scale bound /
 min(w(e), w(f))^c, widened by 1e-9 relative, and its floor is its best
 point value: a value the sup reaches.  The nodes are bounded from the
 coarsest level down, and only the children of those whose bound reaches the
-floor of some weight (a tie can still move arg_s or side), those with a
+floor of some row (a tie can still move arg_s or side; a row bounds
+nothing on a node outside its view), those with a
 zero base and those that reach past a window increment's anchor are
 bounded at the next level (``_kept``); the sub-blocks kept at the finest
 level are the stretch's kept ranges.  A skipped node holds no value at or
@@ -448,46 +453,48 @@ def _least_power(e, f, weight_exp, weight_kind):
     return np.minimum(_weight_base(e, weight_kind), _weight_base(f, weight_kind)) ** weight_exp
 
 
-def _reach(prob: SupProblem, lo: np.ndarray, hi: np.ndarray, bound: np.ndarray, weights):
-    """Each weight's bound, one row per weight, on the nodes [lo, hi] on which
-    |numerator| is at most ``bound``.
+def _reach(prob: SupProblem, lo: np.ndarray, hi: np.ndarray, bound: np.ndarray, rows):
+    """Each row's bound, one per (weight, view) in ``rows``, on the nodes [lo, hi] on
+    which |numerator| is at most ``bound``.
 
     scale bound / ``_least_power`` on the node, widened by 1e-9 relative,
     bounds the weight's values there.  It is +inf where a base is zero, and
     on a node that reaches past the anchor of a window increment (only the
     restricted domain does): past it the increment stops following the
     bridge, and a node's corners, evaluated on one side of the anchor,
-    bound nothing on the other.  So such a node is never skipped.
+    bound nothing on the other.  So such a node is never skipped.  It is
+    -inf on a node that holds no piece of the row's view.
     """
-    reach = np.empty((len(weights), lo.size))
-    for row, (weight_exp, weight_kind, scale) in zip(reach, weights):
+    reach = np.empty((len(rows), lo.size))
+    for row, ((weight_exp, weight_kind, scale), (v_lo, v_hi)) in zip(reach, rows):
         low = _least_power(lo, hi, weight_exp, weight_kind)
         with np.errstate(divide="ignore", invalid="ignore"):
             row[:] = np.where(np.less_equal(low, 0.0), np.inf, scale * bound / low * (1.0 + 1e-9))
+        row[(lo >= v_hi) | (hi <= v_lo)] = -np.inf
     if prob.anchor is not None:
         reach[:, hi > prob.anchor] = np.inf
     return reach
 
 
-def _kept(bundle: Bundle, prob: SupProblem, steps, a, b, run, weights, floors) -> tuple:
-    """The sub-blocks of the stretch [a, b] that may hold a value at or above a weight's floor.
+def _kept(bundle: Bundle, prob: SupProblem, steps, a, b, run, rows, floors) -> tuple:
+    """The sub-blocks of the stretch [a, b] that may hold a value at or above a row's floor.
 
     The nodes of [a, b] (``_Nodes``) are bounded from the top level down,
     and only the children of the nodes kept at one level are bounded at the
-    next.  A node is kept where some weight's bound on it (``_reach``)
-    reaches that weight's floor: on a tie it could still move arg_s or side.
+    next.  A node is kept where some row's bound on it (``_reach``)
+    reaches that row's floor: on a tie it could still move arg_s or side.
     Returns the ends (lo, hi) of the kept sub-blocks and their ``_reach``.
     A stretch of at most ``_BOUND_CELLS`` grid cells is kept whole, as one
-    range that reaches +inf for every weight.
+    range that reaches +inf for every row.
     """
     if run.size - 1 <= _BOUND_CELLS:
-        return np.array([a]), np.array([b]), np.full((len(weights), 1), np.inf)
+        return np.array([a]), np.array([b]), np.full((len(rows), 1), np.inf)
     nodes = _Nodes(bundle, prob, steps, a, b, run)
     floors = np.asarray(floors)[:, None]
     i = None  # every node of the top level
     for level in range(nodes.top, -1, -1):
         lo, hi, bound = nodes.bounds(level, i)
-        reach = _reach(prob, lo, hi, bound, weights)
+        reach = _reach(prob, lo, hi, bound, rows)
         keep = (reach >= floors).any(axis=0)
         i = np.flatnonzero(keep) if i is None else i[keep]
         if not i.size:
@@ -520,35 +527,39 @@ def _cannot_win(max_num: float, a: float, b: float, weight: tuple, floor: float)
     return low > 0.0 and scale * max_num / low * (1.0 + 1e-12) <= floor
 
 
-def _best_points(bundle: Bundle, prob: SupProblem, steps: np.ndarray, weights) -> tuple:
-    """Each weight's largest point value and its abscissa, the first on a tie,
-    from the numerator's float lookups (``point_abscissae``, with ``steps``
-    the sorted step jumps); and how many abscissae there are."""
-    at = prob.point_abscissae(steps, bundle.point_breaks(prob.anchor))
+def _best_points(prob: SupProblem, at: np.ndarray, rows) -> tuple:
+    """Each row's largest point value and its abscissa, the first on a tie,
+    over the point abscissae ``at`` in its view, from the numerator's float
+    lookups; and how many abscissae each view holds."""
     abs_points = np.abs(prob.numerator(at)(at))
-    best = []
-    for weight_exp, weight_kind, scale in weights:
-        vals = _weigh(abs_points, _weight_power(at, weight_exp, weight_kind), scale)
+    best, sizes = [], []
+    for (weight_exp, weight_kind, scale), (v_lo, v_hi) in rows:
+        i0, i1 = np.searchsorted(at, v_lo), np.searchsorted(at, v_hi, "right")
+        part = at[i0:i1]
+        vals = _weigh(abs_points[i0:i1], _weight_power(part, weight_exp, weight_kind), scale)
         j = int(np.argmax(vals))
-        best.append((float(vals[j]), float(at[j])))
-    return best, at.size
+        best.append((float(vals[j]), float(part[j])))
+        sizes.append(i1 - i0)
+    return best, sizes
 
 
-def _carry(prob: SupProblem, weights, best: dict, pts: np.ndarray, take, index: Index) -> None:
-    """Carry each weight's best right and left limit in ``best`` over the
-    pieces (pts[:-1][take], pts[1:][take]) of ``_pieces``, in position order;
-    a value replaces the best only if it is larger, so the first occurrence
-    wins ties.  A weight whose values there cannot beat its best on either
-    side (``_cannot_win``) is not applied, and its base is computed only for
-    the weights that are."""
+def _carry(prob: SupProblem, rows, best: dict, pts: np.ndarray, take, index: Index) -> None:
+    """Carry each row's best right and left limit in ``best`` over the
+    pieces (p, q) = (pts[:-1][take], pts[1:][take]) of ``_pieces`` in its
+    view, those with p and q in [lo_v, hi_v], in position order; a value
+    replaces the best only if it is larger, so the first occurrence wins
+    ties.  A row whose values there cannot beat its best on either side
+    (``_cannot_win``) is not weighed, and a weight's base is computed only
+    for the rows that are."""
     p, q = pts[:-1][take], pts[1:][take]
     abs_right, abs_left = _abs_limits(prob, p, q, index)
     max_num = max(abs_right.max(), abs_left.max())
     bases: dict = {}
-    for i, weight in enumerate(weights):
+    for i, (weight, (v_lo, v_hi)) in enumerate(rows):
         weight_exp, weight_kind, scale = weight
+        i0, i1 = np.searchsorted(p, v_lo), np.searchsorted(q, v_hi, "right")
         floor = min(best["right"][i][0], best["left"][i][0])
-        if _cannot_win(max_num, pts[0], pts[-1], weight, floor):
+        if i0 >= i1 or _cannot_win(max_num, pts[0], pts[-1], weight, floor):
             continue
         if weight_kind not in bases:
             bases[weight_kind] = _weight_base(pts, weight_kind)
@@ -558,37 +569,64 @@ def _carry(prob: SupProblem, weights, best: dict, pts: np.ndarray, take, index: 
             ("right", p, abs_right, slice(None, -1)),
             ("left", q, abs_left, slice(1, None)),
         ):
-            vals = _weigh(abs_num, None if wpow is None else wpow[cut][take], scale)
+            w = None if wpow is None else wpow[cut][take][i0:i1]
+            vals = _weigh(abs_num[i0:i1], w, scale)
             j = int(np.argmax(vals))
             if vals[j] > best[side][i][0]:
-                best[side][i] = (float(vals[j]), float(s[j]))
+                best[side][i] = (float(vals[j]), float(s[i0 + j]))
 
 
-def solve_weights(bundle: Bundle, prob: SupProblem, weights) -> list[WeightedSupResult]:
+def solve_weights(bundle: Bundle, prob: SupProblem, weights, views=None) -> list[WeightedSupResult]:
     """``solve`` for each (weight_exp, weight_kind, scale) in ``weights``, in one pass.
 
+    Each weight is a row, solved over its view [lo_v, hi_v] in ``views``
+    (default: the domain [lo, hi] for every row).  A view is a sub-interval
+    of the domain whose ends other than lo and hi are point abscissae of the
+    problem (a step jump or a point break), and an inner upper end needs a
+    domain closed at hi.  So a view's pieces are the problem's pieces in it,
+    its point abscissae the problem's in it, and each row equals the
+    ``solve`` of the problem over the view, to the bit: nested tails share
+    one pass this way.  In a view, point values count at abscissae in
+    [lo_v, hi_v], right limits at p with lo_v <= p < hi_v and left limits at
+    q with lo_v < q <= hi_v.
+
     |numerator| is evaluated once on each candidate set (point values, right
-    limits, left limits) and every weight is applied to it.  The point
-    values come first, and are each weight's floor.  Every stretch of the
-    domain (``_runs``) then takes the same steps: its pieces are counted
-    (``_piece_count``), the ranges that may reach a floor are kept
+    limits, left limits) and every row is applied to it.  The point values
+    come first, and are each row's floor.  Every stretch of the domain
+    (``_runs``) then takes the same steps: the pieces of each view in it are
+    counted (``_piece_count``), the ranges that may reach a floor are kept
     (``_kept``, the whole stretch where it is small), and it is cut into
     blocks at every ``_BLOCK_POINTS``-th point of its grid run.  Each block
     evaluates the kept ranges in it that still reach a floor raised by the
-    best limits so far (``_pieces``), carrying each weight's best right and
+    best limits so far (``_pieces``), carrying each row's best right and
     best left limit across blocks (``_carry``).
     """
     if not prob.lo < prob.hi:
         raise ValueError(f"empty sup domain [{prob.lo}, {prob.hi})")
     steps = np.sort(prob.step_jumps)  # repeats kept: they count
-    points, n_points = _best_points(bundle, prob, steps, weights)
+    at = prob.point_abscissae(steps, bundle.point_breaks(prob.anchor))
+    views = [(prob.lo, prob.hi)] * len(weights) if views is None else views
+    for v_lo, v_hi in views:
+        inner = [v for v, end in ((v_lo, prob.lo), (v_hi, prob.hi)) if v != end]
+        if not (
+            prob.lo <= v_lo < v_hi <= prob.hi
+            and (v_hi == prob.hi or prob.closed_hi)
+            and np.isin(inner, at).all()
+        ):
+            raise ValueError(f"view [{v_lo}, {v_hi}] is no sub-domain of [{prob.lo}, {prob.hi}]")
+    rows = list(zip(weights, views))
+    points, n_points = _best_points(prob, at, rows)
     # a NaN point value (0/0 at a zero base) never wins, so sets no floor
     floors = np.array([-math.inf if math.isnan(value) else value for value, _ in points])
-    best = {side: [(-math.inf, prob.lo)] * len(weights) for side in ("right", "left")}
-    pieces = 0
+    best = {side: [(-math.inf, v_lo) for v_lo, _ in views] for side in ("right", "left")}
+    pieces = dict.fromkeys(views, 0)
     for a, b, run in _runs(bundle, prob):
-        pieces += _piece_count(a, b, steps, run)
-        lo, hi, reach = _kept(bundle, prob, steps, a, b, run, weights, floors)
+        for v_lo, v_hi in pieces:
+            e, f = max(a, v_lo), min(b, v_hi)
+            if e < f:
+                part = run if (e, f) == (a, b) else bundle.grid_runs(prob.anchor, e, f)
+                pieces[v_lo, v_hi] += _piece_count(e, f, steps, part)
+        lo, hi, reach = _kept(bundle, prob, steps, a, b, run, rows, floors)
         cuts = run.at(np.arange(_BLOCK_POINTS, run.size - 1, _BLOCK_POINTS))
         blocks = np.concatenate([[a], cuts, [b]])
         firsts, lasts = np.searchsorted(hi, blocks[:-1], "right"), np.searchsorted(lo, blocks[1:])
@@ -604,10 +642,10 @@ def solve_weights(bundle: Bundle, prob: SupProblem, weights) -> list[WeightedSup
             gap = lo[at[1:]] != hi[at[:-1]]
             r_lo, r_hi = lo[at[np.append(True, gap)]], hi[at[np.append(gap, True)]]
             pts, take, index = _pieces(steps, run, np.maximum(r_lo, e), np.minimum(r_hi, f))
-            _carry(prob, weights, best, pts, take, index)
+            _carry(prob, rows, best, pts, take, index)
     results = []
-    for i, (value, arg_s) in enumerate(points):
-        res = WeightedSupResult(-math.inf, prob.lo, "right", 2 * pieces + n_points)
+    for i, ((value, arg_s), view) in enumerate(zip(points, views)):
+        res = WeightedSupResult(-math.inf, view[0], "right", 2 * pieces[view] + n_points[i])
         for side in ("right", "left"):
             if best[side][i][0] > res.value:
                 res.value, res.arg_s = best[side][i]

@@ -31,7 +31,7 @@ from empcouple.harness import (
     verify_exact_laws,
     wilson_interval,
 )
-from empcouple import harness, processes
+from empcouple import harness, processes, supstats
 from empcouple.censored import CensoringModel, censored_weighted_stats, sample_from_bundle
 from empcouple.cli import main
 from empcouple.coupling import MAX_REFINE_DEPTH
@@ -269,6 +269,48 @@ def test_estimate_ineq1_bytes_unchanged(n, side):
     want_est, want_csv = _INEQ1_DIGESTS[(n, side)]
     assert hashlib.sha256(csv.encode()).hexdigest() == want_csv
     assert _estimate_digest(est) == want_est
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+@pytest.mark.parametrize("n", [256, 271])
+def test_nested_tail_rows_equal_own_solves(monkeypatch, n, bounded):
+    # tails of one side whose inner end is a lattice point share one solve of
+    # the widest; each of its rows equals the tail's own solve: value, arg_s,
+    # side and grid_points.  1 - 92/271 is one ulp below 179/271, and
+    # 16.000001 / n no lattice point, so those tails are solved alone.
+    if bounded:
+        monkeypatch.setattr(supstats, "_BOUND_CELLS", 0)
+        monkeypatch.setattr(supstats, "_TOP_NODES", 1)
+        monkeypatch.setattr(processes, "_SUB_BLOCK", 16)
+    ds = (1.0, 4.0, 16.0, 16.000001, 64.0, 92.0, 16.0, float(n))
+    reqs = [
+        StatRequest(f"{side}{i}", "ineq1-tail", d=d, side=side)
+        for side in ("left", "right") for i, d in enumerate(ds)
+    ]
+    alone = {("left", 16.000001), ("right", 16.000001)}
+    if n == 271:
+        alone.add(("right", 92.0))
+    calls = []
+
+    def recorded(bundle, prob, weights, *views):
+        calls.append((bundle, *views, solve_weights(bundle, prob, weights, *views)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(harness, "solve_weights", recorded)
+    for rep in (0, 1):
+        calls.clear()
+        rows = evaluate_requests(reqs, 545, n, rep)
+        nested = [call for call in calls if len(call) == 3]
+        assert len(nested) == 2 and len(calls) == 2 + len(alone)
+        bundle = nested[0][0]
+        for side, (_, views, results) in zip(("left", "right"), nested):
+            joined = [req for req in reqs if req.side == side and (side, req.d) not in alone]
+            assert views == [harness.tail_domain(n, req.d, side) for req in joined]
+            for req, res in zip(joined, results):
+                assert res == tail_sup_discrepancy(bundle, req.d, side), req
+        for req, row in zip(reqs, rows):
+            own = tail_sup_discrepancy(bundle, req.d, req.side)
+            assert (row.value, row.arg_s) == (own.value, own.arg_s), req
 
 
 def test_repeated_ladder_size_rejected():

@@ -163,3 +163,65 @@ def test_binom_quantile_is_scipy_binom_ppf():
 def test_binom_quantile_rejects_bad_arguments(p, n, t):
     with pytest.raises(ValueError):
         binom_quantile(p, n, t)
+
+
+def test_inv_reg_gamma_p_rejects_nan():
+    # NaN fails the range check rather than the quantile iteration
+    with pytest.raises(ValueError):
+        inv_reg_gamma_p(2.0, np.nan)
+    with pytest.raises(ValueError):
+        inv_reg_gamma_p(np.nan, 0.5)
+
+
+def test_inv_reg_beta_i_rejects_nan():
+    for p, a, b in ((np.nan, 2.0, 2.0), (0.5, np.nan, 2.0), (0.5, 2.0, np.nan)):
+        with pytest.raises(ValueError):
+            inv_reg_beta_i(p, a, b)
+    # array shapes are checked entry by entry
+    with pytest.raises(ValueError):
+        inv_reg_beta_i([0.5, 0.5], np.array([2.0, np.nan]), 2.0)
+
+
+def test_std_normal_quantile_rejects_nan():
+    with pytest.raises(ValueError):
+        std_normal_quantile(np.nan)
+    with pytest.raises(ValueError):
+        std_normal_quantile([0.5, np.nan])
+
+
+def test_binom_quantile_rejects_nan():
+    for p, n, t in ((np.nan, 10, 0.5), (0.5, np.nan, 0.5)):
+        with pytest.raises(ValueError):
+            binom_quantile(p, n, t)
+
+
+def test_reg_gamma_p_rejects_nan():
+    for a, x in ((1.0, np.nan), (np.nan, 1.0)):
+        with pytest.raises(ValueError):
+            reg_gamma_p(a, x)
+
+
+def test_reg_beta_i_rejects_nan():
+    for x, a, b in ((np.nan, 2.0, 2.0), (0.5, np.nan, 2.0)):
+        with pytest.raises(ValueError):
+            reg_beta_i(x, a, b)
+
+
+def test_gamma2_tail_rejects_nan():
+    with pytest.raises(ValueError):
+        gamma2_tail(np.nan)
+
+
+def test_inversions_write_in_place():
+    # out= gives the values of a fresh call, written into the array passed
+    p = np.array([[1e-320, 0.25, 0.5], [0.75, 1.0, 0.125]])
+    want = inv_reg_beta_i(clamp_probability(std_normal_cdf(p)), np.array([1.0, 2.0, 8.0]), 3.0)
+    buf = p.copy()
+    counter = ClampCounter()
+    got = inv_reg_beta_i(
+        clamp_probability(std_normal_cdf(buf, out=buf), counter, out=buf),
+        np.array([1.0, 2.0, 8.0]), 3.0, out=buf,
+    )
+    assert got is buf
+    np.testing.assert_array_equal(got, want)
+    assert counter.count == 0

@@ -1111,3 +1111,61 @@ def test_bounded_size_solves_unchanged(lam, t):
     # bit-identical to full evaluation
     digest = hashlib.sha256(_bounded_size_solves(lam, t).encode()).hexdigest()
     assert digest == _BOUNDED_SIZE_DIGESTS[(lam, t)], (lam, t, np.__version__)
+
+
+def _view_problems(n, t):
+    """(bundle, problem, views) with views whose inner ends are step jumps or
+    the splice t, on both bundle kinds: approx1 with lattice ends, approx2
+    with order statistics as ends, and a full range over the splice."""
+    cfg = WeightConfig(lam=1.0, eta=0.25, nu=0.1, t=t)
+    lattice = _bundle(n, seed=3, t=t)
+    anchored = AnchoredBundle.build(n, derive_stream(3, n, 0, "anchored"), t=t)
+    out = []
+    for b in (lattice, anchored):
+        prob = problem_quantile_full(b, cfg)
+        k = np.arange(n + 1)
+        inner = k[(k / n > prob.lo) & (k / n < prob.hi)] / n
+        out.append((b, prob, [(prob.lo, prob.hi), (inner[0], inner[-1]), (prob.lo, inner[n // 3]),
+                              (inner[n // 2], prob.hi), (inner[4], inner[5])]))
+        prob = problem_empirical_full(b, cfg)
+        u = np.sort(prob.step_jumps)
+        u = u[(u > prob.lo) & (u < prob.hi)]
+        out.append((b, prob, [(u[1], u[-2]), (prob.lo, u[n // 4]), (u[n // 4], prob.hi)]))
+    spliced = problem_quantile_full(anchored, cfg)
+    out.append((anchored, spliced, [(spliced.lo, t), (t, spliced.hi), (1.0 / n, t)]))
+    return out
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+@pytest.mark.parametrize("n,t", [(64, 0.5), (100, 0.37)])
+def test_views_equal_own_solves(monkeypatch, n, t, bounded):
+    # every (weight, view) row of one pass equals the solve of the problem
+    # over its view alone: value, arg_s, side and grid_points; with every
+    # stretch bounded by a descent of several levels too
+    if bounded:
+        monkeypatch.setattr(supstats, "_BOUND_CELLS", 0)
+        monkeypatch.setattr(supstats, "_TOP_NODES", 1)
+        monkeypatch.setattr(processes, "_SUB_BLOCK", 4)
+    for b, prob, views in _view_problems(n, t):
+        weights = [power_weight(n, x, prob.weight_kind) for x in (0.0, 0.25)]
+        rows = [(w, v) for v in views for w in weights]
+        got = supstats.solve_weights(b, prob, [w for w, _ in rows], [v for _, v in rows])
+        for (weight, (lo, hi)), res in zip(rows, got):
+            own = SupProblem(lo, hi, prob.closed_hi, prob.anchor, prob.step_jumps,
+                             prob.numerator, *weight)
+            assert res == solve(b, own), (prob.__dict__, lo, hi, weight)
+
+
+def test_views_must_be_sub_domains():
+    # a view's inner ends are point abscissae of the problem, inside its
+    # domain, and an inner upper end needs a domain closed at hi
+    b = _bundle(64)
+    prob = problem_tail(b, 16.0, "left")
+    weights = [prob.weight]
+    supstats.solve_weights(b, prob, weights, [(0.0, 4 / 64)])
+    for view in ((0.0, 4.5 / 64), (1 / 128, 0.25), (0.0, 17 / 64), (4 / 64, 4 / 64)):
+        with pytest.raises(ValueError, match="view"):
+            supstats.solve_weights(b, prob, weights, [view])
+    increment = problem_quantile_increment(b, WeightConfig())
+    with pytest.raises(ValueError, match="view"):
+        supstats.solve_weights(b, increment, [increment.weight], [(increment.lo, 0.25)])

@@ -6,8 +6,9 @@ applies these inverses once per summand, in one call per path over every
 level's summands at once (``out=`` writes in place), so each range and
 finiteness check below runs once per path.  NaN fails every range check.
 Probabilities that fall outside the representable inversion range are
-clamped and counted instead of aborting the path.  Nothing here imports ``scipy.stats``, whose import costs
-a fresh process most of its start-up time.
+clamped and counted instead of aborting the path.  Nothing here imports
+``scipy.stats``, whose import costs a fresh process most of its start-up
+time.
 """
 
 from __future__ import annotations
@@ -128,7 +129,8 @@ def inv_reg_beta_i(p, a, b, out=None):
         raise ValueError("inv_reg_beta_i requires 0 <= p <= 1")
     out = special.betaincinv(a, b, p, out=out)
     if np.any(~np.isfinite(out)):
-        raise RuntimeError(f"beta quantile iteration failed for a={a!r}, b={b!r}, p={p!r}")
+        given = "" if out is p else f", p={p!r}"  # else p was overwritten
+        raise RuntimeError(f"beta quantile iteration failed for a={a!r}, b={b!r}{given}")
     return out
 
 

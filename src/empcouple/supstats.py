@@ -604,18 +604,23 @@ def solve_weights(bundle: Bundle, prob: SupProblem, weights, views=None) -> list
     if not prob.lo < prob.hi:
         raise ValueError(f"empty sup domain [{prob.lo}, {prob.hi})")
     steps = np.sort(prob.step_jumps)  # repeats kept: they count
-    at = prob.point_abscissae(steps, bundle.point_breaks(prob.anchor))
-    views = [(prob.lo, prob.hi)] * len(weights) if views is None else views
+    abscissae = prob.point_abscissae(steps, bundle.point_breaks(prob.anchor))
+    if views is None:
+        views = [(prob.lo, prob.hi)] * len(weights)
+    views = [(float(v_lo), float(v_hi)) for v_lo, v_hi in views]
+    if len(views) != len(weights):
+        raise ValueError(f"{len(views)} views for {len(weights)} weights")
     for v_lo, v_hi in views:
         inner = [v for v, end in ((v_lo, prob.lo), (v_hi, prob.hi)) if v != end]
+        near = abscissae[np.searchsorted(abscissae, inner).clip(max=abscissae.size - 1)]
         if not (
             prob.lo <= v_lo < v_hi <= prob.hi
             and (v_hi == prob.hi or prob.closed_hi)
-            and np.isin(inner, at).all()
+            and np.array_equal(near, inner)
         ):
             raise ValueError(f"view [{v_lo}, {v_hi}] is no sub-domain of [{prob.lo}, {prob.hi}]")
     rows = list(zip(weights, views))
-    points, n_points = _best_points(prob, at, rows)
+    points, n_points = _best_points(prob, abscissae, rows)
     # a NaN point value (0/0 at a zero base) never wins, so sets no floor
     floors = np.array([-math.inf if math.isnan(value) else value for value, _ in points])
     best = {side: [(-math.inf, v_lo) for v_lo, _ in views] for side in ("right", "left")}

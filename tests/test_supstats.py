@@ -1166,6 +1166,8 @@ def test_views_must_be_sub_domains():
     for view in ((0.0, 4.5 / 64), (1 / 128, 0.25), (0.0, 17 / 64), (4 / 64, 4 / 64)):
         with pytest.raises(ValueError, match="view"):
             supstats.solve_weights(b, prob, weights, [view])
+    with pytest.raises(ValueError, match="views"):
+        supstats.solve_weights(b, prob, weights * 2, [(0.0, 4 / 64)])
     increment = problem_quantile_increment(b, WeightConfig())
     with pytest.raises(ValueError, match="view"):
         supstats.solve_weights(b, increment, [increment.weight], [(increment.lo, 0.25)])

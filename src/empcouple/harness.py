@@ -287,13 +287,13 @@ def evaluate_requests(
         groups.setdefault(_solve_key(req, anchor, n), []).append(i)
     results: dict = {}
     for (anchor, builder, *args), members in groups.items():
-        if builder is _nested_tails:
-            prob, views = _nested_tails(bundles[anchor], *args, [requests[i] for i in members])
+        if builder is _nested_tails:  # the views follow the weights
+            prob, *views = _nested_tails(bundles[anchor], *args, [requests[i] for i in members])
         else:
-            prob, views = builder(bundles[anchor], *args), None
+            prob, views = builder(bundles[anchor], *args), []
         xs = (_PROBLEMS[requests[i].statistic].exponent(requests[i]) for i in members)
         weights = [power_weight(n, x, prob.weight_kind) for x in xs]
-        results.update(zip(members, solve_weights(bundles[anchor], prob, weights, views)))
+        results.update(zip(members, solve_weights(bundles[anchor], prob, weights, *views)))
     return [
         ResultRow(
             statistic=req.name, n=n, rep=rep, value=results[i].value,

@@ -539,7 +539,7 @@ def _best_points(prob: SupProblem, at: np.ndarray, rows) -> tuple:
         vals = _weigh(abs_points[i0:i1], _weight_power(part, weight_exp, weight_kind), scale)
         j = int(np.argmax(vals))
         best.append((float(vals[j]), float(part[j])))
-        sizes.append(i1 - i0)
+        sizes.append(int(i1 - i0))
     return best, sizes
 
 

@@ -292,15 +292,15 @@ def test_nested_tail_rows_equal_own_solves(monkeypatch, n, bounded):
         alone.add(("right", 92.0))
     calls = []
 
-    def recorded(bundle, prob, weights, views):
-        calls.append((bundle, views, solve_weights(bundle, prob, weights, views)))
+    def recorded(bundle, prob, weights, *views):
+        calls.append((bundle, *views, solve_weights(bundle, prob, weights, *views)))
         return calls[-1][-1]
 
     monkeypatch.setattr(harness, "solve_weights", recorded)
     for rep in (0, 1):
         calls.clear()
         rows = evaluate_requests(reqs, 545, n, rep)
-        nested = [call for call in calls if call[1] is not None]
+        nested = [call for call in calls if len(call) == 3]
         assert len(nested) == 2 and len(calls) == 2 + len(alone)
         bundle = nested[0][0]
         for side, (_, views, results) in zip(("left", "right"), nested):

@@ -1171,3 +1171,13 @@ def test_views_must_be_sub_domains():
     increment = problem_quantile_increment(b, WeightConfig())
     with pytest.raises(ValueError, match="view"):
         supstats.solve_weights(b, increment, [increment.weight], [(increment.lo, 0.25)])
+
+
+def test_view_grid_points_count_its_cells():
+    # a tail view [0, d/n] at depth 6 holds d << 6 grid cells, each one
+    # piece, and the d + 1 lattice points 0, 1/n, ..., d/n, both ends included
+    b = _bundle(64)
+    prob = problem_tail(b, 16.0, "left")
+    got = supstats.solve_weights(b, prob, [prob.weight] * 2, [(0.0, 4 / 64), (0.0, 16 / 64)])
+    assert [res.grid_points for res in got] == [2 * (4 << 6) + 5, 2 * (16 << 6) + 17]
+    assert all(type(res.grid_points) is int for res in got)

@@ -52,7 +52,6 @@ from .processes import (
     DEFAULT_REFINE_DEPTH,
     AnchoredBundle,
     ProcessBundle,
-    floor_combination,
     interleave,
     next_power_of_two,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "estimate_ineq1",
     "evaluate_requests",
     "fit_kmt_tail",
-    "floor_combination",
     "generate",
     "interleave",
     "max_discrepancy",

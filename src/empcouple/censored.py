@@ -31,6 +31,7 @@ from .supstats import (
     SupProblem,
     WeightConfig,
     WeightedSupResult,
+    domain_end,
     empirical_range_problem,
     power_weight,
     problem_empirical_increment,
@@ -260,10 +261,15 @@ def survival_representation_check(
 
 
 def censored_domain(n: int, model: CensoringModel, lam: float) -> tuple[float, float]:
-    """[theta, 1 - lam/n], the domain of 'cens-h0'; ValueError where it is empty."""
-    if not lam / n < 1.0 - model.theta:
-        raise ValueError(f"empty censored-part domain: lam/n = {lam / n} >= 1 - theta")
-    return model.theta, 1.0 - lam / n
+    """[theta, 1 - lam/n], the domain of 'cens-h0'; ValueError where it is empty.
+
+    theta is the splice of the bundle anchored there, and stays as it is; the
+    upper end is ``full_domain``'s (``domain_end``).
+    """
+    hi = domain_end(1.0 - domain_end(lam / n, n), n)
+    if not model.theta < hi:
+        raise ValueError(f"empty censored-part domain: 1 - lam/n = {hi} <= theta")
+    return model.theta, hi
 
 
 def problem_censored_part(

@@ -45,6 +45,7 @@ from .supstats import (
     empirical_window_problem,
     full_domain,
     increment_domain,
+    on_lattice,
     power_weight,
     problem_empirical_full,
     problem_empirical_increment,
@@ -222,20 +223,15 @@ def replicate_bundle(
     return build_anchored_bundle(seed, n, rep, anchor, depth)
 
 
-def _on_lattice(x: float, n: int) -> bool:
-    """Whether x is the float of a lattice point k / n."""
-    return round(x * n) / n == x
-
-
 def _solve_key(req: StatRequest, anchor, n: int) -> tuple:
     """The solve a request shares: its bundle and sup problem (its registry
     row's ``problem``), or for a tail whose inner end, d/n on the left and
-    1 - d/n on the right, is the float of a lattice point, the nested tails
-    of its side, with d left out."""
+    1 - d/n on the right, is a lattice point (``on_lattice``; ``tail_domain``
+    makes it the float k / n), the nested tails of its side, with d left out."""
     builder, *args = _PROBLEMS[req.statistic].problem(req)
     if builder is problem_tail:
         lo, hi = tail_domain(n, req.d, req.side)
-        if _on_lattice(hi if req.side == "left" else lo, n):
+        if on_lattice(hi if req.side == "left" else lo, n):
             return anchor, _nested_tails, req.side
     return (anchor, builder, *args)
 

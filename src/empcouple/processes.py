@@ -114,18 +114,6 @@ def interleave(n: int, seq1, seq2) -> np.ndarray:
     return np.concatenate([seq1[:h][::-1], seq2[:g][::-1]])
 
 
-def floor_combination(n: int, s: float, t: float) -> int:
-    """[nt] - [n(t-s)] - [ns]; always within [-2, 1] for 0 <= s < t < 1."""
-    if not 0.0 <= s < t < 1.0:
-        raise ValueError("floor_combination requires 0 <= s < t < 1")
-    vals = snap_to_integer(np.asarray([n * t, n * (t - s), n * s]))
-    a, b, c = np.floor(vals).astype(int)
-    out = int(a - b - c)
-    if not -2 <= out <= 1:
-        raise ArithmeticError(f"floor combination {out} outside [-2, 1] (n={n}, s={s}, t={t})")
-    return out
-
-
 class Run(NamedTuple):
     """An ascending run of breakpoints that carry integer grid indices.
 
@@ -162,11 +150,6 @@ class Run(NamedTuple):
         x += self.offset
         return x
 
-    @property
-    def x(self) -> np.ndarray:
-        """Every point of the run."""
-        return self.points(0, self.size)
-
     def place(self, v: float, side: str = "left") -> int:
         """``search`` of one value, in Python floats, which are those of ``at``."""
         est = (v - self.offset) * (self.step * self.den / self.scale) - self.step * self.first
@@ -196,7 +179,7 @@ class Run(NamedTuple):
         return self.at(i) == v
 
     def search(self, v, side: str = "left") -> np.ndarray:
-        """``np.searchsorted(self.x, v, side)``, without computing the run.
+        """``np.searchsorted(self.points(0, self.size), v, side)``, without computing the run.
 
         Each position is estimated from the index of v and moved until the
         points on either side of it, computed as ``at`` computes them,
@@ -242,14 +225,17 @@ class _SampleProcesses:
     read as a reference.  ``grid_runs`` returns exactly the grid the bridge
     lookups of a problem read over a block, as one run: the bridge's grid
     for a full-range or tail sup, the increment grid for a window increment.
-    The two bridge piece factories, called on the abscissae ``s_piece`` of a
-    set of pieces, do the grid lookups once and return ``s -> values``,
-    which is linear in s on each piece.  Given ``cells``, the pieces' W_n
-    cell indices (one integer array, in the run of ``grid_runs`` over their
-    block), they read W_n by index (``w_cells``) and use ``s_piece`` only to
-    place the pieces about the anchor; float ``cells`` are taken as the
-    W_n values themselves, which is how the sup statistics bound a
-    numerator over a range of cells.
+    The two bridge piece factories take the abscissae ``s_piece`` of a set
+    of pieces or points and their W_n cell indices ``cells`` (one integer
+    array, counted in the runs of ``grid_runs``), read W_n by index
+    (``w_cells``) and return ``s -> values``, which is linear in s on each
+    piece; ``s_piece`` only places the pieces about the anchor.  Float
+    ``cells`` are taken as the W_n values themselves, which is how the sup
+    statistics bound a numerator over a range of cells.  The evaluators
+    ``bridge``, ``quantile_process`` and ``empirical_process`` read by float
+    instead (``bridge_piece`` without ``cells``, ``lattice_index``,
+    ``ecdf_count``, ``w_n``); the sup statistics read by float only a
+    window increment's values at its anchor.
     """
 
     n: int
@@ -348,16 +334,17 @@ class ProcessBundle(_SampleProcesses):
     def w_span(self, c0: int, c1: int) -> np.ndarray:
         """W_n inside the grid cells (j, j + 1) 2^-depth, j = c0..c1, read from the paths.
 
-        That is the value ``w_n`` takes at every point of the open cell.  Cells
-        outside [0, (n+1) 2^depth) read the nearest one.  Only the paths' grid
-        over the cells asked for is read, and a path's grid only when a cell
-        on its side is asked for.
+        That is the value ``w_n`` takes at every point of the open cell, and,
+        as W_n is left-continuous, at its upper end: so "cell" -1 gives
+        W_n(0) = 0.  Cells outside [-1, (n+1) 2^depth) read the nearest one.
+        Only the paths' grid over the cells asked for is read, and a path's
+        grid only when a cell on its side is asked for.
         """
         d = self.depth
         hd, top = self.h << d, ((self.n + 1) << d) - 1
-        lo, hi = min(max(c0, 0), top), max(min(c1, top), 0)
+        lo, hi = min(max(c0, -1), top), max(min(c1, top), -1)
         if lo != c0 or hi != c1:
-            return self.w_span(lo, hi)[np.clip(np.arange(c0, c1 + 1), 0, top) - lo]
+            return self.w_span(lo, hi)[np.clip(np.arange(c0, c1 + 1), -1, top) - lo]
         if c0 < hd <= c1:
             self._refine_both()
         w1_h = self.path1.W[self.h]
@@ -433,11 +420,30 @@ class ProcessBundle(_SampleProcesses):
             _paired(lambda: p1.freeze(d), lambda: p2.freeze(d), self.h)
 
     def w_cells(self, j: np.ndarray) -> np.ndarray:
-        """W_n inside the grid cells j, which are monotone, by one ``w_span`` read."""
+        """W_n inside the grid cells j, which are monotone, as ``w_span`` reads them.
+
+        Cells spread over at most twice their number take one ``w_span``
+        read, others are read from the paths' grids one by one, so a read
+        costs O(cells) either way.
+        """
         if j.size == 0:
             return np.empty(0)
         c0, c1 = sorted((int(j[0]), int(j[-1])))
-        return self.w_span(c0, c1)[j - c0]
+        if c1 - c0 < 2 * j.size:
+            return self.w_span(c0, c1)[j - c0]
+        d = self.depth
+        hd, top = self.h << d, ((self.n + 1) << d) - 1
+        j = np.clip(j, -1, top)
+        first = j < hd
+        if first.any() and not first.all():
+            self._refine_both()
+        out = np.empty(j.shape)
+        w1_h = self.path1.W[self.h]
+        if first.any():
+            out[first] = w1_h - self.path1.grid(d)[hd - 1 - j[first]]
+        if not first.all():
+            out[~first] = w1_h + self.path2.W[self.g] - self.path2.grid(d)[top - j[~first]]
+        return out
 
     def _cell_w(self, cells: np.ndarray) -> np.ndarray:
         """W_n of pieces given by their cells, or float ``cells`` as W_n itself."""
@@ -449,36 +455,32 @@ class ProcessBundle(_SampleProcesses):
         Between jump points the bridge is linear in s; resolving the grid
         lookup at a point of the adjacent piece gives the one-sided limit.
         """
-        if cells is None:
-            w_val = self.w_n(np.asarray(s_piece, dtype=float) * self.n)
-        else:
-            w_val = self._cell_w(cells)
+        if cells is None:  # W_n read by float, taken as W_n values
+            cells = self.w_n(np.asarray(s_piece, dtype=float) * self.n)
+        w_val = self._cell_w(cells)
         sqn = np.sqrt(self.n)
         return lambda s: (np.asarray(s, dtype=float) * self.w_nn - w_val) / sqn
 
     def bridge_increment(self, anchor: float):
         """Piece factory of the window increment B(anchor) - B(anchor - s).
 
-        ``bridge_increment(anchor)(s_piece)`` does the lookups at s_piece and
-        returns s -> increment.  Past the anchor (anchor - s_piece <= 0) the
-        increment is extended by its value B(anchor) - B(0); only the
-        restricted domain reaches there.
+        ``bridge_increment(anchor)(s_piece, cells)`` reads W_n at anchor -
+        s_piece from ``cells`` and returns s -> increment.  Past the anchor
+        (anchor - s_piece <= 0) the increment is extended by its value
+        B(anchor) - B(0); only the restricted domain reaches there.
         """
         sqn = np.sqrt(self.n)
         w_anchor = float(self.w_n(np.asarray([anchor * self.n]))[0])
         past = (anchor * self.w_nn - w_anchor) / sqn
 
-        def piece(s_piece, cells=None):
+        def piece(s_piece, cells):
             shift = anchor - np.asarray(s_piece, dtype=float)
             pos = shift > 0.0
             if pos.all():
-                w_shift = self.w_n(shift * self.n) if cells is None else self._cell_w(cells)
+                w_shift = self._cell_w(cells)
                 return lambda s: (s * self.w_nn - w_anchor + w_shift) / sqn
             w_shift = np.zeros_like(shift)
-            if cells is None:
-                w_shift[pos] = self.w_n(shift[pos] * self.n)
-            else:
-                w_shift[pos] = self._cell_w(cells[pos])
+            w_shift[pos] = self._cell_w(cells[pos])
             return lambda s: np.where(pos, (s * self.w_nn - w_anchor + w_shift) / sqn, past)
 
         return piece
@@ -645,12 +647,10 @@ class AnchoredBundle(_SampleProcesses):
         t = self.t
         low = sp <= t
         high = ~low
-        if cells is None:
-            below = self.below.bridge_piece(1.0 - sp[low] / t)
-            above = self.above.bridge_piece((sp[high] - t) / (1.0 - t))
-        else:
-            below = self.below.bridge_piece(None, cells[low])
-            above = self.above.bridge_piece(None, cells[high])
+        below = self.below.bridge_piece(1.0 - sp[low] / t, None if cells is None else cells[low])
+        above = self.above.bridge_piece(
+            (sp[high] - t) / (1.0 - t), None if cells is None else cells[high]
+        )
 
         def at(s) -> np.ndarray:
             s = np.asarray(s, dtype=float)
@@ -671,10 +671,9 @@ class AnchoredBundle(_SampleProcesses):
         t = self.t
         root_t = math.sqrt(t)
 
-        def piece(s_piece, cells=None):
-            sp = np.asarray(s_piece, dtype=float)
-            below = self.below.bridge_piece(np.minimum(sp / t, 1.0), cells)
-            inside = sp < t
+        def piece(s_piece, cells):
+            below = self.below.bridge_piece(None, cells)
+            inside = np.asarray(s_piece, dtype=float) < t
 
             def at(s) -> np.ndarray:
                 u = np.asarray(s, dtype=float) / t

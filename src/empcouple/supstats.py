@@ -38,8 +38,8 @@ abscissae are then the problem's in it, and a row of a (weight, view) pair
 equals the solve over the view alone, to the bit.  The tails of one side
 whose inner ends are lattice points are views of the widest.
 
-On pieces the lookups are read from integer indices, never from float
-midpoints.  A block's breakpoints are the grid of ``grid_runs`` cut to the
+Every lookup is read from integer indices, never from float abscissae.
+A block's breakpoints are the grid of ``grid_runs`` cut to the
 block, one strictly ascending run of known integer index (the jump grid
 j / (n 2^depth); on ``AnchoredBundle`` one of its blocks' grids, mapped onto
 [0, t] or [t, 1]; for a window increment that increment's grid), with the
@@ -48,9 +48,15 @@ block's ends and step jumps inserted where they are no grid point
 its lookups: the W_n cell, by index into the paths' refined grids
 (``w_cells``), and the lattice index or ECDF count, from the step jumps
 before it.  Both counts follow from the insertion positions, with no sort
-and no running sum over the block.  The numerator's float lookups
-(``numerator(s)``, which snap s n to the lattice) serve the point values
-alone, at their float abscissae.
+and no running sum over the block.  A point value takes its lookups from
+the side each term is continuous from (``_abs_points``): its step count is
+one ``searchsorted`` in the sorted step jumps, and its W_n cell follows from
+its place in its stretch's grid run, by the index arithmetic of ``Run``.
+The domain ends are floats of the lattice points they denote, where they
+lie within the lookup snap of one (``domain_end``), so a closed end is read
+as the lookups read it.  The public evaluators (``bridge``,
+``quantile_process``, ``empirical_process``) read by float, and the engine
+reads them only at a window increment's anchor.
 
 The point values are evaluated first; then the domain is solved stretch
 by stretch and block by block, every stretch on one path.  The splice t of
@@ -127,7 +133,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .processes import Bundle
+from .coupling import snap_to_integer
+from .processes import AnchoredBundle, Bundle
 
 # Grid run points per block of a stretch (``solve_weights``).
 _BLOCK_POINTS = 1 << 16
@@ -196,7 +203,7 @@ class SupProblem:
         self.closed_hi = bool(closed_hi)
         self.anchor = anchor
         self.step_jumps = np.asarray(step_jumps, dtype=float)
-        self.numerator = numerator  # (s_piece, index=None) -> (s -> ndarray), see below
+        self.numerator = numerator  # (s_piece, Index) -> (s -> ndarray), see below
         self.weight_exp = weight_exp
         self.weight_kind = weight_kind  # 'sym' | 's' | 'one-minus-s' | None
         self.scale = float(scale)
@@ -235,14 +242,8 @@ def _weight_base(s, weight_kind):
     raise ValueError(weight_kind)
 
 
-def _weight_power(s, weight_exp, weight_kind):
-    """w(s)^weight_exp (see ``_weight_base``); None for no weight."""
-    base = _weight_base(s, weight_kind)
-    return None if base is None else base**weight_exp
-
-
 def _weigh(abs_num, wpow, scale) -> np.ndarray:
-    """scale |numerator| / w(s)^weight_exp, with wpow from ``_weight_power``."""
+    """scale |numerator| / w(s)^weight_exp, with wpow = w(s)^weight_exp, None for no weight."""
     num = scale * abs_num
     return num if wpow is None else num / wpow
 
@@ -527,16 +528,42 @@ def _cannot_win(max_num: float, a: float, b: float, weight: tuple, floor: float)
     return low > 0.0 and scale * max_num / low * (1.0 + 1e-12) <= floor
 
 
-def _best_points(prob: SupProblem, at: np.ndarray, rows) -> tuple:
+def _abs_points(prob: SupProblem, steps: np.ndarray, stretches, at: np.ndarray) -> np.ndarray:
+    """|numerator| at the point abscissae ``at``, with its lookups read by
+    index, as a piece's are, from the side each term is continuous from.
+
+    The step count is that of the sorted ``steps`` at or before the
+    abscissa: U_[sn] and the ECDF are right-continuous in s.  For a window
+    increment it is that of the steps before it, since those terms read
+    anchor - s.  The bridge reads W_n, which is left-continuous in its
+    argument, at the abscissa's image in the grid run of its stretch (a < x
+    <= b of ``stretches``, lo in the first).  So a grid point of index j
+    reads cell j - 1, and j = 0 reads W_n(0) = 0 (``w_span``), which at the
+    splice t gives B(t) = b_anchor; any other abscissa reads the cell that
+    holds it.  The position comes from ``Run.search``, by index arithmetic
+    checked against the run's floats.
+    """
+    k = np.searchsorted(steps, at, "right" if prob.anchor is None else "left")
+    cells = np.empty(at.size, dtype=np.int64)
+    ends = np.searchsorted(at, [b for _, b, _ in stretches], "right")
+    for (_, _, run), i0, i1 in zip(stretches, np.append(0, ends[:-1]), ends):
+        if run.step > 0:  # cell j - 1 of the j-th grid point, counted from first
+            cells[i0:i1] = run.first - 1 + run.search(at[i0:i1])
+        else:
+            cells[i0:i1] = run.first - run.search(at[i0:i1], "right")
+    return np.abs(prob.numerator(at, Index(k, cells))(at))
+
+
+def _best_points(prob: SupProblem, steps: np.ndarray, stretches, at: np.ndarray, rows) -> tuple:
     """Each row's largest point value and its abscissa, the first on a tie,
-    over the point abscissae ``at`` in its view, from the numerator's float
-    lookups; and how many abscissae each view holds."""
-    abs_points = np.abs(prob.numerator(at)(at))
+    over the point abscissae ``at`` in its view (``_abs_points``); and how
+    many abscissae each view holds."""
+    abs_points = _abs_points(prob, steps, stretches, at)
     best, sizes = [], []
     for (weight_exp, weight_kind, scale), (v_lo, v_hi) in rows:
         i0, i1 = np.searchsorted(at, v_lo), np.searchsorted(at, v_hi, "right")
-        part = at[i0:i1]
-        vals = _weigh(abs_points[i0:i1], _weight_power(part, weight_exp, weight_kind), scale)
+        part, base = at[i0:i1], _weight_base(at[i0:i1], weight_kind)
+        vals = _weigh(abs_points[i0:i1], None if base is None else base**weight_exp, scale)
         j = int(np.argmax(vals))
         best.append((float(vals[j]), float(part[j])))
         sizes.append(int(i1 - i0))
@@ -620,12 +647,13 @@ def solve_weights(bundle: Bundle, prob: SupProblem, weights, views=None) -> list
         ):
             raise ValueError(f"view [{v_lo}, {v_hi}] is no sub-domain of [{prob.lo}, {prob.hi}]")
     rows = list(zip(weights, views))
-    points, n_points = _best_points(prob, abscissae, rows)
+    stretches = list(_runs(bundle, prob))
+    points, n_points = _best_points(prob, steps, stretches, abscissae, rows)
     # a NaN point value (0/0 at a zero base) never wins, so sets no floor
     floors = np.array([-math.inf if math.isnan(value) else value for value, _ in points])
     best = {side: [(-math.inf, v_lo) for v_lo, _ in views] for side in ("right", "left")}
     pieces = dict.fromkeys(views, 0)
-    for a, b, run in _runs(bundle, prob):
+    for a, b, run in stretches:
         for v_lo, v_hi in pieces:
             e, f = max(a, v_lo), min(b, v_hi)
             if e < f:
@@ -668,25 +696,22 @@ def solve(bundle: Bundle, prob: SupProblem) -> WeightedSupResult:
 
 # -- numerators ------------------------------------------------------------
 #
-# Each numerator is a piece factory: num(s_piece) does its lookups once at
-# s_piece and returns s -> values, which is linear in s on each piece.
-# num(s_piece, index) takes them from an ``Index`` instead, for pieces with
-# midpoints s_piece; the problem's step jumps, sorted, are then the jumps of
-# the step process it reads.  Float ``index.cells`` are W_n values, passed
-# through to the bundle's bridge (the corners of ``_Nodes.bounds``).
-# Each value is affine in s and in W_n, and monotone in the step count.
+# Each numerator is a piece factory: num(s_piece, index) takes its lookups
+# from an ``Index`` (see ``_pieces`` and ``_best_points``), for pieces with
+# midpoints s_piece or for point abscissae s_piece, and returns s -> values,
+# which is linear in s on each piece.  The problem's step jumps, sorted, are
+# the jumps of the step process it reads.  Float ``index.cells`` are W_n
+# values, passed through to the bundle's bridge (the corners of
+# ``_Nodes.bounds``).  Each value is affine in s and in W_n, and monotone in
+# the step count.
 
 
 def _beta_minus_bridge(bundle: Bundle):
     sqn = np.sqrt(bundle.n)
 
-    def piece(s_piece, index=None):
-        if index is None:
-            bridge = bundle.bridge_piece(s_piece)
-            u = bundle.U[bundle.lattice_index(s_piece)]
-        else:  # steps: the k / n, k = 0..n, at or before the piece
-            bridge = bundle.bridge_piece(s_piece, index.cells)
-            u = bundle.U[index.steps - 1]
+    def piece(s_piece, index):  # steps: the k / n, k = 0..n, at or before the piece
+        bridge = bundle.bridge_piece(s_piece, index.cells)
+        u = bundle.U[index.steps - 1]
         return lambda s: sqn * (s - u) - bridge(s)
 
     return piece
@@ -695,13 +720,9 @@ def _beta_minus_bridge(bundle: Bundle):
 def _alpha_minus_bridge(bundle: Bundle):
     sqn = np.sqrt(bundle.n)
 
-    def piece(s_piece, index=None):
-        if index is None:
-            frac = bundle.ecdf_count(s_piece) / bundle.n
-            bridge = bundle.bridge_piece(s_piece)
-        else:  # steps: the U_k at or before the piece
-            frac = index.steps / bundle.n
-            bridge = bundle.bridge_piece(s_piece, index.cells)
+    def piece(s_piece, index):  # steps: the U_k at or before the piece
+        frac = index.steps / bundle.n
+        bridge = bundle.bridge_piece(s_piece, index.cells)
         return lambda s: sqn * (frac - s) - bridge(s)
 
     return piece
@@ -718,14 +739,9 @@ def _beta_increment_minus_bridge(bundle: Bundle, anchor: float):
     beta_anchor = float(bundle.quantile_process(np.asarray([anchor]))[0])
     bridge_inc = bundle.bridge_increment(anchor)
 
-    def piece(s_piece, index=None):
-        sp = np.asarray(s_piece, dtype=float)
-        if index is None:
-            u = bundle.U[bundle.lattice_index(anchor - sp)]
-            inc = bridge_inc(sp)
-        else:  # steps: the anchor - k / n at or before the piece, k = n..0
-            u = bundle.U[np.clip(bundle.n - index.steps, 0, bundle.n)]
-            inc = bridge_inc(sp, index.cells)
+    def piece(s_piece, index):  # steps: the anchor - k / n at or before the piece, k = n..0
+        u = bundle.U[np.clip(bundle.n - index.steps, 0, bundle.n)]
+        inc = bridge_inc(s_piece, index.cells)
         return lambda s: (beta_anchor - sqn * ((anchor - s) - u)) - inc(s)
 
     return piece
@@ -742,14 +758,9 @@ def _alpha_increment_minus_bridge(bundle: Bundle, anchor: float):
     alpha_anchor = float(bundle.empirical_process(np.asarray([anchor]))[0])
     bridge_inc = bundle.bridge_increment(anchor)
 
-    def piece(s_piece, index=None):
-        sp = np.asarray(s_piece, dtype=float)
-        if index is None:
-            frac = bundle.ecdf_count(anchor - sp) / bundle.n
-            inc = bridge_inc(sp)
-        else:  # steps: the anchor - U_k at or before the piece, k = n..1
-            frac = (bundle.n - index.steps) / bundle.n
-            inc = bridge_inc(sp, index.cells)
+    def piece(s_piece, index):  # steps: the anchor - U_k at or before the piece, k = n..1
+        frac = (bundle.n - index.steps) / bundle.n
+        inc = bridge_inc(s_piece, index.cells)
         return lambda s: (alpha_anchor - sqn * (frac - (anchor - s))) - inc(s)
 
     return piece
@@ -762,9 +773,26 @@ def _alpha_increment_minus_bridge(bundle: Bundle, anchor: float):
 # every ladder size before any replicate is scheduled.
 
 
+def on_lattice(x: float, n: int) -> bool:
+    """Whether x n lies within the lookup snap of an integer (``snap_to_integer``)."""
+    return float(snap_to_integer(x * n)).is_integer()
+
+
+def domain_end(x: float, n: int) -> float:
+    """The float of a domain end x at size n, as the lookups read it.
+
+    Where x n lies within the lookup snap of an integer k (``on_lattice``),
+    the end is the lattice point k / n, whose float is ``k / n``; elsewhere
+    it is x.  The rules below take lam/n and d/n as their floats, and
+    1 - lam/n and 1 - d/n from those, each correctly rounded.
+    """
+    return round(x * n) / n if on_lattice(x, n) else x
+
+
 def full_domain(n: int, lam: float) -> tuple[float, float]:
     """[lam/n, 1 - lam/n]."""
-    lo, hi = lam / n, 1.0 - lam / n
+    lo = domain_end(lam / n, n)
+    hi = domain_end(1.0 - lo, n)
     if not lo < hi:
         raise ValueError(f"empty domain: lam/n = {lo} >= 1 - lam/n")
     return lo, hi
@@ -772,7 +800,7 @@ def full_domain(n: int, lam: float) -> tuple[float, float]:
 
 def increment_domain(n: int, lam: float, t: float) -> tuple[float, float]:
     """[lam/n, t)."""
-    lo = lam / n
+    lo = domain_end(lam / n, n)
     if not lo < t:
         raise ValueError(f"empty domain: lam/n = {lo} >= t = {t}")
     return lo, t
@@ -790,10 +818,11 @@ def tail_domain(n: int, d: float, side: str) -> tuple[float, float]:
     """[0, d/n] (left) or [1 - d/n, 1] (right), for 1 <= d <= n."""
     if not 1.0 <= d <= n:
         raise ValueError(f"d must lie in [1, n], got {d}")
+    inner = domain_end(d / n, n)
     if side == "left":
-        return 0.0, d / n
+        return 0.0, inner
     if side == "right":
-        return 1.0 - d / n, 1.0
+        return domain_end(1.0 - inner, n), 1.0
     raise ValueError("side must be 'left' or 'right'")
 
 
@@ -829,13 +858,25 @@ def problem_empirical_full(bundle: Bundle, cfg: WeightConfig) -> SupProblem:
     )
 
 
+def _window_anchor(bundle: Bundle, t: float) -> float:
+    """The anchor of a window increment at t: on a count-anchored bundle its
+    splice t; on a lattice bundle, whose lookups read (t - s) n and t n, the
+    float of t as a domain end (``domain_end``)."""
+    return t if isinstance(bundle, AnchoredBundle) else domain_end(t, bundle.n)
+
+
 def problem_quantile_increment(bundle: Bundle, cfg: WeightConfig) -> SupProblem:
+    lo, _ = increment_domain(bundle.n, cfg.lam, cfg.t)
+    t = _window_anchor(bundle, cfg.t)
+    jumps = t - _lattice(bundle.n)
+    # Where (t - lo) n lies within the lookup snap of k, the step term reads
+    # U_k at lo (``lattice_index``), as at its jump t - k/n; a jump that
+    # rounds below lo is taken there.
+    k = round((t - lo) * bundle.n)
+    if on_lattice(t - lo, bundle.n) and jumps[k] < lo:
+        jumps[k] = lo
     return SupProblem(
-        *increment_domain(bundle.n, cfg.lam, cfg.t),
-        False,
-        cfg.t,
-        cfg.t - _lattice(bundle.n),
-        _beta_increment_minus_bridge(bundle, cfg.t),
+        lo, t, False, t, jumps, _beta_increment_minus_bridge(bundle, t),
         *power_weight(bundle.n, cfg.eta, "s"),
     )
 
@@ -860,14 +901,16 @@ def empirical_window_problem(
 
 
 def problem_empirical_increment(bundle: Bundle, cfg: WeightConfig) -> SupProblem:
-    lo, hi = increment_domain(bundle.n, cfg.lam, cfg.t)
-    return empirical_window_problem(bundle, cfg.t, lo, hi, *power_weight(bundle.n, cfg.nu, "s"))
+    lo, _ = increment_domain(bundle.n, cfg.lam, cfg.t)
+    t = _window_anchor(bundle, cfg.t)
+    return empirical_window_problem(bundle, t, lo, t, *power_weight(bundle.n, cfg.nu, "s"))
 
 
 def problem_restricted(bundle: Bundle, cfg: WeightConfig) -> SupProblem:
     t_n = restricted_count(bundle.n, cfg.t)
     return empirical_window_problem(
-        bundle, cfg.t, bundle.U[1], bundle.U[t_n], *power_weight(bundle.n, cfg.nu, "s")
+        bundle, _window_anchor(bundle, cfg.t), bundle.U[1], bundle.U[t_n],
+        *power_weight(bundle.n, cfg.nu, "s"),
     )
 
 

@@ -16,6 +16,8 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
+from empcouple.supstats import Index
+
 mpmath.mp.dps = 30
 
 
@@ -129,11 +131,47 @@ def increment_grid(bundle, anchor: float) -> np.ndarray:
     return anchor - bundle.jump_grid()
 
 
-def weighted(prob, s, s_piece) -> np.ndarray:
+def _w_read(bundle, prob, s: np.ndarray) -> np.ndarray:
+    """W_n where the bridge of ``prob`` reads it at s, by the blocks' public
+    ``w_n``: at s n, at (anchor - s) n for a window increment (0 past the
+    anchor, where it is not read), and on a count-anchored bundle in the
+    block that s maps into."""
+    if hasattr(bundle, "below"):
+        t, below, above = bundle.t, bundle.below, bundle.above
+        if prob.anchor is not None:
+            return below.w_n(np.minimum(s / t, 1.0) * below.n)
+        low = s <= t
+        w = np.empty(s.shape)
+        w[low] = below.w_n((1.0 - s[low] / t) * below.n)
+        w[~low] = above.w_n((s[~low] - t) / (1.0 - t) * above.n)
+        return w
+    if prob.anchor is None:
+        return bundle.w_n(s * bundle.n)
+    shift = prob.anchor - s
+    w = np.zeros(s.shape)
+    w[shift > 0] = bundle.w_n(shift[shift > 0] * bundle.n)
+    return w
+
+
+def lookups(bundle, prob, s_piece, w_at=None) -> Index:
+    """The lookups of ``prob``'s numerator at the abscissae s_piece, read by
+    float: the step count of its step jumps at or before s_piece (before it
+    for a window increment, whose terms read anchor - s), and W_n where its
+    bridge reads it at ``w_at`` (default s_piece; ``_w_read``), passed as
+    W_n values.  For a piece, give a point inside it."""
+    s = np.asarray(s_piece, dtype=float)
+    w_at = s if w_at is None else np.asarray(w_at, dtype=float)
+    side = "right" if prob.anchor is None else "left"
+    return Index(np.searchsorted(np.sort(prob.step_jumps), s, side), _w_read(bundle, prob, w_at))
+
+
+def weighted(bundle, prob, s, s_piece, w_at=None) -> np.ndarray:
     """The weighted integrand scale |numerator| / w(s)^c of ``prob`` at s, with
-    the numerator's float lookups done at s_piece."""
+    the lookups done at s_piece, W_n at ``w_at`` (``lookups``)."""
     s = np.asarray(s, dtype=float)
-    num = prob.scale * np.abs(prob.numerator(s_piece)(s))
+    s_piece = np.asarray(s_piece, dtype=float)
+    index = lookups(bundle, prob, s_piece, w_at)
+    num = prob.scale * np.abs(prob.numerator(s_piece, index)(s))
     if prob.weight_kind is None:
         return num
     base = {"sym": s * (1.0 - s), "s": s, "one-minus-s": 1.0 - s}[prob.weight_kind]
@@ -187,21 +225,40 @@ def _scan_points(bundle, prob, per_cell: int) -> list[float]:
     return out
 
 
+def _bridge_side(bundle, prob, s: float) -> int:
+    """1 where the bridge of ``prob`` takes its value at s from the right, -1
+    from the left, 0 at the splice t of a count-anchored bundle's full range.
+
+    W_n is left-continuous in its argument, which falls as s rises for a
+    window increment on a lattice bundle and below the splice.
+    """
+    if not hasattr(bundle, "below"):
+        return 1 if prob.anchor is not None else -1
+    if prob.anchor is not None:
+        return -1
+    return int(np.sign(bundle.t - s))
+
+
 def _candidates(bundle, prob, per_cell: int):
-    """(s, s_piece) pairs: at every breakpoint the point value (if s lies in
-    the domain), the left limit (but at lo) and the right limit (but at hi);
-    plus point values at ``per_cell`` points per lattice cell."""
+    """(s, s_piece, w_at) triples: at every breakpoint the point value (if s
+    lies in the domain), with W_n read on the piece the bridge is continuous
+    from, the left limit (but at lo) and the right limit (but at hi); plus
+    point values at ``per_cell`` points per lattice cell that are no
+    breakpoint."""
     pts = _breakpoints(bundle, prob)
-    pairs = []
+    out = []
     for i, s in enumerate(pts):
+        left = 0.5 * (pts[i - 1] + s) if i > 0 else s
+        right = 0.5 * (s + pts[i + 1]) if i + 1 < len(pts) else s
         if _in_domain(prob, s):
-            pairs.append((s, s))
+            out.append((s, s, (left, s, right)[_bridge_side(bundle, prob, s) + 1]))
         if i > 0:
-            pairs.append((s, 0.5 * (pts[i - 1] + s)))
+            out.append((s, left, left))
         if i + 1 < len(pts):
-            pairs.append((s, 0.5 * (s + pts[i + 1])))
-    pairs += [(s, s) for s in _scan_points(bundle, prob, per_cell)]
-    return pairs
+            out.append((s, right, right))
+    breaks = set(pts)
+    out += [(s, s, s) for s in _scan_points(bundle, prob, per_cell) if s not in breaks]
+    return out
 
 
 def naive_sup(bundle, prob, per_cell: int = 80) -> float:
@@ -214,8 +271,9 @@ def naive_sup(bundle, prob, per_cell: int = 80) -> float:
     it, so the result must equal the engine's bit-for-bit.
     """
     best = -math.inf
-    for s, piece in _candidates(bundle, prob, per_cell):
-        val = float(weighted(prob, np.asarray([s]), np.asarray([piece]))[0])
+    for s, piece, w_at in _candidates(bundle, prob, per_cell):
+        val = weighted(bundle, prob, np.asarray([s]), np.asarray([piece]), np.asarray([w_at]))
+        val = float(val[0])
         best = max(best, val)
     return best
 
@@ -227,8 +285,8 @@ def naive_sup_fast(bundle, prob, per_cell: int = 80) -> float:
     final weighted evaluations are batched so the scan stays usable at
     n = 64 across many replicates.
     """
-    s, piece = (np.asarray(col) for col in zip(*_candidates(bundle, prob, per_cell)))
-    return float(np.max(weighted(prob, s, piece)))
+    s, piece, w_at = (np.asarray(col) for col in zip(*_candidates(bundle, prob, per_cell)))
+    return float(np.max(weighted(bundle, prob, s, piece, w_at)))
 
 
 def reevaluate(bundle, prob, s: float, side: str) -> float:
@@ -245,7 +303,7 @@ def reevaluate(bundle, prob, s: float, side: str) -> float:
         piece = np.asarray([s - off])
     else:
         raise ValueError(side)
-    return float(weighted(prob, arr, piece)[0])
+    return float(weighted(bundle, prob, arr, piece)[0])
 
 
 # -- exact-rational sup scan ------------------------------------------------
@@ -431,14 +489,15 @@ def hand_xi(Z, delta, c: float = 1.0):
 def fake_w_lookups(bundle, w_n) -> None:
     """Replace a ``ProcessBundle``'s W_n by ``w_n`` (a function of z in [0, n+1]).
 
-    Every lookup is replaced: by float (``w_n``), by cell index (``w_span``,
-    which ``w_cells`` reads through: cell j, (j, j + 1) 2^-depth, is read at
-    its midpoint), and the sub-block bounds' extremes (``w_extremes``), which
+    Every lookup is replaced: by float (``w_n``), by cell index (``w_cells``
+    and ``w_span``: cell j, (j, j + 1) 2^-depth, is read at its midpoint, and
+    cell -1 at 0), and the sub-block bounds' extremes (``w_extremes``), which
     are read through the fake ``w_span``.  ``w_n`` must be constant on those
     cells, as the true W_n is.
     """
     bundle.w_n = w_n
-    bundle.w_span = lambda c0, c1: w_n((np.arange(c0, c1 + 1) + 0.5) / (1 << bundle.depth))
+    bundle.w_cells = lambda j: w_n(np.maximum(np.asarray(j) + 0.5, 0.0) / (1 << bundle.depth))
+    bundle.w_span = lambda c0, c1: bundle.w_cells(np.arange(c0, c1 + 1))
     bundle.w_extremes = lambda c0, c1: w_extremes(bundle, c0, c1)
 
 

@@ -229,9 +229,11 @@ def test_weighted_stats_oracle_equality(seed):
 
 def test_weighted_stat_zero_for_identical_processes():
     # force the bridge to reproduce the empirical process; cens-h0 compares
-    # exactly those two objects, so the statistic collapses to zero.  The
-    # bridge jumps where the ECDF does, so the order statistics are moved
-    # onto the dyadic grid, as every jump of a W_n bridge lies there.
+    # exactly those two objects, so every one-sided limit collapses to zero.
+    # The bridge jumps where the ECDF does, so the order statistics are moved
+    # onto the dyadic grid, as every jump of a W_n bridge lies there.  At
+    # each U_k the left-continuous bridge keeps its value from the left, so
+    # the sup is the point value of the largest weighted jump 1 / sqrt(n).
     model = CensoringModel(1.0)
     b = _bundle(16, seed=31)
     sample = sample_from_bundle(model, b, derive_stream(31, 16, 0, "shuffle"))
@@ -246,8 +248,11 @@ def test_weighted_stat_zero_for_identical_processes():
         return -s * n - n * (cnt / n - s)
 
     fake_w_lookups(b, fake_w_n)
-    res = censored_weighted_stats(sample, model, b, xi_exp=0.1)
-    assert res["cens-h0"].value == 0.0
+    res = censored_weighted_stats(sample, model, b, xi_exp=0.1)["cens-h0"]
+    u = b.U[(b.U >= model.theta) & (b.U <= 1 - 1 / n)]
+    jumps = n**0.1 / np.sqrt(n) / (1 - u) ** 0.4
+    assert res.side == "point" and res.arg_s == u[np.argmax(jumps)]
+    assert res.value == pytest.approx(jumps.max(), rel=1e-12)
 
 
 def test_weighted_stats_empty_domain():

@@ -13,6 +13,8 @@ import math
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -97,6 +99,16 @@ def _definition(req, bundle):
 @example("approx4", 3, 4, 0.0625, 0.5, 1.0, 1, "left", 0, 1, 64)
 @example("cens-h1", 3, 5, 0.0625, 0.5, 1.0, 1, "left", 0, 2, 64)
 @example("cens-h0", 3, 3, 0.0625, 0.5, 1.0, 1, "left", 1, 0, 64)
+# Point values at an end one ulp off a dyadic or lattice point: read at lam/n
+# by a float lookup one cell late (the approx4 and cens-h1 draws), an end
+# read two ways (approx1), and derived ends rounded across a breakpoint
+# (cens-h0 at 1 - lam/n, the right tail at 1 - 92/271).
+@example("approx4", 91, 3, _nudged(0.25, 1) / 4, 0.75, 1.0, 1, "left", 492, 7, supstats._BLOCK_POINTS)
+@example("approx4", 6, 3, _nudged(0.5, 1) / 4, 0.25, 1.0, 1, "left", 327, 8, supstats._BLOCK_POINTS)
+@example("cens-h1", 185, 1, _nudged(0.25, 1) / 4, 0.5, 1.0, 1, "left", 826, 2, supstats._BLOCK_POINTS)
+@example("approx1", 128, 0, _nudged(0.75, -1) / 4, 0.5, 1.0, 1, "left", 213, 9, supstats._BLOCK_POINTS)
+@example("cens-h0", 191, 4, _nudged(0.75, 1) / 4, 0.5, 0.5, 1, "left", 664, 2, supstats._BLOCK_POINTS)
+@example("ineq1-tail", 271, 0, 0.0625, 0.5, 1.0, 92, "right", 545, 0, supstats._BLOCK_POINTS)
 def test_sup_is_exact(stat, n, depth, lam_n, t, rate_c, d, side, seed, rep, block_points):
     depth = min(depth, (_MAX_GRID // n).bit_length() - 1)
     req = StatRequest(
@@ -159,3 +171,80 @@ def test_anchored_quantile_sup_is_exact(stat, n, depth, lam_n, t, seed, rep, blo
     bound, reach = exact_candidates(integrand, lo, hi, closed_hi)
     assert max(bound) <= res.value * (1.0 + REL_TOL), (max(bound), res)
     assert any(abs(v - res.value) <= REL_TOL * res.value for v in reach), res
+
+
+# The six draws of ``test_sup_is_exact``'s point-value examples, then the
+# defaults (lam = 1, t = 1/2, c = 1, integer d) at two powers of two:
+# (n, depth, lam_n, t, rate_c, d, side, seed, rep).
+_POINT_DRAWS = [
+    (91, 3, _nudged(0.25, 1) / 4, 0.75, 1.0, 1, "left", 492, 7),
+    (6, 3, _nudged(0.5, 1) / 4, 0.25, 1.0, 1, "left", 327, 8),
+    (185, 1, _nudged(0.25, 1) / 4, 0.5, 1.0, 1, "left", 826, 2),
+    (128, 0, _nudged(0.75, -1) / 4, 0.5, 1.0, 1, "left", 213, 9),
+    (191, 4, _nudged(0.75, 1) / 4, 0.5, 0.5, 1, "left", 664, 2),
+    (271, 0, 0.0625, 0.5, 1.0, 92, "right", 545, 0),
+    (64, 6, 1 / 64, 0.5, 1.0, 16, "left", 3, 1),
+    (256, 6, 1 / 256, 0.5, 1.0, 92, "right", 545, 0),
+]
+
+
+# Every statistic the harness builds but the tails, each on its own bundle.
+_HARNESS_STATS = ["approx1", "approx2", "approx3", "approx4", "restricted", "cens-h0", "cens-h1"]
+
+
+def _jump_rationals(bundle, kind, anchor) -> list:
+    """The rationals of a problem's step jumps, in the order of its
+    ``step_jumps``: k / n or U_k, or anchor less those for a window increment."""
+    n = bundle.n
+    if kind == "quantile":
+        base = [Fraction(k, n) for k in range(n + 1)]
+    else:
+        base = [Fraction(u) for u in bundle.U[1:]]
+    return base if anchor is None else [anchor - x for x in base]
+
+
+@pytest.mark.parametrize("draw", _POINT_DRAWS)
+def test_point_values_match_exact_integrand(monkeypatch, draw):
+    # Every point value the engine takes, at closed ends, step jumps and the
+    # splice t, equals the exact-rational integrand at that abscissa's
+    # rational, within REL_TOL: for every statistic on the bundle the
+    # harness evaluates it on.
+    n, depth, lam_n, t, rate_c, d, side, seed, rep = draw
+    taken = []
+    abs_points = supstats._abs_points
+
+    def recorded(prob, steps, stretches, at):
+        taken.append((prob, at, abs_points(prob, steps, stretches, at)))
+        return taken[-1][-1]
+
+    monkeypatch.setattr(supstats, "_abs_points", recorded)
+    checked = 0
+    for stat, tail_side in [(s, side) for s in _HARNESS_STATS] + [
+        ("ineq1-tail", "left"), ("ineq1-tail", "right")
+    ]:
+        req = StatRequest(
+            stat, stat, WeightConfig(lam=lam_n * n, eta=0.25, nu=0.1, t=t),
+            d=float(min(d, n)), side=tail_side, rate_c=rate_c, xi_exp=0.1,
+        )
+        taken.clear()
+        try:
+            evaluate_requests([req], seed, n, rep, depth)
+        except ValueError:  # the sup domain is empty at this n
+            continue
+        (prob, at, values), = taken
+        bundle = replicate_bundle(req, seed, n, rep, depth)
+        kind, anchor, _, _, lo, hi, closed_hi = _definition(req, bundle)
+        integrand = ExactIntegrand(bundle, kind, anchor, 0.0, None)  # |process - bridge|
+        jumps = _jump_rationals(bundle, kind, anchor)
+        splice = hasattr(bundle, "below") and anchor is None
+        for x, value in zip(at.tolist(), values):
+            rationals = [jumps[i] for i in np.flatnonzero(prob.step_jumps == x)]
+            rationals += [lo] * (x == prob.lo) + [hi] * (closed_hi and x == prob.hi)
+            rationals += [Fraction(bundle.t)] * (splice and x == bundle.t)
+            assert rationals, (stat, x)
+            exact = [integrand(float(x), r) for r in rationals]
+            assert any(abs(value - e) <= REL_TOL * max(1.0, abs(e)) for e in exact), (
+                stat, x, value, exact,
+            )
+            checked += 1
+    assert checked > 0

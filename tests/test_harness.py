@@ -276,8 +276,8 @@ def test_estimate_ineq1_bytes_unchanged(n, side):
 def test_nested_tail_rows_equal_own_solves(monkeypatch, n, bounded):
     # tails of one side whose inner end is a lattice point share one solve of
     # the widest; each of its rows equals the tail's own solve: value, arg_s,
-    # side and grid_points.  1 - 92/271 is one ulp below 179/271, and
-    # 16.000001 / n no lattice point, so those tails are solved alone.
+    # side and grid_points.  16.000001 / n is no lattice point, so those
+    # tails are solved alone.
     if bounded:
         monkeypatch.setattr(supstats, "_BOUND_CELLS", 0)
         monkeypatch.setattr(supstats, "_TOP_NODES", 1)
@@ -288,8 +288,6 @@ def test_nested_tail_rows_equal_own_solves(monkeypatch, n, bounded):
         for side in ("left", "right") for i, d in enumerate(ds)
     ]
     alone = {("left", 16.000001), ("right", 16.000001)}
-    if n == 271:
-        alone.add(("right", 92.0))
     calls = []
 
     def recorded(bundle, prob, weights, *views):

@@ -4,8 +4,6 @@ import contextlib
 import itertools
 import math
 import multiprocessing
-import os
-import subprocess
 import sys
 import threading
 
@@ -24,7 +22,6 @@ from empcouple.harness import (
 from empcouple.processes import (
     AnchoredBundle,
     ProcessBundle,
-    floor_combination,
     interleave,
     next_power_of_two,
 )
@@ -72,43 +69,6 @@ def test_interleave_rejects_short_input():
         interleave(4, [1.0], [10.0, 20.0, 30.0])
     with pytest.raises(ValueError):
         interleave(1, [1.0], [1.0])
-
-
-@pytest.mark.parametrize(
-    "n,t,s,expected",
-    [
-        (10, 0.75, 0.3, 0),
-        (10, 0.7, 0.35, 1),
-        (7, 0.5, 0.25, 1),
-    ],
-)
-def test_floor_combination_examples(n, t, s, expected):
-    assert floor_combination(n, s, t) == expected
-
-
-def test_floor_combination_rejects_bad_window():
-    with pytest.raises(ValueError):
-        floor_combination(10, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        floor_combination(10, 0.5, 0.4)
-
-
-def test_floor_combination_range_check_survives_optimize():
-    # under python -O an assert would vanish and the bad value be returned
-    code = (
-        "import numpy as np\n"
-        "from empcouple import processes\n"
-        "processes.snap_to_integer = lambda z: np.asarray([10.0, 0.0, 0.0])\n"
-        "try:\n"
-        "    processes.floor_combination(10, 0.3, 0.75)\n"
-        "except ArithmeticError:\n"
-        "    print('raised')\n"
-    )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "raised", out.stderr
 
 
 def test_order_statistics_valid():
@@ -305,12 +265,13 @@ def test_anchored_bridge_pinned_and_spliced():
         # the increment is the bridge's own window increment at t
         s = np.asarray([0.01, 0.1234, 0.29])
         np.testing.assert_allclose(
-            b.bridge_increment(0.3)(s)(s),
+            b.bridge_increment(0.3)(s, b.below.w_n(s / 0.3 * b.below.n))(s),
             b.bridge(np.asarray([0.3])) - b.bridge(0.3 - s),
             rtol=1e-12, atol=1e-12,
         )
         # past the anchor the increment is extended by B(t) - B(0)
-        assert b.bridge_increment(0.3)(np.asarray([0.5]))(np.asarray([0.5]))[0] == b.b_anchor
+        past = b.bridge_increment(0.3)(np.asarray([0.5]), np.zeros(1))
+        assert past(np.asarray([0.5]))[0] == b.b_anchor
 
 
 def test_anchored_increments_only_at_anchor():
@@ -389,9 +350,10 @@ def _check_grid_runs(b, anchor, parts):
             run = b.grid_runs(anchor, lo, hi)
             full = parts[0] if len(parts) == 1 or hi <= b.t else parts[1]
             inside = np.sort(full[(full >= lo) & (full <= hi)])
-            assert np.array_equal(run.x, inside), (lo, hi)
-            at = run.first + run.step * np.arange(run.x.size)
-            assert (at >= 0).all() and np.array_equal(run.x, full[at]), (lo, hi)
+            x = run.points(0, run.size)
+            assert np.array_equal(x, inside), (lo, hi)
+            at = run.first + run.step * np.arange(x.size)
+            assert (at >= 0).all() and np.array_equal(x, full[at]), (lo, hi)
 
 
 @pytest.mark.parametrize("kind", ["lattice", "anchored"])
@@ -430,7 +392,7 @@ def test_runs_match_mapped_run(t):
                     continue
                 run = b.grid_runs(anchor, lo, hi)
                 x, first, step = mapped_run(run.den, run.offset, run.scale, lo, hi)
-                assert np.array_equal(run.x, x), (lo, hi)
+                assert np.array_equal(run.points(0, run.size), x), (lo, hi)
                 assert (run.size, run.step) == (x.size, step) and (x.size == 0 or run.first == first)
                 assert np.array_equal(run.at(np.arange(x.size)[::-1]), x[::-1])
                 probe = np.concatenate([

@@ -17,6 +17,7 @@ from empcouple.processes import AnchoredBundle, ProcessBundle, _SampleProcesses
 from empcouple import processes, supstats
 from empcouple.rng import derive_stream
 from empcouple.supstats import (
+    Index,
     SupProblem,
     WeightConfig,
     _beta_increment_minus_bridge,
@@ -39,6 +40,7 @@ from oracles import (
     _breakpoints,
     fake_w_lookups,
     increment_grid,
+    lookups,
     merge_runs,
     naive_sup,
     naive_sup_fast,
@@ -92,7 +94,10 @@ def test_single_point_sup():
 
 
 def test_zero_when_bridge_equals_quantile_process():
-    # force W_n so the bridge reproduces the quantile process exactly
+    # force W_n so the bridge reproduces the quantile process on every piece:
+    # every one-sided limit is zero.  W_n is left-continuous, so at each jump
+    # k/n the bridge keeps its value from the left, and the sup is the point
+    # value of the largest weighted jump sqrt(n) (U_k - U_(k-1))
     b = _bundle(16, seed=4)
     n = b.n
     b.w_nn = float(n)
@@ -104,12 +109,18 @@ def test_zero_when_bridge_equals_quantile_process():
 
     fake_w_lookups(b, fake_w_n)
     res = stat_quantile_full(b, WeightConfig(eta=0.25))
-    assert res.value == 0.0
+    s = np.arange(1, n) / n
+    jumps = n**0.25 * math.sqrt(n) * np.diff(b.U)[: n - 1] / (s * (1 - s)) ** 0.25
+    assert res.side == "point" and res.arg_s == s[np.argmax(jumps)]
+    assert res.value == pytest.approx(jumps.max(), rel=1e-12)
 
 
 def test_zero_when_bridge_equals_empirical_process():
     # the bridge jumps where the ECDF does, so the order statistics are
-    # moved onto the dyadic grid, as every jump of a W_n bridge lies there
+    # moved onto the dyadic grid, as every jump of a W_n bridge lies there.
+    # Every one-sided limit is zero; at each U_k the left-continuous bridge
+    # keeps its value from the left, so the sup is the point value of the
+    # largest weighted jump 1 / sqrt(n)
     b = _bundle(16, seed=5)
     n = b.n
     b.U = on_grid(b, b.U)
@@ -122,7 +133,10 @@ def test_zero_when_bridge_equals_empirical_process():
 
     fake_w_lookups(b, fake_w_n)
     res = stat_empirical_full(b, WeightConfig(nu=0.1))
-    assert res.value == 0.0
+    u = b.U[(b.U >= 1 / n) & (b.U <= 1 - 1 / n)]
+    jumps = n**0.1 / math.sqrt(n) / (u * (1 - u)) ** 0.4
+    assert res.side == "point" and res.arg_s == u[np.argmax(jumps)]
+    assert res.value == pytest.approx(jumps.max(), rel=1e-12)
 
 
 def test_increment_numerator_hand_case():
@@ -131,7 +145,8 @@ def test_increment_numerator_hand_case():
     b = ProcessBundle.synthetic(2, [0.25, 0.75], t=0.9)
     _force_zero_bridge(b)
     num = _beta_increment_minus_bridge(b, 0.9)
-    val = num(np.asarray([0.5]))(np.asarray([0.5]))[0]
+    # the jumps 0.9 - k/2 below s = 0.5 are -0.1 and 0.4, and W_n is 0
+    val = num(np.asarray([0.5]), Index(np.array([2]), np.zeros(1)))(np.asarray([0.5]))[0]
     assert val == pytest.approx(math.sqrt(2.0) * 0.25)
 
 
@@ -234,8 +249,8 @@ def test_closed_lower_endpoint_point_value():
     bundle, prob = _harness_problem(req, 5, 64, 9)
     res = stat_quantile_increment(bundle, cfg)
     lo = np.asarray([prob.lo])
-    at_lo = weighted(prob, lo, lo)[0]
-    limit = weighted(prob, lo, lo + 1e-9)[0]
+    at_lo = weighted(bundle, prob, lo, lo)[0]
+    limit = weighted(bundle, prob, lo, lo + 1e-9)[0]
     assert at_lo > 1.1 * limit
     assert (res.value, res.arg_s, res.side) == (at_lo, prob.lo, "point")
 
@@ -557,8 +572,8 @@ def _lookup_problems(b, lam, t):
     return out
 
 
-# The float lookups round s n and snap it to the lattice within a few dozen
-# ulp of 1 in s.  On a piece a few ulp wide, such as one between a step jump
+# The float W_n lookup (``w_n``) rounds s n and snaps it to an integer within
+# a few dozen ulp of 1 in s.  On a piece a few ulp wide, such as one between a step jump
 # t - k / n and an increment grid point t x that rounds next to it, the float
 # midpoint may so land in a neighbouring cell, so the float lookups are
 # compared only on pieces at least this wide.
@@ -580,7 +595,8 @@ def test_index_lookups_match_float_lookups(n, depth, lam_n, t, anchored, seed, b
     # ends, the step jumps and the one grid the bridge lookup reads.  On every
     # piece at least _FLOAT_WIDE wide, the limits the kernel takes from run
     # counts (the W_n cell, lattice index and ECDF count) equal those of the
-    # numerator's float lookups at the piece's midpoint, bit for bit.
+    # float lookups at the piece's midpoint (``oracles.lookups``: the public
+    # ``w_n`` and a count of the step jumps), bit for bit.
     if anchored:
         b = AnchoredBundle.build(n, derive_stream(seed, n, 0, "anchored"), t=t, depth=depth)
     else:
@@ -600,7 +616,8 @@ def test_index_lookups_match_float_lookups(n, depth, lam_n, t, anchored, seed, b
                 inside = grid[np.searchsorted(grid, a) : np.searchsorted(grid, z, "right")]
                 every = np.concatenate([[a, z], inside, prob.step_jumps])
                 assert np.array_equal(pts, np.unique(every[(every >= a) & (every <= z)]))
-                limits = prob.numerator(0.5 * (p + q))
+                mid = 0.5 * (p + q)
+                limits = prob.numerator(mid, lookups(b, prob, mid))
                 right, left = supstats._abs_limits(prob, p, q, index)
                 wide = q - p >= _FLOAT_WIDE
                 assert np.array_equal(right[wide], np.abs(limits(p))[wide]), prob.__dict__
@@ -641,7 +658,7 @@ def test_sub_block_bound_covers_limits():
                     continue
                 steps = np.sort(prob.step_jumps)
                 for a, z, run in _blocks(b, prob):
-                    if run.x.size < 2:
+                    if run.size < 2:
                         continue
                     lo, hi, bound = supstats._Nodes(b, prob, steps, a, z, run).bounds(0)
                     pts, take, index = supstats._pieces(steps, run, np.array([a]), np.array([z]))
@@ -904,11 +921,11 @@ def test_piece_count_matches_merge():
             cell = _in_one_cell(b, prob)
             r = b.grid_runs(prob.anchor, cell.lo, cell.hi)
             inside = steps[(steps >= cell.lo) & (steps <= cell.hi)]
-            want = merge_runs([np.array([cell.lo, cell.hi]), inside, r.x])[0].size - 1
+            want = merge_runs([np.array([cell.lo, cell.hi]), inside, r.points(0, r.size)])[0].size - 1
             assert r.size == 0 and supstats._piece_count(cell.lo, cell.hi, steps, r) == want
             seen["jump in a cell"] += inside.size > 0
             for a, z, run in _blocks(b, prob):
-                x = run.x
+                x = run.points(0, run.size)
                 if x.size < 4:
                     continue
                 jumps = np.sort(np.concatenate([
@@ -923,7 +940,7 @@ def test_piece_count_matches_merge():
                     r = b.grid_runs(prob.anchor, lo, hi)
                     for jump in (steps, jumps):
                         inside = jump[(jump >= lo) & (jump <= hi)]
-                        want = merge_runs([np.array([lo, hi]), inside, r.x])[0].size - 1
+                        want = merge_runs([np.array([lo, hi]), inside, r.points(0, r.size)])[0].size - 1
                         assert supstats._piece_count(lo, hi, jump, r) == want, (lo, hi)
                     seen["end on grid" if lo in x else "end off grid"] += 1
                 seen["jump on grid"] += bool(np.isin(steps, x).any())
@@ -1066,10 +1083,15 @@ def _anchored_full_range_solves(lam, t):
 # sha256 of ``_anchored_full_range_solves`` at (lam, t).  Recorded with numpy
 # 2.4.6 and scipy 1.17.1.  The sweep digests hold no such solve: the harness
 # solves no full-range problem on a count-anchored bundle whose range holds t.
+# (1.7, 0.37) was re-recorded when point values came to be read by index: at
+# n = 9, depth 3, the range [0.185, 0.685] ends on the float of the mapped
+# grid point t + (1 - t)/2, and its point value there now reads the cell
+# below that grid point, as every piece of the range does, not the cell past
+# it (rows 14 and 19).
 _ANCHORED_FULL_RANGE_DIGESTS = {
     (1.0, 0.5): "6671a30273d4ba72b926afbb2872ab9010c506c434490fbbaf3c775304d0e084",
     (1.2, 0.3): "f33a2649d3e80077617df4348daad0f3859ecfe13b4e5c745d562e06f0bb851b",
-    (1.7, 0.37): "cc6cf0bc604b891edef2bc98b4e470a833ad1f4386b459059454d0bb456247e7",
+    (1.7, 0.37): "6beec9186cbb5b1d586c1c8871ed352a96824aa897327ac4cf73826955449ab0",
 }
 
 

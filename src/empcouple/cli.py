@@ -29,6 +29,7 @@ from .coupling import couple_exponential_sums, max_discrepancy
 from .harness import (
     STATISTIC_IDS,
     StatRequest,
+    check_run,
     evaluate_requests,
     report_to_json,
     run_requests,
@@ -56,7 +57,11 @@ def _parse_ladder(text: str) -> tuple[int, ...]:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--refine-depth", type=int, default=DEFAULT_REFINE_DEPTH)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads", type=int, default=None,
+        help="worker processes for the replicates (default: the CPUs this process "
+        "may run on, at most the replicates and as many as fit in memory)",
+    )
     p.add_argument("--out", type=str, default=None)
 
 
@@ -139,14 +144,19 @@ def cmd_stats(args) -> int:
 def _run_and_report(args, requests: list[StatRequest], extra=dict) -> int:
     """Run ``requests`` over the ladder; write the CSV rows and the JSON summary.
 
-    ``extra()`` gives further top-level JSON keys, once the ladder has run.
+    The run is checked, and its worker count taken, by ``check_run``; the
+    JSON ``config.threads`` is that count.  ``extra()`` gives further
+    top-level JSON keys, once the ladder has run.
     """
+    _, _, workers = check_run(
+        requests, args.n_ladder, args.reps, args.threads, args.refine_depth
+    )
     rows = run_requests(
         requests,
         args.n_ladder,
         args.reps,
         args.seed,
-        threads=args.threads,
+        threads=workers,
         refine_depth=args.refine_depth,
     )
     if args.out is not None:
@@ -156,7 +166,7 @@ def _run_and_report(args, requests: list[StatRequest], extra=dict) -> int:
         "n_ladder": list(args.n_ladder),
         "reps": args.reps,
         "seed": args.seed,
-        "threads": args.threads,
+        "threads": workers,
         "refine_depth": args.refine_depth,
     }
     _emit(report_to_json(summarize(rows), config=config, **extra()), args.json_out)

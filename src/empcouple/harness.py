@@ -38,6 +38,7 @@ from .processes import (
     Bundle,
     ProcessBundle,
     bundle_bytes,
+    cores,
 )
 from .rng import RngStream, derive_stream
 from .supstats import (
@@ -120,7 +121,7 @@ _PROBLEMS = {
 STATISTIC_IDS = tuple(_PROBLEMS)
 
 # Each problem builder's domain rule, on n and the builder's arguments (see
-# ``_check_run``).
+# ``check_run``).
 _DOMAINS = {
     problem_quantile_full: lambda n, cfg: full_domain(n, cfg.lam),
     problem_empirical_full: lambda n, cfg: full_domain(n, cfg.lam),
@@ -305,11 +306,15 @@ def _replicate_task(args) -> list[ResultRow]:
     return evaluate_requests(*args)
 
 
-def _map_tasks(fn, tasks: list, threads: int) -> list:
-    """[fn(task) for task in tasks], on a pool of ``threads`` worker processes if > 1."""
-    if threads > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (threads * 8))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+def _map_tasks(fn, tasks: list, workers: int) -> list:
+    """[fn(task) for task in tasks], on a pool of ``workers`` processes if > 1.
+
+    ``workers`` is the count ``check_run`` gives, at most ``len(tasks)``: a
+    forked pool starts every worker up front.
+    """
+    if workers > 1:
+        chunk = max(1, len(tasks) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks, chunksize=chunk))
     return [fn(task) for task in tasks]
 
@@ -343,22 +348,33 @@ def _check_bytes(anchors, n: int, depth: int, workers: int) -> None:
         )
 
 
-def _check_run(requests, n_ladder, reps, threads: int, refine_depth: int, anchors=()) -> tuple:
-    """Reject a ladder run before any replicate is scheduled; (ladder, reps) as ints.
+def check_run(
+    requests,
+    n_ladder,
+    reps: int,
+    threads: int | None = None,
+    refine_depth: int = DEFAULT_REFINE_DEPTH,
+    anchors=(),
+) -> tuple[list[int], int, int]:
+    """Reject a ladder run before any replicate is scheduled; (ladder, reps, workers).
 
     Every request must validate and carry its own name: rows are keyed by
     name, so a repeated one would mix two requests' values.  A repeated
     ladder size would evaluate the same replicates twice.  Sizes and reps
     come back as ints; a size, reps or threads that is no integer is rejected.
-    The bundles that the workers' replicates at the largest size hold at
-    once, those of the requests' coupling anchors and of ``anchors``, must
-    fit in ``MAX_RUN_BYTES``.  Every request's sup domain must be nonempty
-    at every ladder size.
+    ``workers`` is the number of worker processes the run's replicates are
+    scheduled on: ``threads``, at most the replicates, or at ``threads=None``
+    the most workers, up to the CPUs this process may run on (``cores``) and
+    the replicates, whose bundles fit below, and at least 1.  The bundles
+    that the workers' replicates at the largest size hold at once, those of
+    the requests' coupling anchors and of ``anchors``, must fit in
+    ``MAX_RUN_BYTES``.  Every request's sup domain must be nonempty at every
+    ladder size.
     """
     try:
         n_ladder = [operator.index(n) for n in n_ladder]
         reps = operator.index(reps)
-        operator.index(threads)
+        threads = None if threads is None else operator.index(threads)
     except TypeError:
         raise ValueError(
             f"ladder sizes {n_ladder}, reps {reps!r} and threads {threads!r} must be integers"
@@ -370,7 +386,7 @@ def _check_run(requests, n_ladder, reps, threads: int, refine_depth: int, anchor
         raise ValueError(f"repeated request names in {names}")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    if threads < 1:
+    if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     if not n_ladder:
         raise ValueError("n_ladder must be nonempty")
@@ -382,7 +398,14 @@ def _check_run(requests, n_ladder, reps, threads: int, refine_depth: int, anchor
         raise ValueError("all ladder sizes must be >= 2")
     check_refine_depth(refine_depth)
     anchors = {coupling_anchor(req) for req in requests} | set(anchors)
-    _check_bytes(anchors, n_ladder[-1], refine_depth, min(threads, len(n_ladder) * reps))
+    tasks = len(n_ladder) * reps
+    if threads is None:
+        # A run with no request and no anchor builds no bundle.
+        each = max(1, _replicate_bytes(anchors, n_ladder[-1], refine_depth))
+        workers = max(1, min(cores(), tasks, MAX_RUN_BYTES // each))
+    else:
+        workers = min(threads, tasks)
+    _check_bytes(anchors, n_ladder[-1], refine_depth, workers)
     for req in requests:
         builder, *args = _PROBLEMS[req.statistic].problem(req)
         for n in n_ladder:
@@ -391,7 +414,7 @@ def _check_run(requests, n_ladder, reps, threads: int, refine_depth: int, anchor
                 _DOMAINS[builder](n, *args)
             except ValueError as err:
                 raise ValueError(f"request {req.name!r} at n={n}: {err}") from None
-    return n_ladder, reps
+    return n_ladder, reps, workers
 
 
 def run_requests(
@@ -399,7 +422,7 @@ def run_requests(
     n_ladder,
     reps: int,
     seed: int,
-    threads: int = 1,
+    threads: int | None = None,
     refine_depth: int = DEFAULT_REFINE_DEPTH,
 ) -> list[ResultRow]:
     """Evaluate several statistics on shared bundles across the ladder.
@@ -408,12 +431,15 @@ def run_requests(
     lattice-anchored bundle, and the count-anchored one at t or theta) and
     shared by every request coupled there.  Bundle streams depend only on
     (seed, n, rep, role), so adding statistics to a run never changes the
-    draws of the others.  The whole run is checked before any replicate
-    runs (see ``_check_run``).
+    draws of the others, and the rows are the same on any number of
+    worker processes.  The whole run is checked, and its worker count
+    taken, before any replicate runs (see ``check_run``): ``threads=None``
+    uses the CPUs this process may run on, as far as the replicates and
+    memory allow.
     """
-    n_ladder, reps = _check_run(requests, n_ladder, reps, threads, refine_depth)
+    n_ladder, reps, workers = check_run(requests, n_ladder, reps, threads, refine_depth)
     tasks = [(requests, seed, n, rep, refine_depth) for n in n_ladder for rep in range(reps)]
-    chunks = _map_tasks(_replicate_task, tasks, threads)
+    chunks = _map_tasks(_replicate_task, tasks, workers)
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r.statistic, r.n, r.rep))
     return rows
@@ -659,7 +685,7 @@ def estimate_ineq1(
     seed: int,
     a: float = 1.0,
     side: str = "left",
-    threads: int = 1,
+    threads: int | None = None,
 ) -> Ineq1Estimate:
     """Exceedance of the tail sup beyond n^{-1/2}(a log d + x), with decay fit.
 
@@ -667,7 +693,9 @@ def estimate_ineq1(
     computed at every d.  The exceedance probability is then estimated per
     (d, x), and log p is fitted linearly in x over the nonzero estimates of
     the first d (pooled fit when several d are given), giving the decay rate
-    c_hat.  An all-zero grid leaves the fit as NaN.
+    c_hat.  An all-zero grid leaves the fit as NaN.  The replicates run
+    through ``run_requests``, on ``threads`` worker processes; None takes
+    its default, the usable CPUs.
     """
     d_grid = [float(d) for d in d_grid]
     x_grid = [float(x) for x in x_grid]
@@ -887,21 +915,22 @@ def sanity_global_sup(
     reps: int,
     seed: int,
     t: float = 0.5,
-    threads: int = 1,
+    threads: int | None = None,
     refine_depth: int = DEFAULT_REFINE_DEPTH,
 ) -> GlobalSupReport:
     """Normalized unweighted sup discrepancy stays bounded across the ladder.
 
     The median of n^{1/4} sup / ((log n)^{1/2} (log log n)^{1/4}) should be
     flat in n; the pass condition is max/min median ratio <= 3.  The ladder,
-    reps, threads, depth and bundle memory are checked up front, as in
-    ``run_requests``, and so is t, which must lie in (0, 1).
+    reps, threads, depth and bundle memory are checked up front, and the
+    worker count taken, as in ``run_requests`` (``threads=None`` uses the
+    usable CPUs), and so is t, which must lie in (0, 1).
     """
     if not 0.0 < t < 1.0:
         raise ValueError(f"anchor t must lie in (0, 1), got {t}")
-    n_ladder, reps = _check_run([], n_ladder, reps, threads, refine_depth, anchors=[t])
+    n_ladder, reps, workers = check_run([], n_ladder, reps, threads, refine_depth, anchors=[t])
     tasks = [(seed, n, rep, t, refine_depth) for n in n_ladder for rep in range(reps)]
-    vals = _map_tasks(_global_sup_task, tasks, threads)
+    vals = _map_tasks(_global_sup_task, tasks, workers)
     medians, normalized = [], []
     for i, n in enumerate(n_ladder):
         med = float(np.median(vals[i * reps : (i + 1) * reps]))

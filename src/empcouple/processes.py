@@ -76,15 +76,16 @@ def _paired(first, second, extent: int) -> tuple:
     kept pool would leave a forked worker a pool without its thread.  An
     exception on the helper is raised here.
     """
-    if extent < _PAIR_THREADS or multiprocessing.parent_process() is not None or _cores() < 2:
+    if extent < _PAIR_THREADS or multiprocessing.parent_process() is not None or cores() < 2:
         return first(), second()
     with ThreadPoolExecutor(1) as helper:
         other = helper.submit(second)
         return first(), other.result()
 
 
-def _cores() -> int:
-    """The CPUs this process may run on."""
+def cores() -> int:
+    """The CPUs this process may run on; the pair helper's rule and the
+    harness's default worker count read it."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

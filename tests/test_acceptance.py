@@ -278,12 +278,13 @@ def test_criterion_7_oracle_equivalence(capsys):
 
 
 def test_criterion_8_parallel_determinism(capsys):
-    """`mc` output is byte-identical at thread counts 1, 4 and 16."""
+    """`mc` output is byte-identical at thread counts 1, 4 and 16 and at the default."""
     reqs = [ec.StatRequest("approx4", "approx4", ec.WeightConfig(nu=0.1))]
     outputs = {
         threads: ec.rows_to_csv(ec.run_requests(reqs, [64, 128], 6, SEED, threads=threads))
         for threads in (1, 4, 16)
     }
-    passed = outputs[1] == outputs[4] == outputs[16]
-    _verdict(capsys, 8, passed, "CSV identical across thread counts {1, 4, 16}")
+    outputs[None] = ec.rows_to_csv(ec.run_requests(reqs, [64, 128], 6, SEED))
+    passed = outputs[1] == outputs[4] == outputs[16] == outputs[None]
+    _verdict(capsys, 8, passed, "CSV identical across thread counts {1, 4, 16} and the default")
     assert passed

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from empcouple import cli
+from empcouple import cli, processes
 from empcouple.cli import main
 from empcouple.processes import AnchoredBundle, ProcessBundle
 
@@ -79,6 +79,19 @@ def test_mc_writes_csv_and_json(tmp_path):
     doc = json.loads(json_path.read_text())
     assert doc["rows"] == 4
     assert doc["config"]["requests"][0]["statistic"] == "approx1"
+
+
+def test_mc_reports_the_workers_it_ran(tmp_path):
+    # with no --threads, config.threads is the worker count the run used:
+    # the usable CPUs, at most the 4 replicates
+    json_path = tmp_path / "summary.json"
+    args = ["mc", "--stat", "approx1", "--n-ladder", "8,16", "--reps", "2", "--seed", "1",
+            "--out", str(tmp_path / "rows.csv"), "--json-out", str(json_path)]
+    assert main(args) == 0
+    threads = json.loads(json_path.read_text())["config"]["threads"]
+    assert type(threads) is int and threads == min(processes.cores(), 4)
+    assert main(args + ["--threads", "16"]) == 0
+    assert json.loads(json_path.read_text())["config"]["threads"] == 4
 
 
 def test_mc_thread_determinism(tmp_path):

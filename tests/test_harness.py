@@ -378,6 +378,59 @@ def test_row_count_and_order():
     assert [(r.n, r.rep) for r in rows] == [(4, 0), (4, 1), (4, 2), (8, 0), (8, 1), (8, 2)]
 
 
+def test_pool_starts_no_idle_workers(monkeypatch):
+    # a forked pool starts every worker up front, so it holds at most one
+    # per replicate; the default takes the CPUs this process may run on
+    sizes, real = [], harness.ProcessPoolExecutor
+    monkeypatch.setattr(harness, "ProcessPoolExecutor",
+                        lambda max_workers: sizes.append(max_workers) or real(max_workers))
+    reqs = [StatRequest("approx2", "approx2", WeightConfig(nu=0.1))]
+    serial = rows_to_csv(run_requests(reqs, [8, 16], 2, seed=3, threads=1))
+    assert rows_to_csv(run_requests(reqs, [8, 16], 2, seed=3, threads=16)) == serial
+    assert sizes == [4]
+    monkeypatch.setattr(harness, "cores", lambda: 2)
+    assert rows_to_csv(run_requests(reqs, [8, 16], 2, seed=3)) == serial
+    assert sizes == [4, 2]
+    run_requests(reqs, [8], 1, seed=3)  # one replicate runs in this process
+    assert sizes == [4, 2]
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+def test_one_cpu_starts_no_pool(monkeypatch):
+    # in a process that may run on one CPU, the default runs every
+    # replicate in the calling process
+    monkeypatch.setattr(harness, "cores", lambda: 1)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _no_pool)
+    assert len(run_requests([_REQ], [8, 16], 2, seed=3)) == 4
+    assert estimate_ineq1(64, [4.0, 16.0], [0.0, 1.0], reps=3, seed=0).reps == 3
+    assert sanity_global_sup([16, 32], 2, seed=3).n_ladder == [16, 32]
+
+
+def test_default_workers_fit_in_memory(monkeypatch):
+    # the default takes the most workers whose bundles fit, at least 1; an
+    # explicit count whose bundles do not fit is rejected as before
+    monkeypatch.setattr(harness, "cores", lambda: 2)
+    scheduled = []
+    monkeypatch.setattr(
+        harness, "_map_tasks", lambda fn, tasks, workers: scheduled.append(workers) or []
+    )
+    n = 3 << 16
+    assert bundle_bytes(n, 12) <= MAX_RUN_BYTES < 2 * bundle_bytes(n, 12)
+    assert run_requests([_REQ], [n], 2, seed=0, refine_depth=12) == []
+    assert harness.check_run([_REQ], [n], 2, refine_depth=12)[2] == 1
+    with pytest.raises(ValueError, match=r"bytes over 2 worker"):
+        run_requests([_REQ], [n], 2, seed=0, threads=2, refine_depth=12)
+    # half the size fits twice
+    assert 2 * bundle_bytes(n // 2, 12) <= MAX_RUN_BYTES
+    run_requests([_REQ], [n // 2], 2, seed=0, refine_depth=12)
+    assert scheduled == [1, 2]
+    # a run with no request builds no bundle
+    assert harness.check_run([], [8, 16], 2)[2] == 2
+
+
 def test_thread_count_does_not_change_csv():
     reqs = [StatRequest("approx2", "approx2", WeightConfig(nu=0.1))]
     serial = run_requests(reqs, [8, 16], 3, seed=3, threads=1)

@@ -459,15 +459,15 @@ def _paired_threads():
         started.append(threading.get_ident())
         return real(*args)
 
-    saved = (processes._PAIR_THREADS, processes._cores, sys.getswitchinterval())
+    saved = (processes._PAIR_THREADS, processes.cores, sys.getswitchinterval())
     processes._PAIR_THREADS, processes.ThreadPoolExecutor = 0, counted
-    processes._cores = lambda: 2
+    processes.cores = lambda: 2
     sys.setswitchinterval(1e-6)
     try:
         yield started
     finally:
         processes._PAIR_THREADS, processes.ThreadPoolExecutor = saved[0], real
-        processes._cores = saved[1]
+        processes.cores = saved[1]
         sys.setswitchinterval(saved[2])
 
 
@@ -545,6 +545,6 @@ def test_helper_starts_from_the_size_rule(monkeypatch, below, helpers):
     started = []
     real = processes.ThreadPoolExecutor
     monkeypatch.setattr(processes, "ThreadPoolExecutor", lambda *a: started.append(1) or real(*a))
-    monkeypatch.setattr(processes, "_cores", lambda: 2)
+    monkeypatch.setattr(processes, "cores", lambda: 2)
     assert processes._paired(lambda: 1, lambda: 2, extent) == (1, 2)
     assert len(started) == helpers

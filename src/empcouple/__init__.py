@@ -41,7 +41,6 @@ from .harness import (
     evaluate_requests,
     rows_to_csv,
     run_requests,
-    sanity_global_sup,
     summarize,
     tightness_verdicts,
     verify_exact_laws,
@@ -105,7 +104,6 @@ __all__ = [
     "rows_to_csv",
     "run_requests",
     "sample_from_bundle",
-    "sanity_global_sup",
     "snap_to_integer",
     "stat_empirical_full",
     "stat_empirical_increment",

@@ -275,19 +275,19 @@ def censored_domain(n: int, model: CensoringModel, lam: float) -> tuple[float, f
 def problem_censored_part(
     bundle: Bundle, model: CensoringModel, xi_exp: float, lam: float = 1.0
 ) -> SupProblem:
-    """'cens-h0' on ``bundle`` (see ``censored_sup_problems``)."""
+    """'cens-h0' on ``bundle`` (see ``censored_weighted_stats``)."""
     weight = power_weight(bundle.n, xi_exp, "one-minus-s")
     return empirical_range_problem(bundle, *censored_domain(bundle.n, model, lam), *weight)
 
 
-def censored_sup_problems(
+def censored_weighted_stats(
     sample: CensoredSample,
     model: CensoringModel,
     bundle: Bundle,
     xi_exp: float,
     lam: float = 1.0,
-) -> dict[str, SupProblem]:
-    """The two censored sup problems in the uniformized variable.
+) -> dict[str, WeightedSupResult]:
+    """The two censored sup statistics in the uniformized variable.
 
     Requires a sample produced by ``sample_from_bundle`` for this bundle, so
     that alpha_star coincides with the bundle's empirical process and the
@@ -301,35 +301,23 @@ def censored_sup_problems(
 
       'cens-h0': sup over u in [lam/n, 1-theta] of
                  n^xi |alpha(1-u) - B(1-u)| / u^{1/2-xi}
-                 (written below in the substituted variable w = 1-u)
+                 (written below in the substituted variable w = 1-u;
+                 ``problem_censored_part``)
       'cens-h1': sup over u in [lam/n, theta) of
                  n^xi |alpha(u; theta) - B(u; theta)| / u^{1/2-xi}
 
     where B(u; theta) = B(theta) - B(theta - u) is the bridge's own window
-    increment (itself a Brownian bridge in u on [0, theta]).
+    increment (itself a Brownian bridge in u on [0, theta]).  xi must lie
+    in [0, 1/4) and lam be positive, as nu and lam of a ``WeightConfig``.
     """
-    if not 0.0 <= xi_exp < 0.25:
-        raise ValueError("xi exponent must lie in [0, 1/4)")
-    if not lam > 0:
-        raise ValueError("lam must be positive")
+    at_theta = WeightConfig(lam=lam, nu=xi_exp, t=model.theta)
+    at_theta.validate()
     if not np.array_equal(np.sort(sample.xi), bundle.U[1 : bundle.n + 1]):
         raise ValueError("sample is not coupled to this bundle (xi != order statistics)")
-    at_theta = WeightConfig(lam=lam, nu=xi_exp, t=model.theta)
-    return {
+    problems = {
         "cens-h0": problem_censored_part(bundle, model, xi_exp, lam),
         "cens-h1": problem_empirical_increment(bundle, at_theta),
     }
-
-
-def censored_weighted_stats(
-    sample: CensoredSample,
-    model: CensoringModel,
-    bundle: Bundle,
-    xi_exp: float,
-    lam: float = 1.0,
-) -> dict[str, WeightedSupResult]:
-    """Solve both censored sup statistics (see ``censored_sup_problems``)."""
-    problems = censored_sup_problems(sample, model, bundle, xi_exp, lam)
     return {name: solve(bundle, prob) for name, prob in problems.items()}
 
 

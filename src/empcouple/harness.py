@@ -43,7 +43,6 @@ from .processes import (
 from .rng import RngStream, derive_stream
 from .supstats import (
     WeightConfig,
-    empirical_window_problem,
     full_domain,
     increment_domain,
     on_lattice,
@@ -55,7 +54,6 @@ from .supstats import (
     problem_restricted,
     problem_tail,
     restricted_count,
-    solve,
     solve_weights,
     tail_domain,
 )
@@ -354,7 +352,6 @@ def check_run(
     reps: int,
     threads: int | None = None,
     refine_depth: int = DEFAULT_REFINE_DEPTH,
-    anchors=(),
 ) -> tuple[list[int], int, int]:
     """Reject a ladder run before any replicate is scheduled; (ladder, reps, workers).
 
@@ -367,9 +364,8 @@ def check_run(
     the most workers, up to the CPUs this process may run on (``cores``) and
     the replicates, whose bundles fit below, and at least 1.  The bundles
     that the workers' replicates at the largest size hold at once, those of
-    the requests' coupling anchors and of ``anchors``, must fit in
-    ``MAX_RUN_BYTES``.  Every request's sup domain must be nonempty at every
-    ladder size.
+    the requests' coupling anchors, must fit in ``MAX_RUN_BYTES``.  Every
+    request's sup domain must be nonempty at every ladder size.
     """
     try:
         n_ladder = [operator.index(n) for n in n_ladder]
@@ -397,10 +393,10 @@ def check_run(
     if min(n_ladder) < 2:
         raise ValueError("all ladder sizes must be >= 2")
     check_refine_depth(refine_depth)
-    anchors = {coupling_anchor(req) for req in requests} | set(anchors)
+    anchors = {coupling_anchor(req) for req in requests}
     tasks = len(n_ladder) * reps
     if threads is None:
-        # A run with no request and no anchor builds no bundle.
+        # A run with no request builds no bundle.
         each = max(1, _replicate_bytes(anchors, n_ladder[-1], refine_depth))
         workers = max(1, min(cores(), tasks, MAX_RUN_BYTES // each))
     else:
@@ -693,7 +689,8 @@ def estimate_ineq1(
     computed at every d.  The exceedance probability is then estimated per
     (d, x), and log p is fitted linearly in x over the nonzero estimates of
     the first d (pooled fit when several d are given), giving the decay rate
-    c_hat.  An all-zero grid leaves the fit as NaN.  The replicates run
+    c_hat.  An all-zero grid leaves the fit as NaN; a non-finite ``a`` is
+    rejected before any replicate runs.  The replicates run
     through ``run_requests``, on ``threads`` worker processes; None takes
     its default, the usable CPUs.
     """
@@ -701,6 +698,8 @@ def estimate_ineq1(
     x_grid = [float(x) for x in x_grid]
     if not d_grid or not x_grid:
         raise ValueError("d_grid and x_grid must be nonempty")
+    if not math.isfinite(a):
+        raise ValueError(f"a must be finite, got {a}")
     for d in d_grid:
         for x in x_grid:
             if not 0.0 <= x <= math.sqrt(d):
@@ -889,63 +888,6 @@ def verify_exact_laws(seed: int, reps: int = 100000) -> list[LawReport]:
         check_floor_bound(),
         check_bridge_modulus(root.child("bridge"), reps=min(reps, 20000)),
     ]
-
-
-# -- global sup sanity check -------------------------------------------------
-
-
-@dataclass
-class GlobalSupReport:
-    n_ladder: list[int]
-    medians: list[float]
-    normalized: list[float]
-    ratio: float
-    passed: bool
-    low_confidence: bool
-
-
-def _global_sup_task(args) -> float:
-    seed, n, rep, t, depth = args
-    bundle = build_anchored_bundle(seed, n, rep, t, depth)
-    return solve(bundle, empirical_window_problem(bundle, t, 0.0, t, 0.0, None, 1.0)).value
-
-
-def sanity_global_sup(
-    n_ladder,
-    reps: int,
-    seed: int,
-    t: float = 0.5,
-    threads: int | None = None,
-    refine_depth: int = DEFAULT_REFINE_DEPTH,
-) -> GlobalSupReport:
-    """Normalized unweighted sup discrepancy stays bounded across the ladder.
-
-    The median of n^{1/4} sup / ((log n)^{1/2} (log log n)^{1/4}) should be
-    flat in n; the pass condition is max/min median ratio <= 3.  The ladder,
-    reps, threads, depth and bundle memory are checked up front, and the
-    worker count taken, as in ``run_requests`` (``threads=None`` uses the
-    usable CPUs), and so is t, which must lie in (0, 1).
-    """
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"anchor t must lie in (0, 1), got {t}")
-    n_ladder, reps, workers = check_run([], n_ladder, reps, threads, refine_depth, anchors=[t])
-    tasks = [(seed, n, rep, t, refine_depth) for n in n_ladder for rep in range(reps)]
-    vals = _map_tasks(_global_sup_task, tasks, workers)
-    medians, normalized = [], []
-    for i, n in enumerate(n_ladder):
-        med = float(np.median(vals[i * reps : (i + 1) * reps]))
-        medians.append(med)
-        norm = n**0.25 / (math.log(n) ** 0.5 * math.log(math.log(n)) ** 0.25)
-        normalized.append(med * norm)
-    ratio = max(normalized) / min(normalized) if min(normalized) > 0 else float("inf")
-    return GlobalSupReport(
-        n_ladder=n_ladder,
-        medians=medians,
-        normalized=normalized,
-        ratio=float(ratio),
-        passed=bool(ratio <= 3.0),
-        low_confidence=reps < 10,
-    )
 
 
 def default_requests(lam: float = 1.0, t: float = 0.5) -> list[StatRequest]:

@@ -290,8 +290,8 @@ class ProcessBundle(_SampleProcesses):
 
     n: int
     t: float
-    path1: CoupledPath | None
-    path2: CoupledPath | None
+    path1: CoupledPath
+    path2: CoupledPath
     Y: np.ndarray
     S: np.ndarray
     U: np.ndarray
@@ -313,8 +313,6 @@ class ProcessBundle(_SampleProcesses):
 
         A path's grid is read only for arguments on its side of [n/2].
         """
-        if self.path1 is None or self.path2 is None:
-            raise ValueError("synthetic bundle has no Brownian paths")
         z = np.asarray(z, dtype=float)
         if np.any((z < 0.0) | (z > self.n + 1)):
             raise ValueError("w_n argument outside [0, n+1]")
@@ -553,18 +551,6 @@ class ProcessBundle(_SampleProcesses):
         # which the refined grids hold unchanged
         bundle.w_nn = float(path1.W[h] + path2.W[g] - path2.W[1])
         return bundle
-
-    @classmethod
-    def synthetic(cls, n: int, order_stats, t: float = 0.5) -> "ProcessBundle":
-        """Bundle with prescribed order statistics and no Brownian paths.
-
-        Only the empirical/quantile evaluators work; used in tests.
-        """
-        u = np.concatenate([[0.0], np.asarray(order_stats, dtype=float)])
-        if u.size != n + 1 or np.any(np.diff(u) <= 0) or u[-1] >= 1.0:
-            raise ValueError("order_stats must be n strictly increasing values in (0, 1)")
-        s = np.concatenate([u, [1.0]])
-        return cls(n=n, t=t, path1=None, path2=None, Y=np.diff(s), S=s, U=u, depth=0)
 
 
 def bundle_bytes(n: int, depth: int) -> int:

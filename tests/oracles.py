@@ -16,6 +16,7 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
+from empcouple.processes import ProcessBundle
 from empcouple.supstats import Index
 
 mpmath.mp.dps = 30
@@ -484,6 +485,20 @@ def hand_xi(Z, delta, c: float = 1.0):
 
 
 # -- faked bridges -------------------------------------------------------------
+
+
+def pathless_bundle(n: int, order_stats, t: float = 0.5) -> ProcessBundle:
+    """A ``ProcessBundle`` with the prescribed order statistics U_1 < ... < U_n
+    in (0, 1), depth 0 and no Brownian paths.
+
+    Its sample evaluators (``ecdf_count``, ``empirical_process``,
+    ``quantile_process``) work; a bridge read fails unless the test fakes
+    W_n (``fake_w_lookups``) or reads no W_n.
+    """
+    u = np.concatenate([[0.0], np.asarray(order_stats, dtype=float)])
+    assert u.size == n + 1 and np.all(np.diff(u) > 0) and u[-1] < 1.0, order_stats
+    s = np.append(u, 1.0)
+    return ProcessBundle(n=n, t=t, path1=None, path2=None, Y=np.diff(s), S=s, U=u, depth=0)
 
 
 def fake_w_lookups(bundle, w_n) -> None:

@@ -34,7 +34,7 @@ import itertools
 import numpy as np
 
 from empcouple import processes, supstats
-from empcouple.censored import CensoringModel, censored_sup_problems, sample_from_bundle
+from empcouple.censored import CensoringModel, problem_censored_part
 from empcouple.processes import AnchoredBundle, ProcessBundle
 from empcouple.rng import derive_stream
 from empcouple.supstats import (
@@ -79,11 +79,17 @@ def _problems(lam: float, t: float, n: int, depth: int):
         n, derive_stream(SEED, n, 0, "anchored"), t=model.theta, depth=depth
     )
     for b in (lattice, at_theta):
-        sample = sample_from_bundle(model, b, derive_stream(SEED, n, 0, "shuffle"))
-        for name in ("cens-h0", "cens-h1"):
-            yield b, lambda b=b, sample=sample, name=name: (
-                censored_sup_problems(sample, model, b, 0.1, lam)[name]
-            )
+        for i in (0, 1):
+            yield b, lambda b=b, i=i: _censored_pair(b, model, lam)[i]
+
+
+def _censored_pair(b, model: CensoringModel, lam: float) -> tuple:
+    """The problems 'cens-h0' and 'cens-h1' at xi = 0.1, built together:
+    where either domain is empty, both lines print ``error``."""
+    return (
+        problem_censored_part(b, model, 0.1, lam),
+        problem_empirical_increment(b, WeightConfig(lam=lam, nu=0.1, t=model.theta)),
+    )
 
 
 def lines():

@@ -14,7 +14,7 @@ import scipy
 from scipy import stats
 
 import empcouple as ec
-from empcouple.censored import censored_sup_problems, default_check_grid
+from empcouple.censored import default_check_grid, problem_censored_part
 from empcouple.coupling import couple_batch
 from empcouple.harness import (
     check_floor_bound,
@@ -248,6 +248,7 @@ def test_criterion_7_oracle_equivalence(capsys):
     sizes = (8, 16, 32, 64)
     cfg = ec.WeightConfig(eta=0.25, nu=0.1)
     model = ec.CensoringModel(1.0)
+    at_theta = ec.WeightConfig(nu=0.1, t=model.theta)
     mismatches = 0
     checks = 0
     for rep in range(100):
@@ -262,10 +263,9 @@ def test_criterion_7_oracle_equivalence(capsys):
             "approx4": (a, problem_empirical_increment(a, cfg)),
             "restricted": (a, problem_restricted(a, cfg)),
             "ineq1-tail": (b, problem_tail(b, min(8.0, n / 2.0), "left")),
+            "cens-h0": (a, problem_censored_part(a, model, 0.1)),
+            "cens-h1": (a, problem_empirical_increment(a, at_theta)),
         }
-        sample = ec.sample_from_bundle(model, a, ec.derive_stream(SEED + 2, n, rep, "shuffle"))
-        for name, prob in censored_sup_problems(sample, model, a, xi_exp=0.1).items():
-            problems[name] = (a, prob)
         for name, (bundle, prob) in problems.items():
             engine = solve(bundle, prob).value
             oracle = naive_sup_fast(bundle, prob)

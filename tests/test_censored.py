@@ -11,10 +11,10 @@ from empcouple.censored import (
     CensoredSample,
     CensoringModel,
     SubEmpiricals,
-    censored_sup_problems,
     censored_weighted_stats,
     default_check_grid,
     generate,
+    problem_censored_part,
     representation_check,
     sample_from_bundle,
     survival_representation_check,
@@ -22,7 +22,7 @@ from empcouple.censored import (
 )
 from empcouple.processes import AnchoredBundle, ProcessBundle
 from empcouple.rng import RngStream, derive_stream
-from empcouple.supstats import solve
+from empcouple.supstats import WeightConfig, problem_empirical_increment, solve
 from oracles import (
     count_leq,
     fake_w_lookups,
@@ -220,7 +220,10 @@ def test_weighted_stats_oracle_equality(seed):
     )
     for b in (_bundle(32, seed=seed), anchored):
         sample = sample_from_bundle(model, b, derive_stream(seed, 32, 0, "shuffle"))
-        problems = censored_sup_problems(sample, model, b, xi_exp=0.1)
+        problems = {
+            "cens-h0": problem_censored_part(b, model, 0.1),
+            "cens-h1": problem_empirical_increment(b, WeightConfig(nu=0.1, t=model.theta)),
+        }
         results = censored_weighted_stats(sample, model, b, xi_exp=0.1)
         for name, prob in problems.items():
             assert results[name].value == naive_sup(b, prob)

@@ -26,7 +26,6 @@ from empcouple.harness import (
     report_to_json,
     rows_to_csv,
     run_requests,
-    sanity_global_sup,
     summarize,
     verify_exact_laws,
     wilson_interval,
@@ -77,8 +76,6 @@ def test_config_validation(monkeypatch):
         run = dict(n_ladder=(4,), reps=1, threads=1) | kw
         with pytest.raises(ValueError):
             run_requests([_REQ], run["n_ladder"], run["reps"], 0, threads=run["threads"])
-        with pytest.raises(ValueError):
-            sanity_global_sup(run["n_ladder"], run["reps"], 0, threads=run["threads"])
     with pytest.raises(ValueError, match="unknown statistic"):
         run_requests([StatRequest("z", "nope")], (4,), 1, 0)
     with pytest.raises(ValueError):
@@ -172,8 +169,10 @@ def test_oversized_run_rejected_before_scheduling(monkeypatch):
     try:
         with pytest.raises(ValueError, match=r"n=4194304 .* depth 12 .* bytes over 1 worker"):
             run_requests([_REQ], [1 << 22], 1, seed=0, refine_depth=12)
+        # the count-anchored bundle's memory term
+        approx4 = StatRequest("approx4", "approx4")
         with pytest.raises(ValueError, match=r"n=4194304 .* depth 12 .* bytes over 1 worker"):
-            sanity_global_sup([1 << 22], 1, seed=0, refine_depth=12)
+            run_requests([approx4], [1 << 22], 1, seed=0, refine_depth=12)
         # one replicate's bundles fit, those of two concurrent workers do not
         n = 3 << 16
         assert bundle_bytes(n, 12) <= MAX_RUN_BYTES < 2 * bundle_bytes(n, 12)
@@ -191,12 +190,22 @@ def test_oversized_run_rejected_before_scheduling(monkeypatch):
             run_requests([_REQ], [1 << (31 - depth)], 1, seed=0, refine_depth=depth)
 
 
-def test_sanity_global_sup_rejects_t_outside_unit_interval(monkeypatch):
-    # the anchor t is checked before any replicate is scheduled
-    monkeypatch.setattr(harness, "_map_tasks", _no_scheduling)
+def _no_coupling(*args, **kwargs):
+    raise AssertionError("a path was coupled before the anchor was checked")
+
+
+def test_bundle_builders_reject_t_outside_unit_interval(monkeypatch):
+    # the anchor t is checked before any path is coupled
+    monkeypatch.setattr(processes, "couple_exponential_sums", _no_coupling)
     for t in (1.5, 0.0, 1.0, math.nan):
-        with pytest.raises(ValueError, match=r"t must lie in \(0, 1\)"):
-            sanity_global_sup([16, 32], 2, seed=3, t=t)
+        for build in (
+            lambda: ProcessBundle.build(16, RngStream(1), RngStream(2), t=t),
+            lambda: AnchoredBundle.build(16, RngStream(3), t=t),
+            lambda: build_bundle(3, 16, 0, t, 4),
+            lambda: build_anchored_bundle(3, 16, 0, t, 4),
+        ):
+            with pytest.raises(ValueError, match=r"t must lie in \(0, 1\)"):
+                build()
 
 
 def test_request_names_that_break_the_csv_rejected(monkeypatch):
@@ -210,13 +219,9 @@ def test_request_names_that_break_the_csv_rejected(monkeypatch):
 def test_numpy_integer_ladder_accepted():
     # numpy integers are taken as Python ints, so the CSV bytes stay those of
     # a list ladder (float sizes and reps: ``test_config_validation``)
-    ladder = np.array([16, 32])
-    assert rows_to_csv(run_requests([_REQ], ladder, np.int64(2), 1)) == rows_to_csv(
-        run_requests([_REQ], [16, 32], 2, 1)
-    )
-    report = sanity_global_sup(ladder, np.int64(2), 3)
-    assert report == sanity_global_sup([16, 32], 2, 3)
-    assert all(type(n) is int for n in report.n_ladder)
+    rows = run_requests([_REQ], np.array([16, 32]), np.int64(2), 1)
+    assert rows_to_csv(rows) == rows_to_csv(run_requests([_REQ], [16, 32], 2, 1))
+    assert all(type(row.n) is int for row in rows)
 
 
 def test_estimate_ineq1_close_tail_widths():
@@ -315,8 +320,6 @@ def test_repeated_ladder_size_rejected():
     # a repeated size would return every (n, rep) row twice
     with pytest.raises(ValueError, match="repeated"):
         run_requests([_REQ], (64, 64), 3, seed=1)
-    with pytest.raises(ValueError, match="repeated"):
-        sanity_global_sup([16, 32, 16], reps=1, seed=3)
 
 
 @pytest.mark.parametrize("depth", [-1, MAX_REFINE_DEPTH + 1])
@@ -332,8 +335,6 @@ def test_bad_refine_depth_rejected(monkeypatch, capsys, depth):
     monkeypatch.setattr(harness, "_map_tasks", _no_scheduling)
     with names_range:
         run_requests([_REQ], (64,), 2, seed=1, threads=2, refine_depth=depth)
-    with names_range:
-        sanity_global_sup([16], reps=2, seed=1, threads=2, refine_depth=depth)
     assert main(["stats", "--n", "16", "--refine-depth", str(depth)]) == 1
     assert f"[0, {MAX_REFINE_DEPTH}]" in capsys.readouterr().err
 
@@ -406,7 +407,6 @@ def test_one_cpu_starts_no_pool(monkeypatch):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _no_pool)
     assert len(run_requests([_REQ], [8, 16], 2, seed=3)) == 4
     assert estimate_ineq1(64, [4.0, 16.0], [0.0, 1.0], reps=3, seed=0).reps == 3
-    assert sanity_global_sup([16, 32], 2, seed=3).n_ladder == [16, 32]
 
 
 def test_default_workers_fit_in_memory(monkeypatch):
@@ -546,6 +546,15 @@ def test_estimate_ineq1_contracts():
         estimate_ineq1(64, [], [1.0], reps=5, seed=0)
 
 
+def test_estimate_ineq1_rejects_non_finite_a(monkeypatch):
+    # a NaN or infinite a makes every threshold NaN or infinite, so no
+    # estimate would mean anything: rejected before any replicate is scheduled
+    monkeypatch.setattr(harness, "_map_tasks", _no_scheduling)
+    for a in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="a must be finite"):
+            estimate_ineq1(64, [16.0], [0.0, 1.0], reps=4, seed=0, a=a)
+
+
 def test_estimate_ineq1_monotone_and_empty_tail():
     est = estimate_ineq1(64, [16.0], [0.0, 1.0, 2.0, 4.0], reps=60, seed=4)
     probs = est.probs[0]
@@ -578,20 +587,6 @@ def test_floor_bound_scan():
 def test_verify_exact_laws_contract():
     with pytest.raises(ValueError):
         verify_exact_laws(0, reps=100)
-
-
-def test_sanity_global_sup_single_n():
-    report = sanity_global_sup([32], reps=1, seed=3)
-    assert report.ratio == 1.0
-    assert report.passed
-    assert report.low_confidence
-
-
-def test_sanity_global_sup_small_ladder():
-    report = sanity_global_sup([16, 32, 64], reps=20, seed=8)
-    assert len(report.medians) == 3
-    assert all(m > 0 for m in report.medians)
-    assert math.isfinite(report.ratio)
 
 
 def test_default_requests_cover_parameter_sweep():

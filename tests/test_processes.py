@@ -27,7 +27,7 @@ from empcouple.processes import (
 )
 from empcouple.rng import RngStream, derive_stream
 from empcouple.supstats import WeightConfig
-from oracles import increment, increment_grid, mapped_run, w_extremes
+from oracles import increment, increment_grid, mapped_run, pathless_bundle, w_extremes
 
 SQ2 = math.sqrt(2.0)
 
@@ -132,14 +132,14 @@ def test_w_n_variance_matches_time():
 
 
 def test_empirical_process_hand_values():
-    b = ProcessBundle.synthetic(2, [0.25, 0.75])
+    b = pathless_bundle(2, [0.25, 0.75])
     assert b.empirical_process(np.asarray([0.5]))[0] == pytest.approx(0.0)
     assert b.empirical_process(np.asarray([0.3]))[0] == pytest.approx(SQ2 * 0.2)
     assert b.empirical_process(np.asarray([1.0]))[0] == pytest.approx(0.0)
 
 
 def test_quantile_process_hand_values():
-    b = ProcessBundle.synthetic(2, [0.25, 0.75])
+    b = pathless_bundle(2, [0.25, 0.75])
     assert b.quantile_process(np.asarray([0.6]))[0] == pytest.approx(SQ2 * 0.35)
     # below 1/n the floor index is 0 and U_0 = 0
     assert b.quantile_process(np.asarray([0.2]))[0] == pytest.approx(SQ2 * 0.2)
@@ -157,13 +157,13 @@ def test_quantile_lattice_identity_bitwise():
 def test_increment_hand_value():
     # floor convention: [2*0.9] = 1 and [2*0.4] = 0, so the increment is
     # sqrt(2)(0.9 - U_1) - sqrt(2)(0.4 - 0) = sqrt(2) * 0.25
-    b = ProcessBundle.synthetic(2, [0.25, 0.75])
+    b = pathless_bundle(2, [0.25, 0.75])
     val = increment(lambda s: b.quantile_process(np.asarray([s]))[0], 0.5, 0.9)
     assert val == pytest.approx(SQ2 * 0.25)
 
 
 def test_increment_telescoping():
-    b = ProcessBundle.synthetic(4, [0.1, 0.3, 0.6, 0.8])
+    b = pathless_bundle(4, [0.1, 0.3, 0.6, 0.8])
 
     def f(s):
         return b.empirical_process(np.asarray([s]))[0]
@@ -179,7 +179,7 @@ def test_increment_rejects_bad_window():
 
 
 def test_ecdf_count_sides():
-    b = ProcessBundle.synthetic(3, [0.2, 0.5, 0.9])
+    b = pathless_bundle(3, [0.2, 0.5, 0.9])
     assert b.ecdf_count(np.asarray([0.5]))[0] == 2
     assert b.ecdf_count(np.asarray([0.5]), side="left")[0] == 1
 
@@ -191,21 +191,6 @@ def test_build_validation():
         ProcessBundle.build(
             8, derive_stream(0, 8, 0, "path1"), derive_stream(0, 8, 0, "path2"), t=1.0
         )
-
-
-def test_synthetic_validation():
-    with pytest.raises(ValueError):
-        ProcessBundle.synthetic(2, [0.5, 0.25])
-    with pytest.raises(ValueError):
-        ProcessBundle.synthetic(2, [0.5])
-    with pytest.raises(ValueError):
-        ProcessBundle.synthetic(2, [0.5, 1.0])
-
-
-def test_synthetic_has_no_brownian_paths():
-    b = ProcessBundle.synthetic(2, [0.25, 0.75])
-    with pytest.raises(ValueError):
-        b.w_n(np.asarray([1.0]))
 
 
 @pytest.mark.parametrize("n", [2, 3, 64, 100])

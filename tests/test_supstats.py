@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from empcouple.censored import CensoringModel, censored_sup_problems, sample_from_bundle
+from empcouple.censored import CensoringModel, problem_censored_part
 from empcouple.harness import STATISTIC_IDS, StatRequest, evaluate_requests, replicate_bundle
 from empcouple.processes import AnchoredBundle, ProcessBundle, _SampleProcesses
 from empcouple import processes, supstats
@@ -45,6 +45,7 @@ from oracles import (
     naive_sup,
     naive_sup_fast,
     on_grid,
+    pathless_bundle,
     reevaluate,
     weighted,
 )
@@ -81,7 +82,7 @@ def test_weight_config_validation():
 def test_single_point_sup():
     # numerator nonzero only at its step jump s = 1/2; symmetric weight
     # (s(1-s))^{1/2}
-    b = ProcessBundle.synthetic(4, [0.2, 0.4, 0.6, 0.8])
+    b = pathless_bundle(4, [0.2, 0.4, 0.6, 0.8])
     delta0 = 0.37
 
     def num(s_piece, index=None):
@@ -142,7 +143,7 @@ def test_zero_when_bridge_equals_empirical_process():
 def test_increment_numerator_hand_case():
     # n=2, U={0.25,0.75}, zero bridge, t=0.9, s=0.5:
     # floor convention gives beta(0.9) - beta(0.4) = sqrt(2) * 0.25
-    b = ProcessBundle.synthetic(2, [0.25, 0.75], t=0.9)
+    b = pathless_bundle(2, [0.25, 0.75], t=0.9)
     _force_zero_bridge(b)
     num = _beta_increment_minus_bridge(b, 0.9)
     # the jumps 0.9 - k/2 below s = 0.5 are -0.1 and 0.4, and W_n is 0
@@ -214,11 +215,12 @@ _OFF_GRID = [
 def _harness_problem(req, seed, n, rep):
     """The bundle and sup problem the harness evaluates ``req`` on."""
     bundle = replicate_bundle(req, seed, n, rep)
-    if req.statistic in ("cens-h0", "cens-h1"):
-        model = CensoringModel(req.rate_c)
-        sample = sample_from_bundle(model, bundle, derive_stream(seed, n, rep, "shuffle"))
-        problems = censored_sup_problems(sample, model, bundle, req.xi_exp, req.weights.lam)
-        return bundle, problems[req.statistic]
+    model = CensoringModel(req.rate_c)
+    if req.statistic == "cens-h0":
+        return bundle, problem_censored_part(bundle, model, req.xi_exp, req.weights.lam)
+    if req.statistic == "cens-h1":
+        at_theta = WeightConfig(lam=req.weights.lam, nu=req.xi_exp, t=model.theta)
+        return bundle, problem_empirical_increment(bundle, at_theta)
     if req.statistic == "ineq1-tail":
         return bundle, problem_tail(bundle, req.d, req.side)
     return bundle, _STAT_PROBLEMS[req.statistic](bundle, req.weights)
@@ -445,9 +447,10 @@ def _every_problem(lam, t, n, seed=4):
         out += [(b, problem_tail(b, 16.0, side)) for side in ("left", "right")]
     model = CensoringModel(1.5)
     at_theta = AnchoredBundle.build(n, derive_stream(seed, n, 0, "anchored"), t=model.theta)
+    cens_h1 = WeightConfig(lam=lam, nu=0.1, t=model.theta)
     for b in (lattice, at_theta):
-        sample = sample_from_bundle(model, b, derive_stream(seed, n, 0, "shuffle"))
-        out += [(b, prob) for prob in censored_sup_problems(sample, model, b, 0.1, lam).values()]
+        out += [(b, problem_censored_part(b, model, 0.1, lam))]
+        out += [(b, problem_empirical_increment(b, cens_h1))]
     return out
 
 

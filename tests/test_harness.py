@@ -169,8 +169,7 @@ def test_oversized_run_rejected_before_scheduling(monkeypatch):
     try:
         with pytest.raises(ValueError, match=r"n=4194304 .* depth 12 .* bytes over 1 worker"):
             run_requests([_REQ], [1 << 22], 1, seed=0, refine_depth=12)
-        # the count-anchored bundle's memory term
-        approx4 = StatRequest("approx4", "approx4")
+        approx4 = StatRequest("approx4", "approx4")  # on the count-anchored bundle
         with pytest.raises(ValueError, match=r"n=4194304 .* depth 12 .* bytes over 1 worker"):
             run_requests([approx4], [1 << 22], 1, seed=0, refine_depth=12)
         # one replicate's bundles fit, those of two concurrent workers do not
@@ -180,6 +179,9 @@ def test_oversized_run_rejected_before_scheduling(monkeypatch):
             run_requests([_REQ], [n], 2, seed=0, threads=2, refine_depth=12)
         with pytest.raises(AssertionError, match="replicates scheduled"):
             run_requests([_REQ], [n], 2, seed=0, threads=1, refine_depth=12)
+        # a lattice bundle at n fits, a count-anchored one, about 3/2 of it, does not
+        with pytest.raises(ValueError, match=r"bytes over 1 worker"):
+            run_requests([approx4], [n], 2, seed=0, threads=1, refine_depth=12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
